@@ -67,7 +67,9 @@ let run_llstar ?(runs = 3) (spec : Workload.spec) token_lists =
     let total = ref 0.0 in
     List.iter
       (fun toks ->
-        let t = Runtime.Interp.create ~env cw.c toks in
+        let t =
+          Runtime.Interp.create ~env cw.c (Runtime.Token_stream.of_array toks)
+        in
         let (_ : (unit, _) result), dt =
           time (fun () -> Runtime.Interp.recognize_run t ())
         in
@@ -127,7 +129,9 @@ let run_v2 ?(runs = 3) (spec : Workload.spec) token_lists =
     let total = ref 0.0 in
     List.iter
       (fun toks ->
-        let t = Runtime.Interp.create ~env c toks in
+        let t =
+          Runtime.Interp.create ~env c (Runtime.Token_stream.of_array toks)
+        in
         let r, dt = time (fun () -> Runtime.Interp.recognize_run t ()) in
         (match r with
         | Ok () -> ()

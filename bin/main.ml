@@ -49,22 +49,6 @@ let with_input ?max_bytes path (f : Runtime.Lexer_engine.reader -> 'a) : 'a =
       in
       Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f read)
 
-(* Chunked lexing to a materialized array: the same tokens as
-   [Lexer_engine.tokenize], without ever holding the input bytes. *)
-let tokenize_reader ~tracer config sym read :
-    (Runtime.Token.t array, Runtime.Lexer_engine.error) result =
-  let s = Runtime.Lexer_engine.stream ~tracer config sym read in
-  let chunks = ref [] in
-  let rec go () =
-    match Runtime.Lexer_engine.next_chunk ~max_tokens:4096 s with
-    | Error e -> Error e
-    | Ok [||] -> Ok (Array.concat (List.rev !chunks))
-    | Ok c ->
-        chunks := c :: !chunks;
-        go ()
-  in
-  go ()
-
 let grammar_arg =
   Arg.(
     required
@@ -301,67 +285,15 @@ let atn_cmd =
 (* --- parse ------------------------------------------------------------- *)
 
 let parse_cmd =
-  (* Single-input mode: the historical behavior (tree printing, tracing,
-     lazy re-save). *)
+  (* Single-input mode: the chunked lexer feeds a bounded token window and
+     the interpreter parses as tokens arrive.  Without --tree or --recover
+     it only recognizes, in O(window + speculation reach) live memory; a
+     tree keeps its leaves, which are copied [Token.t] values, so both
+     flags work at any --window.  The whole input is always scanned
+     (drain), so a lex error anywhere wins over the parse verdict, exactly
+     as tokenize-then-parse would report it. *)
   let run_single grammar input config start show_tree profile_flag verbose
-      recover cache_dir lazy_ max_input_bytes trace_file trace_format =
-    let tracer, close_trace = make_tracer trace_file trace_format in
-    let quit code =
-      close_trace ();
-      exit code
-    in
-    let c = compile_grammar ?cache_dir ~tracer ~lazy_ grammar in
-    let sym = Llstar.Compiled.sym c in
-    match
-      with_input ?max_bytes:max_input_bytes input
-        (tokenize_reader ~tracer config sym)
-    with
-    | exception Input_too_large { path; limit } ->
-        Fmt.epr "%s: input exceeds --max-input-bytes (%d)@." path limit;
-        quit 1
-    | Error e ->
-        Fmt.epr "%s: lex error: %a@." input Runtime.Lexer_engine.pp_error e;
-        quit 1
-    | Ok toks -> (
-        let profile = Runtime.Profile.create () in
-        (* Re-save a lazy compilation after parsing: the blob then carries
-           every DFA state this run materialized, warming future loads. *)
-        let resave () =
-          match cache_dir with
-          | Some dir when lazy_ ->
-              ignore (Llstar.Compiled_cache.save ~dir c)
-          | _ -> ()
-        in
-        let show_profile () =
-          if profile_flag then begin
-            Fmt.pr "%a@." Runtime.Profile.pp profile;
-            if verbose then Fmt.pr "%a" Runtime.Profile.pp_decisions profile
-          end
-        in
-        match
-          Runtime.Interp.parse ~profile ~tracer ~recover ?start c toks
-        with
-        | Ok tree ->
-            Fmt.pr "parsed %d tokens@." (Array.length toks);
-            if show_tree then
-              Fmt.pr "%s@." (Runtime.Tree.to_string sym tree);
-            show_profile ();
-            resave ();
-            close_trace ()
-        | Error errors ->
-            List.iter
-              (fun e -> Fmt.epr "%a@." (Runtime.Parse_error.pp sym) e)
-              errors;
-            show_profile ();
-            quit 1)
-  in
-  (* Streaming mode: the chunked lexer feeds a bounded token window and the
-     interpreter recognizes as tokens arrive, in O(window) live memory.
-     Verdict parity with the materialized path: the whole input is always
-     scanned (drain), and a lex error anywhere wins over the parse verdict,
-     exactly as tokenize-then-parse would have reported it. *)
-  let run_stream grammar input config start profile_flag verbose cache_dir
-      lazy_ window max_input_bytes trace_file trace_format =
+      recover cache_dir lazy_ window max_input_bytes trace_file trace_format =
     let tracer, close_trace = make_tracer trace_file trace_format in
     let quit code =
       close_trace ();
@@ -387,8 +319,13 @@ let parse_cmd =
             Runtime.Token_stream.of_pull ~window
               (Runtime.Lexer_engine.pull ls)
           in
+          let t = Runtime.Interp.create ~profile ~tracer ~recover c ts in
           let verdict =
-            Runtime.Interp.recognize_stream ~profile ~tracer ?start c ts
+            if show_tree || recover then
+              Result.map Option.some (Runtime.Interp.run t ?start ())
+            else
+              Result.map (fun () -> None)
+                (Runtime.Interp.recognize_run t ?start ())
           in
           match Runtime.Lexer_engine.drain ls with
           | Error e -> Error e
@@ -399,9 +336,15 @@ let parse_cmd =
         quit 1
     | exception Runtime.Lexer_engine.Lex_error e -> lex_error e
     | Error e -> lex_error e
-    | Ok (Ok (), total) ->
+    | Ok (Ok tree, total) ->
         Fmt.pr "parsed %d tokens@." total;
+        (match tree with
+        | Some tree when show_tree ->
+            Fmt.pr "%s@." (Runtime.Tree.to_string sym tree)
+        | _ -> ());
         show_profile ();
+        (* Re-save a lazy compilation after parsing: the blob then carries
+           every DFA state this run materialized, warming future loads. *)
         (match cache_dir with
         | Some dir when lazy_ -> ignore (Llstar.Compiled_cache.save ~dir c)
         | _ -> ());
@@ -459,38 +402,23 @@ let parse_cmd =
             if !failed > 0 then exit 1)
   in
   let run grammar inputs config start show_tree profile_flag verbose recover
-      cache_dir lazy_ jobs trace_file trace_format stream window
-      max_input_bytes =
+      cache_dir lazy_ jobs trace_file trace_format window max_input_bytes =
     let jobs = Exec.Pool.resolve_jobs jobs in
     let is_manifest a = String.length a > 1 && a.[0] = '@' in
     let usage msg =
       Fmt.epr "error: %s@." msg;
       exit 2
     in
-    if stream then begin
-      if show_tree then
-        usage "--stream is recognize-only and cannot print a tree (--tree)";
-      if recover then usage "--stream does not support --recover";
-      if window < 1 then usage "--window must be >= 1";
-      match inputs with
-      | [ input ] when jobs = 1 && not (is_manifest input) ->
-          run_stream grammar input config start profile_flag verbose
-            cache_dir lazy_ window max_input_bytes trace_file trace_format
-      | _ ->
-          usage
-            "--stream takes exactly one input file (no manifests, batch \
-             mode or --jobs)"
-    end
-    else
-      match inputs with
-      | [ input ] when jobs = 1 && not (is_manifest input) ->
-          run_single grammar input config start show_tree profile_flag
-            verbose recover cache_dir lazy_ max_input_bytes trace_file
-            trace_format
-      | [] -> usage "no input files"
-      | inputs ->
-          run_batch grammar inputs config start profile_flag verbose recover
-            cache_dir lazy_ jobs trace_file
+    if window < 1 then usage "--window must be >= 1";
+    match inputs with
+    | [ input ] when jobs = 1 && not (is_manifest input) ->
+        run_single grammar input config start show_tree profile_flag verbose
+          recover cache_dir lazy_ window max_input_bytes trace_file
+          trace_format
+    | [] -> usage "no input files"
+    | inputs ->
+        run_batch grammar inputs config start profile_flag verbose recover
+          cache_dir lazy_ jobs trace_file
   in
   let input =
     Arg.(
@@ -515,27 +443,19 @@ let parse_cmd =
           ~doc:"With --profile, also print the per-decision table.")
   in
   let recover = Arg.(value & flag & info [ "recover" ] ~doc:"Recover from syntax errors.") in
-  let stream =
-    Arg.(
-      value & flag
-      & info [ "stream" ]
-          ~doc:
-            "Recognize the input through the streaming pipeline: chunked \
-             lexing feeds a bounded token window, speculation memos are \
-             evicted behind the window, and live memory stays O(window) \
-             regardless of input size.  The verdict, error positions and \
-             profile are identical to the materialized path.  \
-             Recognize-only: incompatible with $(b,--tree), $(b,--recover) \
-             and batch mode.")
-  in
   let window =
     Arg.(
-      value & opt int 4096
+      value
+      & opt int Runtime.Token_stream.default_window
       & info [ "window" ] ~docv:"TOKENS"
           ~doc:
-            "Token-window size for $(b,--stream): the number of recent \
-             tokens kept live.  The window grows only while an active \
-             speculation needs to rewind further back.")
+            "Token-window size for single-input parsing: the number of \
+             recent tokens kept live, so live memory stays O(window) \
+             regardless of input size unless $(b,--tree) or \
+             $(b,--recover) keeps a parse tree.  The window grows only \
+             while an active speculation needs to rewind further back; \
+             the verdict, error positions and profile do not depend on \
+             it.")
   in
   let max_input_bytes =
     Arg.(
@@ -545,15 +465,14 @@ let parse_cmd =
           ~doc:
             "Fail with a clean error once the input file exceeds $(docv) \
              bytes.  Enforced incrementally as bytes are read, so an \
-             oversized input never occupies memory (works with and \
-             without $(b,--stream)).")
+             oversized input never occupies memory.")
   in
   Cmd.v
     (Cmd.info "parse" ~doc:"Parse an input file with an LL(*) parser for the grammar.")
     Term.(
       const run $ grammar_arg $ input $ lexer_config_term $ start $ tree
       $ profile $ verbose $ recover $ cache_dir_arg $ lazy_arg $ jobs_arg
-      $ trace_arg $ trace_format_arg $ stream $ window $ max_input_bytes)
+      $ trace_arg $ trace_format_arg $ window $ max_input_bytes)
 
 (* --- gen --------------------------------------------------------------- *)
 

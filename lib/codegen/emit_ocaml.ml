@@ -541,7 +541,7 @@ let emit (ir : Ir.t) : string =
   line t "   semantics as [Ts.la] (high-water touch included), without the";
   line t "   cross-module call or the synthetic EOF token past the end.  The";
   line t "   fast path reads the filled window; [Ts.la_far] pulls from the";
-  line t "   source in streaming mode (and synthesizes EOF otherwise). *)";
+  line t "   source (and synthesizes EOF once it is exhausted). *)";
   line t "let[@inline] la (ts : Ts.t) (k : int) : int =";
   line t ~indent:1 "let i = ts.Ts.p + k - 1 in";
   line t ~indent:1 "if i < ts.Ts.limit then begin";
@@ -591,16 +591,11 @@ let emit (ir : Ir.t) : string =
   line t "let entry (st : Rt.st) : unit = %s st ~prec:0"
     (rule_fn ir.Ir.start_rule);
   blank t;
-  line t
-    "let outcome ?env ?profile (toks : Runtime.Token.t array) : Rt.outcome =";
-  line t ~indent:1
-    "Rt.run_recognizer ?env ?profile ~memoize ~start_rule entry toks";
-  blank t;
   line t "let outcome_stream ?env ?profile (ts : Ts.t) : Rt.outcome =";
   line t ~indent:1
-    "Rt.run_recognizer_stream ?env ?profile ~memoize ~start_rule entry ts";
+    "Rt.run_recognizer ?env ?profile ~memoize ~start_rule entry ts";
   blank t;
-  line t "let recognize ?env ?profile (toks : Runtime.Token.t array) :";
-  line t ~indent:2 "(unit, Runtime.Parse_error.t list) result =";
-  line t ~indent:1 "Rt.to_result (outcome ?env ?profile toks)";
+  line t
+    "let outcome ?env ?profile (toks : Runtime.Token.t array) : Rt.outcome =";
+  line t ~indent:1 "outcome_stream ?env ?profile (Ts.of_array toks)";
   Buffer.contents t.b

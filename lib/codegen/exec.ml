@@ -159,14 +159,10 @@ let to_parser (ir : Ir.t) : (module Rt.PARSER) =
 
     let rule_names = Array.map (fun r -> r.Ir.ru_name) ir.Ir.rules
 
-    let outcome ?env ?profile toks =
-      Rt.run_recognizer ?env ?profile ~memoize:ir.Ir.memoize
-        ~start_rule:ir.Ir.start_rule entry toks
-
     let outcome_stream ?env ?profile ts =
-      Rt.run_recognizer_stream ?env ?profile ~memoize:ir.Ir.memoize
+      Rt.run_recognizer ?env ?profile ~memoize:ir.Ir.memoize
         ~start_rule:ir.Ir.start_rule entry ts
 
-    let recognize ?env ?profile toks =
-      Rt.to_result (outcome ?env ?profile toks)
+    let outcome ?env ?profile toks =
+      outcome_stream ?env ?profile (Ts.of_array toks)
   end : Rt.PARSER)

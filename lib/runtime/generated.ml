@@ -38,31 +38,16 @@ type st = {
 exception Spec_fail
 (* Internal: a speculative parse failed to match.  Never escapes [speculate]. *)
 
-(* [make_of_stream] accepts any stream, including a streaming window
-   ({!Token_stream.of_pull}); emitted parsers handle both through the same
-   inlined fast path (a bounds check against the filled prefix, with an
-   out-of-line [Ts.la_far] continuation that pulls more input). *)
-let make_of_stream ?(env = Interp.default_env) ?profile ~(memoize : bool)
+(* A state runs over any stream: a pinned array ({!Token_stream.of_array})
+   or a window fed by the chunked lexer ({!Token_stream.of_pull}).
+   Emitted parsers handle both through the same inlined fast path (a
+   bounds check against the filled prefix, with an out-of-line
+   [Ts.la_far] continuation that pulls more input).  The memo table is
+   keyed by (rule, precedence, position) only -- NOT by token content --
+   so a state belongs to one input: every parse gets a fresh one. *)
+let make ?(env = Interp.default_env) ?profile ~(memoize : bool)
     (ts : Token_stream.t) : st =
   { ts; env; profile; memo_enabled = memoize; memo = None; speculating = 0 }
-
-let make ?env ?profile ~(memoize : bool) (toks : Token.t array) : st =
-  make_of_stream ?env ?profile ~memoize (Token_stream.of_array toks)
-
-(* Reset a parser state for the next request's tokens.  The memo table is
-   keyed by (rule, precedence, position) only -- NOT by token content -- so
-   an entry from a previous input is indistinguishable from a hit on the
-   current one: reusing a state without clearing it lets one request's
-   speculation outcomes decide another request's parse (accepting or
-   rejecting inputs it never examined).  [Hashtbl.reset] keeps the table's
-   backing array, so a long-lived server thread that reuses one [st] pays
-   no re-growth cost; [speculating] is forced back to 0 so an exception
-   that escaped a previous parse cannot leave the next one permanently
-   "speculating" (every error would become a silent [Spec_fail]). *)
-let reset (st : st) (toks : Token.t array) : unit =
-  Token_stream.load st.ts toks;
-  st.speculating <- 0;
-  match st.memo with Some tbl -> Hashtbl.reset tbl | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Errors.  While speculating, every failure is a [Spec_fail]. *)
@@ -196,8 +181,7 @@ let memo_table st : (int, memo_entry) Hashtbl.t =
       (* Windowed eviction: entries behind the stream's release frontier
          key positions the stream can no longer rewind to, so they can
          never be hit again -- drop them whenever the window slides. *)
-      if Token_stream.is_streaming st.ts then
-        Token_stream.set_release_hook st.ts (Interp.evict_memo_before tbl);
+      Token_stream.set_release_hook st.ts (Interp.evict_memo_before tbl);
       st.memo <- Some tbl;
       tbl
 
@@ -288,8 +272,7 @@ type outcome = {
   consumed : int; (* tokens consumed when the parse stopped *)
 }
 
-(* Run an entry point against an existing state (the state-reuse path: the
-   caller is responsible for [reset]ting [st] between inputs). *)
+(* Run an entry point against an existing state. *)
 let run_st (st : st) ~(start_rule : int) (entry : st -> unit) : outcome =
   match entry st with
   | () ->
@@ -310,22 +293,12 @@ let run_st (st : st) ~(start_rule : int) (entry : st -> unit) : outcome =
   | exception Parse_error.Error e ->
       { ok = false; error = Some e; consumed = Token_stream.index st.ts }
 
+(* Run an emitted parser over a stream.  [consumed] is an absolute token
+   index, so outcomes compare [agree]-equal at any window size. *)
 let run_recognizer ?(env = Interp.default_env) ?profile ~(memoize : bool)
-    ~(start_rule : int) (entry : st -> unit) (toks : Token.t array) : outcome
+    ~(start_rule : int) (entry : st -> unit) (ts : Token_stream.t) : outcome
     =
-  run_st (make ~env ?profile ~memoize toks) ~start_rule entry
-
-(* Streaming counterpart: run an emitted parser over a stream (typically a
-   {!Token_stream.of_pull} window fed by the chunked lexer).  [consumed]
-   stays an absolute token index, so outcomes compare [agree]-equal with
-   the materialized path's. *)
-let run_recognizer_stream ?(env = Interp.default_env) ?profile
-    ~(memoize : bool) ~(start_rule : int) (entry : st -> unit)
-    (ts : Token_stream.t) : outcome =
-  run_st (make_of_stream ~env ?profile ~memoize ts) ~start_rule entry
-
-let to_result (o : outcome) : (unit, Parse_error.t list) result =
-  match o.error with None -> Ok () | Some e -> Error [ e ]
+  run_st (make ~env ?profile ~memoize ts) ~start_rule entry
 
 (* The interpreter's view of the same observables, for cross-checking.
    [?tracer] flows into the interpreter so per-request trace capture (the
@@ -334,7 +307,7 @@ let to_result (o : outcome) : (unit, Parse_error.t list) result =
    and handler events only. *)
 let interp_outcome_stream ?env ?profile ?tracer ?start
     (c : Llstar.Compiled.t) (ts : Token_stream.t) : outcome =
-  let t = Interp.create_from_stream ?env ?profile ?tracer c ts in
+  let t = Interp.create ?env ?profile ?tracer c ts in
   let res = Interp.recognize_run t ?start () in
   let consumed = Token_stream.index t.Interp.ts in
   match res with
@@ -388,12 +361,6 @@ module type PARSER = sig
   (** Run over a stream (typically a [Token_stream.of_pull] window fed by
       the chunked lexer) in O(window) live memory; same observables as
       {!outcome} on the same token sequence. *)
-
-  val recognize :
-    ?env:Interp.env ->
-    ?profile:Profile.t ->
-    Token.t array ->
-    (unit, Parse_error.t list) result
 end
 
 (* Reconstruct the vocabulary a generated parser was emitted against from

@@ -591,12 +591,14 @@ let recover_to_follow t rule =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-(* [create_from_stream] runs the parser over any stream, including a
-   streaming window ({!Token_stream.of_pull}); in that case the memo table
-   subscribes to the window's release hook so entries behind the frontier
-   are evicted as the window slides -- they can never be hit again, because
-   the stream refuses to rewind past the frontier. *)
-let create_from_stream ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
+(* [create] runs the parser over any stream: a pinned array
+   ({!Token_stream.of_array}) or a window fed by the chunked lexer
+   ({!Token_stream.of_pull}).  The memo table subscribes to the stream's
+   release hook so entries behind the frontier are evicted as the window
+   slides -- they can never be hit again, because the stream refuses to
+   rewind past the frontier.  A window that never slides never fires the
+   hook. *)
+let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     ?(recover = false) ?(max_errors = 25) (c : Llstar.Compiled.t)
     (ts : Token_stream.t) : t =
   let memoize = (Llstar.Compiled.options c).Grammar.Ast.memoize in
@@ -611,10 +613,9 @@ let create_from_stream ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
       done
   | _ -> ());
   let memo = if memoize then Some (Hashtbl.create 1024) else None in
-  (match memo with
-  | Some tbl when Token_stream.is_streaming ts ->
-      Token_stream.set_release_hook ts (evict_memo_before tbl)
-  | _ -> ());
+  Option.iter
+    (fun tbl -> Token_stream.set_release_hook ts (evict_memo_before tbl))
+    memo;
   {
     c;
     env;
@@ -630,11 +631,6 @@ let create_from_stream ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     follow_cache = Hashtbl.create 16;
     ff = None;
   }
-
-let create ?env ?profile ?tracer ?recover ?max_errors (c : Llstar.Compiled.t)
-    (toks : Token.t array) : t =
-  create_from_stream ?env ?profile ?tracer ?recover ?max_errors c
-    (Token_stream.of_array toks)
 
 let start_rule_id t = function
   | Some name -> (
@@ -696,7 +692,9 @@ let run (t : t) ?start () : (Tree.t, Parse_error.t list) result =
 
 let parse ?env ?profile ?tracer ?recover ?start (c : Llstar.Compiled.t)
     (toks : Token.t array) : (Tree.t, Parse_error.t list) result =
-  let t = create ?env ?profile ?tracer ?recover c toks in
+  let t =
+    create ?env ?profile ?tracer ?recover c (Token_stream.of_array toks)
+  in
   run t ?start ()
 
 (* Recognizer: no tree construction (used by benchmarks). *)
@@ -719,16 +717,7 @@ let recognize_run (t : t) ?start () : (unit, Parse_error.t list) result =
 
 let recognize ?env ?profile ?tracer ?start (c : Llstar.Compiled.t)
     (toks : Token.t array) : (unit, Parse_error.t list) result =
-  let t = create ?env ?profile ?tracer c toks in
-  recognize_run t ?start ()
-
-(* Streaming recognizer: same semantics as {!recognize} over whatever the
-   stream yields, in O(window) live memory.  Exceptions from the stream's
-   pull function (e.g. {!Lexer_engine.Lex_error}) propagate to the
-   caller. *)
-let recognize_stream ?env ?profile ?tracer ?start (c : Llstar.Compiled.t)
-    (ts : Token_stream.t) : (unit, Parse_error.t list) result =
-  let t = create_from_stream ?env ?profile ?tracer c ts in
+  let t = create ?env ?profile ?tracer c (Token_stream.of_array toks) in
   recognize_run t ?start ()
 
 (* Number of (rule, position) results currently memoized; the paper's

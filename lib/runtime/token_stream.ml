@@ -5,34 +5,30 @@
    high-water mark records the furthest token index touched by lookahead or
    consumption; the profiler uses it to measure speculation depth.
 
-   Two modes share one representation:
-
-   - *materialized* ([of_array]/[load]): the whole token array is pinned,
-     [base = 0], [limit = Array.length toks], no source.  This is the
-     historical behaviour and what generated parsers inline against.
-   - *streaming* ([of_pull]): [toks] is a sliding window over an unbounded
-     token sequence produced by a pull function.  [base] is the absolute
-     index of [toks.(0)]; [limit] is the filled prefix.  Tokens below the
-     release frontier -- [min (oldest live mark) (cursor) - 1], i.e.
-     everything speculation can no longer rewind to -- are reclaimed when
-     the window needs room.  The frontier is always [base].
+   There is one mode: [toks] is a sliding window over a token sequence
+   produced by a pull function.  [base] is the absolute index of
+   [toks.(0)]; [limit] is the filled prefix.  Tokens below the release
+   frontier -- [min (oldest live mark) (cursor) - 1], i.e. everything
+   speculation can no longer rewind to -- are reclaimed when the window
+   needs room.  The frontier is always [base].  [of_array] is the
+   degenerate case: a window already filled with the whole input over an
+   exhausted source, which never needs room and so never slides.
 
    The cursor [p] and high-water [hw] are window-relative (absolute minus
    [base]); the public API speaks absolute indices.  Keeping [p]/[hw]
    relative is what lets generated parsers inline lookahead and consume as
-   direct field accesses in both modes. *)
+   direct field accesses. *)
 
 type t = {
   mutable toks : Token.t array; (* window; slots [0, limit) are live *)
   mutable p : int; (* cursor, window-relative: next token to consume *)
   mutable hw : int; (* furthest window-relative index examined *)
   mutable limit : int; (* filled prefix of [toks]; always <= length *)
-  mutable base : int; (* absolute index of [toks.(0)]; 0 if materialized *)
-  mutable src : (unit -> Token.t array) option; (* None: materialized *)
+  mutable base : int; (* absolute index of [toks.(0)]: the frontier *)
+  src : unit -> Token.t array; (* chunk source; [ [||] ] ends the input *)
   mutable eof_seen : bool; (* the source returned its last chunk *)
   mutable marks : int list; (* live marks (absolute), newest first *)
   mutable on_release : int -> unit; (* called with the new frontier *)
-  mutable window : int; (* target window capacity (streaming) *)
   mutable peak : int; (* max tokens resident at once *)
 }
 
@@ -47,77 +43,38 @@ let () =
              requested)
     | _ -> None)
 
+let default_window = 4096
+
 (* hw = -1: no index has been examined until the first [lt]/[la] call *)
-let of_array toks =
+let make toks ~limit ~eof_seen src =
   {
     toks;
     p = 0;
     hw = -1;
-    limit = Array.length toks;
+    limit;
     base = 0;
-    src = None;
-    eof_seen = true;
+    src;
+    eof_seen;
     marks = [];
     on_release = ignore;
-    window = 0;
-    peak = Array.length toks;
+    peak = limit;
   }
+
+(* A window that is already full and a source that is already exhausted:
+   no copy, and [room] is never reached, so the window never slides. *)
+let of_array toks =
+  make toks ~limit:(Array.length toks) ~eof_seen:true (fun () -> [||])
 
 (* A shared filler for vacated window slots, so reclaimed tokens become
    garbage immediately instead of lingering behind the frontier until the
    slot is overwritten. *)
 let filler = Token.eof_token ~index:(-1)
 
-let of_pull ?(window = 4096) pull =
-  let window = max 1 window in
-  {
-    toks = Array.make window filler;
-    p = 0;
-    hw = -1;
-    limit = 0;
-    base = 0;
-    src = Some pull;
-    eof_seen = false;
-    marks = [];
-    on_release = ignore;
-    window;
-    peak = 0;
-  }
+let of_pull ?(window = default_window) pull =
+  make (Array.make (max 1 window) filler) ~limit:0 ~eof_seen:false pull
 
-let is_streaming t = t.src <> None
-
-(* Reset for reuse: rewind the cursor and forget the high-water mark, so a
-   long-lived consumer (the serve layer's request loop) can run many
-   independent parses through one stream value without one parse's
-   speculation reach or cursor position leaking into the next.  Only
-   meaningful in materialized mode -- a streaming window cannot rewind past
-   its frontier, so [reset] refuses rather than silently corrupting the
-   cursor. *)
-let reset t =
-  if is_streaming t then
-    invalid_arg "Token_stream.reset: cannot rewind a streaming window";
-  t.p <- 0;
-  t.hw <- -1
-
-(* Replace the token array and reset: the cross-request reuse entry point.
-   Swapping the array (rather than allocating a stream per request) keeps
-   the stream identity stable for state that holds a reference to it.  Also
-   the escape hatch back to materialized mode for a stream value previously
-   pointed at a source. *)
-let load t toks =
-  t.src <- None;
-  t.eof_seen <- true;
-  t.base <- 0;
-  t.limit <- Array.length toks;
-  t.marks <- [];
-  t.on_release <- ignore;
-  t.window <- 0;
-  t.peak <- Array.length toks;
-  t.toks <- toks;
-  reset t
-
-(* Tokens seen so far: the total count once the source is exhausted, and
-   exactly [Array.length toks] in materialized mode. *)
+(* Tokens seen so far: the total count once the source is exhausted (at
+   once, for [of_array]). *)
 let size t = t.base + t.limit
 
 let index t = t.base + t.p
@@ -165,20 +122,17 @@ let room t n =
 
 (* Pull one chunk from the source into the window. *)
 let fill_once t =
-  match t.src with
-  | None -> ()
-  | Some pull ->
-      if not t.eof_seen then begin
-        let chunk = pull () in
-        let n = Array.length chunk in
-        if n = 0 then t.eof_seen <- true
-        else begin
-          room t n;
-          Array.blit chunk 0 t.toks t.limit n;
-          t.limit <- t.limit + n;
-          if t.limit > t.peak then t.peak <- t.limit
-        end
-      end
+  if not t.eof_seen then begin
+    let chunk = t.src () in
+    let n = Array.length chunk in
+    if n = 0 then t.eof_seen <- true
+    else begin
+      room t n;
+      Array.blit chunk 0 t.toks t.limit n;
+      t.limit <- t.limit + n;
+      if t.limit > t.peak then t.peak <- t.limit
+    end
+  end
 
 (* Fill until the window covers relative index [i] (or the source ends).
    Sliding inside [fill_once] may shift [i]; re-deriving it from the
@@ -191,7 +145,7 @@ let fill_to t i =
 
 (* Token at lookahead offset [k] (k >= 1); EOF beyond the end.  The fast
    path is a bounds check against the filled prefix; [lt_slow] pulls from
-   the source (streaming) or synthesizes EOF (materialized / exhausted). *)
+   the source, or synthesizes EOF once it is exhausted. *)
 let lt_slow t k =
   fill_to t (t.p + k - 1);
   let i = t.p + k - 1 in
@@ -218,40 +172,39 @@ let consume t =
   if not (Token.is_eof tok) then t.p <- t.p + 1;
   tok
 
-(* Materialized mode clamps to [0, size] ([size] being the legal post-EOF
-   cursor): marks always come from [mark]/[index] and are in range, but
-   seek is also reachable from memoized stop positions and recovery logic,
-   and an out-of-range cursor silently accepted here surfaced later as
-   [prev] reading outside the array or lookahead running from a negative
-   index.  Streaming mode cannot clamp a below-frontier target -- the
-   tokens are gone, and a clamped rewind would silently corrupt the
-   speculation it was meant to restore -- so it raises {!Released}. *)
+(* One rule for every stream: a negative target clamps to 0, a target
+   behind the frontier raises {!Released}, and a forward target clamps to
+   the filled prefix ([size] being the legal post-EOF cursor).  Marks
+   always come from [mark]/[index] and are in range, but seek is also
+   reachable from memoized stop positions and recovery logic, and an
+   out-of-range cursor silently accepted here surfaced later as [prev]
+   reading outside the array or lookahead running from a negative index.
+   A below-frontier target cannot clamp -- the tokens are gone, and a
+   clamped rewind would silently corrupt the speculation it was meant to
+   restore.  [of_array] never slides, so its frontier stays 0. *)
 let seek t i =
-  match t.src with
-  | None -> t.p <- max 0 (min i t.limit)
-  | Some _ ->
-      if i < t.base then raise (Released { frontier = t.base; requested = i });
-      t.p <- min (i - t.base) t.limit
+  let i = max 0 i in
+  if i < t.base then raise (Released { frontier = t.base; requested = i });
+  t.p <- min (i - t.base) t.limit
 
 (* Marks pin the window: tokens at or above [oldest mark - 1] survive
-   sliding.  Streaming callers must pair every [mark] with [release]; the
-   debug retention check ([live_marks]) catches forgotten ones. *)
+   sliding.  Callers must pair every [mark] with [release]; the debug
+   retention check ([live_marks]) catches forgotten ones. *)
 let mark t =
   let m = t.base + t.p in
-  if is_streaming t then t.marks <- m :: t.marks;
+  t.marks <- m :: t.marks;
   m
 
 let release t m =
-  if is_streaming t then
-    match t.marks with
-    | hd :: tl when hd = m -> t.marks <- tl
-    | marks ->
-        (* out-of-order release: drop the first matching mark *)
-        let rec drop = function
-          | [] -> []
-          | hd :: tl -> if hd = m then tl else hd :: drop tl
-        in
-        t.marks <- drop marks
+  match t.marks with
+  | hd :: tl when hd = m -> t.marks <- tl
+  | marks ->
+      (* out-of-order release: drop the first matching mark *)
+      let rec drop = function
+        | [] -> []
+        | hd :: tl -> if hd = m then tl else hd :: drop tl
+      in
+      t.marks <- drop marks
 
 let live_marks t = t.marks
 
@@ -273,5 +226,3 @@ let prev t = if t.p > 0 then Some t.toks.(t.p - 1) else None
 let set_release_hook t f = t.on_release <- f
 
 let peak_live t = t.peak
-
-let window_size t = t.window

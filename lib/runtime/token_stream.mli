@@ -5,29 +5,25 @@
     mark records the furthest index examined by lookahead or consumption;
     the profiler uses it to measure speculation depth.
 
-    The stream has two modes sharing one representation:
-
-    - {b materialized} ({!of_array}/{!load}): the whole token array is
-      pinned; [base = 0], [limit] is the array length, and behaviour is
-      identical to the historical array-backed stream.
-    - {b streaming} ({!of_pull}): [toks] is a sliding window over an
-      unbounded token sequence.  Tokens behind the {e release frontier} --
-      [min (oldest live mark) (cursor) - 1], everything speculation can no
-      longer rewind to -- are reclaimed when the window needs room, so
-      live memory is O(window + speculation reach) instead of O(input).
-      The public API speaks absolute token indices throughout. *)
+    There is one mode: [toks] is a sliding window over the token sequence
+    a pull function produces.  Tokens behind the {e release frontier} --
+    [min (oldest live mark) (cursor) - 1], everything speculation can no
+    longer rewind to -- are reclaimed when the window needs room, so live
+    memory is O(window + speculation reach) instead of O(input).
+    {!of_array} is the degenerate window: already filled with the whole
+    input over an exhausted source, so it makes no copy and never slides.
+    The public API speaks absolute token indices throughout. *)
 
 type t = {
   mutable toks : Token.t array; (* window; slots [0, limit) are live *)
   mutable p : int; (* cursor, window-relative: next token to consume *)
   mutable hw : int; (* furthest window-relative index examined; -1 initially *)
   mutable limit : int; (* filled prefix of [toks]; always <= length *)
-  mutable base : int; (* absolute index of [toks.(0)]; 0 if materialized *)
-  mutable src : (unit -> Token.t array) option; (* None: materialized *)
+  mutable base : int; (* absolute index of [toks.(0)]: the frontier *)
+  src : unit -> Token.t array; (* chunk source; [ [||] ] ends the input *)
   mutable eof_seen : bool; (* the source returned its last chunk *)
   mutable marks : int list; (* live marks (absolute), newest first *)
   mutable on_release : int -> unit; (* called with the new frontier *)
-  mutable window : int; (* target window capacity (streaming) *)
   mutable peak : int; (* max tokens resident at once *)
 }
 (** The representation is exposed so generated parsers (lib/codegen's
@@ -39,45 +35,36 @@ type t = {
     array, high-water monotone between rewinds). *)
 
 exception Released of { frontier : int; requested : int }
-(** Raised by {!seek} in streaming mode when the target index has been
-    reclaimed: [requested < frontier].  A silent clamp here would corrupt
-    the speculation rewind that issued the seek. *)
+(** Raised by {!seek} when the target index has been reclaimed:
+    [requested < frontier].  A silent clamp here would corrupt the
+    speculation rewind that issued the seek. *)
+
+val default_window : int
+(** The window {!of_pull} uses when none is given (4096 tokens); also the
+    default of the serve [window] field and the CLI's [--window]. *)
 
 val of_array : Token.t array -> t
+(** A window over the whole array, without copying it.  The source is
+    already exhausted, so the window never slides and the frontier stays
+    at 0. *)
 
 val of_pull : ?window:int -> (unit -> Token.t array) -> t
-(** [of_pull pull] is a streaming window over the token chunks produced by
-    [pull] ([ [||] ] meaning end of input; exceptions propagate to the
-    lookahead call that triggered the pull).  [window] (default 4096)
+(** [of_pull pull] is a window over the token chunks produced by [pull]
+    ([ [||] ] meaning end of input; exceptions propagate to the lookahead
+    call that triggered the pull).  [window] (default {!default_window})
     sizes the window; it grows -- by doubling -- only when the live span
     (unreleased marks plus lookahead reach) exceeds it. *)
 
-val is_streaming : t -> bool
-
-val reset : t -> unit
-(** Rewind the cursor and forget the high-water mark, restoring the
-    [of_array] post-condition.  Required between independent parses that
-    reuse one stream (the serve layer's state-reset contract): without it
-    the previous parse's cursor and speculation reach leak into the next.
-    Raises [Invalid_argument] on a streaming stream, which cannot rewind
-    past its frontier. *)
-
-val load : t -> Token.t array -> unit
-(** Replace the token array and {!reset}: point the stream at the next
-    request's tokens without allocating a new stream.  Always leaves the
-    stream in materialized mode. *)
-
 val size : t -> int
-(** Tokens seen so far: the array length in materialized mode, the total
-    pulled count in streaming mode (complete once the source is
-    exhausted). *)
+(** Tokens seen so far: the total pulled count, complete once the source
+    is exhausted (at once, for {!of_array}). *)
 
 val index : t -> int
 (** Absolute index of the next token to consume. *)
 
 val lt : t -> int -> Token.t
 (** [lt t k] is the token [k] ahead (k >= 1), pulling from the source as
-    needed in streaming mode; a synthetic EOF token beyond the end. *)
+    needed; a synthetic EOF token beyond the end. *)
 
 val la : t -> int -> int
 (** Token type at lookahead offset [k]. *)
@@ -90,17 +77,17 @@ val consume : t -> Token.t
 (** Consume and return the next token; does not move past EOF. *)
 
 val prev : t -> Token.t option
-(** The most recently consumed token.  Valid in streaming mode too: the
-    window always retains at least one token behind the cursor. *)
+(** The most recently consumed token.  The window always retains at least
+    one token behind the cursor. *)
 
 val mark : t -> int
-(** Record the cursor as a rewind target.  In streaming mode the mark pins
-    the window -- tokens from [mark - 1] on are retained -- until the
-    matching {!release}. *)
+(** Record the cursor as a rewind target.  The mark pins the window --
+    tokens from [mark - 1] on are retained -- until the matching
+    {!release}. *)
 
 val release : t -> int -> unit
 (** Release a mark obtained from {!mark}, allowing the window to slide past
-    it.  No-op in materialized mode. *)
+    it. *)
 
 val live_marks : t -> int list
 (** Outstanding (unreleased) marks, newest first: the debug retention
@@ -108,10 +95,9 @@ val live_marks : t -> int list
     the window can never slide past the oldest entry. *)
 
 val seek : t -> int -> unit
-(** Reposition the cursor.  Materialized mode clamps out-of-range targets
-    to [0, size] ([size] being the post-EOF position); streaming mode
-    raises {!Released} for targets behind the frontier and clamps forward
-    targets to the filled prefix. *)
+(** Reposition the cursor.  A negative target clamps to 0; a target behind
+    the frontier raises {!Released}; a forward target clamps to the filled
+    prefix ({!size} being the post-EOF position). *)
 
 val at_eof : t -> bool
 
@@ -128,8 +114,4 @@ val set_release_hook : t -> (int -> unit) -> unit
 
 val peak_live : t -> int
 (** Maximum number of tokens resident in the window at once: the live
-    memory high-water of a streaming parse (equals {!size} in
-    materialized mode). *)
-
-val window_size : t -> int
-(** The configured window (0 in materialized mode). *)
+    memory high-water of a parse (the array length for {!of_array}). *)

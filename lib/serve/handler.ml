@@ -88,73 +88,109 @@ type parse_verdict =
    parse).  Request wall minus the two is protocol/dispatch overhead. *)
 type parse_work = { verdict : parse_verdict; queue_us : int; parse_us : int }
 
-(* The closure submitted to the pool: lexing and parsing both count
-   against the request's budget and both run off the connection thread.
+let result_of_outcome (o : Runtime.Generated.outcome) : parse_result =
+  {
+    ok = o.Runtime.Generated.ok;
+    errors = Option.to_list o.Runtime.Generated.error;
+    consumed = o.Runtime.Generated.consumed;
+  }
+
+(* The closure submitted to the pool: the request text feeds the chunked
+   scanner, the scanner feeds a bounded token window, and the parser pulls
+   as it goes -- O(window) live tokens however large the payload.  Lexing
+   and parsing both count against the request's budget and both run off
+   the connection thread.  The token budget is enforced incrementally: the
+   pull aborts the parse the moment production crosses [max_tokens].  The
+   scanner is drained afterwards, so a lex error or a budget overrun
+   anywhere in the input wins over the parse verdict, with the same total
+   count, exactly as lexing everything up front would report it.
+
    [tracer] is the per-request capture ring (or [null]); it sees lexer
-   mode events from [tokenize] and decision/speculation/memo events from
+   mode events from the scanner and decision/speculation/memo events from
    the interpreter.  Generated parsers have no tracer hook, so their
    captures carry lexer events only. *)
 let parse_work h (entry : Registry.entry) ~(backend : Protocol.backend)
-    ~(start : string option) ~(recover : bool) ~(tracer : Obs.Trace.t)
-    ~(submitted_us : int) (text : string) () : parse_work =
+    ~(start : string option) ~(recover : bool) ~(window : int)
+    ~(tracer : Obs.Trace.t) ~(submitted_us : int) (text : string) () :
+    parse_work =
   let t_start = mono_us () in
   let queue_us = max 0 (t_start - submitted_us) in
   let finish verdict = { verdict; queue_us; parse_us = mono_us () - t_start } in
   let sym = Llstar.Compiled.sym entry.c in
-  match Runtime.Lexer_engine.tokenize ~tracer entry.lexer_config sym text with
-  | Error le -> finish (`Lex_error le)
-  | Ok toks ->
-      let n = Array.length toks in
-      if n > h.limits.max_tokens then finish (`Token_budget n)
-      else
-        let profile = Runtime.Profile.create () in
-        let result =
-          match backend with
-          | Protocol.Interp ->
-              if recover then
-                (* Recovery collects every error; the tree is discarded,
-                   only acceptance and the error list travel back. *)
-                let tr =
-                  Runtime.Interp.create ~env:entry.env ~profile ~tracer
-                    ~recover:true entry.c toks
-                in
-                let res = Runtime.Interp.run tr ?start () in
-                let consumed =
-                  match res with
-                  | Ok _ -> n
-                  | Error _ -> n (* recovery consumes to EOF by design *)
-                in
-                (match res with
-                | Ok _ -> Some { ok = true; errors = []; consumed }
-                | Error es -> Some { ok = false; errors = es; consumed })
-              else
-                let o =
-                  Runtime.Generated.interp_outcome ~env:entry.env ~profile
-                    ~tracer ?start entry.c toks
-                in
-                Some
-                  {
-                    ok = o.Runtime.Generated.ok;
-                    errors = Option.to_list o.Runtime.Generated.error;
-                    consumed = o.Runtime.Generated.consumed;
-                  }
-          | Protocol.Generated -> (
-              match entry.generated with
-              | None -> None
-              | Some (module P) ->
-                  let o = P.outcome ~env:entry.env ~profile toks in
-                  Some
-                    {
-                      ok = o.Runtime.Generated.ok;
-                      errors = Option.to_list o.Runtime.Generated.error;
-                      consumed = o.Runtime.Generated.consumed;
-                    })
-        in
-        (match result with
-        | None -> finish `No_generated
-        | Some r ->
-            Runtime.Profile.observe_parse_us profile (mono_us () - t_start);
-            finish (`Done (r, profile, n)))
+  let ls =
+    Runtime.Lexer_engine.stream ~tracer entry.lexer_config sym
+      (Runtime.Lexer_engine.reader_of_string text)
+  in
+  let exception Over_budget in
+  let pull =
+    let inner = Runtime.Lexer_engine.pull ls in
+    fun () ->
+      if Runtime.Lexer_engine.produced ls > h.limits.max_tokens then
+        raise Over_budget;
+      inner ()
+  in
+  (* A text never lexes to more tokens than it has bytes, so a window of
+     that size already never slides; the cap keeps small requests from
+     allocating (and the major GC from scanning) the whole default window
+     each time. *)
+  let window = min window (String.length text) in
+  let ts = Runtime.Token_stream.of_pull ~window pull in
+  let profile = Runtime.Profile.create () in
+  let run =
+    match backend with
+    | Protocol.Interp when recover ->
+        (* Recovery collects every error; the tree is discarded, only
+           acceptance and the error list travel back. *)
+        Some
+          (fun () ->
+            let tr =
+              Runtime.Interp.create ~env:entry.env ~profile ~tracer
+                ~recover:true entry.c ts
+            in
+            let errors =
+              match Runtime.Interp.run tr ?start () with
+              | Ok _ -> []
+              | Error es -> es
+            in
+            (* recovery consumes to EOF by design: [consumed] becomes the
+               total once the scanner is drained *)
+            { ok = errors = []; errors; consumed = 0 })
+    | Protocol.Interp ->
+        Some
+          (fun () ->
+            result_of_outcome
+              (Runtime.Generated.interp_outcome_stream ~env:entry.env
+                 ~profile ~tracer ?start entry.c ts))
+    | Protocol.Generated -> (
+        match entry.generated with
+        | None -> None
+        | Some (module P) ->
+            Some
+              (fun () ->
+                result_of_outcome
+                  (P.outcome_stream ~env:entry.env ~profile ts)))
+  in
+  match run with
+  | None -> finish `No_generated
+  | Some run -> (
+      match run () with
+      | exception Runtime.Lexer_engine.Lex_error le -> finish (`Lex_error le)
+      | exception Over_budget -> (
+          match Runtime.Lexer_engine.drain ls with
+          | Error le -> finish (`Lex_error le)
+          | Ok _ -> finish (`Token_budget (Runtime.Lexer_engine.produced ls)))
+      | r -> (
+          match Runtime.Lexer_engine.drain ls with
+          | Error le -> finish (`Lex_error le)
+          | Ok _ ->
+              let n = Runtime.Lexer_engine.produced ls in
+              if n > h.limits.max_tokens then finish (`Token_budget n)
+              else begin
+                Runtime.Profile.observe_parse_us profile
+                  (mono_us () - t_start);
+                let r = if recover then { r with consumed = n } else r in
+                finish (`Done (r, profile, n))
+              end))
 
 (* Record a finished parse request into the shared registry and tracer.
    [tokens = 0] for requests that died before lexing finished.
@@ -214,87 +250,12 @@ let record h ~(req_id : string) ~(op : string) ~(grammar : string)
            queue_us;
          })
 
-(* The streaming variant of [parse_work]: the request text feeds the
-   chunked scanner, the scanner feeds a bounded token window, and the
-   recognizer pulls as it goes -- O(window) live tokens however large the
-   payload.  The token budget is enforced incrementally: the pull aborts
-   the parse the moment production crosses [max_tokens].  Verdict parity
-   with [parse_work] (which lexes everything up front) requires draining
-   the scanner afterwards, so a lex error or a budget overrun anywhere in
-   the input wins over the parse verdict, with the same total count. *)
-let parse_stream_work h (entry : Registry.entry)
-    ~(backend : Protocol.backend) ~(start : string option) ~(window : int)
-    ~(tracer : Obs.Trace.t) ~(submitted_us : int) (text : string) () :
-    parse_work =
-  let t_start = mono_us () in
-  let queue_us = max 0 (t_start - submitted_us) in
-  let finish verdict = { verdict; queue_us; parse_us = mono_us () - t_start } in
-  let sym = Llstar.Compiled.sym entry.c in
-  let ls =
-    Runtime.Lexer_engine.stream ~tracer entry.lexer_config sym
-      (Runtime.Lexer_engine.reader_of_string text)
-  in
-  let exception Over_budget in
-  let pull =
-    let inner = Runtime.Lexer_engine.pull ls in
-    fun () ->
-      if Runtime.Lexer_engine.produced ls > h.limits.max_tokens then
-        raise Over_budget;
-      inner ()
-  in
-  let ts = Runtime.Token_stream.of_pull ~window pull in
-  let profile = Runtime.Profile.create () in
-  let run =
-    match backend with
-    | Protocol.Interp ->
-        Some
-          (fun () ->
-            Runtime.Generated.interp_outcome_stream ~env:entry.env ~profile
-              ~tracer ?start entry.c ts)
-    | Protocol.Generated -> (
-        match entry.generated with
-        | None -> None
-        | Some (module P) ->
-            Some (fun () -> P.outcome_stream ~env:entry.env ~profile ts))
-  in
-  match run with
-  | None -> finish `No_generated
-  | Some run -> (
-      match run () with
-      | exception Runtime.Lexer_engine.Lex_error le -> finish (`Lex_error le)
-      | exception Over_budget -> (
-          match Runtime.Lexer_engine.drain ls with
-          | Error le -> finish (`Lex_error le)
-          | Ok _ -> finish (`Token_budget (Runtime.Lexer_engine.produced ls)))
-      | o -> (
-          match Runtime.Lexer_engine.drain ls with
-          | Error le -> finish (`Lex_error le)
-          | Ok _ ->
-              let n = Runtime.Lexer_engine.produced ls in
-              if n > h.limits.max_tokens then finish (`Token_budget n)
-              else begin
-                Runtime.Profile.observe_parse_us profile
-                  (mono_us () - t_start);
-                finish
-                  (`Done
-                    ( {
-                        ok = o.Runtime.Generated.ok;
-                        errors = Option.to_list o.Runtime.Generated.error;
-                        consumed = o.Runtime.Generated.consumed;
-                      },
-                      profile,
-                      n ))
-              end))
-
-(* Shared request plumbing and response assembly for parse and
-   parse_stream: validation is the caller's job, everything from the
-   capture ring to the structured response is identical, so the two ops
-   answer byte-identically (modulo the echoed op name). *)
-let respond_parse h (req : Protocol.request) ~(op : string)
-    ~(entry : Registry.entry) ~(gname : string)
-    (work :
-      tracer:Obs.Trace.t -> submitted_us:int -> unit -> parse_work) :
-    Obs.Json.t =
+(* Request plumbing and response assembly for parse (and its wire alias
+   parse_stream, which answers byte-identically modulo the echoed op
+   name): validation is the caller's job. *)
+let respond_parse h (req : Protocol.request) ~(entry : Registry.entry)
+    ~(gname : string) ~(text : string) ~(window : int) : Obs.Json.t =
+  let op = req.Protocol.op in
   let id = req.Protocol.id in
   let fail ?(extra = []) code message =
     Protocol.error_response ~id ~code ~message ~extra ()
@@ -316,7 +277,11 @@ let respond_parse h (req : Protocol.request) ~(op : string)
   let t0 = Obs.Trace.monotonic_now () in
   let submitted_us = int_of_float (t0 *. 1e6) in
   let { verdict; queue_us; parse_us } =
-    Exec.Pool.await (Exec.Pool.submit h.pool (work ~tracer:rtr ~submitted_us))
+    Exec.Pool.await
+      (Exec.Pool.submit h.pool
+         (parse_work h entry ~backend ~start:req.Protocol.start
+            ~recover:req.Protocol.recover ~window ~tracer:rtr ~submitted_us
+            text))
   in
   let finish ~(ok : bool) ~(tokens : int)
       ~(profile : Runtime.Profile.t option) : int * float
@@ -403,11 +368,12 @@ let respond_parse h (req : Protocol.request) ~(op : string)
                                  r.errors) );
                         ])
 
-(* Validation shared by parse and parse_stream: both need a loaded
-   grammar and a bounded text payload. *)
-let with_parse_target h (req : Protocol.request)
-    (k : entry:Registry.entry -> gname:string -> text:string -> Obs.Json.t) :
-    Obs.Json.t =
+(* Validation for parse and parse_stream: a loaded grammar, a bounded
+   text payload, recovery only where it exists, and a client-supplied
+   window no larger than the token budget -- a window beyond it is never
+   needed, and an unbounded one would reach [Array.make] inside the pool
+   job and take the connection thread down with it. *)
+let do_parse h (req : Protocol.request) : Obs.Json.t =
   let id = req.Protocol.id in
   let fail code message = Protocol.error_response ~id ~code ~message () in
   match (req.Protocol.grammar, req.Protocol.text) with
@@ -421,46 +387,27 @@ let with_parse_target h (req : Protocol.request)
                "grammar %S is not loaded (op=list shows what is; op=load \
                 adds one)"
                gname)
-      | Some entry ->
+      | Some entry -> (
+          let max_tokens = h.limits.max_tokens in
           if String.length text > h.limits.max_request_bytes then
             fail "too_large"
               (Printf.sprintf "text is %d bytes; limit is %d"
                  (String.length text) h.limits.max_request_bytes)
-          else k ~entry ~gname ~text)
-
-let do_parse h (req : Protocol.request) : Obs.Json.t =
-  with_parse_target h req (fun ~entry ~gname ~text ->
-      if req.Protocol.backend = Protocol.Generated && req.Protocol.recover
-      then
-        Protocol.error_response ~id:req.Protocol.id ~code:"bad_request"
-          ~message:"error recovery is only supported on the interp backend"
-          ()
-      else
-        respond_parse h req ~op:"parse" ~entry ~gname
-          (fun ~tracer ~submitted_us ->
-            parse_work h entry ~backend:req.Protocol.backend
-              ~start:req.Protocol.start ~recover:req.Protocol.recover ~tracer
-              ~submitted_us text))
-
-let default_stream_window = 4096
-
-let do_parse_stream h (req : Protocol.request) : Obs.Json.t =
-  with_parse_target h req (fun ~entry ~gname ~text ->
-      let fail message =
-        Protocol.error_response ~id:req.Protocol.id ~code:"bad_request"
-          ~message ()
-      in
-      let window =
-        Option.value req.Protocol.window ~default:default_stream_window
-      in
-      if req.Protocol.recover then
-        fail "parse_stream is recognize-only and does not support recover"
-      else if window < 1 then fail "\"window\" must be >= 1"
-      else
-        respond_parse h req ~op:"parse_stream" ~entry ~gname
-          (fun ~tracer ~submitted_us ->
-            parse_stream_work h entry ~backend:req.Protocol.backend
-              ~start:req.Protocol.start ~window ~tracer ~submitted_us text))
+          else if
+            req.Protocol.backend = Protocol.Generated && req.Protocol.recover
+          then
+            fail "bad_request"
+              "error recovery is only supported on the interp backend"
+          else
+            match req.Protocol.window with
+            | Some w when w < 1 || w > max_tokens ->
+                fail "bad_request"
+                  (Printf.sprintf "\"window\" must be in [1, %d]" max_tokens)
+            | window ->
+                respond_parse h req ~entry ~gname ~text
+                  ~window:
+                    (Option.value window
+                       ~default:Runtime.Token_stream.default_window)))
 
 (* ------------------------------------------------------------------ *)
 (* Registry ops *)
@@ -611,8 +558,7 @@ let dispatch h (req : Protocol.request) :
   | "ping" ->
       (Protocol.ok_response ~id ~op:"ping" [ ("pong", Obs.Json.bool true) ],
        `Continue)
-  | "parse" -> (do_parse h req, `Continue)
-  | "parse_stream" -> (do_parse_stream h req, `Continue)
+  | "parse" | "parse_stream" -> (do_parse h req, `Continue)
   | "load" -> (do_load h req, `Continue)
   | "evict" ->
       ( (match req.Protocol.grammar with

@@ -8,7 +8,8 @@
 
      {"op":"ping"}
      {"op":"parse","grammar":"MiniJava","backend":"interp","text":"..."}
-     {"op":"parse_stream","grammar":"MiniJava","text":"...","window":4096}
+     {"op":"parse","grammar":"MiniJava","text":"...","window":4096}
+     {"op":"parse_stream",...}                    alias of parse
      {"op":"load","grammar":"MiniSQL"}            load a builtin grammar
      {"op":"load","grammar":"my","text":"s:A;"}   compile grammar text
      {"op":"evict","grammar":"my"}
@@ -45,7 +46,8 @@ type request = {
   text : string option;
   start : string option; (* start rule override (interp backend only) *)
   recover : bool; (* error recovery: collect all errors (interp only) *)
-  window : int option; (* token-window size (parse_stream only) *)
+  window : int option;
+      (* token-window size, [1, max_tokens]; absent: the runtime default *)
 }
 
 (* ------------------------------------------------------------------ *)

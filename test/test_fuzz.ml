@@ -26,7 +26,8 @@ module Workload = Bench_grammars.Workload
    callers wrongly added 'D' to follow(x). *)
 let follow_src = "grammar P; s : x b 'C' b 'D' ; x : 'A' ; b : 'E' ? ;"
 
-let interp_for c text = Runtime.Interp.create c (lex c text)
+let interp_for c text =
+  Runtime.Interp.create c (Runtime.Token_stream.of_array (lex c text))
 
 let rule_id c name =
   match Atn.rule_by_name c.Llstar.Compiled.atn name with

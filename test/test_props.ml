@@ -11,9 +11,10 @@
    - on LL(1) grammars the LL-star parser agrees with the table-driven
      LL(1) baseline on arbitrary token strings;
    - the pretty-printer round-trips;
-   - a streaming sliding-window parse is observably identical to the
-     materialized parse (verdict, error position, profile) at every
-     window size, and chunked lexing equals whole-string lexing. *)
+   - a sliding-window parse is observably identical to a parse over the
+     pinned array (verdict, error position, profile, parse tree,
+     recovered errors) at every window size, leaves no live marks, and
+     chunked lexing equals whole-string lexing. *)
 
 open Helpers
 module Gen = QCheck.Gen
@@ -333,12 +334,14 @@ let props =
             | Error _, Error _ -> true
             | _ -> false)
         | _ -> true);
-    (* The streaming pipeline's contract: a sliding window plus memo
-       eviction behind the release frontier changes memory behaviour only.
-       Verdict, error position, consumed count and the full profile (so
-       decision events, lookahead depths and speculation reach) must match
-       the materialized parse at every window size -- including a window
-       of 1 (maximum sliding) and window == input length (never slides). *)
+    (* The token pipeline's contract: a sliding window plus memo eviction
+       behind the release frontier changes memory behaviour only.
+       Verdict, error position, consumed count, the full profile (so
+       decision events, lookahead depths and speculation reach), the parse
+       tree and the recovered error list must match the pinned-array
+       parse at every window size -- including a window of 1 (maximum
+       sliding) and window == input length (never slides).  Every parse,
+       over either constructor, must release every mark it took. *)
     qtest ~count:60 "streaming parse == materialized at any window"
       (QCheck.pair arb_grammar_and_sentence
          (QCheck.list_of_size (Gen.int_bound 8) (QCheck.int_bound 4)))
@@ -357,34 +360,72 @@ let props =
         match compile_rand peg with
         | None -> true
         | Some c ->
+            let sym = Llstar.Compiled.sym c in
+            let render = function
+              | Ok tree -> "accept " ^ Runtime.Tree.to_string sym tree
+              | Error es ->
+                  String.concat "; "
+                    (List.map (Runtime.Parse_error.to_string sym) es)
+            in
+            (* Outcome, profile, tree and recovered errors over fresh
+               streams from [mk], each checked for leaked marks. *)
+            let observe label mk =
+              let parse f =
+                let ts = mk () in
+                let r = f ts in
+                if Runtime.Token_stream.live_marks ts <> [] then
+                  QCheck.Test.fail_reportf "%s: marks leaked" label;
+                r
+              in
+              let pr = Runtime.Profile.create () in
+              let o =
+                parse (Runtime.Generated.interp_outcome_stream ~profile:pr c)
+              in
+              let tree =
+                parse (fun ts ->
+                    render (Runtime.Interp.run (Runtime.Interp.create c ts) ()))
+              in
+              let recovered =
+                parse (fun ts ->
+                    render
+                      (Runtime.Interp.run
+                         (Runtime.Interp.create ~recover:true c ts)
+                         ()))
+              in
+              (o, Fmt.str "%a" Runtime.Profile.pp pr, tree, recovered)
+            in
             let agree_on names =
               let toks = tokens_of_names c names in
-              let pm = Runtime.Profile.create () in
-              let mat = Runtime.Generated.interp_outcome ~profile:pm c toks in
+              let mat, pm, tm, rm =
+                observe "of_array" (fun () ->
+                    Runtime.Token_stream.of_array toks)
+              in
               let windows = [ 1; 2; 16; max 1 (Array.length toks) ] in
               List.for_all
                 (fun window ->
-                  let ps = Runtime.Profile.create () in
-                  let ts =
-                    Runtime.Token_stream.of_pull ~window
-                      (pull_of_array ~chunk:3 toks)
+                  let str, ps, ts, rs =
+                    observe (Printf.sprintf "window %d" window) (fun () ->
+                        Runtime.Token_stream.of_pull ~window
+                          (pull_of_array ~chunk:3 toks))
                   in
-                  let str =
-                    Runtime.Generated.interp_outcome_stream ~profile:ps c ts
-                  in
+                  let on = String.concat " " names in
                   QCheck.(
                     if not (Runtime.Generated.agree mat str) then
                       Test.fail_reportf "window %d: %s vs %s on %s" window
                         (Runtime.Generated.describe mat)
                         (Runtime.Generated.describe str)
-                        (String.concat " " names)
-                    else if
-                      Fmt.str "%a" Runtime.Profile.pp pm
-                      <> Fmt.str "%a" Runtime.Profile.pp ps
-                    then
+                        on
+                    else if pm <> ps then
                       Test.fail_reportf "window %d: profiles differ on %s"
-                        window
-                        (String.concat " " names)
+                        window on
+                    else if tm <> ts then
+                      Test.fail_reportf
+                        "window %d: trees differ on %s: %s vs %s" window on tm
+                        ts
+                    else if rm <> rs then
+                      Test.fail_reportf
+                        "window %d: recovered errors differ on %s: %s vs %s"
+                        window on rm rs
                     else true))
                 windows
             in

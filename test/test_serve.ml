@@ -4,10 +4,10 @@
    graceful drain.
 
    The memo-leak regression at the bottom is the distilled serve-layer
-   bug: a [Runtime.Generated] state reused across requests WITHOUT
-   [Generated.reset] lets one input's speculation memo decide another
-   input's parse -- the naive-reuse step demonstrably flips the verdict,
-   and [reset] restores the fresh-state outcome. *)
+   bug: a [Runtime.Generated] memo table reused across requests lets one
+   input's speculation outcomes decide another input's parse -- the
+   naive-reuse step demonstrably flips the verdict, which is why every
+   request gets fresh state. *)
 
 open Helpers
 module Json = Obs.Json
@@ -52,10 +52,11 @@ let error_code j =
   | Some (Json.String s) -> s
   | _ -> Alcotest.failf "no error code in %s" (Json.to_string j)
 
-let parse_req ?(backend = "interp") ?(grammar = "tiny") ?extra text =
+let parse_req ?(op = "parse") ?(backend = "interp") ?(grammar = "tiny")
+    ?extra text =
   req
     ([
-       ("op", Json.str "parse");
+       ("op", Json.str op);
        ("grammar", Json.str grammar);
        ("backend", Json.str backend);
        ("text", Json.str text);
@@ -176,6 +177,77 @@ let handler_tests =
             in
             check string "recover+generated refused" "bad_request"
               (error_code gen)));
+    test "window outside [1, max_tokens] is a bad_request on both ops"
+      (fun () ->
+        let limits =
+          { Serve.Handler.default_limits with Serve.Handler.max_tokens = 50 }
+        in
+        with_handler ~limits (fun h ->
+            List.iter
+              (fun op ->
+                List.iter
+                  (fun w ->
+                    let r =
+                      handle_ok h
+                        (parse_req ~op ~extra:[ ("window", Json.int w) ] "A B")
+                    in
+                    check string
+                      (Printf.sprintf "%s window %d" op w)
+                      "bad_request" (error_code r))
+                  [ 0; -1; 51; 1 lsl 40; max_int ];
+                List.iter
+                  (fun w ->
+                    let r =
+                      handle_ok h
+                        (parse_req ~op ~extra:[ ("window", Json.int w) ] "A B")
+                    in
+                    check bool (Printf.sprintf "%s window %d parses" op w) true
+                      (get_ok r))
+                  [ 1; 50 ])
+              [ "parse"; "parse_stream" ]));
+    test "parse_stream is an alias: recover and window answer alike"
+      (fun () ->
+        with_handler (fun h ->
+            let answer ?(window = [ ("window", Json.int 1) ]) op grammar
+                text =
+              let extra = ("recover", Json.bool true) :: window in
+              match
+                strip_wall (handle_ok h (parse_req ~op ~grammar ~extra text))
+              with
+              | Json.Obj fields ->
+                  Json.to_string
+                    (Json.Obj (List.filter (fun (k, _) -> k <> "op") fields))
+              | j -> Json.to_string j
+            in
+            List.iter
+              (fun (grammar, text) ->
+                let at_1 = answer "parse" grammar text in
+                check string
+                  (Printf.sprintf "alias: %s %S" grammar text)
+                  at_1
+                  (answer "parse_stream" grammar text);
+                check string
+                  (Printf.sprintf "window 1 = default: %s %S" grammar text)
+                  at_1
+                  (answer ~window:[] "parse" grammar text))
+              [
+                ("tiny", "A B");
+                ("tiny", "A A");
+                ("tiny", "A A B C A");
+                ("MiniJava", "class A { int x ; }");
+                ("MiniJava", "class A { int x ; int ; } class");
+              ];
+            let r =
+              handle_ok h
+                (parse_req ~op:"parse_stream"
+                   ~extra:[ ("recover", Json.bool true) ]
+                   "A A")
+            in
+            check string "recover works on parse_stream" "parse_error"
+              (error_code r);
+            match get "errors" r with
+            | Json.List (_ :: _) -> ()
+            | _ -> Alcotest.fail "expected recovered errors"));
     test "load and evict round trip" (fun () ->
         with_handler (fun h ->
             let loaded =
@@ -526,8 +598,8 @@ let reuse_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The distilled cross-request bug: a generated-parser state reused
-   without [Generated.reset].  Hand-built "generated-style" parser for
+(* The distilled cross-request bug: a generated-parser memo table reused
+   across inputs.  Hand-built "generated-style" parser for
 
      s : (x)=> A B | C D ;     synpred x : A ;
 
@@ -568,39 +640,28 @@ let s_entry (st : Rt.st) : unit =
 
 let generated_reset_tests =
   [
-    test "memo leak: naive state reuse flips the verdict; reset fixes it"
+    test "memo leak: naive state reuse flips the verdict; fresh state fixes it"
       (fun () ->
-        let fresh toks = Rt.run_st (Rt.make ~memoize:true toks) ~start_rule:1 s_entry in
+        let fresh toks =
+          Rt.run_st (Rt.make ~memoize:true (Ts.of_array toks)) ~start_rule:1
+            s_entry
+        in
         (* both inputs are in the language when parsed with fresh state *)
         check bool "fresh accepts A B" true (fresh (mk_toks [ tA; tB ])).Rt.ok;
         check bool "fresh accepts C D" true (fresh (mk_toks [ tC; tD ])).Rt.ok;
-        let st = Rt.make ~memoize:true (mk_toks [ tA; tB ]) in
+        let st = Rt.make ~memoize:true (Ts.of_array (mk_toks [ tA; tB ])) in
         check bool "first request accepts" true
           (Rt.run_st st ~start_rule:1 s_entry).Rt.ok;
-        (* Naive reuse (the pre-fix serve bug): swap the tokens but keep
-           the memo.  The stale Succeeded entry for (rule x, pos 0) makes
-           the synpred "succeed" without looking at the input, steering
-           the decision into alt 1, which then rejects C D. *)
-        Ts.load st.Rt.ts (mk_toks [ tC; tD ]);
-        let stale = Rt.run_st st ~start_rule:1 s_entry in
-        check bool "stale memo flips accept to reject" false stale.Rt.ok;
-        (* [reset] clears the memo as well as the stream: same state, same
-           input, correct verdict again. *)
-        Rt.reset st (mk_toks [ tC; tD ]);
-        let after_reset = Rt.run_st st ~start_rule:1 s_entry in
-        check bool "reset restores the fresh outcome" true after_reset.Rt.ok;
-        check bool "reset outcome agrees with fresh state" true
-          (Rt.agree after_reset (fresh (mk_toks [ tC; tD ]))));
-    test "token stream load resets cursor and high water" (fun () ->
-        let ts = Ts.of_array (mk_toks [ tA; tB; tC ]) in
-        ignore (Ts.consume ts);
-        ignore (Ts.la ts 2);
-        check bool "advanced" true (Ts.index ts = 1 && Ts.high_water ts >= 2);
-        Ts.load ts (mk_toks [ tD ]);
-        check int "cursor rewound" 0 (Ts.index ts);
-        check int "high water forgotten" (-1) (Ts.high_water ts);
-        check int "new tokens visible" tD (Ts.la ts 1);
-        check int "eof after the end" Grammar.Sym.eof (Ts.la ts 2));
+        (* Naive reuse (the pre-fix serve bug): new tokens, same memo.  The
+           stale Succeeded entry for (rule x, pos 0) makes the synpred
+           "succeed" without looking at the input, steering the decision
+           into alt 1, which then rejects C D. *)
+        let stale =
+          Rt.run_st
+            { st with Rt.ts = Ts.of_array (mk_toks [ tC; tD ]) }
+            ~start_rule:1 s_entry
+        in
+        check bool "stale memo flips accept to reject" false stale.Rt.ok);
   ]
 
 (* ------------------------------------------------------------------ *)
