@@ -42,7 +42,9 @@ let best_total cw env ?tracer token_lists =
    request pipeline over the same registry entry and pool -- JSON request
    decode, pooled lex+parse with a profile, counter + histogram recording
    under a mutex, response encode -- so the quotient isolates exactly the
-   new per-request work. *)
+   new per-request work.  Its lex+parse is the handler's: the chunked
+   lexer through a token window capped at the text length, then a drain
+   for the token total. *)
 
 let serve_grammar = "MiniJava"
 
@@ -64,18 +66,24 @@ let baseline_handle ~(entry : Serve.Registry.entry) ~pool
       let text = Option.get req.Serve.Protocol.text in
       let work () =
         let sym = Llstar.Compiled.sym entry.Serve.Registry.c in
-        match
-          Runtime.Lexer_engine.tokenize entry.Serve.Registry.lexer_config sym
-            text
-        with
+        let ls =
+          Runtime.Lexer_engine.stream entry.Serve.Registry.lexer_config sym
+            (Runtime.Lexer_engine.reader_of_string text)
+        in
+        let ts =
+          Runtime.Token_stream.of_pull
+            ~window:
+              (min Runtime.Token_stream.default_window (String.length text))
+            (Runtime.Lexer_engine.pull ls)
+        in
+        let profile = Runtime.Profile.create () in
+        let o =
+          Runtime.Generated.interp_outcome_stream ~env:entry.Serve.Registry.env
+            ~profile entry.Serve.Registry.c ts
+        in
+        match Runtime.Lexer_engine.drain ls with
         | Error _ -> failwith "bench corpus must lex"
-        | Ok toks ->
-            let profile = Runtime.Profile.create () in
-            let o =
-              Runtime.Generated.interp_outcome ~env:entry.Serve.Registry.env
-                ~profile entry.Serve.Registry.c toks
-            in
-            (o, profile, Array.length toks)
+        | Ok _ -> (o, profile, Runtime.Lexer_engine.produced ls)
       in
       let t0 = Unix.gettimeofday () in
       let o, profile, tokens = Exec.Pool.await (Exec.Pool.submit pool work) in

@@ -97,6 +97,8 @@ type t = {
      the cap once per recorded error, and [List.length] there made error
      processing quadratic in the error count *)
   mutable n_errors : int;
+  (* token index of the last recorded error; min_int before the first *)
+  mutable last_error_index : int;
   max_errors : int;
   (* lazily computed panic-mode sync sets: rule -> terminals that can
      follow, as a bitset over the token-type universe *)
@@ -627,6 +629,7 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     recover;
     errors = [];
     n_errors = 0;
+    last_error_index = min_int;
     max_errors;
     follow_cache = Hashtbl.create 16;
     ff = None;
@@ -639,9 +642,10 @@ let start_rule_id t = function
       | None -> invalid_arg (Printf.sprintf "Interp: no rule '%s'" name))
   | None -> (atn t).Atn.start_rule
 
-let record_error t e =
+let record_error t (e : Parse_error.t) =
   t.errors <- e :: t.errors;
-  t.n_errors <- t.n_errors + 1
+  t.n_errors <- t.n_errors + 1;
+  t.last_error_index <- e.token.Token.index
 
 (* Parse from [start] (default: the grammar's start rule) and require EOF.
    With [recover=false] the first error aborts; with [recover=true] the
@@ -658,6 +662,7 @@ let run (t : t) ?start () : (Tree.t, Parse_error.t list) result =
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
+    let attempt_start = Token_stream.index t.ts in
     match parse_rule t rule ~prec:0 ~building:true with
     | [ tr ] ->
         tree := Some tr;
@@ -677,9 +682,19 @@ let run (t : t) ?start () : (Tree.t, Parse_error.t list) result =
     | _ -> tree := None
     | exception Parse_error.Error e ->
         tree := None;
-        record_error t e;
+        (* A retry that fails again on the token of the error just
+           recorded reports nothing new: step past that token instead of
+           resyncing to it (ANTLR's lastErrorIndex rule). *)
+        let repeat = e.Parse_error.token.Token.index = t.last_error_index in
+        if not repeat then record_error t e;
         if t.recover && t.n_errors < t.max_errors then begin
-          recover_to_follow t e.Parse_error.rule;
+          if not repeat then recover_to_follow t e.Parse_error.rule;
+          (* a retry from where the failed attempt began would fail the
+             same way again *)
+          if
+            (repeat || Token_stream.index t.ts = attempt_start)
+            && Token_stream.la t.ts 1 <> Grammar.Sym.eof
+          then ignore (Token_stream.consume t.ts);
           if
             Token_stream.la t.ts 1 <> Grammar.Sym.eof
             && Token_stream.index t.ts < Token_stream.size t.ts

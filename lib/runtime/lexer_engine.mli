@@ -66,8 +66,12 @@ val stream :
   reader ->
   stream
 (** Open an incremental scan of [reader] against a grammar's vocabulary.
-    [buf_chars] (default 64 KiB) sizes the byte window; it grows only when
-    a single token outlives a full window. *)
+    [buf_chars] (default 4 KiB, at least 64) sizes the byte window.  The
+    window retains the current token from its first byte, so it doubles
+    when one token (an identifier, number, string or character literal)
+    outlives it; whitespace and comments are never retained, however
+    long.  The scanner tables for a frozen vocabulary and a config are
+    built once and shared by every stream over them. *)
 
 val next_chunk : ?max_tokens:int -> stream -> (Token.t array, error) result
 (** Scan up to [max_tokens] (default 256) further tokens.  [Ok [||]]
@@ -98,7 +102,8 @@ val tokenize :
 (** Tokenize [src] against a grammar's vocabulary.  Keywords are matched
     before identifiers; operators by maximal munch.  [tracer] receives
     [Lexer_mode_enter]/[Lexer_mode_exit] events around the block-comment,
-    string and character sub-scanners. *)
+    string and character sub-scanners.  [src] is scanned in place, without
+    a copy into a window. *)
 
 val tokenize_exn :
   ?tracer:Obs.Trace.t -> config -> Grammar.Sym.t -> string -> Token.t array

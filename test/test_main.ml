@@ -12,6 +12,6 @@ let () =
    @ Test_baselines.suite @ Test_minimize.suite @ Test_report.suite
    @ Test_bench_grammars.suite @ Test_cache.suite
    @ Test_lazy.suite @ Test_profile.suite
-   @ Test_props.suite @ Test_fuzz.suite @ Test_obs.suite
+   @ Test_props.suite @ Test_lexer.suite @ Test_fuzz.suite @ Test_obs.suite
    @ Test_bitset.suite @ Test_exec.suite @ Test_codegen.suite
    @ Test_serve.suite)

@@ -467,7 +467,7 @@ let lex_props =
         in
         let whole = Runtime.Lexer_engine.tokenize config sym text in
         let ls =
-          Runtime.Lexer_engine.stream ~buf_chars:16 config sym
+          Runtime.Lexer_engine.stream ~buf_chars:64 config sym
             (Runtime.Lexer_engine.reader_of_string text)
         in
         let rec collect acc =

@@ -275,6 +275,46 @@ let tree_tests =
         match Runtime.Interp.parse ~recover:true c (lex c "a = 1 ; b = ; c = 3 ;") with
         | Ok _ -> Alcotest.fail "expected errors"
         | Error errs -> check bool "at least one error" true (List.length errs >= 1));
+    test "recovery steps past an offending token that is in FOLLOW"
+      (fun () ->
+        (* the second '+' can follow [e], so syncing skips nothing; the
+           retry must not restart at it and report it again *)
+        let c =
+          compile
+            "grammar Expr; prog : e EOF ; e : e '*' e | e '+' e | '(' e ')' \
+             | INT | ID ;"
+        in
+        match Runtime.Interp.parse ~recover:true c (lex c "1 + + 2") with
+        | Ok _ -> Alcotest.fail "expected an error"
+        | Error errs ->
+            check
+              (Alcotest.list string)
+              "reported once"
+              [ "1:5: no viable alternative" ]
+              (List.map
+                 (fun (e : Runtime.Parse_error.t) ->
+                   Printf.sprintf "%d:%d: %s" e.token.line e.token.col
+                     (match e.kind with
+                     | Runtime.Parse_error.No_viable_alt _ ->
+                         "no viable alternative"
+                     | _ -> "other"))
+                 errs));
+    test "recovery retries from an offending token that starts a statement"
+      (fun () ->
+        (* [b] is in FOLLOW(stmt) and the retry from it parses [b = 1 ;]
+           cleanly: stepping past it would lose that statement and report
+           more errors *)
+        let c = compile "grammar T; s : stmt* ; stmt : ID '=' INT ';' ;" in
+        match Runtime.Interp.parse ~recover:true c (lex c "a = b = 1 ;") with
+        | Ok _ -> Alcotest.fail "expected an error"
+        | Error errs ->
+            check
+              (Alcotest.list string)
+              "one error, at b"
+              [ "b" ]
+              (List.map
+                 (fun (e : Runtime.Parse_error.t) -> e.token.text)
+                 errs));
     test "recovery cost is linear in the error count" (fun () ->
         (* One extraneous-input error per leftover token: with the error
            limit tested via [List.length t.errors] this loop was quadratic

@@ -177,6 +177,30 @@ let handler_tests =
             in
             check string "recover+generated refused" "bad_request"
               (error_code gen)));
+    test "recover reports an offending token in FOLLOW once" (fun () ->
+        with_handler (fun h ->
+            let loaded =
+              handle_ok h
+                (req
+                   [
+                     ("op", Json.str "load");
+                     ("grammar", Json.str "expr");
+                     ( "text",
+                       Json.str
+                         "grammar expr; prog : e EOF ; e : e '+' e | INT ;" );
+                   ])
+            in
+            check bool "load ok" true (get_ok loaded);
+            let r =
+              handle_ok h
+                (parse_req ~grammar:"expr"
+                   ~extra:[ ("recover", Json.bool true) ]
+                   "1 + + 2")
+            in
+            check string "code" "parse_error" (error_code r);
+            match get "errors" r with
+            | Json.List errs -> check int "one error" 1 (List.length errs)
+            | _ -> Alcotest.fail "errors not a list"));
     test "window outside [1, max_tokens] is a bad_request on both ops"
       (fun () ->
         let limits =
