@@ -1,7 +1,7 @@
 (* Generated parsers vs the ATN/DFA interpreter.
 
-   For each bench grammar, parse the same corpus with the committed
-   generated parser (lib/gen, emitted by [antlrkit codegen]) and with
+   For each bench grammar, parse the same corpus with the generated
+   parser (lib/gen, emitted at build time by lib/codegen) and with
    [Runtime.Interp], and report tokens/s for both.  Before timing
    anything, every input is replayed through both and the full outcome
    triple (accept/reject, error kind and token index, consumed-token
@@ -29,7 +29,7 @@ let run () =
     (fun (spec : Workload.spec) ->
       match Gen.Registry.find spec.Workload.name with
       | None ->
-          Fmt.pr "%-11s (no committed generated parser)@." spec.Workload.name
+          Fmt.pr "%-11s (no generated parser)@." spec.Workload.name
       | Some (module P : Rt.PARSER) ->
           let cw = Common.compiled spec in
           let corpus = Common.corpus spec in
@@ -90,5 +90,5 @@ let run () =
                  ("agree", Obs.Json.bool agree);
                  ("disagreements", Obs.Json.int !disagreements);
                ]))
-    Common.specs;
+    Bench_grammars.Specs.all;
   Common.hr ()

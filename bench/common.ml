@@ -1,5 +1,5 @@
-(* Shared infrastructure for the benchmark harness: the grammar suite,
-   timing, and cached corpora.
+(* Shared infrastructure for the benchmark harness: timing and cached
+   corpora over the bench grammars ({!Bench_grammars.Specs.all}).
 
    Paper reference values (Tables 1-4 of Parr & Fisher, PLDI 2011) are
    embedded so every bench prints paper-vs-measured side by side; we
@@ -7,16 +7,6 @@
    Substitutions). *)
 
 module Workload = Bench_grammars.Workload
-
-let specs : Workload.spec list =
-  [
-    Bench_grammars.Mini_java.spec;
-    Bench_grammars.Rats_c.spec;
-    Bench_grammars.Rats_java.spec;
-    Bench_grammars.Mini_vb.spec;
-    Bench_grammars.Mini_sql.spec;
-    Bench_grammars.Mini_csharp.spec;
-  ]
 
 (* Paper analogue for each of our grammars (Figure 12 order). *)
 let paper_name = function

@@ -178,7 +178,7 @@ let speed () =
                ("v2_memo_entries", Obs.Json.int v2_memo);
              ])
       end)
-    specs;
+    Bench_grammars.Specs.all;
   Fmt.pr
     "@.shape check: the LL(*) parser is consistently faster than the same \
      interpreter restricted to v2-style k=1 + backtracking (the paper \
@@ -413,7 +413,7 @@ expr : INT | '-' expr ;
       let mini = total (Llstar.Compiled.compile_exn ~analysis_opts:opts surface) in
       Fmt.pr "%-10s %14d %14d %7.1f%%@." spec.name plain mini
         (100. *. float_of_int (plain - mini) /. float_of_int (max 1 plain)))
-    specs;
+    Bench_grammars.Specs.all;
   Fmt.pr
     "@.shape check: minimization trims redundant states left by \
      configuration-set dedup without changing any prediction (tested).@."

@@ -33,4 +33,4 @@ let run () =
                    Obs.Json.float (float_of_int r.Fuzz.Driver.r_runs /. dt) );
                  ("report", Fuzz.Driver.report_to_json ~seed:42 r);
                ]))
-    Fuzz.Driver.all_specs
+    Bench_grammars.Specs.all

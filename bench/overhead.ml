@@ -271,7 +271,7 @@ let run () =
                     (fun acc t -> acc + Array.length t)
                     0 token_lists) );
            ]))
-    Common.specs;
+    Bench_grammars.Specs.all;
   (* Acceptance bound on the null path, measured where the corpus is big
      enough for a stable quotient: the disabled-tracer configuration runs
      the byte-for-byte identical guard (`if Obs.Trace.on ...`) as the

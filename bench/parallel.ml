@@ -186,4 +186,4 @@ let run () =
                         ])
                     points) );
            ]))
-    Common.specs
+    Bench_grammars.Specs.all

@@ -240,7 +240,7 @@ let run () =
               ("all_ok", Obs.Json.bool all_ok);
             ]
            @ List.map (fun l -> (l.l_backend, leg_json l)) legs)))
-    Common.specs;
+    Bench_grammars.Specs.all;
   (* Graceful shutdown is part of the bench contract: the daemon must
      drain and the server thread must join, or the telemetry lies about
      "all answered". *)

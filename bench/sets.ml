@@ -141,7 +141,7 @@ let run () =
              ("bitset_first2_ms", Obs.Json.float bit_first2);
              ("analysis_ms", Obs.Json.float analysis);
            ]))
-    Common.specs;
+    Bench_grammars.Specs.all;
   Fmt.pr
     "computeR/B: full fixpoint (ref/bitset); seq: FIRST over all prods x20; \
      first1: FIRST_1 on sampled prods; x: ref/bitset speedup@."

@@ -109,5 +109,5 @@ let run () =
              ("cache_dir", Obs.Json.str dir);
              ("reps", Obs.Json.int reps);
            ]))
-    Common.specs;
+    Bench_grammars.Specs.all;
   Fmt.pr "speedup = eager analysis time / cache-hit load time@."

@@ -312,7 +312,7 @@ let run () =
   Common.section "Streaming pipeline: sliding token windows vs materialized";
   Fmt.pr "%-11s %8s %6s | %12s %12s %7s | %7s %6s | %s@." "grammar" "tokens"
     "inputs" "mat tok/s" "stream tok/s" "ratio" "peak" "window" "match";
-  List.iter grammar_leg Common.specs;
+  List.iter grammar_leg Bench_grammars.Specs.all;
   scale_leg ();
   Fmt.pr "(gate: verdict_match everywhere; scale leg also gates \
           throughput ratio >= %.1fx and peak/live flatness at 100x)@."

@@ -30,7 +30,7 @@ let table1 () =
       Fmt.pr "%-10s %6d] %5d] %5d] %6d] %9d] %7.1fs]@."
         ("[" ^ p)
         plines pn pfix pcyc pback pt)
-    specs;
+    Bench_grammars.Specs.all;
   Fmt.pr
     "@.shape check: every grammar keeps a small backtracking tail and a \
      fixed-lookahead majority, as in the paper.@."
@@ -49,7 +49,7 @@ let table2 () =
         (Llstar.Report.pct_ll1 r);
       List.iter (fun (k, c) -> Fmt.pr " k=%d:%d" k c) r.fixed_by_k;
       Fmt.pr "@.%-10s %6.2f%%] %6.2f%%]@." ("[" ^ p) pllk pll1)
-    specs;
+    Bench_grammars.Specs.all;
   Fmt.pr
     "@.shape check: the vast majority of decisions are LL(k) and most are \
      LL(1), as in the paper.@."
@@ -121,7 +121,7 @@ let table3 () =
              ("profile", Runtime.Profile.to_json profile);
            ]);
       Fmt.pr "%-10s %26s %7.2f] %7.2f] %6d]@." ("[" ^ p) "" pavg pback pmax)
-    specs;
+    Bench_grammars.Specs.all;
   Fmt.pr
     "@.shape check: average lookahead is ~1-2 tokens per decision event; \
      backtracking events look a few tokens ahead on average with rare deep \
@@ -155,7 +155,7 @@ let table4 () =
            ]);
       Fmt.pr "%-10s %8d] %8d] %21.2f%%] %8.2f%%]@." ("[" ^ p) pcan pdid pevpct
         prate)
-    specs;
+    Bench_grammars.Specs.all;
   Fmt.pr
     "@.shape check: only a fraction of potentially backtracking decisions \
      ever backtrack, and backtracking events are a small percentage of all \

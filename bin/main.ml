@@ -81,6 +81,20 @@ let compile_grammar ?cache_dir ?tracer ?pool ?(lazy_ = false) path =
       Fmt.epr "%s: %a@." path Llstar.Compiled.pp_error e;
       exit 2
 
+(* A built-in bench grammar by name; an unknown name lists the known ones
+   and exits 2. *)
+let bench_spec name : Bench_grammars.Workload.spec =
+  match Bench_grammars.Specs.find name with
+  | Some spec -> spec
+  | None ->
+      Fmt.epr "unknown bench grammar %S (known: %s)@." name
+        (String.concat ", "
+           (List.map
+              (fun (s : Bench_grammars.Workload.spec) ->
+                s.Bench_grammars.Workload.name)
+              Bench_grammars.Specs.all));
+      exit 2
+
 let cache_dir_arg =
   Arg.(
     value
@@ -523,18 +537,8 @@ let fuzz_cmd =
     let t0 = Unix.gettimeofday () in
     let specs =
       match grammar with
-      | None -> Fuzz.Driver.all_specs
-      | Some name -> (
-          match Fuzz.Driver.find_spec name with
-          | Some s -> [ s ]
-          | None ->
-              Fmt.epr "no benchmark grammar '%s' (known: %s)@." name
-                (String.concat ", "
-                   (List.map
-                      (fun (s : Bench_grammars.Workload.spec) ->
-                        s.Bench_grammars.Workload.name)
-                      Fuzz.Driver.all_specs));
-              exit 2)
+      | None -> Bench_grammars.Specs.all
+      | Some name -> [ bench_spec name ]
     in
     let any_failure = ref false in
     let bench_docs = ref [] in
@@ -653,26 +657,17 @@ let fuzz_cmd =
 (* --- codegen ----------------------------------------------------------- *)
 
 let codegen_cmd =
-  let run grammar bench out_dir module_name parser_only standalone
-      inline_threshold print_ config =
+  let run grammar bench out_dir module_name standalone inline_threshold print_
+      config =
     let c, lexer, grammar_text, samples =
       match (bench, grammar) with
-      | Some name, _ -> (
-          match Fuzz.Driver.find_spec name with
-          | None ->
-              Fmt.epr "unknown bench grammar %S (try: %s)@." name
-                (String.concat ", "
-                   (List.map
-                      (fun (s : Bench_grammars.Workload.spec) ->
-                        s.Bench_grammars.Workload.name)
-                      Fuzz.Driver.all_specs));
-              exit 2
-          | Some spec ->
-              let cw = Bench_grammars.Workload.compile spec in
-              ( cw.Bench_grammars.Workload.c,
-                Some spec.Bench_grammars.Workload.lexer_config,
-                Some spec.Bench_grammars.Workload.grammar_text,
-                spec.Bench_grammars.Workload.samples ))
+      | Some name, _ ->
+          let spec = bench_spec name in
+          let cw = Bench_grammars.Workload.compile spec in
+          ( cw.Bench_grammars.Workload.c,
+            Some spec.Bench_grammars.Workload.lexer_config,
+            Some spec.Bench_grammars.Workload.grammar_text,
+            spec.Bench_grammars.Workload.samples )
       | None, Some path -> (
           let src = read_file path in
           match Llstar.Compiled.of_source src with
@@ -697,19 +692,7 @@ let codegen_cmd =
               exit 2
           | Some dir ->
               let files =
-                if parser_only then
-                  let stem =
-                    match module_name with
-                    | Some m -> Codegen.Scaffold.sanitize_module m
-                    | None ->
-                        Codegen.Scaffold.sanitize_module
-                          ir.Codegen.Ir.grammar_name
-                        ^ "_parser"
-                  in
-                  [ (stem ^ ".ml", Codegen.Emit_ocaml.emit ir) ]
-                else
-                  Codegen.Scaffold.workspace ?module_name ~standalone ~samples
-                    ir
+                Codegen.Scaffold.workspace ?module_name ~standalone ~samples ir
               in
               Codegen.Scaffold.write_all ~dir files;
               let s = Codegen.Ir.stats ir in
@@ -752,14 +735,6 @@ let codegen_cmd =
       & info [ "module" ] ~docv:"NAME"
           ~doc:"Module name for the emitted parser (default: grammar name).")
   in
-  let parser_only =
-    Arg.(
-      value & flag
-      & info [ "parser-only" ]
-          ~doc:
-            "Emit only the parser module, without the driver executable and \
-             dune scaffolding.")
-  in
   let standalone =
     Arg.(
       value & flag
@@ -793,8 +768,8 @@ let codegen_cmd =
           The emitted driver's --check mode replays inputs through the \
           ATN/DFA interpreter and fails on any disagreement.")
     Term.(
-      const run $ grammar $ bench $ out_dir $ module_name $ parser_only
-      $ standalone $ inline_threshold $ print_ $ lexer_config_term)
+      const run $ grammar $ bench $ out_dir $ module_name $ standalone
+      $ inline_threshold $ print_ $ lexer_config_term)
 
 (* --- bench ------------------------------------------------------------- *)
 

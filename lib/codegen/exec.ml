@@ -6,7 +6,7 @@
    It exists so property tests can drive the lowered representation
    against the ATN interpreter on qcheck-random grammars without
    compiling emitted source, covering the decision-plan logic that the
-   six committed parsers alone would not. *)
+   six bench parsers alone would not. *)
 
 module Rt = Runtime.Generated
 module Ts = Runtime.Token_stream

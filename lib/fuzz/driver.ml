@@ -11,19 +11,6 @@
 
 module Workload = Bench_grammars.Workload
 
-let all_specs : Workload.spec list =
-  [
-    Bench_grammars.Mini_java.spec;
-    Bench_grammars.Rats_c.spec;
-    Bench_grammars.Rats_java.spec;
-    Bench_grammars.Mini_vb.spec;
-    Bench_grammars.Mini_sql.spec;
-    Bench_grammars.Mini_csharp.spec;
-  ]
-
-let find_spec (name : string) : Workload.spec option =
-  List.find_opt (fun (s : Workload.spec) -> s.Workload.name = name) all_specs
-
 type failure = {
   f_divergence : Oracle.divergence;
   f_shrunk : string list; (* minimized input *)

@@ -4,7 +4,7 @@
    LL-star interpreter over the compiled ATN, the packrat/PEG interpreter
    over the surface grammar, the Earley chart parser over the BNF skeleton,
    (when the skeleton is conflict-free) the table-driven LL(1) parser,
-   and the committed generated parser from lib/gen, which must agree with
+   and the generated parser from lib/gen, which must agree with
    the interpreter not just on accept/reject but on error position and
    consumed-token count.
    Agreement between them is the correctness claim of the paper's sections
@@ -55,7 +55,7 @@ type outcome = {
   o_ll1 : verdict option;
   o_recovery : verdict option; (* recovery-mode probe, rejected inputs only *)
   o_codegen : verdict option;
-      (* committed generated parser (lib/gen), when one exists for the
+      (* generated parser (lib/gen), when one exists for the
          grammar; compared outcome-for-outcome against the interpreter *)
   o_stream : verdict option;
       (* streaming LL-star leg (bounded token window), when enabled;
@@ -233,7 +233,7 @@ let check (t : t) (names : string list) : outcome * divergence list =
       (fun l -> guarded t slow "ll1" (fun () -> of_bool (Baselines.Ll1.recognize l name_arr)))
       t.ll1
   in
-  (* Generated-parser differential: the committed codegen output must
+  (* Generated-parser differential: the emitted codegen output must
      reproduce the interpreter's accept/reject, error position and
      consumed-token count exactly -- not just the verdict.  A mismatch is
      always a codegen bug (or an emitter/interpreter drift), never an

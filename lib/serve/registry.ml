@@ -1,6 +1,6 @@
 (* Compiled-grammar registry for the serve daemon: name -> compiled
    grammar, lexer configuration, predicate environment and (when the name
-   matches a committed generated parser) the generated backend.
+   matches a generated parser in lib/gen) the generated backend.
 
    Compilation goes through [Llstar.Compiled_cache] when the registry was
    created with a cache directory, so a daemon restart pays a blob load
@@ -31,22 +31,10 @@ type t = {
 (* The six bench grammars (Figure 12 of the paper), the workloads the
    daemon preloads by default and the smoke tests drive. *)
 let builtin_specs : Bench_grammars.Workload.spec list =
-  [
-    Bench_grammars.Mini_java.spec;
-    Bench_grammars.Rats_c.spec;
-    Bench_grammars.Rats_java.spec;
-    Bench_grammars.Mini_vb.spec;
-    Bench_grammars.Mini_sql.spec;
-    Bench_grammars.Mini_csharp.spec;
-  ]
+  Bench_grammars.Specs.all
 
 let builtin_names : string list =
   List.map (fun (s : Bench_grammars.Workload.spec) -> s.name) builtin_specs
-
-let builtin_spec (name : string) : Bench_grammars.Workload.spec option =
-  List.find_opt
-    (fun (s : Bench_grammars.Workload.spec) -> s.name = name)
-    builtin_specs
 
 let create ?cache_dir () : t =
   (* Sweep crashed writers' temps as soon as the daemon takes ownership
@@ -80,11 +68,10 @@ let insert t (e : entry) : unit =
   Mutex.unlock t.lock
 
 (* Load a builtin bench grammar: its lexer configuration and semantic
-   predicates come from the workload spec, and the committed generated
-   parser (if one exists for the name) is registered alongside the
-   interpreter. *)
+   predicates come from the workload spec, and the generated parser (if
+   one exists for the name) is registered alongside the interpreter. *)
 let load_builtin t ?tracer ?pool (name : string) : (entry, string) result =
-  match builtin_spec name with
+  match Bench_grammars.Specs.find name with
   | None ->
       Error
         (Printf.sprintf "unknown builtin grammar %S (builtins: %s)" name

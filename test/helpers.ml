@@ -79,6 +79,21 @@ let pull_of_array ?(chunk = 4) toks =
       a
     end
 
+(* Tests run from _build/default/test; walk upward to find a checked-in
+   path such as the fuzz-corpus directory.  [None] (e.g. in a sandboxed
+   run) lets the caller pass trivially. *)
+let find_up rel =
+  let rec go dir depth =
+    if depth > 5 then None
+    else
+      let cand = Filename.concat dir rel in
+      if Sys.file_exists cand then Some cand
+      else
+        let parent = Filename.dirname dir in
+        if parent = dir then None else go parent (depth + 1)
+  in
+  go (Sys.getcwd ()) 0
+
 let test name f = Alcotest.test_case name `Quick f
 
 let qtest ?(count = 200) name gen prop =

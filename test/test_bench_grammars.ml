@@ -5,16 +5,6 @@
 open Helpers
 module Workload = Bench_grammars.Workload
 
-let all_specs =
-  [
-    Bench_grammars.Mini_java.spec;
-    Bench_grammars.Rats_c.spec;
-    Bench_grammars.Rats_java.spec;
-    Bench_grammars.Mini_sql.spec;
-    Bench_grammars.Mini_vb.spec;
-    Bench_grammars.Mini_csharp.spec;
-  ]
-
 let compiled = Hashtbl.create 8
 
 let cw_of (spec : Workload.spec) =
@@ -129,8 +119,9 @@ let determinism_tests =
 
 let suite =
   [
-    ("benchmark-grammars", List.concat_map per_grammar all_specs);
-    ("dfa-wellformed", List.map deterministic_dfas all_specs);
+    ( "benchmark-grammars",
+      List.concat_map per_grammar Bench_grammars.Specs.all );
+    ("dfa-wellformed", List.map deterministic_dfas Bench_grammars.Specs.all);
     ("dot-export", dot_export_tests);
     ("workload", determinism_tests);
   ]

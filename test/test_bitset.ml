@@ -203,16 +203,6 @@ let agree ?(ks = [ 1; 2; 3 ]) ?(max_set_size = 5_000) (bnf : Grammar.Bnf.t) :
   List.for_all nt_ok bnf.Grammar.Bnf.nonterms
   && List.for_all prod_ok bnf.Grammar.Bnf.prods
 
-let bench_specs : Bench_grammars.Workload.spec list =
-  [
-    Bench_grammars.Mini_java.spec;
-    Bench_grammars.Rats_c.spec;
-    Bench_grammars.Rats_java.spec;
-    Bench_grammars.Mini_sql.spec;
-    Bench_grammars.Mini_vb.spec;
-    Bench_grammars.Mini_csharp.spec;
-  ]
-
 let differential_tests =
   List.map
     (fun (spec : Bench_grammars.Workload.spec) ->
@@ -228,7 +218,7 @@ let differential_tests =
              property below covers k up to 3. *)
           check bool "agree" true
             (agree ~ks:[ 1 ] ~max_set_size:2_000 (Grammar.Bnf.convert ast))))
-    bench_specs
+    Bench_grammars.Specs.all
   @ [
       qtest ~count:150 "bitset FF agrees with reference on random grammars"
         Test_props.arb_grammar (fun g ->

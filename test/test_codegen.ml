@@ -3,52 +3,49 @@
 
    Four layers:
 
-   - the six committed generated parsers (lib/gen) agree with the
-     interpreter -- accept/reject, error kind and position, consumed
-     token count -- over a freshly built workload corpus;
+   - the six generated parsers (lib/gen, emitted at build time by the
+     dune rules there) agree with the interpreter -- accept/reject, error
+     kind and position, consumed token count -- over a freshly built
+     workload corpus; a bench grammar without a generated parser fails,
+     and the registry holds exactly the bench grammars' parsers, each
+     with the compiled grammar's token and rule interning;
    - the closure-execution backend ({!Codegen.Exec}, which interprets
      the IR with the exact control flow the emitter prints) agrees with
      the interpreter on qcheck-random grammars and random token strings,
      at both the default inline threshold and [~inline_threshold:0]
      (everything table-driven), so both decision-lowering strategies are
      exercised;
-   - emission is deterministic (lower + emit twice, byte-identical) and
-     the committed lib/gen sources are fresh (regeneration reproduces
-     them byte-for-byte);
+   - emission is deterministic (lower + emit twice, byte-identical);
    - every committed fuzz-corpus reproducer replays without divergence
      through the generated parser.
 
-   The corpus/lib-gen directories are located by walking up from the
-   test's build directory, like test_fuzz's corpus replay; a sandboxed
-   run without them is trivially green. *)
+   The fuzz-corpus directory is located with {!Helpers.find_up}; a
+   sandboxed run without it is trivially green. *)
 
 open Helpers
 module Workload = Bench_grammars.Workload
 module RtG = Runtime.Generated
 
 let spec_exn name =
-  match Fuzz.Driver.find_spec name with
+  match Bench_grammars.Specs.find name with
   | Some s -> s
   | None -> Alcotest.failf "no bench spec %s" name
 
-let bench_names =
-  [ "MiniJava"; "RatsC"; "RatsJava"; "MiniVB"; "MiniSQL"; "MiniCSharp" ]
-
-let committed_parser name =
+let generated_parser name =
   match Gen.Registry.find name with
   | Some p -> p
-  | None -> Alcotest.failf "no committed generated parser for %s" name
+  | None -> Alcotest.failf "no generated parser for %s" name
 
 (* ------------------------------------------------------------------ *)
-(* Committed parsers vs the interpreter over workload corpora          *)
+(* Generated parsers vs the interpreter over workload corpora          *)
 
-let corpus_agreement name =
+let corpus_agreement (spec : Workload.spec) =
+  let name = spec.Workload.name in
   test (Printf.sprintf "%s: generated agrees with Interp on corpus" name)
     (fun () ->
-      let spec = spec_exn name in
       let cw = Workload.compile spec in
       let env = Workload.env_of_spec spec in
-      let (module P : RtG.PARSER) = committed_parser name in
+      let (module P : RtG.PARSER) = generated_parser name in
       let corpus = Workload.build_corpus cw ~target_tokens:2_000 in
       List.iter
         (fun text ->
@@ -63,19 +60,45 @@ let corpus_agreement name =
 (* The generated module's embedded vocabulary must match the compiled
    grammar's interning, or token ids in emitted match arms mean the wrong
    terminal. *)
-let vocabulary_matches name =
+let vocabulary_matches (spec : Workload.spec) =
+  let name = spec.Workload.name in
   test (Printf.sprintf "%s: embedded vocabulary matches compile" name)
     (fun () ->
-      let spec = spec_exn name in
       let cw = Workload.compile spec in
       let sym = Llstar.Compiled.sym cw.Workload.c in
-      let (module P : RtG.PARSER) = committed_parser name in
+      let (module P : RtG.PARSER) = generated_parser name in
       check int "terminal count" (Grammar.Sym.num_terms sym)
         (Array.length P.token_names);
       Array.iteri
         (fun i n -> check string (Printf.sprintf "term %d" i)
             (Grammar.Sym.term_name sym i) n)
         P.token_names)
+
+(* The registry holds exactly one generated parser per bench grammar, in
+   Specs order, each emitted from that grammar: its name matches and its
+   rule names are the compiled grammar's rule interning, which
+   {!RtG.rebuild_sym} relies on to reconstruct ids. *)
+let registry_matches_specs =
+  test "registry: one generated parser per bench grammar" (fun () ->
+      check (Alcotest.list string) "registry names in Specs order"
+        (List.map (fun (s : Workload.spec) -> s.Workload.name)
+           Bench_grammars.Specs.all)
+        (List.map fst Gen.Registry.parsers);
+      List.iter
+        (fun (spec : Workload.spec) ->
+          let name = spec.Workload.name in
+          let (module P : RtG.PARSER) = generated_parser name in
+          check string (name ^ " grammar_name") name P.grammar_name;
+          let sym = Llstar.Compiled.sym (Workload.compile spec).Workload.c in
+          check int (name ^ " rule count") (Grammar.Sym.num_nonterms sym)
+            (Array.length P.rule_names);
+          Array.iteri
+            (fun i n ->
+              check string
+                (Printf.sprintf "%s rule %d" name i)
+                (Grammar.Sym.nonterm_name sym i) n)
+            P.rule_names)
+        Bench_grammars.Specs.all)
 
 (* ------------------------------------------------------------------ *)
 (* Exec backend vs Interp on random grammars (both decision plans)     *)
@@ -122,77 +145,27 @@ let props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Determinism and freshness of the committed sources                  *)
+(* Emission determinism                                               *)
 
-(* Mirror bin/main.ml's codegen --bench path: same lexer hint and grammar
-   text, so the emitted text is exactly what `antlrkit codegen` writes. *)
-let emit_for name =
-  let spec = spec_exn name in
+(* Mirror lib/gen/emit: same lexer hint and grammar text, so the emitted
+   text is exactly what the build compiles. *)
+let emit_for (spec : Workload.spec) =
   let cw = Workload.compile spec in
   match
     Codegen.Lower.lower ~lexer:spec.Workload.lexer_config
       ~grammar_text:spec.Workload.grammar_text cw.Workload.c
   with
-  | Error m -> Alcotest.failf "lower %s: %s" name m
+  | Error m -> Alcotest.failf "lower %s: %s" spec.Workload.name m
   | Ok ir -> Codegen.Emit_ocaml.emit ir
-
-let find_up rel =
-  let rec go dir depth =
-    if depth > 5 then None
-    else
-      let cand = Filename.concat dir rel in
-      if Sys.file_exists cand then Some cand
-      else
-        let parent = Filename.dirname dir in
-        if parent = dir then None else go parent (depth + 1)
-  in
-  go (Sys.getcwd ()) 0
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let gen_module_file name =
-  let slug =
-    match name with
-    | "MiniJava" -> "gen_mini_java"
-    | "RatsC" -> "gen_rats_c"
-    | "RatsJava" -> "gen_rats_java"
-    | "MiniVB" -> "gen_mini_vb"
-    | "MiniSQL" -> "gen_mini_sql"
-    | "MiniCSharp" -> "gen_mini_csharp"
-    | other -> Alcotest.failf "no committed module mapping for %s" other
-  in
-  slug ^ ".ml"
 
 let determinism_tests =
   [
     test "emission is deterministic (lower + emit twice)" (fun () ->
         List.iter
-          (fun name ->
-            check bool (name ^ " byte-identical") true
-              (String.equal (emit_for name) (emit_for name)))
-          bench_names);
-    test "committed lib/gen sources match regeneration" (fun () ->
-        match find_up "lib/gen" with
-        | None -> () (* sandboxed run without the source tree *)
-        | Some dir ->
-            List.iter
-              (fun name ->
-                let path = Filename.concat dir (gen_module_file name) in
-                if not (Sys.file_exists path) then
-                  Alcotest.failf "missing committed parser %s" path;
-                if not (String.equal (read_file path) (emit_for name)) then
-                  Alcotest.failf
-                    "%s is stale: regenerate with `dune exec antlrkit -- \
-                     codegen --bench %s -o lib/gen --parser-only --module \
-                     %s`"
-                    path name
-                    (Filename.remove_extension (gen_module_file name)))
-              bench_names);
+          (fun (spec : Workload.spec) ->
+            check bool (spec.Workload.name ^ " byte-identical") true
+              (String.equal (emit_for spec) (emit_for spec)))
+          Bench_grammars.Specs.all);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -241,9 +214,12 @@ let replay_tests =
 
 let suite =
   [
-    ("codegen: corpus agreement", List.map corpus_agreement bench_names);
-    ("codegen: vocabulary", List.map vocabulary_matches bench_names);
+    ( "codegen: corpus agreement",
+      List.map corpus_agreement Bench_grammars.Specs.all );
+    ( "codegen: vocabulary",
+      List.map vocabulary_matches Bench_grammars.Specs.all
+      @ [ registry_matches_specs ] );
     ("codegen: random grammars", props);
-    ("codegen: determinism + freshness", determinism_tests);
+    ("codegen: determinism", determinism_tests);
     ("codegen: reproducer replay", replay_tests);
   ]

@@ -184,16 +184,6 @@ let digest_of ?pool src =
   Llstar.Compiled_cache.payload_digest
     (Llstar.Compiled.of_source_exn ?pool src)
 
-let bench_specs : Bench_grammars.Workload.spec list =
-  [
-    Bench_grammars.Mini_java.spec;
-    Bench_grammars.Rats_c.spec;
-    Bench_grammars.Rats_java.spec;
-    Bench_grammars.Mini_vb.spec;
-    Bench_grammars.Mini_sql.spec;
-    Bench_grammars.Mini_csharp.spec;
-  ]
-
 let determinism_tests =
   [
     Alcotest.test_case "bench grammars: pooled compile digest = sequential"
@@ -211,7 +201,7 @@ let determinism_tests =
                       (digest_of ~pool
                          spec.Bench_grammars.Workload.grammar_text)))
               [ 2; 4 ])
-          bench_specs);
+          Bench_grammars.Specs.all);
     (let rand_opts =
        {
          Llstar.Analysis.default_options with

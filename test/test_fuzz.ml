@@ -261,25 +261,10 @@ let oracle_tests =
 (* ------------------------------------------------------------------ *)
 (* Corpus replay: every committed reproducer must stay fixed           *)
 
-(* Tests run from _build/default/test; walk upward to find the checked-in
-   corpus directory.  Absent directory (e.g. sandboxed run): trivially
-   green. *)
-let find_corpus_dir () =
-  let rec go dir depth =
-    if depth > 5 then None
-    else
-      let cand = Filename.concat dir "fuzz-corpus" in
-      if Sys.file_exists cand && Sys.is_directory cand then Some cand
-      else
-        let parent = Filename.dirname dir in
-        if parent = dir then None else go parent (depth + 1)
-  in
-  go (Sys.getcwd ()) 0
-
 let replay_tests =
   [
     test "committed reproducers no longer diverge" (fun () ->
-        match find_corpus_dir () with
+        match find_up "fuzz-corpus" with
         | None -> ()
         | Some dir ->
             let oracles = Hashtbl.create 8 in
@@ -290,7 +275,9 @@ let replay_tests =
                   match Fuzz.Driver.read_reproducer path with
                   | Error m -> Alcotest.fail m
                   | Ok rp -> (
-                      match Fuzz.Driver.find_spec rp.Fuzz.Driver.rp_grammar with
+                      match
+                        Bench_grammars.Specs.find rp.Fuzz.Driver.rp_grammar
+                      with
                       | None ->
                           Alcotest.failf "%s: unknown grammar %s" file
                             rp.Fuzz.Driver.rp_grammar

@@ -219,14 +219,7 @@ let validate_tests =
             in
             check int (spec.name ^ " has no errors") 0
               (List.length (Grammar.Validate.errors g)))
-          [
-            Bench_grammars.Mini_java.spec;
-            Bench_grammars.Rats_c.spec;
-            Bench_grammars.Rats_java.spec;
-            Bench_grammars.Mini_sql.spec;
-            Bench_grammars.Mini_vb.spec;
-            Bench_grammars.Mini_csharp.spec;
-          ]);
+          Bench_grammars.Specs.all);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -12,16 +12,6 @@
 open Helpers
 module Workload = Bench_grammars.Workload
 
-let all_specs =
-  [
-    Bench_grammars.Mini_java.spec;
-    Bench_grammars.Rats_c.spec;
-    Bench_grammars.Rats_java.spec;
-    Bench_grammars.Mini_sql.spec;
-    Bench_grammars.Mini_vb.spec;
-    Bench_grammars.Mini_csharp.spec;
-  ]
-
 let eager_cache = Hashtbl.create 8
 
 let eager_of (spec : Workload.spec) =
@@ -313,5 +303,6 @@ let concurrency_tests =
 let suite =
   [
     ( "lazy_dfa",
-      small_cases @ concurrency_tests @ List.concat_map per_grammar all_specs );
+      small_cases @ concurrency_tests
+      @ List.concat_map per_grammar Bench_grammars.Specs.all );
   ]

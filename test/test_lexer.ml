@@ -17,16 +17,6 @@ open Helpers
 module Workload = Bench_grammars.Workload
 module L = Runtime.Lexer_engine
 
-let specs =
-  [
-    Bench_grammars.Mini_java.spec;
-    Bench_grammars.Rats_c.spec;
-    Bench_grammars.Rats_java.spec;
-    Bench_grammars.Mini_sql.spec;
-    Bench_grammars.Mini_vb.spec;
-    Bench_grammars.Mini_csharp.spec;
-  ]
-
 (* One compiled grammar and its seed-1 corpus texts per spec, shared by
    every test here.  Corpus generation draws from [Random], whose
    algorithm changed in OCaml 5, so the texts differ between compiler
@@ -38,7 +28,7 @@ let corpora =
          let cw = Workload.compile spec in
          let corpus = Workload.build_corpus ~seed:1 ~target_tokens:20000 cw in
          (cw, corpus.Workload.texts))
-       specs)
+       Bench_grammars.Specs.all)
 
 (* A 48-bit linear congruential generator: unlike [Random], the same
    sequence on every compiler. *)
@@ -184,8 +174,8 @@ let golden_samples =
     ("MiniJava", "53b28076e7f05f3cb9366a25b21eda48");
     ("RatsC", "99e510c2cf822198e722f0f0708c68ae");
     ("RatsJava", "cd73e0527509ff539ac4ea7244ea6c11");
-    ("MiniSQL", "f10e60c187269394358413f8f6933acb");
     ("MiniVB", "d7d8ff3bcb5cf21284fb5b12f3d087f1");
+    ("MiniSQL", "f10e60c187269394358413f8f6933acb");
     ("MiniCSharp", "621c9607dc45ed0e9512da7dfbaf17b9");
   ]
 
@@ -195,8 +185,8 @@ let golden_corpora =
     ("MiniJava", "577c2203cb81aba78ed82db0faafd753");
     ("RatsC", "1c28ba982d667306e367e285df5d3ab3");
     ("RatsJava", "9dc45ffcc7417fe748d5c3673c934ffe");
-    ("MiniSQL", "39e3ec10a9ba71783c94b271790e04e9");
     ("MiniVB", "384da4900eb5afd2973a9be3c06190e7");
+    ("MiniSQL", "39e3ec10a9ba71783c94b271790e04e9");
     ("MiniCSharp", "6c4782ea28a72e86e909628905fb7616");
   ]
 
