@@ -1,6 +1,6 @@
 (* Benchmark harness entry point: regenerates every table and figure of the
    paper's evaluation (section 6) plus the comparison/ablation benches
-   listed in DESIGN.md.  Run a subset with
+   listed in DESIGN.md, and the tracing-overhead check.  Run a subset with
 
      dune exec bench/main.exe -- table1 fig2 speed
 
@@ -22,15 +22,7 @@ let all_benches : (string * string * (unit -> unit)) list =
     ("memo", "Section 6.2: memoization ablation", Comparisons.memo);
     ("complexity", "Sections 1/7: LL(*) vs Earley growth", Comparisons.complexity);
     ("ablate", "Ablations: recursion bound m, fallback strategy", Comparisons.ablate);
-    ("startup", "Cold vs warm startup: lazy DFAs and the compilation cache", Startup.run);
-    ("sets", "Hot-path sets: interned bitsets vs the string-set reference", Sets.run);
-    ("parallel", "Multicore scaling: parallel analysis and batched parsing", Parallel.run);
-    ("codegen", "Generated parsers vs the ATN/DFA interpreter", Codegen.run);
-    ("serve", "Parse service under concurrent line-JSON load", Serve_bench.run);
-    ("stream", "Streaming pipeline: sliding windows vs materialized", Stream.run);
-    ("fuzz", "Differential fuzzing oracle throughput", Fuzzing.run);
     ("obs", "Tracing overhead: null sink is free, ring sink per-event", Overhead.run);
-    ("bechamel", "Bechamel microbenchmarks", Micro.run);
   ]
 
 let () =

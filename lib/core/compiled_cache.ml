@@ -113,8 +113,8 @@ let of_payload ((c, engines) : payload) : Compiled.t =
    their canonical portable form, which is discovery-order independent --
    two compilations of the same grammar agree on this digest iff they
    produced the same ATN, DFAs (or materialized lazy state set), warnings
-   and report: the determinism oracle the parallel-analysis tests and the
-   scaling bench check against the sequential build.
+   and report: the determinism oracle the parallel-analysis tests check
+   against the sequential build.
 
    The digest marshals with [No_sharing]: default marshaling encodes
    *physical* sharing (two structurally equal values whose internal cons

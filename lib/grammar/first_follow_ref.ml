@@ -4,8 +4,7 @@
 
    The live implementation runs the same fixpoints over interned-id bitsets
    (Bitset); this module exists so the differential property tests
-   (test/test_bitset.ml) and the hot-path micro-bench (bench/sets.ml) can
-   compare the two on identical inputs.  Do not add callers: production
+   (test/test_bitset.ml) can compare the two on identical inputs.  Do not add callers: production
    code must use [First_follow]. *)
 
 module SS = Set.Make (String)

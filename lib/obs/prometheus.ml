@@ -16,7 +16,7 @@
    escaped per the spec (backslash, double-quote, newline).  Output is
    deterministic: families in first-registration order, series in
    registration order within a family, [# HELP]/[# TYPE] emitted once per
-   family -- the shape [bench/gate.ml --prom] checks in CI. *)
+   family -- the shape test/test_serve.ml checks on two served scrapes. *)
 
 let sanitize (name : string) : string =
   let b = Bytes.of_string name in

@@ -453,8 +453,8 @@ let do_load h (req : Protocol.request) : Obs.Json.t =
 
 (* ------------------------------------------------------------------ *)
 (* Stats: the same antlrkit-telemetry/2 document shape the benches emit,
-   so existing tooling (gate.exe, jq recipes) reads daemon stats
-   unchanged.  The serve metrics list now carries [Duration] summaries
+   so the same tooling (jq recipes) reads daemon stats and bench
+   telemetry.  The serve metrics list now carries [Duration] summaries
    (p50/p90/p99/max fields) for request/queue/parse latency. *)
 
 let stats_doc h : Obs.Json.t =

@@ -104,3 +104,61 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
+
+(* Occurrences of [sub] in [s], overlapping ones included. *)
+let occurrences (s : string) (sub : string) : int =
+  let n = String.length s and m = String.length sub in
+  let rec go i acc =
+    if i + m > n then acc
+    else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+  in
+  if m = 0 then 0 else go 0 0
+
+(* The non-empty lines of a Prometheus text-format body. *)
+let prom_lines (s : string) : string list =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* A parse verdict comparable across the materialized and streaming
+   paths.  A lex error carries its position, so a streamed scan that
+   fails somewhere else counts as a divergence. *)
+type verdict = Lex_failed of int * int | Parsed of Runtime.Generated.outcome
+
+let verdict_agree a b =
+  match (a, b) with
+  | Lex_failed (l1, c1), Lex_failed (l2, c2) -> l1 = l2 && c1 = c2
+  | Parsed a, Parsed b -> Runtime.Generated.agree a b
+  | Lex_failed _, Parsed _ | Parsed _, Lex_failed _ -> false
+
+let describe_verdict = function
+  | Lex_failed (l, c) -> Printf.sprintf "lex-error@%d:%d" l c
+  | Parsed o -> Runtime.Generated.describe o
+
+(* Lex all of [text] into a pinned array, then run Interp over it; also
+   the token count. *)
+let materialized_verdict ?env ?(config = Runtime.Lexer_engine.default_config)
+    c text : verdict * int =
+  let module Le = Runtime.Lexer_engine in
+  match Le.tokenize config (Llstar.Compiled.sym c) text with
+  | Error e -> (Lex_failed (e.Le.line, e.Le.col), 0)
+  | Ok toks ->
+      (Parsed (Runtime.Generated.interp_outcome ?env c toks), Array.length toks)
+
+(* The chunked lexer feeding a [window]-token sliding stream into Interp.
+   The rest of the input is drained after the verdict, so a lex error
+   anywhere wins, as it does on the materialized path.  Also the tokens
+   produced and the stream's peak resident tokens.  [wrap_pull] lets a
+   caller observe every chunk pull. *)
+let streamed_verdict ?env ?(config = Runtime.Lexer_engine.default_config)
+    ?(wrap_pull = Fun.id) ~window c text : verdict * int * int =
+  let module Le = Runtime.Lexer_engine in
+  let ls = Le.stream config (Llstar.Compiled.sym c) (Le.reader_of_string text) in
+  let ts = Runtime.Token_stream.of_pull ~window (wrap_pull (Le.pull ls)) in
+  let v =
+    match Runtime.Generated.interp_outcome_stream ?env c ts with
+    | exception Le.Lex_error e -> Lex_failed (e.Le.line, e.Le.col)
+    | o -> (
+        match Le.drain ls with
+        | Error e -> Lex_failed (e.Le.line, e.Le.col)
+        | Ok _ -> Parsed o)
+  in
+  (v, Le.produced ls, Runtime.Token_stream.peak_live ts)

@@ -6,9 +6,10 @@
    - the six generated parsers (lib/gen, emitted at build time by the
      dune rules there) agree with the interpreter -- accept/reject, error
      kind and position, consumed token count -- over a freshly built
-     workload corpus; a bench grammar without a generated parser fails,
-     and the registry holds exactly the bench grammars' parsers, each
-     with the compiled grammar's token and rule interning;
+     workload corpus, and so does Interp fed by the chunked lexer through
+     a 256-token sliding window; a bench grammar without a generated
+     parser fails, and the registry holds exactly the bench grammars'
+     parsers, each with the compiled grammar's token and rule interning;
    - the closure-execution backend ({!Codegen.Exec}, which interprets
      the IR with the exact control flow the emitter prints) agrees with
      the interpreter on qcheck-random grammars and random token strings,
@@ -54,7 +55,16 @@ let corpus_agreement (spec : Workload.spec) =
           let want = RtG.interp_outcome ~env cw.Workload.c toks in
           if not (RtG.agree got want) then
             Alcotest.failf "%s diverges on %S: generated=%s interp=%s" name
-              text (RtG.describe got) (RtG.describe want))
+              text (RtG.describe got) (RtG.describe want);
+          let streamed, _, _ =
+            streamed_verdict ~env ~config:spec.Workload.lexer_config
+              ~window:256 cw.Workload.c text
+          in
+          if not (verdict_agree (Parsed want) streamed) then
+            Alcotest.failf "%s diverges on %S: streamed=%s interp=%s" name
+              text
+              (describe_verdict streamed)
+              (RtG.describe want))
         corpus.Workload.texts)
 
 (* The generated module's embedded vocabulary must match the compiled

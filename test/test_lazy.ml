@@ -210,29 +210,37 @@ let concurrency_tests =
           seq_digest
           (Llstar.Compiled_cache.payload_digest cl));
     test "warm-saved blob digest: parallel batch = sequential" (fun () ->
-        let spec = Bench_grammars.Mini_sql.spec in
-        let cw = eager_of spec in
-        let corpus = Workload.build_corpus cw ~target_tokens:800 in
-        let env = Workload.env_of_spec spec in
-        let digest_after ~jobs =
-          let cl = lazy_compile spec in
-          let inputs =
-            List.mapi
-              (fun i text ->
-                { Runtime.Batch.name = string_of_int i; text })
-              corpus.Workload.texts
-          in
-          Exec.Pool.with_pool ~jobs (fun pool ->
-              ignore (Runtime.Batch.run ~pool ~env cl inputs));
-          Llstar.Compiled_cache.payload_digest cl
-        in
-        let seq = digest_after ~jobs:1 in
         List.iter
-          (fun jobs ->
-            check string
-              (Printf.sprintf "digest jobs=%d" jobs)
-              seq (digest_after ~jobs))
-          [ 2; 4 ]);
+          (fun (spec : Workload.spec) ->
+            let cw = eager_of spec in
+            let corpus = Workload.build_corpus cw ~target_tokens:800 in
+            let env = Workload.env_of_spec spec in
+            let config = spec.Workload.lexer_config in
+            let inputs =
+              List.mapi
+                (fun i text -> { Runtime.Batch.name = string_of_int i; text })
+                corpus.Workload.texts
+            in
+            let digest_after ~jobs =
+              let cl = lazy_compile spec in
+              Exec.Pool.with_pool ~jobs (fun pool ->
+                  Array.iter
+                    (fun (r : Runtime.Batch.result_) ->
+                      if not (Runtime.Batch.outcome_ok r.Runtime.Batch.outcome)
+                      then
+                        Alcotest.failf "%s input %s did not parse"
+                          spec.Workload.name r.Runtime.Batch.input.name)
+                    (Runtime.Batch.run ~pool ~config ~env cl inputs));
+              Llstar.Compiled_cache.payload_digest cl
+            in
+            let seq = digest_after ~jobs:1 in
+            List.iter
+              (fun jobs ->
+                check string
+                  (Printf.sprintf "%s digest jobs=%d" spec.Workload.name jobs)
+                  seq (digest_after ~jobs))
+              [ 2; 4 ])
+          Bench_grammars.Specs.all);
     qtest ~count:40 "random grammars: parallel lazy verdicts = sequential"
       (QCheck.pair Test_props.arb_grammar
          (QCheck.list_of_size (QCheck.Gen.int_range 1 8)

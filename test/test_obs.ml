@@ -566,17 +566,6 @@ let mono_tests =
 (* ------------------------------------------------------------------ *)
 (* Prometheus renderer *)
 
-let occurrences (s : string) (sub : string) : int =
-  let n = String.length s and m = String.length sub in
-  let rec go i acc =
-    if i + m > n then acc
-    else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
-  in
-  if m = 0 then 0 else go 0 0
-
-let prom_lines (s : string) : string list =
-  List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
-
 (* A scrape fixture with all three metric kinds, multiple series per
    family, and a label value that needs escaping. *)
 let prom_registry () =

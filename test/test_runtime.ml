@@ -66,6 +66,67 @@ let stream_tests =
 
 module Ts = Runtime.Token_stream
 
+(* Both [stmt] alternatives match an unbounded [ID ('[' expr ']')*]
+   prefix; only the token after it ('=' or ';') picks one, so in PEG mode
+   every statement speculates over its whole prefix.  That is the worst
+   case for a sliding window: the speculation's mark pins it for the
+   whole statement. *)
+let stream_scale_grammar =
+  {|
+grammar StreamScale;
+options { backtrack=true; memoize=true; }
+
+prog : stmt* ;
+
+stmt
+  : lvalue '=' expr ';'
+  | expr ';'
+  ;
+
+lvalue : ID ('[' expr ']')* ;
+
+expr : term (('+' | '-') term)* ;
+
+term : atom (('*' | '/') atom)* ;
+
+atom
+  : ID ('[' expr ']')*
+  | INT
+  | '(' expr ')'
+  ;
+|}
+
+(* [n] statements, alternating assignment and bare expression, both
+   opening with the same 11-token indexed-lvalue prefix (14 tokens per
+   statement on average). *)
+let stream_scale_text (n : int) : string =
+  let b = Buffer.create (n * 48) in
+  for i = 0 to n - 1 do
+    if i land 1 = 0 then Buffer.add_string b "x [ i + 1 ] [ j * 2 ] = y + 3 ;\n"
+    else Buffer.add_string b "x [ i + 1 ] [ j * 2 ] ;\n"
+  done;
+  Buffer.contents b
+
+(* [streamed_verdict] plus the largest live heap sampled during the parse,
+   as words over a full-major floor taken before it.  The heap is sampled
+   every 64 chunk pulls and once after the parse. *)
+let streamed_sampled ~window c text =
+  Gc.full_major ();
+  let floor = (Gc.stat ()).Gc.live_words in
+  let sampled = ref floor and pulls = ref 0 in
+  let sample () =
+    Gc.full_major ();
+    sampled := max !sampled (Gc.stat ()).Gc.live_words
+  in
+  let wrap_pull pull () =
+    incr pulls;
+    if !pulls land 63 = 0 then sample ();
+    pull ()
+  in
+  let v, n, peak = streamed_verdict ~wrap_pull ~window c text in
+  sample ();
+  (v, n, peak, !sampled - floor)
+
 let streaming_tests =
   [
     test "sliding window sees the same tokens as the array" (fun () ->
@@ -162,6 +223,42 @@ let streaming_tests =
               true
               (Runtime.Generated.agree mat str))
           [ "x ;"; "a ( b ) ;"; "a ( b ( c ) ) ;"; "a ( b ( c ] ] ;" ]);
+    test "stream scale: 100x input keeps resident tokens and live words flat"
+      (fun () ->
+        let c = compile stream_scale_grammar in
+        let window = 512 in
+        let leg stmts =
+          let text = stream_scale_text stmts in
+          let mat, mat_tokens = materialized_verdict c text in
+          check int (Printf.sprintf "%d statements lex" stmts) (14 * stmts)
+            mat_tokens;
+          check bool
+            (Printf.sprintf "%d statements accepted" stmts)
+            true
+            (match mat with Parsed o -> o.Runtime.Generated.ok | _ -> false);
+          let str, str_tokens, peak, live = streamed_sampled ~window c text in
+          check bool
+            (Printf.sprintf "%d statements: streamed %s = materialized %s"
+               stmts (describe_verdict str) (describe_verdict mat))
+            true (verdict_agree mat str);
+          check int (Printf.sprintf "%d statements: token count" stmts)
+            mat_tokens str_tokens;
+          (peak, live)
+        in
+        let _, live_1x = leg 80 in
+        let peak_100x, live_100x = leg 8_000 in
+        (* resident tokens are bounded by the window, not the input *)
+        check bool
+          (Printf.sprintf "peak_live %d <= 2 x window" peak_100x)
+          true
+          (peak_100x <= 2 * window);
+        (* the live heap does not grow with the input: 131072 words
+           (1 MiB) of slack for allocator noise *)
+        check bool
+          (Printf.sprintf "live words +%d at 100x <= 2 x +%d at 1x + 131072"
+             live_100x live_1x)
+          true
+          (live_100x <= (2 * live_1x) + 131072));
   ]
 
 (* ------------------------------------------------------------------ *)

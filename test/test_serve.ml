@@ -320,6 +320,85 @@ let handler_tests =
 (* Telemetry surface: the metrics/health/ready ops, latency summaries in
    the stats doc, and the tail-sampled slow-request log. *)
 
+(* A Prometheus text-format scrape: each family's declared type, and
+   every series as "name{labels}" and its value.  The value follows the
+   last space; no timestamps are rendered. *)
+let prom_scrape (body : string) :
+    (string * string) list * (string * float) list =
+  List.fold_right
+    (fun l (types, series) ->
+      match String.split_on_char ' ' l with
+      | [ "#"; "TYPE"; fam; ty ] -> ((fam, ty) :: types, series)
+      | "#" :: _ -> (types, series)
+      | _ -> (
+          let i = String.rindex l ' ' in
+          let v = String.sub l (i + 1) (String.length l - i - 1) in
+          match float_of_string_opt v with
+          | Some f -> (types, (String.sub l 0 i, f) :: series)
+          | None -> Alcotest.failf "bad value in %S" l))
+    (prom_lines body) ([], [])
+
+(* The family a series name belongs to: itself if declared, else the
+   name without its histogram/summary suffix. *)
+let prom_family types name =
+  List.find_opt
+    (fun f -> List.mem_assoc f types)
+    (name
+    :: List.filter_map
+         (fun suf ->
+           if Filename.check_suffix name suf then
+             Some (Filename.chop_suffix name suf)
+           else None)
+         [ "_bucket"; "_sum"; "_count" ])
+
+(* The metric name of a series key: the text before its labels. *)
+let prom_name key =
+  match String.index_opt key '{' with
+  | Some i -> String.sub key 0 i
+  | None -> key
+
+(* Series whose value never decreases while the daemon lives: counters,
+   histogram buckets and counts, summary counts. *)
+let prom_monotone types key =
+  let name = prom_name key in
+  let ends suf = Filename.check_suffix name suf in
+  match Option.map (fun f -> List.assoc f types) (prom_family types name) with
+  | Some "counter" -> true
+  | Some "histogram" -> ends "_bucket" || ends "_count"
+  | Some "summary" -> ends "_count"
+  | _ -> false
+
+let metrics_body h =
+  match get "body" (handle_ok h (req [ ("op", Json.str "metrics") ])) with
+  | Json.String body -> body
+  | _ -> Alcotest.fail "metrics body not a string"
+
+(* One served scrape's shape: one HELP and one TYPE per family, every
+   series in a declared family, no duplicate series. *)
+let check_scrape_shape label body =
+  let types, series = prom_scrape body in
+  check bool (label ^ ": has series") true (series <> []);
+  List.iter
+    (fun (fam, _) ->
+      check int
+        (Printf.sprintf "%s: %s HELP once" label fam)
+        1
+        (occurrences body (Printf.sprintf "# HELP %s " fam));
+      check int
+        (Printf.sprintf "%s: %s TYPE once" label fam)
+        1
+        (occurrences body (Printf.sprintf "# TYPE %s " fam)))
+    types;
+  List.iter
+    (fun (key, _) ->
+      if prom_family types (prom_name key) = None then
+        Alcotest.failf "%s: series %s has no # TYPE" label key)
+    series;
+  let keys = List.map fst series in
+  check int (label ^ ": no duplicate series") (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  (types, series)
+
 let telemetry_op_tests =
   [
     test "metrics op serves Prometheus text after a parse" (fun () ->
@@ -392,6 +471,32 @@ let telemetry_op_tests =
                 check bool "p50 present" true (Json.member "p50_us" v <> None);
                 check bool "p99 present" true (Json.member "p99_us" v <> None))
               durations));
+    test "two metrics scrapes: well-formed, counters never decrease"
+      (fun () ->
+        with_handler (fun h ->
+            ignore (handle_ok h (parse_req "A B"));
+            ignore
+              (handle_ok h
+                 (parse_req ~backend:"generated" ~grammar:"MiniJava"
+                    "package p; class A { int x; }"));
+            let types1, series1 =
+              check_scrape_shape "scrape 1" (metrics_body h)
+            in
+            ignore (handle_ok h (parse_req "A C"));
+            ignore (handle_ok h (parse_req "A A"));
+            let _, series2 = check_scrape_shape "scrape 2" (metrics_body h) in
+            let monotone =
+              List.filter (fun (k, _) -> prom_monotone types1 k) series1
+            in
+            check bool "monotone series exist" true (monotone <> []);
+            List.iter
+              (fun (key, v1) ->
+                match List.assoc_opt key series2 with
+                | None -> Alcotest.failf "series %s vanished from scrape 2" key
+                | Some v2 ->
+                    if v2 < v1 then
+                      Alcotest.failf "%s went backwards (%g -> %g)" key v1 v2)
+              monotone));
   ]
 
 (* Handler with an armed slow log writing to a temp file. *)
