@@ -25,7 +25,13 @@
    the subset construction manipulates these sets on every closure and
    every discovered state, and the flat representation keeps that
    bookkeeping allocation-light.  Closures of already-seen seed
-   configurations are memoized per builder (see [closure]). *)
+   configurations are memoized per builder (see [closure]).
+
+   Table keys: the dedup table, the closure memo and the closure walk's
+   busy set hash the whole key -- every configuration of a set, every
+   field of a configuration -- with [Config.hash], and call stacks are
+   hash-consed per builder ([Config.Stack]), so hashing and comparing a
+   configuration costs O(1) whatever its stack depth. *)
 
 type warning =
   | Ambiguity of { decision : int; alts : int list; path : int list }
@@ -99,16 +105,33 @@ type closure_memo_entry = {
   cm_rec_alts : int list;
 }
 
+(* DFA-state identity: a canonical configuration set with its hash,
+   computed once per discovered set. *)
+type set_key = { set : Config.t list; set_hash : int }
+
+module Dedup = Hashtbl.Make (struct
+  type t = set_key
+
+  let equal a b =
+    a.set_hash = b.set_hash && List.equal Config.equal a.set b.set
+  let hash k = k.set_hash
+end)
+
+let set_key set = { set; set_hash = Config.hash_list set }
+
 type builder = {
   atn : Atn.t;
   opts : options;
   decision : Atn.decision;
   mutable states : wstate list; (* reversed *)
   mutable nstates : int;
-  dedup : (Config.t list, int) Hashtbl.t;
+  dedup : wstate Dedup.t;
   by_id : (int, wstate) Hashtbl.t; (* state id -> state, for O(1) lookup *)
   recursive_alts : Bitset.t; (* universe: d_nalts + 1 *)
-  closure_memo : (Config.t, closure_memo_entry) Hashtbl.t;
+  stacks : Config.Stack.table; (* hash-consed call stacks *)
+  closure_memo : closure_memo_entry Config.Tbl.t;
+  busy : unit Config.Tbl.t;
+    (* one seed's closure walk; cleared between seeds, never shared *)
   mutable warnings : warning list;
   mutable uses_synpred : bool;
   mutable allow_multi_recursion : bool;
@@ -116,6 +139,7 @@ type builder = {
        continue with the Bounded strategy instead of restarting *)
 }
 
+let busy_initial = 64
 let alt_universe (d : Atn.decision) = d.Atn.d_nalts + 1
 
 let warn b w = b.warnings <- w :: b.warnings
@@ -127,7 +151,7 @@ let warn b w = b.warnings <- w :: b.warnings
    the recursion bound is reached.  The busy set prevents infinite loops
    through epsilon cycles (EBNF loops) and redundant work.
 
-   Each seed's walk is independent (fresh busy set) and deterministic in
+   Each seed's walk is independent (cleared busy set) and deterministic in
    the seed configuration alone, so completed walks are memoized on the
    builder: distinct (state, terminal) steps that move onto the same
    configuration replay its recorded closure instead of re-walking the
@@ -155,14 +179,14 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
      closure passes a nested decision state.  Neither is collected after a
      configuration escapes its alternative's derivation through an
      empty-stack pop. *)
+  let busy = b.busy in
   let run_seed (seed_c : Config.t) =
-    let busy : (Config.t, unit) Hashtbl.t = Hashtbl.create 64 in
     let reached = ref [] in
     let walk_overflow = ref false in
     let rec_alts = ref [] in
     let rec go (c : Config.t) =
-    if not (Hashtbl.mem busy c) then begin
-      Hashtbl.add busy c ();
+    if not (Config.Tbl.mem busy c) then begin
+      Config.Tbl.add busy c ();
       (* Only configurations at *significant* states -- stop states and
          states with outgoing terminal edges -- enter the DFA state's set.
          Pass-through configurations (epsilon, action, predicate and
@@ -189,12 +213,12 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
         (* Submachine stop: pop the return state, or -- with an empty stack,
            the wildcard context -- chase every call site of this rule. *)
         match c.stack with
-        | f :: rest -> go { c with state = f; stack = rest }
-        | [] ->
+        | Push { top = f; rest; _ } -> go { c with state = f; stack = rest }
+        | Empty ->
             let rule = atn.state_rule.(c.state) in
             List.iter
               (fun (follow, _arg) ->
-                go { c with state = follow; stack = []; free = true })
+                go { c with state = follow; stack = Empty; free = true })
               atn.callers.(rule)
       else
         Array.iter
@@ -225,11 +249,7 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
                 go { c with state = tgt; sem }
             | Atn.Rule { rule; arg = _ } ->
                 let follow = tgt in
-                let depth =
-                  List.fold_left
-                    (fun n f -> if f = follow then n + 1 else n)
-                    0 c.stack
-                in
+                let depth = Config.Stack.count follow c.stack in
                 if depth >= 1 then begin
                   rec_alts := c.alt :: !rec_alts;
                   note_recursion c.alt
@@ -246,15 +266,23 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
                     {
                       c with
                       state = atn.rules.(rule).r_entry;
-                      stack = follow :: c.stack;
+                      stack = Config.Stack.push b.stacks follow c.stack;
                     })
           atn.trans.(c.state)
     end
     in
-    go seed_c;
+    (* [clear] costs the table's bucket count: a walk that grew the table
+       past its initial size gives the memory back instead, so later small
+       walks keep clearing a small table. *)
+    Fun.protect
+      ~finally:(fun () ->
+        if Config.Tbl.length busy > 2 * busy_initial then
+          Config.Tbl.reset busy
+        else Config.Tbl.clear busy)
+      (fun () -> go seed_c);
     (* the walk completed: safe to cache *)
     if not collect_preds then
-      Hashtbl.replace b.closure_memo seed_c
+      Config.Tbl.replace b.closure_memo seed_c
         {
           cm_reached = !reached;
           cm_overflow = !walk_overflow;
@@ -266,7 +294,7 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
   List.iter
     (fun c ->
       match
-        if collect_preds then None else Hashtbl.find_opt b.closure_memo c
+        if collect_preds then None else Config.Tbl.find_opt b.closure_memo c
       with
       | Some e ->
           List.iter note_recursion e.cm_rec_alts;
@@ -317,7 +345,7 @@ let viable_alts (b : builder) (configs : Config.t list) : Bitset.t =
 (* The conflict set of a configuration set (Definition 7), together with the
    configurations that participate in a conflicting pair. *)
 let conflict_info (b : builder) (configs : Config.t list) :
-    Bitset.t * (Config.t, unit) Hashtbl.t =
+    Bitset.t * unit Config.Tbl.t =
   (* Group by state; within a group, quadratic scan (groups are small). *)
   let by_state = Hashtbl.create 16 in
   List.iter
@@ -327,7 +355,7 @@ let conflict_info (b : builder) (configs : Config.t list) :
       in
       Hashtbl.replace by_state c.state (c :: cur))
     configs;
-  let participants = Hashtbl.create 16 in
+  let participants = Config.Tbl.create 16 in
   let alts = Bitset.create (alt_universe b.decision) in
   Hashtbl.iter
     (fun _ group ->
@@ -337,8 +365,8 @@ let conflict_info (b : builder) (configs : Config.t list) :
             List.iter
               (fun c' ->
                 if Config.conflicts c c' then begin
-                  Hashtbl.replace participants c ();
-                  Hashtbl.replace participants c' ();
+                  Config.Tbl.replace participants c ();
+                  Config.Tbl.replace participants c' ();
                   Bitset.add alts c.Config.alt;
                   Bitset.add alts c'.Config.alt
                 end)
@@ -348,8 +376,6 @@ let conflict_info (b : builder) (configs : Config.t list) :
       pairs group)
     by_state;
   (alts, participants)
-
-let conflict_set b configs = fst (conflict_info b configs)
 
 (* Try to resolve the alternatives in [alts] with predicates
    (Algorithm 11, resolveWithPreds).  Each alternative needs a
@@ -365,19 +391,9 @@ let conflict_set b configs = fst (conflict_info b configs)
      alternative can actually start with at this state, so a predicate is
      only consulted for inputs on which its alternative is viable (hoisted
      predicates are conjoined with lookahead-membership tests). *)
-let debug_resolve = ref false
-
 let resolve_with_preds (b : builder) (d : wstate)
-    ?(participants : (Config.t, unit) Hashtbl.t = Hashtbl.create 0)
+    ?(participants : unit Config.Tbl.t = Config.Tbl.create 1)
     (alts : Bitset.t) : bool =
-  if !debug_resolve then begin
-    Fmt.epr "[resolve] decision %d state %d alts {%a}@." b.decision.d_id d.id
-      Fmt.(list ~sep:(any ", ") int) (Bitset.elements alts);
-    List.iter
-      (fun (c : Config.t) ->
-        Fmt.epr "  cfg %a@." (Config.pp b.atn.sym) c)
-      d.configs
-  end;
   (* A predicate covers an alternative only when every configuration of that
      alternative that participates in a conflict carries it: a predicate
      hoisted from one derivation branch must not gate inputs that reach the
@@ -387,7 +403,7 @@ let resolve_with_preds (b : builder) (d : wstate)
     let relevant =
       let parts =
         List.filter
-          (fun (c : Config.t) -> c.alt = alt && Hashtbl.mem participants c)
+          (fun (c : Config.t) -> c.alt = alt && Config.Tbl.mem participants c)
           d.configs
       in
       if parts <> [] then parts
@@ -471,7 +487,7 @@ let resolve (b : builder) (d : wstate) : unit =
       let doomed (c : Config.t) =
         c.alt <> keep
         && Bitset.mem target_alts c.alt
-        && (Hashtbl.mem participants c || Bitset.is_empty conflicts)
+        && (Config.Tbl.mem participants c || Bitset.is_empty conflicts)
       in
       d.configs <- List.filter (fun c -> not (doomed c)) d.configs;
       if d.overflow then
@@ -498,7 +514,8 @@ let fragment_end_alts (b : builder) (configs : Config.t list) : Bitset.t =
   let acc = Bitset.create (alt_universe b.decision) in
   List.iter
     (fun (c : Config.t) ->
-      if c.stack = [] && Atn.is_stop_state atn c.state then begin
+      if c.stack == Config.Stack.empty && Atn.is_stop_state atn c.state
+      then begin
         let rule = atn.state_rule.(c.state) in
         if atn.callers.(rule) = [] then Bitset.add acc c.alt
       end)
@@ -523,8 +540,9 @@ let attach_fragment_end (b : builder) (d : wstate) : unit =
 let state_by_id (b : builder) (id : int) : wstate = Hashtbl.find b.by_id id
 
 let new_wstate (b : builder) ~depth ~path configs overflow : wstate * bool =
-  match Hashtbl.find_opt b.dedup configs with
-  | Some id -> (state_by_id b id, false)
+  let key = set_key configs in
+  match Dedup.find_opt b.dedup key with
+  | Some d -> (d, false)
   | None ->
       if b.nstates >= b.opts.max_states then raise Too_big;
       let d =
@@ -539,7 +557,7 @@ let new_wstate (b : builder) ~depth ~path configs overflow : wstate * bool =
           path;
         }
       in
-      Hashtbl.add b.dedup configs d.id;
+      Dedup.add b.dedup key d;
       Hashtbl.add b.by_id d.id d;
       b.states <- d :: b.states;
       b.nstates <- b.nstates + 1;
@@ -750,10 +768,12 @@ let make_builder atn opts decision ~allow_multi_recursion =
     decision;
     states = [];
     nstates = 0;
-    dedup = Hashtbl.create 64;
+    dedup = Dedup.create 64;
     by_id = Hashtbl.create 64;
     recursive_alts = Bitset.create (alt_universe decision);
-    closure_memo = Hashtbl.create 256;
+    stacks = Config.Stack.create_table ();
+    closure_memo = Config.Tbl.create 256;
+    busy = Config.Tbl.create busy_initial;
     warnings = [];
     uses_synpred = false;
     allow_multi_recursion;
@@ -763,9 +783,13 @@ let make_builder atn opts decision ~allow_multi_recursion =
    from serialized form ([Lazy_dfa.of_portable]).  States must arrive in
    id order so the sequential-id invariant of [new_wstate] holds; the
    dedup and by-id tables are rebuilt here, the closure memo is left cold
-   (it is a pure cache and re-fills on demand). *)
+   (it is a pure cache and re-fills on demand).  Stacks are interned into
+   this builder's table and each set is put back in its canonical order. *)
 let restore_wstate (b : builder) ~configs ~term_edges ~accept ~pred_edges
     ~overflow ~depth ~path : unit =
+  let configs =
+    Config.canonicalize (List.map (Config.of_plain b.stacks) configs)
+  in
   let d =
     {
       id = b.nstates;
@@ -778,16 +802,14 @@ let restore_wstate (b : builder) ~configs ~term_edges ~accept ~pred_edges
       path;
     }
   in
-  Hashtbl.replace b.dedup configs d.id;
+  Dedup.replace b.dedup (set_key configs) d;
   Hashtbl.replace b.by_id d.id d;
   b.states <- d :: b.states;
   b.nstates <- b.nstates + 1
 
 (* Alternatives that no accept state or predicate edge ever predicts can
    never be chosen: dead productions (section 1.1). *)
-let find_dead_alts (b : builder) (dfa : Look_dfa.t) (d : Atn.decision) :
-    warning list =
-  ignore b;
+let find_dead_alts (dfa : Look_dfa.t) (d : Atn.decision) : warning list =
   let predicted = Array.make (d.d_nalts + 1) false in
   Array.iter (fun a -> if a > 0 && a <= d.d_nalts then predicted.(a) <- true) dfa.accept;
   Array.iter
@@ -806,18 +828,28 @@ let classify (dfa : Look_dfa.t) : decision_class =
   else if dfa.cyclic then Cyclic
   else Fixed (match dfa.max_k with Some k -> k | None -> 1)
 
-let analyze_decision ?(opts = default_options) (atn : Atn.t)
-    (decision : Atn.decision) : result =
+(* Analyze one decision; also returns the analysis effort, the number of
+   DFA states built across every attempt -- the full construction, the
+   [Bounded] retry and the LL(1) fallback -- including attempts abandoned
+   as non-LL-regular or too big.  It is deterministic, unlike wall time. *)
+let analyze_decision_effort ?(opts = default_options) (atn : Atn.t)
+    (decision : Atn.decision) : result * int =
   let post dfa = if opts.minimize then Minimize.minimize dfa else dfa in
-  let b = make_builder atn opts decision ~allow_multi_recursion:false in
+  let builders = ref [] in
+  let new_builder opts ~allow_multi_recursion =
+    let b = make_builder atn opts decision ~allow_multi_recursion in
+    builders := b :: !builders;
+    b
+  in
+  let b = new_builder opts ~allow_multi_recursion:false in
   let fall_back_ll1 reason =
     (* the depth-1 DFA is bounded by the alphabet; don't let a tiny state
        budget (the thing that may have sent us here) starve it *)
     let fb_opts = { opts with max_states = max opts.max_states 10_000 } in
-    let fb = make_builder atn fb_opts decision ~allow_multi_recursion:true in
+    let fb = new_builder fb_opts ~allow_multi_recursion:true in
     let dfa = post (create_fallback fb) in
     let warnings =
-      (reason :: List.rev fb.warnings) @ find_dead_alts fb dfa decision
+      (reason :: List.rev fb.warnings) @ find_dead_alts dfa decision
     in
     { dfa; klass = classify dfa; warnings; fallback = true }
   in
@@ -828,29 +860,32 @@ let analyze_decision ?(opts = default_options) (atn : Atn.t)
      and falls to predicates/order where it cannot; [Ll1] is the paper's
      depth-1 fallback. *)
   let fall_back_bounded reason =
-    let fb = make_builder atn opts decision ~allow_multi_recursion:true in
+    let fb = new_builder opts ~allow_multi_recursion:true in
     match post (create_dfa_exn fb) with
     | dfa ->
         let warnings =
-          (reason :: List.rev fb.warnings) @ find_dead_alts fb dfa decision
+          (reason :: List.rev fb.warnings) @ find_dead_alts dfa decision
         in
         { dfa; klass = classify dfa; warnings; fallback = true }
     | exception Too_big ->
         fall_back_ll1
           (Dfa_too_big { decision = decision.d_id; limit = opts.max_states })
   in
-  match post (create_dfa_exn b) with
-  | dfa ->
-      let warnings = List.rev b.warnings @ find_dead_alts b dfa decision in
-      { dfa; klass = classify dfa; warnings; fallback = false }
-  | exception Non_ll_regular_exn -> (
-      let reason = Non_ll_regular { decision = decision.d_id } in
-      match opts.fallback with
-      | Bounded -> fall_back_bounded reason
-      | Ll1 -> fall_back_ll1 reason)
-  | exception Too_big ->
-      fall_back_ll1
-        (Dfa_too_big { decision = decision.d_id; limit = opts.max_states })
+  let result =
+    match post (create_dfa_exn b) with
+    | dfa ->
+        let warnings = List.rev b.warnings @ find_dead_alts dfa decision in
+        { dfa; klass = classify dfa; warnings; fallback = false }
+    | exception Non_ll_regular_exn -> (
+        let reason = Non_ll_regular { decision = decision.d_id } in
+        match opts.fallback with
+        | Bounded -> fall_back_bounded reason
+        | Ll1 -> fall_back_ll1 reason)
+    | exception Too_big ->
+        fall_back_ll1
+          (Dfa_too_big { decision = decision.d_id; limit = opts.max_states })
+  in
+  (result, List.fold_left (fun n fb -> n + fb.nstates) 0 !builders)
 
 (* Analyze every decision of an ATN.
 
@@ -864,16 +899,19 @@ let analyze_decision ?(opts = default_options) (atn : Atn.t)
    (the report, the compilation-cache payload digest), is byte-identical
    to the sequential build.  Callers must freeze the vocabulary
    ([Grammar.Sym.freeze]) before fanning out; [Compiled.compile] does. *)
-let analyze_all ?opts ?pool (atn : Atn.t) : result array =
+let analyze_all_effort ?opts ?pool (atn : Atn.t) : (result * int) array =
   let opts =
     match opts with
     | Some o -> o
     | None -> options_of_grammar atn.grammar
   in
-  let decide d = analyze_decision ~opts atn d in
+  let decide d = analyze_decision_effort ~opts atn d in
   match pool with
   | Some p when Exec.Pool.jobs p > 1 -> Exec.Pool.map_array p decide atn.decisions
   | _ -> Array.map decide atn.decisions
+
+let analyze_all ?opts ?pool atn =
+  Array.map fst (analyze_all_effort ?opts ?pool atn)
 
 (* ------------------------------------------------------------------ *)
 

@@ -96,10 +96,11 @@ let compile ?analysis_opts ?grammar_source ?pool ?(strategy = Eager)
                 | None -> Analysis.options_of_grammar prepared
               in
               let t0 = Unix.gettimeofday () in
-              let results, engines =
+              let results, states_built, engines =
                 match strategy with
                 | Eager ->
-                    (Analysis.analyze_all ~opts ?pool atn, None)
+                    let r = Analysis.analyze_all_effort ~opts ?pool atn in
+                    (Array.map fst r, Array.map snd r, None)
                 | Lazy ->
                     (* Engine creation only builds each decision's start
                        state; they are independent, so the fan-out is the
@@ -111,7 +112,9 @@ let compile ?analysis_opts ?grammar_source ?pool ?(strategy = Eager)
                           Exec.Pool.map_array p mk atn.Atn.decisions
                       | _ -> Array.map mk atn.Atn.decisions
                     in
-                    (Array.map Lazy_dfa.result engines, Some engines)
+                    ( Array.map Lazy_dfa.result engines,
+                      Array.map Lazy_dfa.states_built engines,
+                      Some engines )
               in
               let dt = Unix.gettimeofday () -. t0 in
               let grammar_lines =
@@ -120,7 +123,8 @@ let compile ?analysis_opts ?grammar_source ?pool ?(strategy = Eager)
                 | None -> 0
               in
               let report =
-                Report.build ~grammar_lines ~analysis_time:dt atn results
+                Report.build ~grammar_lines ~analysis_time:dt ~states_built atn
+                  results
               in
               Ok
                 {

@@ -36,8 +36,12 @@
    v3: lazy engines are serialized as [Lazy_dfa.portable] (canonical,
    discovery-order independent) alongside an engine-stripped [Compiled.t]
    instead of being marshaled live -- live engines now carry a mutex and
-   an atomic, which do not marshal. *)
-let format_version = 3
+   an atomic, which do not marshal.
+   v4: [Report.decision_report] gained [states_built], lazy engines carry
+   [p_retired_states], and serialized configurations are
+   [Config.Plain.t] (same shape as the old [Config.t]; live
+   configurations now hold hash-consed stacks). *)
+let format_version = 4
 
 let magic = "ANTLRKIT-CACHE\n"
 

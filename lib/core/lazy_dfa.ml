@@ -16,7 +16,7 @@
    whether or not multi-alternative recursion has been observed yet, so
    every state the engine materializes is exactly the state the eager
    construction (or its Bounded retry) would have built.  The fallback
-   ladder mirrors [Analysis.analyze_decision]:
+   ladder mirrors [Analysis.analyze_decision_effort]:
 
    - recursion in more than one alternative under the [Bounded] strategy
      flips the builder's [allow_multi_recursion] flag and keeps going --
@@ -24,7 +24,7 @@
      the ones the eager retry would rebuild;
    - under the [Ll1] strategy, or when the DFA state budget is exhausted,
      the engine abandons incremental construction and installs the result
-     of the full eager [analyze_decision] chain ([Rebuilt]).
+     of the full eager [analyze_decision_effort] chain ([Rebuilt]).
 
    [complete] drives the remaining work-list to exhaustion in the same BFS
    order as the eager construction; on a fresh engine it reproduces the
@@ -88,6 +88,9 @@ type t = {
      abandon-to-eager events, surfaced in telemetry snapshots *)
   mutable sprouted : int;
   mutable rebuilds : int;
+  mutable retired_states : int;
+    (* states built by builders no longer live: the abandoned incremental
+       one and the eager rebuild's attempts, or a completed builder *)
 }
 
 let snapshot_of_builder t (b : Analysis.builder) : Analysis.result =
@@ -121,9 +124,20 @@ let note_non_ll_regular t =
   if not (List.mem w t.pre_warnings) then
     t.pre_warnings <- t.pre_warnings @ [ w ]
 
+(* Count the live builder's states as retired; the caller then drops it.
+   Caller holds the lock. *)
+let retire t =
+  match t.phase with
+  | Building b -> t.retired_states <- t.retired_states + b.Analysis.nstates
+  | Done -> ()
+
 (* Caller holds the lock (or has exclusive access during [create]). *)
 let go_eager t : unit =
-  let r = Analysis.analyze_decision ~opts:t.opts t.atn t.decision in
+  let r, built =
+    Analysis.analyze_decision_effort ~opts:t.opts t.atn t.decision
+  in
+  retire t;
+  t.retired_states <- t.retired_states + built;
   t.phase <- Done;
   t.fallback <- r.Analysis.fallback;
   t.rebuilds <- t.rebuilds + 1;
@@ -176,6 +190,7 @@ let create ?opts (atn : Atn.t) (decision : Atn.decision) : t =
       pub = Atomic.make { snap = empty_result decision; complete = true };
       sprouted = 0;
       rebuilds = 0;
+      retired_states = 0;
     }
   in
   let start allow_multi =
@@ -227,6 +242,13 @@ let materialized t = (current t).Look_dfa.nstates
    for the full eager analysis.  Plain word-sized reads; racy by design. *)
 let sprouted t = t.sprouted
 let rebuilds t = t.rebuilds
+
+(* Analysis effort: DFA states built so far by this engine's builders and
+   any eager rebuild, the lazy counterpart of
+   [Analysis.analyze_decision_effort]. *)
+let states_built t =
+  t.retired_states
+  + match t.phase with Building b -> b.Analysis.nstates | Done -> 0
 
 (* Materialize the missing transition of [state] over [term], if any.
    Returns the published snapshot backing the answer: the caller resumes
@@ -341,7 +363,7 @@ let complete t : Analysis.result =
           in
           let warnings =
             t.pre_warnings @ List.rev b.Analysis.warnings
-            @ Analysis.find_dead_alts b dfa t.decision
+            @ Analysis.find_dead_alts dfa t.decision
           in
           Atomic.set t.pub
             {
@@ -354,6 +376,7 @@ let complete t : Analysis.result =
                 };
               complete = true;
             };
+          retire t;
           t.phase <- Done);
       finish ()
 
@@ -381,7 +404,7 @@ let complete t : Analysis.result =
    through the grammar's optional k-cap, which compares depths). *)
 
 type portable_state = {
-  ps_configs : Config.t list;
+  ps_configs : Config.Plain.t list; (* structurally sorted *)
   ps_term_edges : (int * int) list; (* canonical ids, sorted by terminal *)
   ps_accept : int;
   ps_pred_edges : Look_dfa.pred_edge list;
@@ -408,6 +431,7 @@ type portable = {
   p_pre_warnings : Analysis.warning list;
   p_sprouted : int;
   p_rebuilds : int;
+  p_retired_states : int;
   p_phase : portable_phase;
 }
 
@@ -473,7 +497,9 @@ let portable_of_builder (b : Analysis.builder) : portable_building =
     Array.init n (fun cid ->
         let d = states.(order.(cid)) in
         {
-          ps_configs = d.Analysis.configs;
+          ps_configs =
+            List.sort Config.Plain.compare
+              (List.map Config.to_plain d.Analysis.configs);
           ps_term_edges =
             List.sort compare
               (List.map
@@ -503,6 +529,7 @@ let to_portable t : portable =
       p_pre_warnings = t.pre_warnings;
       p_sprouted = t.sprouted;
       p_rebuilds = t.rebuilds;
+      p_retired_states = t.retired_states;
       p_phase =
         (match t.phase with
         | Done -> P_done (Atomic.get t.pub).snap
@@ -526,6 +553,7 @@ let of_portable ~(opts : Analysis.options) (atn : Atn.t)
       pub = Atomic.make { snap = empty_result decision; complete = true };
       sprouted = p.p_sprouted;
       rebuilds = p.p_rebuilds;
+      retired_states = p.p_retired_states;
     }
   in
   (match p.p_phase with

@@ -12,6 +12,10 @@ type decision_report = {
   label : string;
   klass : Analysis.decision_class;
   dfa_states : int;
+  states_built : int;
+    (* analysis effort: DFA states built across every attempt (full
+       construction, Bounded retry, LL(1) fallback); a count, not a time,
+       so reports stay reproducible *)
   fallback : bool;
   counted : bool;
   warnings : Analysis.warning list;
@@ -32,8 +36,8 @@ type t = {
 let count_lines text =
   String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 text
 
-let build ?(grammar_lines = 0) ?(analysis_time = 0.0) (atn : Atn.t)
-    (results : Analysis.result array) : t =
+let build ?(grammar_lines = 0) ?(analysis_time = 0.0) ~states_built
+    (atn : Atn.t) (results : Analysis.result array) : t =
   let decisions =
     Array.mapi
       (fun i (r : Analysis.result) ->
@@ -45,6 +49,7 @@ let build ?(grammar_lines = 0) ?(analysis_time = 0.0) (atn : Atn.t)
           label = d.d_label;
           klass = r.klass;
           dfa_states = r.dfa.nstates;
+          states_built = states_built.(i);
           fallback = r.fallback;
           counted = not rule.r_is_synpred;
           warnings = r.warnings;
@@ -126,6 +131,7 @@ let to_json (t : t) : Obs.Json.t =
                       ("rule", Obs.Json.str d.rule);
                       ("class", Obs.Json.str (klass_str d.klass));
                       ("dfa_states", Obs.Json.int d.dfa_states);
+                      ("states_built", Obs.Json.int d.states_built);
                       ("counted", Obs.Json.bool d.counted);
                     ])
                 t.decisions)) );
@@ -159,6 +165,9 @@ let pp_decisions ?(only_interesting = false) (atn : Atn.t) ppf t =
             Fmt.pf ppf "    warning: %a@."
               (Analysis.pp_warning atn.sym atn)
               w)
-          dr.warnings
+          dr.warnings;
+        if dr.fallback then
+          Fmt.pf ppf "    effort: %d DFA states built across all attempts@."
+            dr.states_built
       end)
     t.decisions

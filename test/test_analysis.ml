@@ -327,10 +327,142 @@ let misc_tests =
         check bool "x y ; rejected (x not a type)" false (parses ~env c "x y ;"));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Golden analysis digest: a canonical text dump of every decision's
+   lookahead DFA (edges, accepts, predicate edges, overflow flags, max k,
+   cyclicity, synpred use, fallback), its class and its rendered warnings,
+   over the six bench grammars and the example grammars.  The dump is text
+   rather than [Marshal] output so the digest survives record-layout
+   changes; it pins that changes to the subset construction's tables and
+   hashing leave every analysis result identical. *)
+
+let analysis_dump (c : Llstar.Compiled.t) : string =
+  let buf = Buffer.create 65536 in
+  let ppf = Format.formatter_of_buffer buf in
+  let sym = Llstar.Compiled.sym c and atn = c.Llstar.Compiled.atn in
+  let ints = Fmt.(list ~sep:(any ",") int) in
+  let pp_pred_edge ppf (e : Llstar.Look_dfa.pred_edge) =
+    Fmt.pf ppf "{guard=%a pred=%a alt=%d}" ints e.guard
+      Fmt.(option ~none:(any "-") (Atn.pp_pred sym))
+      e.pred e.alt
+  in
+  Array.iteri
+    (fun i (r : Llstar.Analysis.result) ->
+      let d = r.Llstar.Analysis.dfa in
+      Fmt.pf ppf "d%d class=%s fallback=%b@." i (klass_str c i)
+        r.Llstar.Analysis.fallback;
+      Fmt.pf ppf "  dfa decision=%d start=%d n=%d cyclic=%b max_k=%a \
+                  synpred=%b fallback=%b@."
+        d.decision d.start d.nstates d.cyclic
+        Fmt.(option ~none:(any "-") int)
+        d.max_k d.uses_synpred d.fallback;
+      for s = 0 to d.nstates - 1 do
+        Fmt.pf ppf "  s%d accept=%d overflowed=%b edges=%a preds=%a@." s
+          d.accept.(s) d.overflowed.(s)
+          Fmt.(array ~sep:(any ",") (pair ~sep:(any ">") int int))
+          d.edges.(s)
+          Fmt.(array ~sep:(any ",") pp_pred_edge)
+          d.preds.(s)
+      done;
+      List.iter
+        (fun w ->
+          Fmt.pf ppf "  warning: %a@." (Llstar.Analysis.pp_warning sym atn) w)
+        r.Llstar.Analysis.warnings)
+    c.Llstar.Compiled.results;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Recorded before the table-hashing rework of the subset construction. *)
+let golden_digests =
+  [
+    ("MiniJava", "749d8f8e53349a51f9678ac7ec362a17");
+    ("RatsC", "4070fe4a532766547f9f61c7a16f0273");
+    ("RatsJava", "72da45a6f4367f1021feca4c248ba1a6");
+    ("MiniVB", "fa9d061de3d07daef2a8c74514631a8c");
+    ("MiniSQL", "95356eedece96d34da735780dd655e8b");
+    ("MiniCSharp", "951470d2555ad50fe93d90883da95b55");
+    ("expr.g", "36cbd75374ab8f30fe6f406048d23e5b");
+    ("json.g", "610ae26d97ae5d09ab7807b440a9c75a");
+  ]
+
+let golden_sources () =
+  let examples =
+    match find_up "examples/grammars" with
+    | Some dir -> dir
+    | None -> Alcotest.fail "examples/grammars not found"
+  in
+  List.map
+    (fun (s : Bench_grammars.Workload.spec) ->
+      (s.Bench_grammars.Workload.name, s.Bench_grammars.Workload.grammar_text))
+    Bench_grammars.Specs.all
+  @ List.map
+      (fun f -> (f, read_file (Filename.concat examples f)))
+      [ "expr.g"; "json.g" ]
+
+(* The Bounded retry of the MiniVB decision that runs out of states builds
+   2000 DFA states and a closure memo of ~66k seeds.  Polymorphic
+   [Hashtbl.hash] looks at a bounded prefix of a key (about two
+   configurations of a set, or a few stack frames), so those tables used
+   to collapse into chains hundreds long (dedup 237, memo 956). *)
+let hash_discrimination_test =
+  test "MiniVB Bounded retry: dedup and closure-memo chains stay short"
+    (fun () ->
+      let spec = Option.get (Bench_grammars.Specs.find "MiniVB") in
+      let c = compile spec.Bench_grammars.Workload.grammar_text in
+      let too_big (r : Llstar.Analysis.result) =
+        List.exists
+          (function Llstar.Analysis.Dfa_too_big _ -> true | _ -> false)
+          r.Llstar.Analysis.warnings
+      in
+      let d =
+        match
+          List.find_opt
+            (fun i -> too_big c.Llstar.Compiled.results.(i))
+            (List.init (Llstar.Compiled.num_decisions c) Fun.id)
+        with
+        | Some d -> d
+        | None -> Alcotest.fail "no MiniVB decision ends Dfa_too_big"
+      in
+      let b =
+        Llstar.Analysis.make_builder c.Llstar.Compiled.atn
+          c.Llstar.Compiled.opts
+          c.Llstar.Compiled.atn.Atn.decisions.(d)
+          ~allow_multi_recursion:true
+      in
+      (match Llstar.Analysis.create_dfa_exn b with
+      | _ -> Alcotest.fail "the Bounded retry was expected to run out of states"
+      | exception Llstar.Analysis.Too_big -> ());
+      let dedup = Llstar.Analysis.Dedup.stats b.Llstar.Analysis.dedup in
+      let memo = Llstar.Config.Tbl.stats b.Llstar.Analysis.closure_memo in
+      check int "states built" c.Llstar.Compiled.opts.Llstar.Analysis.max_states
+        b.Llstar.Analysis.nstates;
+      if dedup.Hashtbl.max_bucket_length > 16 then
+        Alcotest.failf "dedup chain %d > 16" dedup.Hashtbl.max_bucket_length;
+      if memo.Hashtbl.max_bucket_length > 16 then
+        Alcotest.failf "closure-memo chain %d > 16 (%d entries)"
+          memo.Hashtbl.max_bucket_length memo.Hashtbl.num_bindings)
+
+let golden_tests =
+  [
+    hash_discrimination_test;
+    test "golden analysis digest: bench and example grammars" (fun () ->
+        List.iter
+          (fun (name, src) ->
+            let got =
+              Digest.to_hex (Digest.string (analysis_dump (compile src)))
+            in
+            check string (name ^ " analysis digest")
+              (List.assoc name golden_digests) got)
+          (golden_sources ()));
+  ]
+
 let suite =
   [
     ("atn", atn_tests);
     ("figure1", fig1_tests);
     ("figure2", fig2_tests);
     ("analysis-misc", misc_tests);
+    ("analysis-golden", golden_tests);
   ]

@@ -150,6 +150,54 @@ let suite =
                 (* and the warm copy still parses identically *)
                 check string "same tree" (parse_tree c "A B D")
                   (parse_tree c2 "A B D")));
+        test "format v4: effort counts and interned stacks round-trip"
+          (fun () ->
+            (* Recursion in both alternatives of [s]: the Bounded retry
+               runs, and the lazy engine's states carry call stacks. *)
+            let g = "grammar F; s : a 'c' | a 'd' ; a : 'a' a | 'b' ;" in
+            let built (c : Llstar.Compiled.t) =
+              Array.map
+                (fun (d : Llstar.Report.decision_report) ->
+                  d.Llstar.Report.states_built)
+                c.Llstar.Compiled.report.Llstar.Report.decisions
+            in
+            with_dir (fun dir ->
+                let c1, _ = compile_cached ~dir g in
+                let c2, o = compile_cached ~dir g in
+                check bool "eager hit" true (o = Llstar.Compiled_cache.Hit);
+                check (Alcotest.array int) "eager states_built" (built c1)
+                  (built c2);
+                let d = rule_decision c1 "s" in
+                check bool "aborted first attempt counted" true
+                  ((built c1).(d)
+                  > (Llstar.Compiled.dfa c1 d).Llstar.Look_dfa.nstates);
+                let l1, _ =
+                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir g
+                in
+                List.iter
+                  (fun input ->
+                    match Runtime.Interp.parse l1 (lex l1 input) with
+                    | Ok _ -> ()
+                    | Error _ -> Alcotest.failf "parse of %S failed" input)
+                  [ "a a b c"; "a b d"; "a a a b c" ];
+                (match Llstar.Compiled_cache.save ~dir l1 with
+                | Ok _ -> ()
+                | Error e -> Alcotest.failf "warm save failed: %s" e);
+                let l2, o =
+                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir g
+                in
+                check bool "lazy hit" true (o = Llstar.Compiled_cache.Hit);
+                let e1 = Option.get (Llstar.Compiled.engine l1 d)
+                and e2 = Option.get (Llstar.Compiled.engine l2 d) in
+                (* restoring re-interns every stack; saving again must
+                   reproduce the same portable form *)
+                check bool "portable form survives a reload" true
+                  (Llstar.Lazy_dfa.to_portable e1
+                  = Llstar.Lazy_dfa.to_portable e2);
+                check int "lazy states_built" (Llstar.Lazy_dfa.states_built e1)
+                  (Llstar.Lazy_dfa.states_built e2);
+                check string "same tree" (parse_tree l1 "a a a a b c")
+                  (parse_tree l2 "a a a a b c")));
         test "cache-hit states are credited to the profile" (fun () ->
             with_dir (fun dir ->
                 let _ = compile_cached ~dir src in
