@@ -232,11 +232,17 @@ let analyze_cmd =
                 exit 2)
       end
     in
-    Fmt.pr "%a" Llstar.Report.pp c.Llstar.Compiled.report;
+    (* In lazy mode, drive every engine to completion so the report shows
+       what the on-demand construction ends with, fallbacks included. *)
+    Option.iter
+      (Array.iter (fun e -> ignore (Llstar.Lazy_dfa.complete e)))
+      c.Llstar.Compiled.engines;
+    let report = Llstar.Compiled.live_report c in
+    Fmt.pr "%a" Llstar.Report.pp report;
     Fmt.pr "%a"
       (Llstar.Report.pp_decisions ~only_interesting:(not verbose)
          c.Llstar.Compiled.atn)
-      c.Llstar.Compiled.report;
+      report;
     if verbose then
       Fmt.pr "prepared grammar:@.%s@."
         (Grammar.Pretty.to_string c.Llstar.Compiled.grammar)

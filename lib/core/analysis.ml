@@ -18,7 +18,11 @@
    construction ([Non_ll_regular], section 5.4) and the decision falls back
    to a depth-1 (LL(1)) DFA, resolved with predicates/backtracking when
    available.  A configurable state budget guards against the exponential
-   "land mines" the paper mentions; exceeding it also falls back.
+   "land mines" the paper mentions; exceeding it also falls back.  Our
+   default instead retries such a decision with the recursion bound as the
+   only governor ([Bounded]); a retry whose open frontier grows too wide at
+   one lookahead depth is not converging and falls back to LL(1) early
+   (see [note_open]).
 
    Alternative sets and terminal sets are [Bitset.t] over the decision's
    alternative count and the interned token-type universe respectively:
@@ -42,6 +46,14 @@ type warning =
   | Non_ll_regular of { decision : int }
     (* recursion in more than one alternative: gave up on the full DFA *)
   | Dfa_too_big of { decision : int; limit : int }
+  | Not_converging of {
+      decision : int;
+      depth : int;
+      open_states : int;
+      states : int;
+    }
+    (* the Bounded retry opened more than [open_limit] undecided states at
+       lookahead depth [depth], after building [states] states *)
   | Dead_alternative of { decision : int; alt : int }
 
 type decision_class =
@@ -55,6 +67,23 @@ type result = {
   warnings : warning list;
   fallback : bool;
 }
+
+(* Analysis effort: DFA states built by each attempt at a decision -- the
+   full construction, the [Bounded] retry and the LL(1) fallback --
+   abandoned attempts included.  A count, not a time, so it is
+   deterministic. *)
+type effort = { primary : int; bounded : int; ll1 : int }
+
+let no_effort = { primary = 0; bounded = 0; ll1 = 0 }
+
+let add_effort a b =
+  {
+    primary = a.primary + b.primary;
+    bounded = a.bounded + b.bounded;
+    ll1 = a.ll1 + b.ll1;
+  }
+
+let total_effort e = e.primary + e.bounded + e.ll1
 
 type fallback_strategy =
   | Bounded
@@ -79,6 +108,7 @@ let options_of_grammar (g : Grammar.Ast.t) =
 
 exception Non_ll_regular_exn
 exception Too_big
+exception Not_converging_exn of { depth : int; open_states : int }
 
 (* ------------------------------------------------------------------ *)
 (* Mutable DFA states during construction *)
@@ -137,6 +167,9 @@ type builder = {
   mutable allow_multi_recursion : bool;
     (* true in fallback mode; the lazy engine flips it mid-construction to
        continue with the Bounded strategy instead of restarting *)
+  mutable open_at_depth : int array;
+    (* index k: fresh states at lookahead depth k that settled undecided;
+       grows on demand *)
 }
 
 let busy_initial = 64
@@ -624,6 +657,37 @@ let preds_cover_viable (b : builder) (d : wstate) =
 let should_expand (b : builder) (d : wstate) =
   d.accept = 0 && (d.pred_edges = [] || not (preds_cover_viable b d))
 
+(* Non-convergence of a [Bounded] retry.  Every fresh state that settles
+   undecided is counted at its lookahead depth.  A retry that converges
+   keeps that frontier narrow -- on the six bench grammars at most 62 open
+   states at any one depth -- while the retries that run away to the state
+   budget open hundreds (342-763) at one depth before they exhaust it.  So
+   once one depth holds more than [open_limit] undecided states, the retry
+   gives up for the LL(1) fallback instead of building the rest of the
+   budget.  Counting is unconditional, so a lazy engine that switches to
+   the [Bounded] strategy mid-construction has counted its earlier states;
+   only builders that allow multi-alternative recursion give up.  Primary
+   constructions are governed by [max_states] alone. *)
+let open_limit (opts : options) = opts.max_states / 16
+
+(* Count [d] as open at its depth; returns that depth's new count. *)
+let count_open (b : builder) (d : wstate) : int =
+  let k = d.depth in
+  let len = Array.length b.open_at_depth in
+  if k >= len then begin
+    let grown = Array.make (max (k + 1) (2 * len)) 0 in
+    Array.blit b.open_at_depth 0 grown 0 len;
+    b.open_at_depth <- grown
+  end;
+  let n = b.open_at_depth.(k) + 1 in
+  b.open_at_depth.(k) <- n;
+  n
+
+let note_open (b : builder) (d : wstate) : unit =
+  let n = count_open b d in
+  if b.allow_multi_recursion && n > open_limit b.opts then
+    raise (Not_converging_exn { depth = d.depth; open_states = n })
+
 (* ------------------------------------------------------------------ *)
 (* Per-state construction steps.
 
@@ -681,7 +745,10 @@ let step_terminal (b : builder) (d : wstate) (a : int) : (wstate * bool) option
     let d', fresh =
       new_wstate b ~depth:(d.depth + 1) ~path:(a :: d.path) configs overflow
     in
-    if fresh then settle_fresh b d';
+    if fresh then begin
+      settle_fresh b d';
+      if should_expand b d' then note_open b d'
+    end;
     if not (List.exists (fun (t, _) -> t = a) d.term_edges) then
       d.term_edges <- (a, d'.id) :: d.term_edges;
     Some (d', fresh)
@@ -777,6 +844,7 @@ let make_builder atn opts decision ~allow_multi_recursion =
     warnings = [];
     uses_synpred = false;
     allow_multi_recursion;
+    open_at_depth = Array.make 16 0;
   }
 
 (* Re-insert a previously discovered state into a builder being restored
@@ -784,7 +852,10 @@ let make_builder atn opts decision ~allow_multi_recursion =
    id order so the sequential-id invariant of [new_wstate] holds; the
    dedup and by-id tables are rebuilt here, the closure memo is left cold
    (it is a pure cache and re-fills on demand).  Stacks are interned into
-   this builder's table and each set is put back in its canonical order. *)
+   this builder's table and each set is put back in its canonical order.
+   Undecided states are counted open at their (canonical) depth, so the
+   restored builder stops converging where the saved one would; the count
+   is only checked when the next state is discovered. *)
 let restore_wstate (b : builder) ~configs ~term_edges ~accept ~pred_edges
     ~overflow ~depth ~path : unit =
   let configs =
@@ -805,7 +876,8 @@ let restore_wstate (b : builder) ~configs ~term_edges ~accept ~pred_edges
   Dedup.replace b.dedup (set_key configs) d;
   Hashtbl.replace b.by_id d.id d;
   b.states <- d :: b.states;
-  b.nstates <- b.nstates + 1
+  b.nstates <- b.nstates + 1;
+  if d.id > 0 && should_expand b d then ignore (count_open b d)
 
 (* Alternatives that no accept state or predicate edge ever predicts can
    never be chosen: dead productions (section 1.1). *)
@@ -828,48 +900,58 @@ let classify (dfa : Look_dfa.t) : decision_class =
   else if dfa.cyclic then Cyclic
   else Fixed (match dfa.max_k with Some k -> k | None -> 1)
 
-(* Analyze one decision; also returns the analysis effort, the number of
-   DFA states built across every attempt -- the full construction, the
-   [Bounded] retry and the LL(1) fallback -- including attempts abandoned
-   as non-LL-regular or too big.  It is deterministic, unlike wall time. *)
+(* Analyze one decision; also returns the analysis effort of every
+   attempt. *)
 let analyze_decision_effort ?(opts = default_options) (atn : Atn.t)
-    (decision : Atn.decision) : result * int =
+    (decision : Atn.decision) : result * effort =
   let post dfa = if opts.minimize then Minimize.minimize dfa else dfa in
-  let builders = ref [] in
-  let new_builder opts ~allow_multi_recursion =
-    let b = make_builder atn opts decision ~allow_multi_recursion in
-    builders := b :: !builders;
-    b
+  let b = make_builder atn opts decision ~allow_multi_recursion:false in
+  let bounded = ref None and ll1 = ref None in
+  let new_builder slot opts =
+    let fb = make_builder atn opts decision ~allow_multi_recursion:true in
+    slot := Some fb;
+    fb
   in
-  let b = new_builder opts ~allow_multi_recursion:false in
   let fall_back_ll1 reason =
     (* the depth-1 DFA is bounded by the alphabet; don't let a tiny state
        budget (the thing that may have sent us here) starve it *)
     let fb_opts = { opts with max_states = max opts.max_states 10_000 } in
-    let fb = new_builder fb_opts ~allow_multi_recursion:true in
+    let fb = new_builder ll1 fb_opts in
     let dfa = post (create_fallback fb) in
     let warnings =
       (reason :: List.rev fb.warnings) @ find_dead_alts dfa decision
     in
     { dfa; klass = classify dfa; warnings; fallback = true }
   in
+  let too_big () =
+    fall_back_ll1
+      (Dfa_too_big { decision = decision.d_id; limit = opts.max_states })
+  in
   (* Recursion in more than one alternative: the decision is extremely
      unlikely to be LL-regular (section 5.4).  The [Bounded] strategy
      retries the full construction with only the recursion bound [m] as
      governor -- the resulting DFA resolves everything fixed lookahead can
      and falls to predicates/order where it cannot; [Ll1] is the paper's
-     depth-1 fallback. *)
+     depth-1 fallback.  A retry that stops converging ([note_open]) ends in
+     the same LL(1) fallback as one that runs out of states. *)
   let fall_back_bounded reason =
-    let fb = new_builder opts ~allow_multi_recursion:true in
+    let fb = new_builder bounded opts in
     match post (create_dfa_exn fb) with
     | dfa ->
         let warnings =
           (reason :: List.rev fb.warnings) @ find_dead_alts dfa decision
         in
         { dfa; klass = classify dfa; warnings; fallback = true }
-    | exception Too_big ->
+    | exception Too_big -> too_big ()
+    | exception Not_converging_exn { depth; open_states } ->
         fall_back_ll1
-          (Dfa_too_big { decision = decision.d_id; limit = opts.max_states })
+          (Not_converging
+             {
+               decision = decision.d_id;
+               depth;
+               open_states;
+               states = fb.nstates;
+             })
   in
   let result =
     match post (create_dfa_exn b) with
@@ -881,11 +963,10 @@ let analyze_decision_effort ?(opts = default_options) (atn : Atn.t)
         match opts.fallback with
         | Bounded -> fall_back_bounded reason
         | Ll1 -> fall_back_ll1 reason)
-    | exception Too_big ->
-        fall_back_ll1
-          (Dfa_too_big { decision = decision.d_id; limit = opts.max_states })
+    | exception Too_big -> too_big ()
   in
-  (result, List.fold_left (fun n fb -> n + fb.nstates) 0 !builders)
+  let built = function Some fb -> fb.nstates | None -> 0 in
+  (result, { primary = b.nstates; bounded = built !bounded; ll1 = built !ll1 })
 
 (* Analyze every decision of an ATN.
 
@@ -899,7 +980,7 @@ let analyze_decision_effort ?(opts = default_options) (atn : Atn.t)
    (the report, the compilation-cache payload digest), is byte-identical
    to the sequential build.  Callers must freeze the vocabulary
    ([Grammar.Sym.freeze]) before fanning out; [Compiled.compile] does. *)
-let analyze_all_effort ?opts ?pool (atn : Atn.t) : (result * int) array =
+let analyze_all_effort ?opts ?pool (atn : Atn.t) : (result * effort) array =
   let opts =
     match opts with
     | Some o -> o
@@ -945,6 +1026,12 @@ let pp_warning sym atn ppf w =
         "decision %d (%s): lookahead DFA exceeded %d states; falling back to \
          LL(1)"
         decision (dlabel decision) limit
+  | Not_converging { decision; depth; open_states; states } ->
+      Fmt.pf ppf
+        "decision %d (%s): Bounded retry stopped converging at lookahead \
+         depth %d (%d undecided states after %d built); falling back to \
+         LL(1)"
+        decision (dlabel decision) depth open_states states
   | Dead_alternative { decision; alt } ->
       Fmt.pf ppf "decision %d (%s): alternative %d can never be matched"
         decision (dlabel decision) alt

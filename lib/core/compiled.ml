@@ -65,6 +65,19 @@ let dfa t decision =
 
 let num_decisions t = Array.length t.results
 
+(* The report of the live view: in lazy mode, rebuilt from every engine's
+   current result and effort (the compile-time [report] only covers start
+   states); otherwise the static report. *)
+let live_report t =
+  match t.engines with
+  | None -> t.report
+  | Some e ->
+      Report.build ~grammar_lines:t.report.Report.grammar_lines
+        ~analysis_time:t.report.Report.analysis_time
+        ~states_built:(Array.map Lazy_dfa.states_built e)
+        t.atn
+        (Array.map Lazy_dfa.result e)
+
 (* [pool] fans the per-decision lookahead-DFA work out across a worker
    pool (see [Analysis.analyze_all]); the compiled result is byte-identical
    to the sequential build.  The vocabulary is frozen once the ATN exists,

@@ -58,6 +58,10 @@ val result : t -> int -> Analysis.result
 val dfa : t -> int -> Look_dfa.t
 val num_decisions : t -> int
 
+val live_report : t -> Report.t
+(** The report of the live view: in lazy mode rebuilt from every engine's
+    current result and effort, otherwise [report]. *)
+
 val compile :
   ?analysis_opts:Analysis.options ->
   ?grammar_source:string ->

@@ -40,8 +40,11 @@
    v4: [Report.decision_report] gained [states_built], lazy engines carry
    [p_retired_states], and serialized configurations are
    [Config.Plain.t] (same shape as the old [Config.t]; live
-   configurations now hold hash-consed stacks). *)
-let format_version = 4
+   configurations now hold hash-consed stacks).
+   v5: [Analysis.warning] gained [Not_converging], and [states_built] (in
+   the report and a lazy engine's [p_retired_states]) is split by attempt
+   ([Analysis.effort]). *)
+let format_version = 5
 
 let magic = "ANTLRKIT-CACHE\n"
 

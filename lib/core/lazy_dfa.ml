@@ -22,9 +22,11 @@
      flips the builder's [allow_multi_recursion] flag and keeps going --
      no restart is needed because the states built so far are identical to
      the ones the eager retry would rebuild;
-   - under the [Ll1] strategy, or when the DFA state budget is exhausted,
-     the engine abandons incremental construction and installs the result
-     of the full eager [analyze_decision_effort] chain ([Rebuilt]).
+   - under the [Ll1] strategy, when the DFA state budget is exhausted, or
+     when the Bounded construction stops converging (too many undecided
+     states at one lookahead depth, [Analysis.note_open]), the engine
+     abandons incremental construction and installs the result of the full
+     eager [analyze_decision_effort] chain ([Rebuilt]).
 
    [complete] drives the remaining work-list to exhaustion in the same BFS
    order as the eager construction; on a fresh engine it reproduces the
@@ -88,7 +90,7 @@ type t = {
      abandon-to-eager events, surfaced in telemetry snapshots *)
   mutable sprouted : int;
   mutable rebuilds : int;
-  mutable retired_states : int;
+  mutable retired_states : Analysis.effort;
     (* states built by builders no longer live: the abandoned incremental
        one and the eager rebuild's attempts, or a completed builder *)
 }
@@ -124,11 +126,21 @@ let note_non_ll_regular t =
   if not (List.mem w t.pre_warnings) then
     t.pre_warnings <- t.pre_warnings @ [ w ]
 
+(* The live builder's states as an effort: the builder is the primary
+   attempt until the Bounded strategy engages, and the Bounded attempt --
+   which continues from its states instead of restarting -- from then on. *)
+let builder_effort (b : Analysis.builder) : Analysis.effort =
+  if b.Analysis.allow_multi_recursion then
+    { Analysis.no_effort with bounded = b.Analysis.nstates }
+  else { Analysis.no_effort with primary = b.Analysis.nstates }
+
 (* Count the live builder's states as retired; the caller then drops it.
    Caller holds the lock. *)
 let retire t =
   match t.phase with
-  | Building b -> t.retired_states <- t.retired_states + b.Analysis.nstates
+  | Building b ->
+      t.retired_states <-
+        Analysis.add_effort t.retired_states (builder_effort b)
   | Done -> ()
 
 (* Caller holds the lock (or has exclusive access during [create]). *)
@@ -137,7 +149,7 @@ let go_eager t : unit =
     Analysis.analyze_decision_effort ~opts:t.opts t.atn t.decision
   in
   retire t;
-  t.retired_states <- t.retired_states + built;
+  t.retired_states <- Analysis.add_effort t.retired_states built;
   t.phase <- Done;
   t.fallback <- r.Analysis.fallback;
   t.rebuilds <- t.rebuilds + 1;
@@ -190,7 +202,7 @@ let create ?opts (atn : Atn.t) (decision : Atn.decision) : t =
       pub = Atomic.make { snap = empty_result decision; complete = true };
       sprouted = 0;
       rebuilds = 0;
-      retired_states = 0;
+      retired_states = Analysis.no_effort;
     }
   in
   let start allow_multi =
@@ -247,8 +259,9 @@ let rebuilds t = t.rebuilds
    any eager rebuild, the lazy counterpart of
    [Analysis.analyze_decision_effort]. *)
 let states_built t =
-  t.retired_states
-  + match t.phase with Building b -> b.Analysis.nstates | Done -> 0
+  match t.phase with
+  | Building b -> Analysis.add_effort t.retired_states (builder_effort b)
+  | Done -> t.retired_states
 
 (* Materialize the missing transition of [state] over [term], if any.
    Returns the published snapshot backing the answer: the caller resumes
@@ -305,7 +318,8 @@ let sprout_view t ~(state : int) ~(term : int) : sprout * Look_dfa.t =
                           go_eager t;
                           Rebuilt
                         end
-                    | exception Analysis.Too_big ->
+                    | exception
+                        (Analysis.Too_big | Analysis.Not_converging_exn _) ->
                         go_eager t;
                         Rebuilt
                   in
@@ -350,7 +364,9 @@ let complete t : Analysis.result =
                && not b.Analysis.allow_multi_recursion ->
             engage_bounded t b;
             run ()
-        | exception (Analysis.Non_ll_regular_exn | Analysis.Too_big) ->
+        | exception
+            ( Analysis.Non_ll_regular_exn | Analysis.Too_big
+            | Analysis.Not_converging_exn _ ) ->
             go_eager t
       in
       run ();
@@ -431,7 +447,7 @@ type portable = {
   p_pre_warnings : Analysis.warning list;
   p_sprouted : int;
   p_rebuilds : int;
-  p_retired_states : int;
+  p_retired_states : Analysis.effort;
   p_phase : portable_phase;
 }
 

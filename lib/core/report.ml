@@ -12,8 +12,8 @@ type decision_report = {
   label : string;
   klass : Analysis.decision_class;
   dfa_states : int;
-  states_built : int;
-    (* analysis effort: DFA states built across every attempt (full
+  states_built : Analysis.effort;
+    (* analysis effort: DFA states built by each attempt (full
        construction, Bounded retry, LL(1) fallback); a count, not a time,
        so reports stay reproducible *)
   fallback : bool;
@@ -131,7 +131,15 @@ let to_json (t : t) : Obs.Json.t =
                       ("rule", Obs.Json.str d.rule);
                       ("class", Obs.Json.str (klass_str d.klass));
                       ("dfa_states", Obs.Json.int d.dfa_states);
-                      ("states_built", Obs.Json.int d.states_built);
+                      ( "states_built",
+                        Obs.Json.int (Analysis.total_effort d.states_built) );
+                      ( "states_built_by_attempt",
+                        Obs.Json.obj
+                          [
+                            ("primary", Obs.Json.int d.states_built.primary);
+                            ("bounded", Obs.Json.int d.states_built.bounded);
+                            ("ll1", Obs.Json.int d.states_built.ll1);
+                          ] );
                       ("counted", Obs.Json.bool d.counted);
                     ])
                 t.decisions)) );
@@ -166,8 +174,12 @@ let pp_decisions ?(only_interesting = false) (atn : Atn.t) ppf t =
               (Analysis.pp_warning atn.sym atn)
               w)
           dr.warnings;
-        if dr.fallback then
-          Fmt.pf ppf "    effort: %d DFA states built across all attempts@."
-            dr.states_built
+        if dr.fallback then begin
+          let e = dr.states_built in
+          Fmt.pf ppf
+            "    effort: %d DFA states built across all attempts (primary \
+             %d, Bounded %d, LL(1) %d)@."
+            (Analysis.total_effort e) e.primary e.bounded e.ll1
+        end
       end)
     t.decisions

@@ -94,6 +94,13 @@ let find_up rel =
   in
   go (Sys.getcwd ()) 0
 
+(* Source text of a grammar in [examples/grammars]. *)
+let example_grammar name =
+  match find_up "examples/grammars" with
+  | Some dir ->
+      In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+  | None -> Alcotest.fail "examples/grammars not found"
+
 let test name f = Alcotest.test_case name `Quick f
 
 let qtest ?(count = 200) name gen prop =

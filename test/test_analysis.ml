@@ -374,15 +374,19 @@ let analysis_dump (c : Llstar.Compiled.t) : string =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Recorded before the table-hashing rework of the subset construction. *)
+(* Recorded before the table-hashing rework of the subset construction.
+   RatsC, RatsJava, MiniVB and MiniCSharp were re-recorded when their seven
+   LL(1) fallbacks changed reason from "lookahead DFA exceeded 2000 states"
+   to the Bounded retry's non-convergence; those seven warning lines are
+   the only difference in their dumps. *)
 let golden_digests =
   [
     ("MiniJava", "749d8f8e53349a51f9678ac7ec362a17");
-    ("RatsC", "4070fe4a532766547f9f61c7a16f0273");
-    ("RatsJava", "72da45a6f4367f1021feca4c248ba1a6");
-    ("MiniVB", "fa9d061de3d07daef2a8c74514631a8c");
+    ("RatsC", "c766244c15380ea8bd7d2b49d30aa016");
+    ("RatsJava", "9efda5021803ec1f31e438560f1f1e5f");
+    ("MiniVB", "679787d29aeea38ee79d05fbf926dfda");
     ("MiniSQL", "95356eedece96d34da735780dd655e8b");
-    ("MiniCSharp", "951470d2555ad50fe93d90883da95b55");
+    ("MiniCSharp", "17e5e430d7acfced31461de472eaaf72");
     ("expr.g", "36cbd75374ab8f30fe6f406048d23e5b");
     ("json.g", "610ae26d97ae5d09ab7807b440a9c75a");
   ]
@@ -401,52 +405,164 @@ let golden_sources () =
       (fun f -> (f, read_file (Filename.concat examples f)))
       [ "expr.g"; "json.g" ]
 
-(* The Bounded retry of the MiniVB decision that runs out of states builds
-   2000 DFA states and a closure memo of ~66k seeds.  Polymorphic
-   [Hashtbl.hash] looks at a bounded prefix of a key (about two
-   configurations of a set, or a few stack frames), so those tables used
-   to collapse into chains hundreds long (dedup 237, memo 956). *)
+let not_converging (w : Llstar.Analysis.warning) =
+  match w with Llstar.Analysis.Not_converging _ -> true | _ -> false
+
+(* The decisions of [c] whose Bounded retry stopped converging. *)
+let diverging_decisions (c : Llstar.Compiled.t) =
+  List.filter
+    (fun i ->
+      List.exists not_converging
+        c.Llstar.Compiled.results.(i).Llstar.Analysis.warnings)
+    (List.init (Llstar.Compiled.num_decisions c) Fun.id)
+
+(* MiniVB's diverging decision, retried with the Bounded strategy.
+   Polymorphic [Hashtbl.hash] looks at a bounded prefix of a key (about two
+   configurations of a set, or a few stack frames), so the dedup table and
+   the closure memo used to collapse into chains hundreds long (dedup 237,
+   memo 956, when the retry still ran to the 2000-state budget).  The
+   retry now gives up once one lookahead depth holds more than
+   [max_states / 16] undecided states, well under half the budget. *)
 let hash_discrimination_test =
   test "MiniVB Bounded retry: dedup and closure-memo chains stay short"
     (fun () ->
       let spec = Option.get (Bench_grammars.Specs.find "MiniVB") in
       let c = compile spec.Bench_grammars.Workload.grammar_text in
-      let too_big (r : Llstar.Analysis.result) =
-        List.exists
-          (function Llstar.Analysis.Dfa_too_big _ -> true | _ -> false)
-          r.Llstar.Analysis.warnings
-      in
       let d =
-        match
-          List.find_opt
-            (fun i -> too_big c.Llstar.Compiled.results.(i))
-            (List.init (Llstar.Compiled.num_decisions c) Fun.id)
-        with
-        | Some d -> d
-        | None -> Alcotest.fail "no MiniVB decision ends Dfa_too_big"
+        match diverging_decisions c with
+        | d :: _ -> d
+        | [] -> Alcotest.fail "no MiniVB decision stops converging"
       in
+      let opts = c.Llstar.Compiled.opts in
       let b =
-        Llstar.Analysis.make_builder c.Llstar.Compiled.atn
-          c.Llstar.Compiled.opts
+        Llstar.Analysis.make_builder c.Llstar.Compiled.atn opts
           c.Llstar.Compiled.atn.Atn.decisions.(d)
           ~allow_multi_recursion:true
       in
       (match Llstar.Analysis.create_dfa_exn b with
-      | _ -> Alcotest.fail "the Bounded retry was expected to run out of states"
-      | exception Llstar.Analysis.Too_big -> ());
+      | _ -> Alcotest.fail "the Bounded retry was expected to stop converging"
+      | exception Llstar.Analysis.Not_converging_exn { open_states; _ } ->
+          check int "open states" (Llstar.Analysis.open_limit opts + 1)
+            open_states);
+      if b.Llstar.Analysis.nstates >= opts.Llstar.Analysis.max_states / 2 then
+        Alcotest.failf "the retry built %d states, not under %d"
+          b.Llstar.Analysis.nstates
+          (opts.Llstar.Analysis.max_states / 2);
       let dedup = Llstar.Analysis.Dedup.stats b.Llstar.Analysis.dedup in
       let memo = Llstar.Config.Tbl.stats b.Llstar.Analysis.closure_memo in
-      check int "states built" c.Llstar.Compiled.opts.Llstar.Analysis.max_states
-        b.Llstar.Analysis.nstates;
       if dedup.Hashtbl.max_bucket_length > 16 then
         Alcotest.failf "dedup chain %d > 16" dedup.Hashtbl.max_bucket_length;
       if memo.Hashtbl.max_bucket_length > 16 then
         Alcotest.failf "closure-memo chain %d > 16 (%d entries)"
           memo.Hashtbl.max_bucket_length memo.Hashtbl.num_bindings)
 
+(* The seven decisions of the bench grammars that end in the LL(1)
+   fallback used to let their Bounded retry grow to the full 2000-state
+   budget first (2013-2117 states built per decision). *)
+let fallback_effort_test =
+  test "bench grammars: LL(1) fallbacks build at most 1000 states" (fun () ->
+      let found =
+        List.fold_left
+          (fun found (s : Bench_grammars.Workload.spec) ->
+            let c = compile s.Bench_grammars.Workload.grammar_text in
+            Array.fold_left
+              (fun found (dr : Llstar.Report.decision_report) ->
+                let ll1_fallback =
+                  List.exists
+                    (function
+                      | Llstar.Analysis.Dfa_too_big _
+                      | Llstar.Analysis.Not_converging _ ->
+                          true
+                      | _ -> false)
+                    dr.Llstar.Report.warnings
+                in
+                if not ll1_fallback then found
+                else begin
+                  let built =
+                    Llstar.Analysis.total_effort dr.Llstar.Report.states_built
+                  in
+                  if built > 1000 then
+                    Alcotest.failf "%s d%d built %d DFA states"
+                      s.Bench_grammars.Workload.name dr.Llstar.Report.decision
+                      built;
+                  found + 1
+                end)
+              found c.Llstar.Compiled.report.Llstar.Report.decisions)
+          0 Bench_grammars.Specs.all
+      in
+      check int "LL(1) fallback decisions" 7 found)
+
+(* Four bracket kinds plus a fifth whose body nests a second bracket rule:
+   the Bounded retry opens about a hundred undecided states at one depth,
+   close to the [max_states / 16] limit, and still converges. *)
+let converging_src =
+  "grammar C; s : e 'x' | e 'y' ; e : '(' e ')' | '[' e ']' | '{' e '}' | \
+   '<' e '>' | '|' f '|' | ID ; f : '(' f ')' | ID ;"
+
+let frontier_tests =
+  [
+    test "a wide but converging Bounded retry keeps its full DFA" (fun () ->
+        let c = compile converging_src in
+        let d = rule_decision c "s" in
+        let r = c.Llstar.Compiled.results.(d) in
+        check bool "Bounded retry" true r.Llstar.Analysis.fallback;
+        check bool "not the LL(1) fallback DFA" false
+          r.Llstar.Analysis.dfa.Llstar.Look_dfa.fallback;
+        check bool "no non-convergence warning" false
+          (List.exists not_converging r.Llstar.Analysis.warnings);
+        let b =
+          Llstar.Analysis.make_builder c.Llstar.Compiled.atn
+            c.Llstar.Compiled.opts
+            c.Llstar.Compiled.atn.Atn.decisions.(d)
+            ~allow_multi_recursion:true
+        in
+        let dfa = Llstar.Analysis.create_dfa_exn b in
+        check int "the retry's DFA" dfa.Llstar.Look_dfa.nstates
+          r.Llstar.Analysis.dfa.Llstar.Look_dfa.nstates;
+        let widest = Array.fold_left max 0 b.Llstar.Analysis.open_at_depth in
+        let limit = Llstar.Analysis.open_limit c.Llstar.Compiled.opts in
+        if widest < 100 || widest > limit then
+          Alcotest.failf "widest frontier %d not in 100..%d" widest limit;
+        (* the bracket sequences decide the input, not production order *)
+        check bool "( ID ) y" true (parses c "( ID ) y");
+        check bool "< [ | ( ID ) | ] > x" true
+          (parses c "< [ | ( ID ) | ] > x"));
+    test "a diverging Bounded retry falls back to LL(1) early" (fun () ->
+        let src = example_grammar "diverging.g" in
+        let c = compile src in
+        let d = rule_decision c "s" in
+        check (Alcotest.list int) "diverging decisions" [ d ]
+          (diverging_decisions c);
+        let r = c.Llstar.Compiled.results.(d) in
+        check bool "LL(1) fallback DFA" true
+          r.Llstar.Analysis.dfa.Llstar.Look_dfa.fallback;
+        let dr = c.Llstar.Compiled.report.Llstar.Report.decisions.(d) in
+        let e = dr.Llstar.Report.states_built in
+        (* with the full budget the retry built 2000 states *)
+        check bool "the retry stopped under 250 states" true
+          (e.Llstar.Analysis.bounded > 0 && e.Llstar.Analysis.bounded < 250);
+        check int "LL(1) attempt" r.Llstar.Analysis.dfa.Llstar.Look_dfa.nstates
+          e.Llstar.Analysis.ll1;
+        (* the Ll1 strategy never retries, so never stops converging *)
+        let surface = Grammar.Meta_parser.parse src in
+        let opts =
+          {
+            (Llstar.Analysis.options_of_grammar surface) with
+            Llstar.Analysis.fallback = Llstar.Analysis.Ll1;
+          }
+        in
+        let l = Llstar.Compiled.compile_exn ~analysis_opts:opts surface in
+        check (Alcotest.list int) "no non-convergence under Ll1" []
+          (diverging_decisions l);
+        check int "no Bounded attempt under Ll1" 0
+          l.Llstar.Compiled.report.Llstar.Report.decisions.(d)
+            .Llstar.Report.states_built.Llstar.Analysis.bounded);
+  ]
+
 let golden_tests =
   [
     hash_discrimination_test;
+    fallback_effort_test;
     test "golden analysis digest: bench and example grammars" (fun () ->
         List.iter
           (fun (name, src) ->
@@ -465,4 +581,5 @@ let suite =
     ("figure2", fig2_tests);
     ("analysis-misc", misc_tests);
     ("analysis-golden", golden_tests);
+    ("analysis-frontier", frontier_tests);
   ]

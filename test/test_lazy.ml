@@ -308,9 +308,118 @@ let concurrency_tests =
               [ 2; 4 ]);
   ]
 
+(* --- Bounded retries that stop converging ------------------------------ *)
+
+(* Sprout [eng] breadth first -- every terminal of every reachable state,
+   in the eager construction's order -- until the engine rebuilds or [limit]
+   fresh states have been sprouted.  Returns how it ended and the number of
+   fresh states. *)
+let sprout_bfs ?(limit = max_int) c eng =
+  let nterms = Grammar.Sym.num_terms (Llstar.Compiled.sym c) in
+  let seen = Hashtbl.create 256 and q = Queue.create () in
+  let visit s =
+    if not (Hashtbl.mem seen s) then begin
+      Hashtbl.add seen s ();
+      Queue.add s q
+    end
+  in
+  visit 0;
+  let fresh = ref 0 in
+  let rec next_state () =
+    match Queue.take_opt q with
+    | None -> `Exhausted
+    | Some s -> next_term s 0
+  and next_term s term =
+    if term >= nterms then next_state ()
+    else
+      match Llstar.Lazy_dfa.sprout eng ~state:s ~term with
+      | Llstar.Lazy_dfa.Rebuilt -> `Rebuilt
+      | Llstar.Lazy_dfa.Edge { target; fresh = f } ->
+          visit target;
+          if f then incr fresh;
+          if !fresh >= limit then `Limit else next_term s (term + 1)
+      | Llstar.Lazy_dfa.Resolved | Llstar.Lazy_dfa.No_edge ->
+          next_term s (term + 1)
+  in
+  let ended = next_state () in
+  (ended, !fresh)
+
+(* A building engine's open-state counts per depth, without trailing
+   zeros. *)
+let open_counts eng =
+  match eng.Llstar.Lazy_dfa.phase with
+  | Llstar.Lazy_dfa.Done -> Alcotest.fail "engine no longer building"
+  | Llstar.Lazy_dfa.Building b ->
+      let a = b.Llstar.Analysis.open_at_depth in
+      let n = ref (Array.length a) in
+      while !n > 0 && a.(!n - 1) = 0 do decr n done;
+      Array.to_list (Array.sub a 0 !n)
+
+let not_converging (r : Llstar.Analysis.result) =
+  List.exists
+    (function Llstar.Analysis.Not_converging _ -> true | _ -> false)
+    r.Llstar.Analysis.warnings
+
+let frontier_cases =
+  [
+    test "sprouting MiniVB's diverging decision rebuilds to the eager result"
+      (fun () ->
+        let spec = Option.get (Bench_grammars.Specs.find "MiniVB") in
+        let eager = (eager_of spec).Workload.c in
+        let d =
+          match
+            List.find_opt
+              (fun i -> not_converging eager.Llstar.Compiled.results.(i))
+              (List.init (Llstar.Compiled.num_decisions eager) Fun.id)
+          with
+          | Some d -> d
+          | None -> Alcotest.fail "no MiniVB decision stops converging"
+        in
+        let c = lazy_compile spec in
+        let eng = Option.get (Llstar.Compiled.engine c d) in
+        check bool "rebuilt" true (fst (sprout_bfs c eng) = `Rebuilt);
+        check int "one rebuild" 1 (Llstar.Lazy_dfa.rebuilds eng);
+        let r = Llstar.Lazy_dfa.result eng in
+        check bool "same result as eager" true
+          (r = eager.Llstar.Compiled.results.(d));
+        check bool "LL(1) fallback DFA" true
+          r.Llstar.Analysis.dfa.Llstar.Look_dfa.fallback);
+    test "a restored engine stops converging where a fresh one would"
+      (fun () ->
+        let src = example_grammar "diverging.g" in
+        let c =
+          Llstar.Compiled.of_source_exn ~strategy:Llstar.Compiled.Lazy src
+        in
+        let d = rule_decision c "s" in
+        let eng = Option.get (Llstar.Compiled.engine c d) in
+        (* most of the way to the limit, still building *)
+        check bool "partial sprout" true
+          (fst (sprout_bfs ~limit:150 c eng) = `Limit);
+        let restored =
+          Llstar.Lazy_dfa.of_portable ~opts:c.Llstar.Compiled.opts
+            c.Llstar.Compiled.atn
+            c.Llstar.Compiled.atn.Atn.decisions.(d)
+            (Llstar.Lazy_dfa.to_portable eng)
+        in
+        check (Alcotest.list int) "open counts rebuilt" (open_counts eng)
+          (open_counts restored);
+        (* Canonical ids are this BFS's discovery order, so both engines
+           sprout the same states in the same order from here; one that had
+           forgotten its counts would go on to the next depth. *)
+        let ended, fresh = sprout_bfs c eng in
+        check bool "fresh engine rebuilds" true (ended = `Rebuilt);
+        check bool "restored engine rebuilds after as many states" true
+          (sprout_bfs c restored = (`Rebuilt, fresh));
+        let eager = Llstar.Compiled.of_source_exn src in
+        check bool "same result as eager" true
+          (Llstar.Lazy_dfa.result restored
+          = eager.Llstar.Compiled.results.(d)));
+  ]
+
 let suite =
   [
     ( "lazy_dfa",
       small_cases @ concurrency_tests
-      @ List.concat_map per_grammar Bench_grammars.Specs.all );
+      @ List.concat_map per_grammar Bench_grammars.Specs.all
+      @ frontier_cases );
   ]
