@@ -55,18 +55,13 @@ let grammar_arg =
     & pos 0 (some file) None
     & info [] ~docv:"GRAMMAR" ~doc:"Grammar file in the ANTLR-like metalanguage.")
 
-let compile_grammar ?cache_dir ?tracer ?pool ?(lazy_ = false) path =
-  let strategy =
-    if lazy_ then Llstar.Compiled.Lazy else Llstar.Compiled.Eager
-  in
+let compile_grammar ?cache_dir ?tracer ?pool path =
   let src = read_file path in
   let result =
     match cache_dir with
-    | None -> Llstar.Compiled.of_source ?pool ~strategy src
+    | None -> Llstar.Compiled.of_source ?pool src
     | Some dir -> (
-        match
-          Llstar.Compiled_cache.of_source ?tracer ?pool ~strategy ~dir src
-        with
+        match Llstar.Compiled_cache.of_source ?tracer ?pool ~dir src with
         | Ok (c, outcome) ->
             Fmt.epr "[cache] %s@."
               (match outcome with
@@ -106,14 +101,6 @@ let cache_dir_arg =
            a valid cached blob skips analysis entirely, anything invalid is \
            silently rebuilt.")
 
-let lazy_arg =
-  Arg.(
-    value & flag
-    & info [ "lazy" ]
-        ~doc:
-          "Build lookahead DFAs lazily at prediction time instead of \
-           analyzing every decision up front.")
-
 let jobs_arg =
   (* Validated at the Cmdliner layer so a bad count is a friendly usage
      error, not an [Invalid_argument] escaping from pool construction. *)
@@ -137,9 +124,8 @@ let jobs_arg =
           "Worker domains for parallel work: lookahead-DFA analysis fans \
            out per decision, batch parsing and fuzzing spread their inputs \
            over a chunk queue.  $(docv)=0 uses every available core.  \
-           Results are identical for any job count (including with \
-           $(b,--lazy): shared lazy DFA engines synchronize internally); \
-           on an OCaml 4.x build this falls back to sequential execution.")
+           Results are identical for any job count; on an OCaml 4.x \
+           build this falls back to sequential execution.")
 
 (* --- structured tracing flags ------------------------------------------ *)
 
@@ -206,9 +192,9 @@ let lexer_config_term =
 (* --- analyze ----------------------------------------------------------- *)
 
 let analyze_cmd =
-  let run grammar verbose minimize cache_dir lazy_ =
+  let run grammar verbose minimize cache_dir =
     let c =
-      if not minimize then compile_grammar ?cache_dir ~lazy_ grammar
+      if not minimize then compile_grammar ?cache_dir grammar
       else begin
         let src = read_file grammar in
         match Grammar.Meta_parser.parse_result src with
@@ -232,12 +218,7 @@ let analyze_cmd =
                 exit 2)
       end
     in
-    (* In lazy mode, drive every engine to completion so the report shows
-       what the on-demand construction ends with, fallbacks included. *)
-    Option.iter
-      (Array.iter (fun e -> ignore (Llstar.Lazy_dfa.complete e)))
-      c.Llstar.Compiled.engines;
-    let report = Llstar.Compiled.live_report c in
+    let report = c.Llstar.Compiled.report in
     Fmt.pr "%a" Llstar.Report.pp report;
     Fmt.pr "%a"
       (Llstar.Report.pp_decisions ~only_interesting:(not verbose)
@@ -255,7 +236,7 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run the LL(*) analysis and print the decision report.")
-    Term.(const run $ grammar_arg $ verbose $ minimize $ cache_dir_arg $ lazy_arg)
+    Term.(const run $ grammar_arg $ verbose $ minimize $ cache_dir_arg)
 
 (* --- dot --------------------------------------------------------------- *)
 
@@ -313,13 +294,13 @@ let parse_cmd =
      (drain), so a lex error anywhere wins over the parse verdict, exactly
      as tokenize-then-parse would report it. *)
   let run_single grammar input config start show_tree profile_flag verbose
-      recover cache_dir lazy_ window max_input_bytes trace_file trace_format =
+      recover cache_dir window max_input_bytes trace_file trace_format =
     let tracer, close_trace = make_tracer trace_file trace_format in
     let quit code =
       close_trace ();
       exit code
     in
-    let c = compile_grammar ?cache_dir ~tracer ~lazy_ grammar in
+    let c = compile_grammar ?cache_dir ~tracer grammar in
     let sym = Llstar.Compiled.sym c in
     let profile = Runtime.Profile.create () in
     let show_profile () =
@@ -363,11 +344,6 @@ let parse_cmd =
             Fmt.pr "%s@." (Runtime.Tree.to_string sym tree)
         | _ -> ());
         show_profile ();
-        (* Re-save a lazy compilation after parsing: the blob then carries
-           every DFA state this run materialized, warming future loads. *)
-        (match cache_dir with
-        | Some dir when lazy_ -> ignore (Llstar.Compiled_cache.save ~dir c)
-        | _ -> ());
         close_trace ()
     | Ok (Error errors, _) ->
         List.iter
@@ -379,7 +355,7 @@ let parse_cmd =
   (* Batch mode: many inputs (and/or @manifest expansions), optionally
      sharded across a worker pool. *)
   let run_batch grammar inputs config start profile_flag verbose recover
-      cache_dir lazy_ jobs trace_file =
+      cache_dir jobs trace_file =
     if trace_file <> None then
       Fmt.epr "warning: --trace is ignored in batch mode@.";
     match Runtime.Batch.load_inputs inputs with
@@ -388,7 +364,7 @@ let parse_cmd =
         exit 2
     | Ok inputs ->
         Exec.Pool.with_pool ~jobs (fun pool ->
-            let c = compile_grammar ?cache_dir ~pool ~lazy_ grammar in
+            let c = compile_grammar ?cache_dir ~pool grammar in
             let sym = Llstar.Compiled.sym c in
             let profile = Runtime.Profile.create () in
             let results =
@@ -402,13 +378,6 @@ let parse_cmd =
                 then incr failed;
                 Fmt.pr "%a@." Runtime.Batch.pp_outcome (sym, r))
               results;
-            (* Re-save a lazy compilation after the batch, as single-input
-               mode does: the canonical blob carries every DFA state the
-               batch materialized -- identical for any job count. *)
-            (match cache_dir with
-            | Some dir when lazy_ ->
-                ignore (Llstar.Compiled_cache.save ~dir c)
-            | _ -> ());
             Fmt.pr "batch: %d/%d inputs parsed, %d tokens total (jobs=%d)@."
               (Array.length results - !failed)
               (Array.length results)
@@ -422,7 +391,7 @@ let parse_cmd =
             if !failed > 0 then exit 1)
   in
   let run grammar inputs config start show_tree profile_flag verbose recover
-      cache_dir lazy_ jobs trace_file trace_format window max_input_bytes =
+      cache_dir jobs trace_file trace_format window max_input_bytes =
     let jobs = Exec.Pool.resolve_jobs jobs in
     let is_manifest a = String.length a > 1 && a.[0] = '@' in
     let usage msg =
@@ -433,12 +402,11 @@ let parse_cmd =
     match inputs with
     | [ input ] when jobs = 1 && not (is_manifest input) ->
         run_single grammar input config start show_tree profile_flag verbose
-          recover cache_dir lazy_ window max_input_bytes trace_file
-          trace_format
+          recover cache_dir window max_input_bytes trace_file trace_format
     | [] -> usage "no input files"
     | inputs ->
         run_batch grammar inputs config start profile_flag verbose recover
-          cache_dir lazy_ jobs trace_file
+          cache_dir jobs trace_file
   in
   let input =
     Arg.(
@@ -491,7 +459,7 @@ let parse_cmd =
     (Cmd.info "parse" ~doc:"Parse an input file with an LL(*) parser for the grammar.")
     Term.(
       const run $ grammar_arg $ input $ lexer_config_term $ start $ tree
-      $ profile $ verbose $ recover $ cache_dir_arg $ lazy_arg $ jobs_arg
+      $ profile $ verbose $ recover $ cache_dir_arg $ jobs_arg
       $ trace_arg $ trace_format_arg $ window $ max_input_bytes)
 
 (* --- gen --------------------------------------------------------------- *)
@@ -536,9 +504,8 @@ let gen_cmd =
 
 let fuzz_cmd =
   let run seed runs grammar mutate corpus_dir size profile_flag json_file
-      jobs lazy_ stream_window =
+      jobs stream_window =
     let jobs = Exec.Pool.resolve_jobs jobs in
-    let strategy = if lazy_ then Some Llstar.Compiled.Lazy else None in
     Exec.Pool.with_pool ~jobs @@ fun pool ->
     let t0 = Unix.gettimeofday () in
     let specs =
@@ -557,7 +524,7 @@ let fuzz_cmd =
         in
         match
           Fuzz.Driver.run_spec ~size ~mutate ?corpus_dir ?profile ~pool
-            ?strategy ?stream_window ~seed ~runs spec
+            ?stream_window ~seed ~runs spec
         with
         | Error e ->
             Fmt.epr "%s: %a@." spec.Bench_grammars.Workload.name
@@ -658,7 +625,7 @@ let fuzz_cmd =
           unexplained disagreement, crash or hang is reported and shrunk.")
     Term.(
       const run $ seed $ runs $ grammar $ mutate $ corpus_dir $ size $ profile
-      $ json $ jobs_arg $ lazy_arg $ stream_window)
+      $ json $ jobs_arg $ stream_window)
 
 (* --- codegen ----------------------------------------------------------- *)
 
@@ -776,111 +743,6 @@ let codegen_cmd =
     Term.(
       const run $ grammar $ bench $ out_dir $ module_name $ standalone
       $ inline_threshold $ print_ $ lexer_config_term)
-
-(* --- bench ------------------------------------------------------------- *)
-
-let bench_cmd =
-  let run grammar input config start iters warmup cache_dir lazy_ json_file =
-    let t0 = Unix.gettimeofday () in
-    let c = compile_grammar ?cache_dir ~lazy_ grammar in
-    let compile_s = Unix.gettimeofday () -. t0 in
-    let sym = Llstar.Compiled.sym c in
-    let text = read_file input in
-    match Runtime.Lexer_engine.tokenize config sym text with
-    | Error e ->
-        Fmt.epr "%s: lex error: %a@." input Runtime.Lexer_engine.pp_error e;
-        exit 1
-    | Ok toks ->
-        let profile = Runtime.Profile.create () in
-        let errors = ref 0 in
-        let once ~profile () =
-          match Runtime.Interp.recognize ?profile ?start c toks with
-          | Ok () -> ()
-          | Error _ -> incr errors
-        in
-        for _ = 1 to warmup do
-          once ~profile:None ()
-        done;
-        errors := 0;
-        let t1 = Unix.gettimeofday () in
-        for _ = 1 to iters do
-          once ~profile:(Some profile) ()
-        done;
-        let parse_s = Unix.gettimeofday () -. t1 in
-        let ntoks = Array.length toks in
-        let tokens_per_s =
-          if parse_s > 0.0 then float_of_int (ntoks * iters) /. parse_s
-          else 0.0
-        in
-        Fmt.pr
-          "%s: %d tokens x %d iters in %.4fs (%.0f tokens/s, compile %.4fs%s)@."
-          (Filename.basename input) ntoks iters parse_s tokens_per_s compile_s
-          (if !errors > 0 then Printf.sprintf ", %d parse errors" !errors
-           else "");
-        Fmt.pr "%a@." Runtime.Profile.pp profile;
-        (match json_file with
-        | Some path ->
-            let bench =
-              Obs.Json.obj
-                [
-                  ("grammar", Obs.Json.str (Filename.basename grammar));
-                  ("input", Obs.Json.str (Filename.basename input));
-                  ("tokens", Obs.Json.int ntoks);
-                  ("iters", Obs.Json.int iters);
-                  ("warmup", Obs.Json.int warmup);
-                  ("compile_s", Obs.Json.float compile_s);
-                  ("parse_s", Obs.Json.float parse_s);
-                  ("tokens_per_s", Obs.Json.float tokens_per_s);
-                  ("parse_errors", Obs.Json.int !errors);
-                  ("lazy", Obs.Json.bool lazy_);
-                  ( "cache_dir",
-                    match cache_dir with
-                    | Some d -> Obs.Json.str d
-                    | None -> Obs.Json.Null );
-                  ("profile", Runtime.Profile.to_json profile);
-                  ("report", Llstar.Report.to_json c.Llstar.Compiled.report);
-                  ( "metrics",
-                    Obs.Metrics.to_json (Runtime.Profile.registry profile) );
-                ]
-            in
-            Obs.Telemetry.write_file path
-              (Obs.Telemetry.document ~tool:"antlrkit-bench"
-                 ~wall_s:(Unix.gettimeofday () -. t0)
-                 ~user_s:(Obs.Telemetry.user_time ())
-                 [ (Filename.basename grammar, bench) ])
-        | None -> ())
-  in
-  let input =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"INPUT" ~doc:"Input file.")
-  in
-  let start =
-    Arg.(value & opt (some string) None & info [ "s"; "start" ] ~doc:"Start rule.")
-  in
-  let iters =
-    Arg.(value & opt int 20 & info [ "iters" ] ~doc:"Measured parse iterations.")
-  in
-  let warmup =
-    Arg.(value & opt int 2 & info [ "warmup" ] ~doc:"Unmeasured warmup iterations.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Write an antlrkit-telemetry/2 document (wall/user time, \
-             decision events, lookahead depths, lazy/cached DFA state \
-             counts, full metrics registry) to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Compile a grammar, parse an input repeatedly, and report \
-          throughput plus the decision profile; --json emits the \
-          machine-readable telemetry document.")
-    Term.(
-      const run $ grammar_arg $ input $ lexer_config_term $ start $ iters
-      $ warmup $ cache_dir_arg $ lazy_arg $ json)
 
 (* --- serve / client ---------------------------------------------------- *)
 
@@ -1367,7 +1229,6 @@ let () =
             parse_cmd;
             gen_cmd;
             fuzz_cmd;
-            bench_cmd;
             codegen_cmd;
             serve_cmd;
             client_cmd;

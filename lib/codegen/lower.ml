@@ -19,185 +19,179 @@ type error = string
 
 let lower ?(inline_threshold = default_inline_threshold) ?lexer ?grammar_text
     (c : Llstar.Compiled.t) : (Ir.t, error) result =
-  match Llstar.Compiled.strategy c with
-  | Llstar.Compiled.Lazy ->
-      Error
-        "codegen requires an eagerly analyzed grammar (lazy DFAs may be \
-         partial); recompile with the Eager strategy"
-  | Llstar.Compiled.Eager -> (
-      let atn = c.Llstar.Compiled.atn in
-      let issues : string list ref = ref [] in
-      let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-      let node_of (ri : Atn.rule_info) (s : int) : Ir.node =
-        if s = ri.Atn.r_stop then Ir.Stop
-        else
-          let d = Atn.decision_of atn s in
-          if d >= 0 then begin
-            let dec = atn.Atn.decisions.(d) in
-            let targets = Atn.decision_alt_targets atn dec in
-            if Array.length targets <> dec.Atn.d_nalts then
+  let atn = c.Llstar.Compiled.atn in
+  let issues : string list ref = ref [] in
+  let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
+  let node_of (ri : Atn.rule_info) (s : int) : Ir.node =
+    if s = ri.Atn.r_stop then Ir.Stop
+    else
+      let d = Atn.decision_of atn s in
+      if d >= 0 then begin
+        let dec = atn.Atn.decisions.(d) in
+        let targets = Atn.decision_alt_targets atn dec in
+        if Array.length targets <> dec.Atn.d_nalts then
+          issue
+            "decision %d: %d alternative targets but %d declared \
+             alternatives"
+            d (Array.length targets) dec.Atn.d_nalts;
+        Ir.Decide { decision = d; targets }
+      end
+      else
+        match atn.Atn.trans.(s) with
+        | [||] -> Ir.Dead
+        | row -> (
+            let edge, target = row.(0) in
+            match edge with
+            | Atn.Eps -> Ir.Eps { target }
+            | Atn.Term term -> Ir.Match_term { term; target }
+            | Atn.Rule { rule; arg } ->
+                Ir.Call
+                  { rule; prec = Option.value ~default:0 arg; target }
+            | Atn.Pred (Atn.Sem code) -> Ir.Check_sem { code; target }
+            | Atn.Pred (Atn.Prec bound) -> Ir.Check_prec { bound; target }
+            | Atn.Pred (Atn.Syn synrule) ->
+                Ir.Check_syn
+                  { synrule; text = Atn.rule_name atn synrule; target }
+            | Atn.Act { id; always } ->
+                Ir.Do_action
+                  { code = fst atn.Atn.actions.(id); always; target })
+  in
+  let successors (n : Ir.node) : int list =
+    match n with
+    | Ir.Stop -> []
+    | Ir.Dead -> []
+    | Ir.Eps { target } -> [ target ]
+    | Ir.Match_term { target; term = _ } -> [ target ]
+    | Ir.Call { target; rule = _; prec = _ } -> [ target ]
+    | Ir.Check_sem { target; code = _ } -> [ target ]
+    | Ir.Check_prec { target; bound = _ } -> [ target ]
+    | Ir.Check_syn { target; synrule = _; text = _ } -> [ target ]
+    | Ir.Do_action { target; code = _; always = _ } -> [ target ]
+    | Ir.Decide { targets; decision = _ } -> Array.to_list targets
+  in
+  let lower_rule (ri : Atn.rule_info) : Ir.rule_ir =
+    (* collect the states reachable from the entry without leaving the
+       rule (calls continue at the follow state, not the callee) *)
+    let seen = Hashtbl.create 64 in
+    let acc = ref [] in
+    let rec visit s =
+      if not (Hashtbl.mem seen s) then begin
+        Hashtbl.add seen s ();
+        if atn.Atn.state_rule.(s) <> ri.Atn.r_id then
+          issue "rule %s: reached state %d owned by another rule"
+            ri.Atn.r_name s;
+        let n = node_of ri s in
+        acc := (s, n) :: !acc;
+        List.iter visit (successors n)
+      end
+    in
+    visit ri.Atn.r_entry;
+    let states = Array.of_list !acc in
+    Array.sort (fun (a, _) (b, _) -> compare a b) states;
+    {
+      Ir.ru_id = ri.Atn.r_id;
+      ru_name = ri.Atn.r_name;
+      ru_entry = ri.Atn.r_entry;
+      ru_stop = ri.Atn.r_stop;
+      ru_is_synpred = ri.Atn.r_is_synpred;
+      ru_states = states;
+    }
+  in
+  let lower_decision (dec : Atn.decision) : Ir.decision_ir =
+    let dfa = Llstar.Compiled.dfa c dec.Atn.d_id in
+    (* the DFA must only predict alternatives the decision has *)
+    Array.iteri
+      (fun s alt ->
+        if alt < 0 || alt > dec.Atn.d_nalts then
+          issue "decision %d: DFA state %d accepts alternative %d of %d"
+            dec.Atn.d_id s alt dec.Atn.d_nalts)
+      dfa.Llstar.Look_dfa.accept;
+    Array.iteri
+      (fun s edges ->
+        Array.iter
+          (fun (e : Llstar.Look_dfa.pred_edge) ->
+            if e.Llstar.Look_dfa.alt < 1 || e.Llstar.Look_dfa.alt > dec.Atn.d_nalts
+            then
               issue
-                "decision %d: %d alternative targets but %d declared \
-                 alternatives"
-                d (Array.length targets) dec.Atn.d_nalts;
-            Ir.Decide { decision = d; targets }
-          end
-          else
-            match atn.Atn.trans.(s) with
-            | [||] -> Ir.Dead
-            | row -> (
-                let edge, target = row.(0) in
-                match edge with
-                | Atn.Eps -> Ir.Eps { target }
-                | Atn.Term term -> Ir.Match_term { term; target }
-                | Atn.Rule { rule; arg } ->
-                    Ir.Call
-                      { rule; prec = Option.value ~default:0 arg; target }
-                | Atn.Pred (Atn.Sem code) -> Ir.Check_sem { code; target }
-                | Atn.Pred (Atn.Prec bound) -> Ir.Check_prec { bound; target }
-                | Atn.Pred (Atn.Syn synrule) ->
-                    Ir.Check_syn
-                      { synrule; text = Atn.rule_name atn synrule; target }
-                | Atn.Act { id; always } ->
-                    Ir.Do_action
-                      { code = fst atn.Atn.actions.(id); always; target })
-      in
-      let successors (n : Ir.node) : int list =
-        match n with
-        | Ir.Stop -> []
-        | Ir.Dead -> []
-        | Ir.Eps { target } -> [ target ]
-        | Ir.Match_term { target; term = _ } -> [ target ]
-        | Ir.Call { target; rule = _; prec = _ } -> [ target ]
-        | Ir.Check_sem { target; code = _ } -> [ target ]
-        | Ir.Check_prec { target; bound = _ } -> [ target ]
-        | Ir.Check_syn { target; synrule = _; text = _ } -> [ target ]
-        | Ir.Do_action { target; code = _; always = _ } -> [ target ]
-        | Ir.Decide { targets; decision = _ } -> Array.to_list targets
-      in
-      let lower_rule (ri : Atn.rule_info) : Ir.rule_ir =
-        (* collect the states reachable from the entry without leaving the
-           rule (calls continue at the follow state, not the callee) *)
-        let seen = Hashtbl.create 64 in
-        let acc = ref [] in
-        let rec visit s =
-          if not (Hashtbl.mem seen s) then begin
-            Hashtbl.add seen s ();
-            if atn.Atn.state_rule.(s) <> ri.Atn.r_id then
-              issue "rule %s: reached state %d owned by another rule"
-                ri.Atn.r_name s;
-            let n = node_of ri s in
-            acc := (s, n) :: !acc;
-            List.iter visit (successors n)
-          end
-        in
-        visit ri.Atn.r_entry;
-        let states = Array.of_list !acc in
-        Array.sort (fun (a, _) (b, _) -> compare a b) states;
-        {
-          Ir.ru_id = ri.Atn.r_id;
-          ru_name = ri.Atn.r_name;
-          ru_entry = ri.Atn.r_entry;
-          ru_stop = ri.Atn.r_stop;
-          ru_is_synpred = ri.Atn.r_is_synpred;
-          ru_states = states;
-        }
-      in
-      let lower_decision (dec : Atn.decision) : Ir.decision_ir =
-        let dfa = Llstar.Compiled.dfa c dec.Atn.d_id in
-        (* the DFA must only predict alternatives the decision has *)
-        Array.iteri
-          (fun s alt ->
-            if alt < 0 || alt > dec.Atn.d_nalts then
-              issue "decision %d: DFA state %d accepts alternative %d of %d"
-                dec.Atn.d_id s alt dec.Atn.d_nalts)
-          dfa.Llstar.Look_dfa.accept;
-        Array.iteri
-          (fun s edges ->
-            Array.iter
-              (fun (e : Llstar.Look_dfa.pred_edge) ->
-                if e.Llstar.Look_dfa.alt < 1 || e.Llstar.Look_dfa.alt > dec.Atn.d_nalts
-                then
-                  issue
-                    "decision %d: DFA state %d predicate edge predicts \
-                     alternative %d of %d"
-                    dec.Atn.d_id s e.Llstar.Look_dfa.alt dec.Atn.d_nalts)
-              edges)
-          dfa.Llstar.Look_dfa.preds;
-        let plan =
-          if dfa.Llstar.Look_dfa.nstates <= inline_threshold then Ir.Inline
-          else Ir.Table
-        in
-        {
-          Ir.de_id = dec.Atn.d_id;
-          de_rule = dec.Atn.d_rule;
-          de_exit_alt = dec.Atn.d_exit_alt;
-          de_nalts = dec.Atn.d_nalts;
-          de_plan = plan;
-          de_dfa = dfa;
-        }
-      in
-      let rules = Array.map lower_rule atn.Atn.rules in
-      let decisions = Array.map lower_decision atn.Atn.decisions in
-      (* every synpred referenced by a DFA or a gate must name a real rule *)
-      let check_synrule where r =
-        if r < 0 || r >= Array.length atn.Atn.rules then
-          issue "%s references synpred rule %d out of range" where r
-      in
+                "decision %d: DFA state %d predicate edge predicts \
+                 alternative %d of %d"
+                dec.Atn.d_id s e.Llstar.Look_dfa.alt dec.Atn.d_nalts)
+          edges)
+      dfa.Llstar.Look_dfa.preds;
+    let plan =
+      if dfa.Llstar.Look_dfa.nstates <= inline_threshold then Ir.Inline
+      else Ir.Table
+    in
+    {
+      Ir.de_id = dec.Atn.d_id;
+      de_rule = dec.Atn.d_rule;
+      de_exit_alt = dec.Atn.d_exit_alt;
+      de_nalts = dec.Atn.d_nalts;
+      de_plan = plan;
+      de_dfa = dfa;
+    }
+  in
+  let rules = Array.map lower_rule atn.Atn.rules in
+  let decisions = Array.map lower_decision atn.Atn.decisions in
+  (* every synpred referenced by a DFA or a gate must name a real rule *)
+  let check_synrule where r =
+    if r < 0 || r >= Array.length atn.Atn.rules then
+      issue "%s references synpred rule %d out of range" where r
+  in
+  Array.iter
+    (fun (d : Ir.decision_ir) ->
       Array.iter
-        (fun (d : Ir.decision_ir) ->
+        (fun edges ->
           Array.iter
-            (fun edges ->
-              Array.iter
-                (fun (e : Llstar.Look_dfa.pred_edge) ->
-                  match e.Llstar.Look_dfa.pred with
-                  | Some (Atn.Syn r) ->
-                      check_synrule
-                        (Printf.sprintf "decision %d" d.Ir.de_id)
-                        r
-                  | Some (Atn.Sem _) -> ()
-                  | Some (Atn.Prec _) -> ()
-                  | None -> ())
-                edges)
-            d.Ir.de_dfa.Llstar.Look_dfa.preds)
-        decisions;
-      Array.iter
-        (fun (r : Ir.rule_ir) ->
-          Array.iter
-            (fun ((_ : int), n) ->
-              match n with
-              | Ir.Check_syn { synrule; text = _; target = _ } ->
+            (fun (e : Llstar.Look_dfa.pred_edge) ->
+              match e.Llstar.Look_dfa.pred with
+              | Some (Atn.Syn r) ->
                   check_synrule
-                    (Printf.sprintf "rule %s" r.Ir.ru_name)
-                    synrule
-              | Ir.Stop | Ir.Dead -> ()
-              | Ir.Eps _ | Ir.Match_term _ | Ir.Call _ | Ir.Check_sem _
-              | Ir.Check_prec _ | Ir.Do_action _ | Ir.Decide _ ->
-                  ())
-            r.Ir.ru_states)
-        rules;
-      match List.rev !issues with
-      | first :: _ as all ->
-          Error
-            (Printf.sprintf "cannot lower grammar: %s%s" first
-               (match all with
-               | [ _ ] -> ""
-               | _ ->
-                   Printf.sprintf " (and %d more issues)"
-                     (List.length all - 1)))
-      | [] ->
-          Ok
-            {
-              Ir.grammar_name = c.Llstar.Compiled.surface.Grammar.Ast.gname;
-              start_rule = atn.Atn.start_rule;
-              memoize =
-                (Llstar.Compiled.options c).Grammar.Ast.memoize;
-              rules;
-              decisions;
-              sym = Llstar.Compiled.sym c;
-              lexer_hint = lexer;
-              grammar_text;
-            })
+                    (Printf.sprintf "decision %d" d.Ir.de_id)
+                    r
+              | Some (Atn.Sem _) -> ()
+              | Some (Atn.Prec _) -> ()
+              | None -> ())
+            edges)
+        d.Ir.de_dfa.Llstar.Look_dfa.preds)
+    decisions;
+  Array.iter
+    (fun (r : Ir.rule_ir) ->
+      Array.iter
+        (fun ((_ : int), n) ->
+          match n with
+          | Ir.Check_syn { synrule; text = _; target = _ } ->
+              check_synrule
+                (Printf.sprintf "rule %s" r.Ir.ru_name)
+                synrule
+          | Ir.Stop | Ir.Dead -> ()
+          | Ir.Eps _ | Ir.Match_term _ | Ir.Call _ | Ir.Check_sem _
+          | Ir.Check_prec _ | Ir.Do_action _ | Ir.Decide _ ->
+              ())
+        r.Ir.ru_states)
+    rules;
+  match List.rev !issues with
+  | first :: _ as all ->
+      Error
+        (Printf.sprintf "cannot lower grammar: %s%s" first
+           (match all with
+           | [ _ ] -> ""
+           | _ ->
+               Printf.sprintf " (and %d more issues)"
+                 (List.length all - 1)))
+  | [] ->
+      Ok
+        {
+          Ir.grammar_name = c.Llstar.Compiled.surface.Grammar.Ast.gname;
+          start_rule = atn.Atn.start_rule;
+          memoize =
+            (Llstar.Compiled.options c).Grammar.Ast.memoize;
+          rules;
+          decisions;
+          sym = Llstar.Compiled.sym c;
+          lexer_hint = lexer;
+          grammar_text;
+        }
 
 let lower_exn ?inline_threshold ?lexer ?grammar_text c =
   match lower ?inline_threshold ?lexer ?grammar_text c with

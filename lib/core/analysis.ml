@@ -74,15 +74,6 @@ type result = {
    deterministic. *)
 type effort = { primary : int; bounded : int; ll1 : int }
 
-let no_effort = { primary = 0; bounded = 0; ll1 = 0 }
-
-let add_effort a b =
-  {
-    primary = a.primary + b.primary;
-    bounded = a.bounded + b.bounded;
-    ll1 = a.ll1 + b.ll1;
-  }
-
 let total_effort e = e.primary + e.bounded + e.ll1
 
 type fallback_strategy =
@@ -156,7 +147,6 @@ type builder = {
   mutable states : wstate list; (* reversed *)
   mutable nstates : int;
   dedup : wstate Dedup.t;
-  by_id : (int, wstate) Hashtbl.t; (* state id -> state, for O(1) lookup *)
   recursive_alts : Bitset.t; (* universe: d_nalts + 1 *)
   stacks : Config.Stack.table; (* hash-consed call stacks *)
   closure_memo : closure_memo_entry Config.Tbl.t;
@@ -164,12 +154,10 @@ type builder = {
     (* one seed's closure walk; cleared between seeds, never shared *)
   mutable warnings : warning list;
   mutable uses_synpred : bool;
-  mutable allow_multi_recursion : bool;
-    (* true in fallback mode; the lazy engine flips it mid-construction to
-       continue with the Bounded strategy instead of restarting *)
+  allow_multi_recursion : bool; (* true in the fallback attempts *)
   mutable open_at_depth : int array;
-    (* index k: fresh states at lookahead depth k that settled undecided;
-       grows on demand *)
+    (* index k: fresh states at lookahead depth k that settled undecided,
+       counted only when [allow_multi_recursion]; grows on demand *)
 }
 
 let busy_initial = 64
@@ -570,8 +558,6 @@ let attach_fragment_end (b : builder) (d : wstate) : unit =
 (* ------------------------------------------------------------------ *)
 (* createDFA (Algorithm 8) *)
 
-let state_by_id (b : builder) (id : int) : wstate = Hashtbl.find b.by_id id
-
 let new_wstate (b : builder) ~depth ~path configs overflow : wstate * bool =
   let key = set_key configs in
   match Dedup.find_opt b.dedup key with
@@ -591,7 +577,6 @@ let new_wstate (b : builder) ~depth ~path configs overflow : wstate * bool =
         }
       in
       Dedup.add b.dedup key d;
-      Hashtbl.add b.by_id d.id d;
       b.states <- d :: b.states;
       b.nstates <- b.nstates + 1;
       (d, true)
@@ -664,14 +649,14 @@ let should_expand (b : builder) (d : wstate) =
    budget open hundreds (342-763) at one depth before they exhaust it.  So
    once one depth holds more than [open_limit] undecided states, the retry
    gives up for the LL(1) fallback instead of building the rest of the
-   budget.  Counting is unconditional, so a lazy engine that switches to
-   the [Bounded] strategy mid-construction has counted its earlier states;
-   only builders that allow multi-alternative recursion give up.  Primary
-   constructions are governed by [max_states] alone. *)
+   budget.  Only builders that allow multi-alternative recursion (the
+   retry) count; primary constructions are governed by [max_states]
+   alone, and the LL(1) fallback never steps past depth 1. *)
 let open_limit (opts : options) = opts.max_states / 16
 
-(* Count [d] as open at its depth; returns that depth's new count. *)
-let count_open (b : builder) (d : wstate) : int =
+(* Count [d] as open at its depth, giving up once that depth holds more
+   than [open_limit] undecided states. *)
+let note_open (b : builder) (d : wstate) : unit =
   let k = d.depth in
   let len = Array.length b.open_at_depth in
   if k >= len then begin
@@ -681,21 +666,12 @@ let count_open (b : builder) (d : wstate) : int =
   end;
   let n = b.open_at_depth.(k) + 1 in
   b.open_at_depth.(k) <- n;
-  n
-
-let note_open (b : builder) (d : wstate) : unit =
-  let n = count_open b d in
-  if b.allow_multi_recursion && n > open_limit b.opts then
-    raise (Not_converging_exn { depth = d.depth; open_states = n })
+  if n > open_limit b.opts then
+    raise (Not_converging_exn { depth = k; open_states = n })
 
 (* ------------------------------------------------------------------ *)
-(* Per-state construction steps.
-
-   The subset construction is decomposed into steps shared by the eager
-   work-list loop below and the lazy on-demand engine ([Lazy_dfa]), which
-   invokes them one (state, terminal) pair at a time from the interpreter's
-   prediction loop.  Each step is idempotent: re-stepping an already
-   discovered transition dedups against the existing state and edge. *)
+(* Per-state construction steps: the body of the work-list loop below,
+   one state and one terminal at a time. *)
 
 (* Finish a freshly discovered state: set the accept when a single
    alternative survives resolution, and attach the fragment-end default. *)
@@ -747,10 +723,9 @@ let step_terminal (b : builder) (d : wstate) (a : int) : (wstate * bool) option
     in
     if fresh then begin
       settle_fresh b d';
-      if should_expand b d' then note_open b d'
+      if b.allow_multi_recursion && should_expand b d' then note_open b d'
     end;
-    if not (List.exists (fun (t, _) -> t = a) d.term_edges) then
-      d.term_edges <- (a, d'.id) :: d.term_edges;
+    d.term_edges <- (a, d'.id) :: d.term_edges;
     Some (d', fresh)
   end
 
@@ -836,7 +811,6 @@ let make_builder atn opts decision ~allow_multi_recursion =
     states = [];
     nstates = 0;
     dedup = Dedup.create 64;
-    by_id = Hashtbl.create 64;
     recursive_alts = Bitset.create (alt_universe decision);
     stacks = Config.Stack.create_table ();
     closure_memo = Config.Tbl.create 256;
@@ -846,38 +820,6 @@ let make_builder atn opts decision ~allow_multi_recursion =
     allow_multi_recursion;
     open_at_depth = Array.make 16 0;
   }
-
-(* Re-insert a previously discovered state into a builder being restored
-   from serialized form ([Lazy_dfa.of_portable]).  States must arrive in
-   id order so the sequential-id invariant of [new_wstate] holds; the
-   dedup and by-id tables are rebuilt here, the closure memo is left cold
-   (it is a pure cache and re-fills on demand).  Stacks are interned into
-   this builder's table and each set is put back in its canonical order.
-   Undecided states are counted open at their (canonical) depth, so the
-   restored builder stops converging where the saved one would; the count
-   is only checked when the next state is discovered. *)
-let restore_wstate (b : builder) ~configs ~term_edges ~accept ~pred_edges
-    ~overflow ~depth ~path : unit =
-  let configs =
-    Config.canonicalize (List.map (Config.of_plain b.stacks) configs)
-  in
-  let d =
-    {
-      id = b.nstates;
-      configs;
-      term_edges;
-      accept;
-      pred_edges;
-      overflow;
-      depth;
-      path;
-    }
-  in
-  Dedup.replace b.dedup (set_key configs) d;
-  Hashtbl.replace b.by_id d.id d;
-  b.states <- d :: b.states;
-  b.nstates <- b.nstates + 1;
-  if d.id > 0 && should_expand b d then ignore (count_open b d)
 
 (* Alternatives that no accept state or predicate edge ever predicts can
    never be chosen: dead productions (section 1.1). *)

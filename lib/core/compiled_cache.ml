@@ -3,14 +3,13 @@
    Compiling a grammar -- ATN construction plus lookahead-DFA analysis --
    dominates cold-start time, and it is fully determined by the grammar AST
    and the analysis options.  This module serializes a whole [Compiled.t]
-   (ATN, every materialized DFA state, lazy engines when present, and the
-   analysis report) to a versioned binary blob keyed by a content hash of
-   the grammar, with load-validate-or-rebuild semantics:
+   (ATN, every lookahead DFA, and the analysis report) to a versioned
+   binary blob keyed by a content hash of the grammar, with
+   load-validate-or-rebuild semantics:
 
    - the cache key is a digest of the surface AST, the resolved analysis
-     options, the compilation strategy, the cache format version and the
-     compiler version, so any input that could change the result changes
-     the file name;
+     options, the cache format version and the compiler version, so any
+     input that could change the result changes the file name;
    - the blob carries a magic string, the key, and a digest of the payload;
      a missing, truncated, corrupted or mismatched blob makes [load] return
      [None] -- the caller recompiles, it never crashes (the payload digest
@@ -23,28 +22,20 @@
      [compile]): a temp whose writer pid is provably dead, or whose mtime
      is older than [stale_temp_age_s], is removed; a live writer's fresh
      temp is never touched, and valid blobs are never candidates (only
-     [.<key>.tmp.<pid>]-shaped names are considered).
-
-   A lazy-mode [Compiled.t] can be re-saved after parsing: the blob then
-   contains every DFA state materialized so far, and a later [load] resumes
-   lazy construction from that warm state. *)
+     [.<key>.tmp.<pid>]-shaped names are considered). *)
 
 (* Bump whenever the marshaled representation changes shape: any change to
    [Compiled.t] or to a type reachable from it (ASTs, ATN, DFAs, analysis
-   results, lazy engines).
+   results).
    v2: [Grammar.Sym.t] gained the [frozen] field.
-   v3: lazy engines are serialized as [Lazy_dfa.portable] (canonical,
-   discovery-order independent) alongside an engine-stripped [Compiled.t]
-   instead of being marshaled live -- live engines now carry a mutex and
-   an atomic, which do not marshal.
-   v4: [Report.decision_report] gained [states_built], lazy engines carry
-   [p_retired_states], and serialized configurations are
-   [Config.Plain.t] (same shape as the old [Config.t]; live
-   configurations now hold hash-consed stacks).
-   v5: [Analysis.warning] gained [Not_converging], and [states_built] (in
-   the report and a lazy engine's [p_retired_states]) is split by attempt
-   ([Analysis.effort]). *)
-let format_version = 5
+   v3: lazy engines were serialized in a canonical portable form.
+   v4: [Report.decision_report] gained [states_built], and serialized
+   lazy engines stored plain configurations.
+   v5: [Analysis.warning] gained [Not_converging], and [states_built] is
+   split by attempt ([Analysis.effort]).
+   v6: lazy construction is gone: the key no longer carries a strategy
+   and the payload is the compiled value alone. *)
+let format_version = 6
 
 let magic = "ANTLRKIT-CACHE\n"
 
@@ -58,80 +49,39 @@ let resolve_opts ?analysis_opts (g : Grammar.Ast.t) : Analysis.options =
   | Some o -> o
   | None -> Analysis.options_of_grammar g
 
-let key_of_parts (g : Grammar.Ast.t) (opts : Analysis.options)
-    (strategy : Compiled.strategy) : string =
+let key_of_parts (g : Grammar.Ast.t) (opts : Analysis.options) : string =
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string
-          (g, opts, strategy, format_version, Sys.ocaml_version)
-          []))
+       (Marshal.to_string (g, opts, format_version, Sys.ocaml_version) []))
 
-let key ?analysis_opts ?(strategy = Compiled.Eager) (g : Grammar.Ast.t) :
-    string =
-  key_of_parts g (resolve_opts ?analysis_opts g) strategy
+let key ?analysis_opts (g : Grammar.Ast.t) : string =
+  key_of_parts g (resolve_opts ?analysis_opts g)
 
 (* The key a compiled value would be stored under.  Uses the options the
-   compilation actually resolved, so a warm re-save lands on the same blob
-   a later [load]/[compile] with the same inputs will look up. *)
+   compilation actually resolved, so a [save] lands on the same blob a
+   later [load]/[compile] with the same inputs will look up. *)
 let key_of (c : Compiled.t) : string =
-  key_of_parts c.Compiled.surface c.Compiled.opts (Compiled.strategy c)
+  key_of_parts c.Compiled.surface c.Compiled.opts
 
 let cache_file ~dir k = Filename.concat dir (k ^ ".antlrkit-cache")
-
-(* ------------------------------------------------------------------ *)
-(* Payload form.
-
-   Live lazy engines hold a mutex, an atomic and derived hash tables,
-   none of which [Marshal] accepts, and their builders' raw state depends
-   on discovery order.  The marshaled payload is therefore the compiled
-   value with [engines] stripped, paired with each engine's canonical
-   [Lazy_dfa.portable] form; both halves go through one [Marshal] call so
-   structure shared between them (the ATN, interned symbols) is shared in
-   the blob too.  Eager compilations pair with [None] and round-trip
-   unchanged. *)
-
-type payload = Compiled.t * Lazy_dfa.portable array option
-
-let to_payload (c : Compiled.t) : payload =
-  match c.Compiled.engines with
-  | None -> (c, None)
-  | Some engines ->
-      ( { c with Compiled.engines = None },
-        Some (Array.map Lazy_dfa.to_portable engines) )
-
-let of_payload ((c, engines) : payload) : Compiled.t =
-  match engines with
-  | None -> c
-  | Some ps ->
-      let engines =
-        Array.mapi
-          (fun i p ->
-            Lazy_dfa.of_portable ~opts:c.Compiled.opts c.Compiled.atn
-              c.Compiled.atn.Atn.decisions.(i) p)
-          ps
-      in
-      { c with Compiled.engines = Some engines }
 
 (* Digest of the compilation result with the volatile parts normalized
    away: the provenance tag (a cache hit is re-tagged [From_cache]) and
    the report's measured wall-clock analysis time, neither of which is a
    product of the analysis itself.  Because marshaling is deterministic
-   for identically constructed values -- and lazy engines are digested in
-   their canonical portable form, which is discovery-order independent --
-   two compilations of the same grammar agree on this digest iff they
-   produced the same ATN, DFAs (or materialized lazy state set), warnings
-   and report: the determinism oracle the parallel-analysis tests check
-   against the sequential build.
+   for identically constructed values, two compilations of the same
+   grammar agree on this digest iff they produced the same ATN, DFAs,
+   warnings and report: the determinism oracle the parallel-analysis
+   tests check against the sequential build.
 
    The digest marshals with [No_sharing]: default marshaling encodes
    *physical* sharing (two structurally equal values whose internal cons
-   cells are shared differently produce different bytes), and sharing of
-   config stacks between DFA states is an artifact of closure evaluation
-   order -- under concurrent lazy growth it varies with task interleaving
-   even when every state is identical.  [No_sharing] makes the bytes a
-   pure function of structure.  It would diverge on cyclic input, but
-   every type reachable from a payload is an immutable tree (ATN edges
-   and config stacks are integer indices, never back-pointers).  The
+   cells are shared differently produce different bytes), and sharing is
+   an artifact of how a value was built, not part of the analysis
+   result.  [No_sharing] makes the bytes a pure function of structure.
+   It would diverge on cyclic input, but every type reachable from a
+   compiled value is an immutable tree (ATN edges are integer indices,
+   never back-pointers).  The
    on-disk blob in [save] keeps default sharing: there it is a size
    optimization, and round-tripping does not care about bytes. *)
 let payload_digest (c : Compiled.t) : string =
@@ -144,7 +94,7 @@ let payload_digest (c : Compiled.t) : string =
     }
   in
   Digest.to_hex
-    (Digest.string (Marshal.to_string (to_payload c) [ Marshal.No_sharing ]))
+    (Digest.string (Marshal.to_string c [ Marshal.No_sharing ]))
 
 (* ------------------------------------------------------------------ *)
 (* Save / load *)
@@ -250,7 +200,7 @@ let save ~dir (c : Compiled.t) : (string, string) result =
   let path = cache_file ~dir k in
   try
     mkdir_p dir;
-    let payload = Marshal.to_string (to_payload c) [] in
+    let payload = Marshal.to_string c [] in
     let tmp =
       Filename.concat dir
         (Printf.sprintf ".%s-%d.tmp.%d" k
@@ -290,8 +240,7 @@ let load_key ?(tracer = Obs.Trace.null) ~dir (k : string) : Compiled.t option
                   let payload = really_input_string ic len in
                   if Digest.to_hex (Digest.string payload) <> digest then None
                   else
-                    let p : payload = Marshal.from_string payload 0 in
-                    let c = of_payload p in
+                    let c : Compiled.t = Marshal.from_string payload 0 in
                     Some (Compiled.with_origin c Compiled.From_cache)
           with _ -> None
         in
@@ -303,24 +252,21 @@ let load_key ?(tracer = Obs.Trace.null) ~dir (k : string) : Compiled.t option
       (Obs.Trace.Cache_load { key = k; hit = result <> None });
   result
 
-let load ?tracer ?analysis_opts ?strategy ~dir (g : Grammar.Ast.t) :
-    Compiled.t option =
-  load_key ?tracer ~dir (key ?analysis_opts ?strategy g)
+let load ?tracer ?analysis_opts ~dir (g : Grammar.Ast.t) : Compiled.t option
+    =
+  load_key ?tracer ~dir (key ?analysis_opts g)
 
 (* ------------------------------------------------------------------ *)
 (* Load-or-rebuild entry points *)
 
-let compile ?tracer ?analysis_opts ?grammar_source ?pool
-    ?(strategy = Compiled.Eager) ~dir (g : Grammar.Ast.t) :
-    (Compiled.t * outcome, Compiled.error) result =
+let compile ?tracer ?analysis_opts ?grammar_source ?pool ~dir
+    (g : Grammar.Ast.t) : (Compiled.t * outcome, Compiled.error) result =
   sweep_once ~dir;
-  let k = key ?analysis_opts ~strategy g in
+  let k = key ?analysis_opts g in
   match load_key ?tracer ~dir k with
   | Some c -> Ok (c, Hit)
   | None -> (
-      match
-        Compiled.compile ?analysis_opts ?grammar_source ?pool ~strategy g
-      with
+      match Compiled.compile ?analysis_opts ?grammar_source ?pool g with
       | Error e -> Error e
       | Ok c ->
           (* Best effort: a read-only or full cache directory must not fail
@@ -328,15 +274,14 @@ let compile ?tracer ?analysis_opts ?grammar_source ?pool
           ignore (save ~dir c);
           Ok (c, Miss))
 
-let of_source ?tracer ?analysis_opts ?pool ?strategy ~dir (src : string) :
+let of_source ?tracer ?analysis_opts ?pool ~dir (src : string) :
     (Compiled.t * outcome, Compiled.error) result =
   match Grammar.Meta_parser.parse_result src with
   | Error msg -> Error (Compiled.Message msg)
   | Ok surface ->
-      compile ?tracer ?analysis_opts ~grammar_source:src ?pool ?strategy ~dir
-        surface
+      compile ?tracer ?analysis_opts ~grammar_source:src ?pool ~dir surface
 
-let of_source_exn ?analysis_opts ?pool ?strategy ~dir src =
-  match of_source ?analysis_opts ?pool ?strategy ~dir src with
+let of_source_exn ?analysis_opts ?pool ~dir src =
+  match of_source ?analysis_opts ?pool ~dir src with
   | Ok r -> r
   | Error e -> failwith (Fmt.str "%a" Compiled.pp_error e)

@@ -73,10 +73,6 @@ module Stack = struct
         tbl.next <- tbl.next + 1;
         node
 
-  let of_list tbl l = List.fold_right (push tbl) l Empty
-
-  let rec to_list = function Empty -> [] | Push p -> p.top :: to_list p.rest
-
   (* Occurrences of follow state [f] on the stack: the recursion depth of
      the call that pushes [f]. *)
   let rec count f = function
@@ -132,8 +128,7 @@ let hash_sem : sem_ctx -> int = function
 
 (* Monomorphic ordering: [Int.compare] on the scalar fields, stacks by
    interned id.  The order is total within one builder, which is all
-   [canonicalize] needs; the serialized form ([Plain]) has its own
-   builder-independent order. *)
+   [canonicalize] needs. *)
 let compare (a : t) (b : t) =
   if a == b then 0
   else
@@ -192,42 +187,3 @@ let conflicts (a : t) (b : t) =
    DFA-state identity for subset-construction dedup (Definition 6 state
    equivalence). *)
 let canonicalize (configs : t list) : t list = List.sort_uniq compare configs
-
-(* Builder-independent form, with the stack as a plain list: what
-   serialized lazy engines store.  Its order is the structural one
-   (fields in declaration order, stacks lexicographically), so a state's
-   serialized configuration list does not depend on interning order. *)
-module Plain = struct
-  type t = {
-    state : int;
-    alt : int;
-    stack : int list;
-    sem : sem_ctx;
-    free : bool;
-    crossed : bool;
-  }
-
-  (* Fields in declaration order, stacks lexicographically (a cold path:
-     serialization only). *)
-  let compare : t -> t -> int = Stdlib.compare
-end
-
-let to_plain (c : t) : Plain.t =
-  {
-    state = c.state;
-    alt = c.alt;
-    stack = Stack.to_list c.stack;
-    sem = c.sem;
-    free = c.free;
-    crossed = c.crossed;
-  }
-
-let of_plain tbl (p : Plain.t) : t =
-  {
-    state = p.state;
-    alt = p.alt;
-    stack = Stack.of_list tbl p.stack;
-    sem = p.sem;
-    free = p.free;
-    crossed = p.crossed;
-  }

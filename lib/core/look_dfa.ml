@@ -31,14 +31,14 @@ type t = {
   fallback : bool; (* produced by the LL(1) fallback, not full analysis *)
 }
 
-(* Rows are sorted by terminal id (every construction site -- the analysis
-   freeze, the minimizer's remap and the lazy engine's snapshots -- sorts
-   them), so states with many outgoing terminals bisect instead of paying a
-   full scan per lookahead token.  Most rows stay tiny, and there a linear
-   scan beats bisection, so small rows keep the scan.  The wildcard edge
-   matches any terminal except EOF and, having id 1 (only EOF's 0 sorts
-   below it), can only live in one of the first two slots -- the fallback
-   checks those directly instead of re-walking the row. *)
+(* Rows are sorted by terminal id (the analysis freeze sorts them and the
+   minimizer's remap keeps their order), so states with many outgoing
+   terminals bisect instead of paying a full scan per lookahead token.
+   Most rows stay tiny, and there a linear scan beats bisection, so small
+   rows keep the scan.  The wildcard edge matches any terminal except EOF
+   and, having id 1 (only EOF's 0 sorts below it), can only live in one of
+   the first two slots -- the fallback checks those directly instead of
+   re-walking the row. *)
 let linear_cutoff = 8
 
 let lookup_edge (t : t) (state : int) (term : int) : int option =

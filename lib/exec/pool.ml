@@ -13,10 +13,8 @@
    element and await them in element order, so the output ordering is the
    input ordering regardless of completion order, and a task exception
    surfaces at the index that raised it.  Tasks must not mutate state
-   shared with other tasks unless that state synchronizes internally
-   (e.g. the concurrency-safe [Lazy_dfa] engines); see DESIGN.md
-   (Execution layer) for the sharing discipline the analysis, batch and
-   fuzz drivers follow. *)
+   shared with other tasks; see DESIGN.md (Execution layer) for the
+   sharing discipline the analysis, batch and fuzz drivers follow. *)
 
 type t = Pool_backend.t
 type 'a task = 'a Pool_backend.task

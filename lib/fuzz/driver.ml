@@ -215,23 +215,18 @@ let run_range ?(size = 30) ?(mutate = true) ?fuel ?time_cap ?corpus_dir
         }
 
 (* One fuzzing session over a single grammar spec.  The LL-star compilation
-   happens once and is shared by every chunk -- safe for both strategies
-   (eager results are read-only; lazy engines synchronize internally), and
-   required for lazy determinism: per-chunk compilations would each count
-   their own sprouts, making merged profiles depend on the job count.
-   [pool] spreads the run indices across workers in several chunks per
-   worker ([Exec.Pool.chunk_ranges]; modest granularity -- each chunk
-   builds its own oracle around the shared compilation, since the baseline
-   backends hold mutable parser state); each chunk also owns a private
-   profile, merged on join.  The report is identical for any job count
-   because runs are seed-index deterministic and chunks are merged in
-   index order.  [strategy] picks the LL-star compilation strategy (default
-   eager); lazy fuzzing doubles as a concurrency stress of the shared
-   engines' sprout path. *)
+   happens once and is shared, read-only, by every chunk.  [pool] spreads
+   the run indices across workers in several chunks per worker
+   ([Exec.Pool.chunk_ranges]; modest granularity -- each chunk builds its
+   own oracle around the shared compilation, since the baseline backends
+   hold mutable parser state); each chunk also owns a private profile,
+   merged on join.  The report is identical for any job count because
+   runs are seed-index deterministic and chunks are merged in index
+   order. *)
 let run_spec ?size ?mutate ?fuel ?time_cap ?corpus_dir ?profile ?pool
-    ?strategy ?stream_window ~(seed : int) ~(runs : int)
-    (spec : Workload.spec) : (report, Llstar.Compiled.error) result =
-  match Workload.compile_result ?strategy spec with
+    ?stream_window ~(seed : int) ~(runs : int) (spec : Workload.spec) :
+    (report, Llstar.Compiled.error) result =
+  match Workload.compile_result spec with
   | Error e -> Error e
   | Ok cw -> (
       let jobs = match pool with None -> 1 | Some p -> Exec.Pool.jobs p in

@@ -87,8 +87,8 @@ type t = {
 (* Build an oracle around an already compiled workload; the fuzz driver
    compiles once per spec and shares [cw] across its shard oracles (the
    baseline backends stay shard-private -- they hold mutable parser
-   state -- but the LL-star compilation is safely shareable: eager results
-   are read-only, lazy engines synchronize internally). *)
+   state -- but the LL-star compilation is read-only, so safely
+   shareable). *)
 let create_with ?(fuel = 3_000_000) ?(time_cap = 2.0) ?profile
     ?stream_window (cw : Workload.compiled) : t =
   let spec = cw.Workload.spec in
@@ -96,24 +96,11 @@ let create_with ?(fuel = 3_000_000) ?(time_cap = 2.0) ?profile
   let peg = surface.Grammar.Ast.options.Grammar.Ast.backtrack in
   let predicated = spec.Workload.sem_preds <> [] in
   let order_resolved =
-    (* A lazy compilation's [results] snapshot carries no warnings or
-       final classifications yet (start states only), and reading the
-       live engines here would make explanations depend on how warm the
-       shared engines happen to be -- nondeterministic across job counts.
-       Classify from a private eager analysis instead: deterministic
-       ground truth, paid once per oracle. *)
-    let results =
-      match Llstar.Compiled.strategy cw.Workload.c with
-      | Llstar.Compiled.Eager -> cw.Workload.c.Llstar.Compiled.results
-      | Llstar.Compiled.Lazy ->
-          Llstar.Analysis.analyze_all ~opts:cw.Workload.c.Llstar.Compiled.opts
-            cw.Workload.c.Llstar.Compiled.atn
-    in
     Array.exists
       (fun (r : Llstar.Analysis.result) ->
         r.Llstar.Analysis.klass = Llstar.Analysis.Backtrack
         || r.Llstar.Analysis.warnings <> [])
-      results
+      cw.Workload.c.Llstar.Compiled.results
   in
   let packrat =
     if predicated then None

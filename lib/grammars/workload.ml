@@ -31,11 +31,10 @@ type compiled = {
   gen : Grammar.Sentence_gen.t; (* over the surface grammar *)
 }
 
-(* [strategy] selects eager or lazy lookahead-DFA construction (default
-   eager); [pool] fans the per-decision analysis out. *)
-let compile_result ?pool ?strategy (spec : spec) :
+(* [pool] fans the per-decision analysis out. *)
+let compile_result ?pool (spec : spec) :
     (compiled, Llstar.Compiled.error) result =
-  match Llstar.Compiled.of_source ?pool ?strategy spec.grammar_text with
+  match Llstar.Compiled.of_source ?pool spec.grammar_text with
   | Error e -> Error e
   | Ok c ->
       let surface = c.Llstar.Compiled.surface in
@@ -43,8 +42,8 @@ let compile_result ?pool ?strategy (spec : spec) :
 
 (* Thin wrapper for tests and benches; production callers (the CLI) use
    [compile_result] and surface the error themselves. *)
-let compile ?strategy (spec : spec) : compiled =
-  match compile_result ?strategy spec with
+let compile (spec : spec) : compiled =
+  match compile_result spec with
   | Ok cw -> cw
   | Error e ->
       failwith (Fmt.str "%s: %a" spec.name Llstar.Compiled.pp_error e)

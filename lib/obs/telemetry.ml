@@ -1,7 +1,7 @@
 (* Machine-readable bench telemetry.
 
-   Every bench (and the [antlrkit bench]/[antlrkit fuzz] subcommands) emits
-   one document of this shape to [--json out.json]:
+   Every paper bench ([bench/main.exe --json]), [antlrkit fuzz --json] and
+   the parse service's [stats] op emit one document of this shape:
 
      {
        "schema": "antlrkit-telemetry/2",
@@ -18,7 +18,10 @@
    [serve.request_us]/[serve.queue_us]/[serve.parse_us] duration summaries
    (log-linear buckets, quantile fields -- see [Duration]); everything else
    is unchanged from /1.  CI archives these files as build artifacts,
-   giving the repo a diffable performance trajectory. *)
+   giving the repo a diffable performance trajectory.  Timing of the parse
+   path is measured by [e2ebench/]; per-input telemetry comes from
+   [antlrkit parse -p] (the decision profile) and [--trace] (the event
+   timeline). *)
 
 let schema = "antlrkit-telemetry/2"
 

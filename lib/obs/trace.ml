@@ -2,9 +2,9 @@
 
    The paper's whole evaluation (section 6, Tables 1-4) is built on seeing
    *inside* prediction: how deep each decision looked, when it fell back to
-   speculation, what the lazy DFA materialized.  This module is the event
-   substrate: every engine (interpreter, lexer, lazy-DFA builder, the
-   compilation cache, the packrat baseline) emits typed events through a
+   speculation, which DFA edges it walked.  This module is the event
+   substrate: every engine (interpreter, lexer, the compilation cache, the
+   packrat baseline) emits typed events through a
    [t], and pluggable sinks turn them into test fixtures (ring buffer),
    JSON-lines logs, or Chrome trace-event timelines loadable in Perfetto.
 
@@ -32,10 +32,9 @@ type event =
   | Dfa_edge of { decision : int; state : int; term : int; target : int }
       (* the lookahead DFA walked one materialized transition *)
   | Lazy_sprout of { decision : int; state : int; term : int; target : int }
-      (* lazy construction materialized a new DFA state on demand *)
+      (* no longer emitted (lazy DFAs are gone); e2ebench matches it *)
   | Dfa_rebuild of { decision : int }
-      (* incremental construction gave way to the full eager analysis
-         (the ATN re-simulation fallback) *)
+      (* no longer emitted (lazy DFAs are gone); e2ebench matches it *)
   | Cache_load of { key : string; hit : bool }
       (* persistent compilation cache probe *)
   | Synpred_enter of { rule : string; pos : int }

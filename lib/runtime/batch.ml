@@ -7,11 +7,9 @@
    everything mutable it touches -- its token streams, one interpreter
    per input, its own [Profile] (metrics registry).  Chunks queue in the
    pool's shared run queue, so uneven inputs no longer serialize on the
-   slowest shard.  The only shared value is the compiled grammar: eager
-   compilations are read-only once the vocabulary is frozen, and
-   lazy-strategy engines synchronize internally (mutex-guarded sprouts,
-   atomically published snapshots -- see [Llstar.Lazy_dfa]), so both
-   strategies batch at any job count with byte-identical results.
+   slowest shard.  The only shared value is the compiled grammar, which is
+   read-only once the vocabulary is frozen, so batches run at any job
+   count with byte-identical results.
 
    Determinism: outcomes are written into a result slot per input index
    and chunks are awaited in order, so the returned array is in input

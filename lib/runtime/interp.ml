@@ -198,13 +198,13 @@ and predict t (decision : int) ~prec ~rule : int =
            rule = Atn.rule_name (atn t) rule;
            pos = Token_stream.index t.ts;
          });
-  let eng = Llstar.Compiled.engine t.c decision in
+  let dfa = Llstar.Compiled.dfa t.c decision in
   let spec_reach = ref 0 in
   let backtracked = ref false in
   (* Ordered predicate edges.  An edge applies when its lookahead guard (if
      any) admits the next token and its predicate (if any) holds; an edge
      with neither is the gated default. *)
-  let try_preds dfa state depth =
+  let try_preds state depth =
     let preds = Llstar.Look_dfa.pred_edges_of dfa state in
     if Array.length preds > 0 then begin
       let chosen = ref 0 in
@@ -235,7 +235,7 @@ and predict t (decision : int) ~prec ~rule : int =
     end
     else prediction_error t ~decision ~depth rule
   in
-  let rec walk dfa state depth =
+  let rec walk state depth =
     match Llstar.Look_dfa.accept_of dfa state with
     | Some alt -> (alt, depth)
     | None -> (
@@ -248,62 +248,11 @@ and predict t (decision : int) ~prec ~rule : int =
         | Some tgt ->
             if tr_on t then
               emit t (Obs.Trace.Dfa_edge { decision; state; term; target = tgt });
-            walk dfa tgt (depth + 1)
-        | None -> (
-            (* No materialized transition.  In lazy mode ask the engine to
-               sprout it before falling through to predicate edges, so the
-               walk only ever sees transitions the eager DFA would have.
-               [sprout_view] also returns the published snapshot backing
-               its answer; the walk always resumes on that DFA, never on
-               the possibly stale [dfa] it was on -- another domain may
-               have grown (or completed) the engine since it was
-               fetched. *)
-            match eng with
-            | Some e when not (Llstar.Lazy_dfa.is_complete e) -> (
-                match Llstar.Lazy_dfa.sprout_view e ~state ~term with
-                | Llstar.Lazy_dfa.Edge { target; fresh }, dfa' ->
-                    if fresh then begin
-                      (match t.profile with
-                      | Some p ->
-                          Profile.record_dfa_built p ~decision ~cached:false
-                            ~n:1
-                      | None -> ());
-                      if tr_on t then
-                        emit t
-                          (Obs.Trace.Lazy_sprout { decision; state; term; target })
-                    end;
-                    walk dfa' target (depth + 1)
-                | Llstar.Lazy_dfa.Resolved, dfa' ->
-                    (* the state acquired an accept or predicate edges *)
-                    walk dfa' state depth
-                | Llstar.Lazy_dfa.Rebuilt, dfa' ->
-                    (* incremental construction gave way to the full eager
-                       fallback DFA (or another domain completed the
-                       engine, renumbering states); prediction consumed
-                       nothing, so restart the walk from its start state *)
-                    if tr_on t then emit t (Obs.Trace.Dfa_rebuild { decision });
-                    walk dfa' dfa'.Llstar.Look_dfa.start 0
-                | Llstar.Lazy_dfa.No_edge, dfa' -> try_preds dfa' state depth)
-            | Some e ->
-                (* The engine completed after this walk fetched [dfa]: a
-                   stale snapshot may lack transitions or resolutions the
-                   final DFA has (and completion may have renumbered
-                   states), so restart once on the published result.
-                   Physical equality detects staleness -- snapshots are
-                   immutable and republished on every change -- and
-                   guarantees termination: after one restart the walk is
-                   on the final DFA, which never changes again. *)
-                let dfa' = Llstar.Lazy_dfa.current e in
-                if dfa' == dfa then try_preds dfa state depth
-                else begin
-                  if tr_on t then emit t (Obs.Trace.Dfa_rebuild { decision });
-                  walk dfa' dfa'.Llstar.Look_dfa.start 0
-                end
-            | None -> try_preds dfa state depth))
+            walk tgt (depth + 1)
+        | None -> try_preds state depth)
   in
-  let dfa = Llstar.Compiled.dfa t.c decision in
   let alt, depth =
-    try walk dfa dfa.Llstar.Look_dfa.start 0
+    try walk dfa.Llstar.Look_dfa.start 0
     with e ->
       (* keep the decision span balanced on the no-viable-alternative path;
          alt 0 marks a failed prediction *)
@@ -604,13 +553,12 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     ?(recover = false) ?(max_errors = 25) (c : Llstar.Compiled.t)
     (ts : Token_stream.t) : t =
   let memoize = (Llstar.Compiled.options c).Grammar.Ast.memoize in
-  (* A cache-loaded compilation arrives with DFA states already
-     materialized (statically, or by earlier runs in lazy mode): credit
-     them to the cache so lazy-vs-cached construction work is visible. *)
+  (* A cache-loaded compilation arrives with every DFA state already
+     built: credit them to the cache so the skipped analysis is visible. *)
   (match profile with
   | Some p when Llstar.Compiled.from_cache c ->
       for d = 0 to Llstar.Compiled.num_decisions c - 1 do
-        Profile.record_dfa_built p ~decision:d ~cached:true
+        Profile.record_cached_states p ~decision:d
           ~n:(Llstar.Compiled.dfa c d).Llstar.Look_dfa.nstates
       done
   | _ -> ());

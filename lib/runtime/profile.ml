@@ -1,5 +1,5 @@
 (* Runtime decision profiling: the counters behind the paper's Tables 3
-   and 4, plus lazy-DFA construction counters.
+   and 4, plus the count of DFA states loaded from a compilation cache.
 
    Since the observability layer landed, this module is a *view* over an
    [Obs.Metrics] registry rather than a bag of ad-hoc mutable fields: every
@@ -27,7 +27,6 @@ module M = Obs.Metrics
 type dcells = {
   d_events : M.counter;
   d_backtracks : M.counter;
-  d_lazy : M.counter;
   d_cached : M.counter;
   d_k : M.histogram; (* effective lookahead depth at this decision *)
 }
@@ -37,7 +36,7 @@ type t = {
   look : M.histogram; (* effective depth: max(dfa, speculation) *)
   dfa_look : M.histogram; (* DFA-only depth *)
   spec : M.histogram; (* speculation reach, backtracking events only *)
-  lazy_states : M.counter; (* DFA states built on demand *)
+  lazy_states : M.counter; (* always 0; see [lazy_dfa_states] *)
   cached_states : M.counter; (* DFA states loaded from a cache *)
   parse_us : Obs.Duration.t; (* per-parse wall time, serve layer only *)
   per_decision : (int, dcells) Hashtbl.t;
@@ -78,11 +77,12 @@ let dstats_of t decision =
         {
           d_events = M.counter t.registry ~labels "decision_events";
           d_backtracks = M.counter t.registry ~labels "decision_backtracks";
-          d_lazy = M.counter t.registry ~labels "decision_lazy_states";
           d_cached = M.counter t.registry ~labels "decision_cached_states";
           d_k = M.histogram t.registry ~labels "decision_lookahead_k";
         }
       in
+      (* always 0, like [lazy_states]; registered so the series remains *)
+      ignore (M.counter t.registry ~labels "decision_lazy_states");
       Hashtbl.add t.per_decision decision ds;
       ds
 
@@ -108,13 +108,11 @@ let record t ~decision ~depth ~backtracked ~spec_depth =
   M.observe ds.d_k effective;
   if backtracked then M.incr ds.d_backtracks
 
-(* [n] DFA states became available for [decision]: built on demand by the
-   lazy engine ([cached=false]) or loaded from a compilation cache. *)
-let record_dfa_built t ~decision ~cached ~n =
+(* [n] DFA states of [decision] were loaded from a compilation cache. *)
+let record_cached_states t ~decision ~n =
   if n > 0 then begin
-    if cached then M.add t.cached_states n else M.add t.lazy_states n;
-    let ds = dstats_of t decision in
-    if cached then M.add ds.d_cached n else M.add ds.d_lazy n
+    M.add t.cached_states n;
+    M.add (dstats_of t decision).d_cached n
   end
 
 (* --- Table 3 quantities --- *)
@@ -128,8 +126,9 @@ let back_k t = M.h_avg t.spec
 let max_k t = M.h_max t.look
 let dfa_max_k t = M.h_max t.dfa_look
 
-(* --- Lazy-construction quantities --- *)
+(* --- Construction quantities --- *)
 
+(* Always 0 (lazy DFAs are gone); kept because e2ebench reads it. *)
 let lazy_dfa_states t = M.value t.lazy_states
 let cached_dfa_states t = M.value t.cached_states
 
@@ -166,9 +165,8 @@ let pp ppf t =
     (max_k t)
     (backtrack_event_rate t)
     (backtrack_rate_at_pbds t);
-  if lazy_dfa_states t > 0 || cached_dfa_states t > 0 then
-    Fmt.pf ppf "; dfa states lazy=%d cached=%d" (lazy_dfa_states t)
-      (cached_dfa_states t)
+  if cached_dfa_states t > 0 then
+    Fmt.pf ppf "; dfa states cached=%d" (cached_dfa_states t)
 
 (* Verbose per-decision table (the CLI's [--profile -v]): the per-decision
    stats were historically collected but never rendered anywhere. *)
@@ -177,13 +175,13 @@ let pp_decisions ppf t =
     Hashtbl.fold (fun d ds acc -> (d, ds) :: acc) t.per_decision []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  Fmt.pf ppf "%8s %8s %10s %7s %6s %6s %7s@." "decision" "events"
-    "backtracks" "avg k" "max k" "lazy" "cached";
+  Fmt.pf ppf "%8s %8s %10s %7s %6s %7s@." "decision" "events"
+    "backtracks" "avg k" "max k" "cached";
   List.iter
     (fun (d, ds) ->
-      Fmt.pf ppf "%8d %8d %10d %7.2f %6d %6d %7d@." d (M.value ds.d_events)
+      Fmt.pf ppf "%8d %8d %10d %7.2f %6d %7d@." d (M.value ds.d_events)
         (M.value ds.d_backtracks) (M.h_avg ds.d_k) (M.h_max ds.d_k)
-        (M.value ds.d_lazy) (M.value ds.d_cached))
+        (M.value ds.d_cached))
     rows
 
 (* Summary document for telemetry: the headline Table 3/4 quantities plus

@@ -325,6 +325,24 @@ let misc_tests =
         check bool "T x ; is a declaration" true (parses ~env c "T x ;");
         check bool "x = y ; is an assignment" true (parses ~env c "x = y ;");
         check bool "x y ; rejected (x not a type)" false (parses ~env c "x y ;"));
+    test "section 5.4: the non-LL-regular warning is reported once"
+      (fun () ->
+        let c = compile "grammar F; s : a 'c' | a 'd' ; a : 'a' a | 'b' ;" in
+        let d = rule_decision c "s" in
+        let count ws =
+          List.length
+            (List.filter
+               (function Llstar.Analysis.Non_ll_regular _ -> true | _ -> false)
+               ws)
+        in
+        check int "in the decision's result" 1
+          (count (Llstar.Compiled.result c d).Llstar.Analysis.warnings);
+        check int "in the decision's report" 1
+          (count
+             c.Llstar.Compiled.report.Llstar.Report.decisions.(d)
+               .Llstar.Report.warnings);
+        check int "in the grammar's warnings" 1
+          (count (Llstar.Compiled.all_warnings c)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -557,6 +575,35 @@ let frontier_tests =
         check int "no Bounded attempt under Ll1" 0
           l.Llstar.Compiled.report.Llstar.Report.decisions.(d)
             .Llstar.Report.states_built.Llstar.Analysis.bounded);
+    test "MiniVB: the diverging decision predicts with its LL(1) DFA"
+      (fun () ->
+        let spec = Option.get (Bench_grammars.Specs.find "MiniVB") in
+        let config = spec.Bench_grammars.Workload.lexer_config in
+        let c = compile spec.Bench_grammars.Workload.grammar_text in
+        let d =
+          match diverging_decisions c with
+          | [ d ] -> d
+          | ds ->
+              Alcotest.failf "%d diverging MiniVB decisions" (List.length ds)
+        in
+        check bool "LL(1) fallback DFA" true
+          (Llstar.Compiled.dfa c d).Llstar.Look_dfa.fallback;
+        (* A lazy engine built only the states this input reached and
+           answered from them: "no viable alternative" two tokens in.  The
+           whole analysis meets recursion in a second alternative, so the
+           decision predicts from its LL(1) DFA and the parse stops later,
+           at the missing ')'. *)
+        let e =
+          first_error ~config c
+            "Module m\nEnd Module\nModule n\nx As String (\n"
+        in
+        let module E = Runtime.Parse_error in
+        check bool "a mismatch, not a failed prediction" true
+          (match e.E.kind with E.Mismatched_token _ -> true | _ -> false);
+        check (Alcotest.pair int int) "at the newline after '('" (4, 14)
+          (e.E.token.Runtime.Token.line, e.E.token.Runtime.Token.col);
+        check bool "in rule typeName" true
+          (Atn.rule_by_name c.Llstar.Compiled.atn "typeName" = Some e.E.rule));
   ]
 
 let golden_tests =

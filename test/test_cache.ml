@@ -1,12 +1,13 @@
-(* Persistent compilation cache: round trips, corruption tolerance, and
-   warm lazy-state preservation. *)
+(* Persistent compilation cache: round trips, corruption tolerance,
+   stale-temp garbage collection, and the bench grammars loaded back from
+   a blob. *)
 
 open Helpers
 
 let src = "grammar T; s : A B C | A B D | E ;"
 
 (* Fresh private directory per test; removed afterwards. *)
-let with_dir (f : string -> unit) : unit =
+let with_dir (f : string -> 'a) : 'a =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -23,8 +24,8 @@ let with_dir (f : string -> unit) : unit =
   in
   Fun.protect ~finally:cleanup (fun () -> f dir)
 
-let compile_cached ?strategy ~dir src =
-  match Llstar.Compiled_cache.of_source ?strategy ~dir src with
+let compile_cached ~dir src =
+  match Llstar.Compiled_cache.of_source ~dir src with
   | Ok r -> r
   | Error e -> Alcotest.failf "cache compile failed: %a" Llstar.Compiled.pp_error e
 
@@ -35,6 +36,70 @@ let blob_path dir =
   with
   | [ f ] -> Filename.concat dir f
   | files -> Alcotest.failf "expected one cache blob, found %d" (List.length files)
+
+(* --- bench grammars through the cache ------------------------------------ *)
+
+module Workload = Bench_grammars.Workload
+
+let bench_pairs = Hashtbl.create 8
+
+(* [spec] compiled fresh, and that compilation saved and loaded back. *)
+let fresh_and_cached (spec : Workload.spec) =
+  match Hashtbl.find_opt bench_pairs spec.Workload.name with
+  | Some pair -> pair
+  | None ->
+      let cw = Workload.compile spec in
+      let c = cw.Workload.c in
+      let cached =
+        with_dir (fun dir ->
+            (match Llstar.Compiled_cache.save ~dir c with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "save failed: %s" e);
+            match Llstar.Compiled_cache.load ~dir c.Llstar.Compiled.surface with
+            | Some c' -> c'
+            | None -> Alcotest.fail "the saved blob did not load")
+      in
+      Hashtbl.add bench_pairs spec.Workload.name (cw, cached);
+      (cw, cached)
+
+let parse_str c env toks =
+  match Runtime.Interp.parse ~env c toks with
+  | Ok tree -> "ok: " ^ Runtime.Tree.to_string (Llstar.Compiled.sym c) tree
+  | Error errs ->
+      Fmt.str "error: %a"
+        Fmt.(list (Runtime.Parse_error.pp (Llstar.Compiled.sym c)))
+        errs
+
+let per_grammar (spec : Workload.spec) =
+  let name = spec.Workload.name in
+  [
+    test (name ^ ": cache-loaded parses byte-identical to fresh") (fun () ->
+        let cw, cached = fresh_and_cached spec in
+        check bool "loaded from the cache" true
+          (Llstar.Compiled.from_cache cached);
+        let env = Workload.env_of_spec spec in
+        let corpus = Workload.build_corpus cw ~target_tokens:1200 in
+        check bool "corpus nonempty" true (corpus.Workload.programs > 0);
+        List.iteri
+          (fun i text ->
+            let toks = Workload.lex_exn cw text in
+            check string
+              (Printf.sprintf "program %d" i)
+              (parse_str cw.Workload.c env toks)
+              (parse_str cached env toks))
+          corpus.Workload.texts);
+    test (name ^ ": cache-loaded analysis equals fresh") (fun () ->
+        let cw, cached = fresh_and_cached spec in
+        let c = cw.Workload.c in
+        Array.iteri
+          (fun i (r : Llstar.Analysis.result) ->
+            if r <> Llstar.Compiled.result cached i then
+              Alcotest.failf "decision %d: the loaded result differs" i)
+          c.Llstar.Compiled.results;
+        check string "payload digest"
+          (Llstar.Compiled_cache.payload_digest c)
+          (Llstar.Compiled_cache.payload_digest cached));
+  ]
 
 let suite =
   [
@@ -62,14 +127,57 @@ let suite =
                 let _, o = compile_cached ~dir "grammar U; s : A | B ;" in
                 check bool "other grammar misses" true
                   (o = Llstar.Compiled_cache.Miss)));
-        test "strategy is part of the key" (fun () ->
+        test "analysis options are part of the key" (fun () ->
+            let surface = Grammar.Meta_parser.parse src in
+            (* k = 1 resolves the A B C / A B D conflict by order *)
+            let opts =
+              {
+                (Llstar.Analysis.options_of_grammar surface) with
+                Llstar.Analysis.k_cap = Some 1;
+              }
+            in
+            let compile_k1 dir =
+              match
+                Llstar.Compiled_cache.compile ~analysis_opts:opts ~dir surface
+              with
+              | Ok r -> r
+              | Error e ->
+                  Alcotest.failf "cache compile failed: %a"
+                    Llstar.Compiled.pp_error e
+            in
             with_dir (fun dir ->
                 let _ = compile_cached ~dir src in
-                let _, o =
-                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir src
-                in
-                check bool "lazy misses after eager" true
-                  (o = Llstar.Compiled_cache.Miss)));
+                let c1, o1 = compile_k1 dir in
+                check bool "other options miss" true
+                  (o1 = Llstar.Compiled_cache.Miss);
+                let c2, o2 = compile_k1 dir in
+                check bool "same options hit" true
+                  (o2 = Llstar.Compiled_cache.Hit);
+                let c3, o3 = compile_cached ~dir src in
+                check bool "default options still hit" true
+                  (o3 = Llstar.Compiled_cache.Hit);
+                check bool "k = 1 blob rejects A B D" false
+                  (parses c2 "A B D");
+                check bool "fresh k = 1 rejects A B D" false
+                  (parses c1 "A B D");
+                check bool "default blob accepts A B D" true
+                  (parses c3 "A B D")));
+        test "re-saving a hit keeps one loadable blob" (fun () ->
+            with_dir (fun dir ->
+                let c1, _ = compile_cached ~dir src in
+                let path = blob_path dir in
+                let c2, o = compile_cached ~dir src in
+                check bool "hit" true (o = Llstar.Compiled_cache.Hit);
+                (match Llstar.Compiled_cache.save ~dir c2 with
+                | Ok p -> check string "same file" path p
+                | Error e -> Alcotest.failf "re-save failed: %s" e);
+                check string "still one blob" path (blob_path dir);
+                let c3, o3 = compile_cached ~dir src in
+                check bool "hit after re-save" true
+                  (o3 = Llstar.Compiled_cache.Hit);
+                check string "same payload as the fresh compile"
+                  (Llstar.Compiled_cache.payload_digest c1)
+                  (Llstar.Compiled_cache.payload_digest c3)));
         test "garbage blob falls back to a rebuild" (fun () ->
             with_dir (fun dir ->
                 let _ = compile_cached ~dir src in
@@ -126,34 +234,9 @@ let suite =
                   (fun f -> Sys.remove (Filename.concat sub f))
                   (Sys.readdir sub);
                 Sys.rmdir sub));
-        test "lazy warm re-save preserves materialized states" (fun () ->
-            with_dir (fun dir ->
-                let c, o =
-                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir src
-                in
-                check bool "miss" true (o = Llstar.Compiled_cache.Miss);
-                (match Runtime.Interp.parse c (lex c "A B D") with
-                | Ok _ -> ()
-                | Error _ -> Alcotest.fail "lazy parse failed");
-                let warm_states = (Llstar.Compiled.dfa c 0).Llstar.Look_dfa.nstates in
-                (match Llstar.Compiled_cache.save ~dir c with
-                | Ok _ -> ()
-                | Error e -> Alcotest.failf "warm save failed: %s" e);
-                let c2, o2 =
-                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir src
-                in
-                check bool "hit" true (o2 = Llstar.Compiled_cache.Hit);
-                check bool "still lazy" true
-                  (Llstar.Compiled.strategy c2 = Llstar.Compiled.Lazy);
-                check int "materialized states preserved" warm_states
-                  (Llstar.Compiled.dfa c2 0).Llstar.Look_dfa.nstates;
-                (* and the warm copy still parses identically *)
-                check string "same tree" (parse_tree c "A B D")
-                  (parse_tree c2 "A B D")));
-        test "format v4: effort counts and interned stacks round-trip"
-          (fun () ->
+        test "format v4: effort counts round-trip" (fun () ->
             (* Recursion in both alternatives of [s]: the Bounded retry
-               runs, and the lazy engine's states carry call stacks. *)
+               runs. *)
             let g = "grammar F; s : a 'c' | a 'd' ; a : 'a' a | 'b' ;" in
             let built (c : Llstar.Compiled.t) =
               Array.map
@@ -171,35 +254,7 @@ let suite =
                 check bool "aborted first attempt counted" true
                   (e.Llstar.Analysis.primary > 0
                   && e.Llstar.Analysis.bounded
-                     = (Llstar.Compiled.dfa c1 d).Llstar.Look_dfa.nstates);
-                let l1, _ =
-                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir g
-                in
-                List.iter
-                  (fun input ->
-                    match Runtime.Interp.parse l1 (lex l1 input) with
-                    | Ok _ -> ()
-                    | Error _ -> Alcotest.failf "parse of %S failed" input)
-                  [ "a a b c"; "a b d"; "a a a b c" ];
-                (match Llstar.Compiled_cache.save ~dir l1 with
-                | Ok _ -> ()
-                | Error e -> Alcotest.failf "warm save failed: %s" e);
-                let l2, o =
-                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir g
-                in
-                check bool "lazy hit" true (o = Llstar.Compiled_cache.Hit);
-                let e1 = Option.get (Llstar.Compiled.engine l1 d)
-                and e2 = Option.get (Llstar.Compiled.engine l2 d) in
-                (* restoring re-interns every stack; saving again must
-                   reproduce the same portable form *)
-                check bool "portable form survives a reload" true
-                  (Llstar.Lazy_dfa.to_portable e1
-                  = Llstar.Lazy_dfa.to_portable e2);
-                check bool "lazy states_built" true
-                  (Llstar.Lazy_dfa.states_built e1
-                  = Llstar.Lazy_dfa.states_built e2);
-                check string "same tree" (parse_tree l1 "a a a a b c")
-                  (parse_tree l2 "a a a a b c")));
+                     = (Llstar.Compiled.dfa c1 d).Llstar.Look_dfa.nstates)));
         test "format v5: a non-convergence fallback round-trips" (fun () ->
             let g = example_grammar "diverging.g" in
             let reason c d =
@@ -209,7 +264,7 @@ let suite =
                 (Llstar.Compiled.result c d).Llstar.Analysis.warnings
             in
             let built c d =
-              (Llstar.Compiled.live_report c).Llstar.Report.decisions.(d)
+              c.Llstar.Compiled.report.Llstar.Report.decisions.(d)
                 .Llstar.Report.states_built
             in
             with_dir (fun dir ->
@@ -221,26 +276,7 @@ let suite =
                 check bool "eager reason survives" true
                   (reason c1 d = reason c2 d);
                 check bool "eager effort survives" true
-                  (built c1 d = built c2 d);
-                (* a lazy engine that gave up and rebuilt carries the same
-                   reason and its split effort through a warm save *)
-                let l1, _ =
-                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir g
-                in
-                let e1 = Option.get (Llstar.Compiled.engine l1 d) in
-                ignore (Llstar.Lazy_dfa.complete e1);
-                check int "rebuilt" 1 (Llstar.Lazy_dfa.rebuilds e1);
-                (match Llstar.Compiled_cache.save ~dir l1 with
-                | Ok _ -> ()
-                | Error e -> Alcotest.failf "warm save failed: %s" e);
-                let l2, o =
-                  compile_cached ~strategy:Llstar.Compiled.Lazy ~dir g
-                in
-                check bool "lazy hit" true (o = Llstar.Compiled_cache.Hit);
-                check bool "lazy reason survives" true
-                  (reason l2 d = reason c1 d);
-                check bool "lazy effort survives" true
-                  (built l1 d = built l2 d)));
+                  (built c1 d = built c2 d)));
         test "cache-hit states are credited to the profile" (fun () ->
             with_dir (fun dir ->
                 let _ = compile_cached ~dir src in
@@ -250,9 +286,26 @@ let suite =
                 | Ok _ -> ()
                 | Error _ -> Alcotest.fail "parse failed");
                 check bool "cached states recorded" true
-                  (Runtime.Profile.cached_dfa_states p > 0);
-                check int "no lazy states in eager mode" 0
-                  (Runtime.Profile.lazy_dfa_states p)));
+                  (Runtime.Profile.cached_dfa_states p > 0)));
+        test "a loaded LL(1) fallback decision parses like the fresh one"
+          (fun () ->
+            let g = example_grammar "diverging.g" in
+            with_dir (fun dir ->
+                let c1, _ = compile_cached ~dir g in
+                let c2, o = compile_cached ~dir g in
+                check bool "hit" true (o = Llstar.Compiled_cache.Hit);
+                let d = rule_decision c2 "s" in
+                check bool "LL(1) fallback DFA" true
+                  (Llstar.Compiled.dfa c2 d).Llstar.Look_dfa.fallback;
+                let env = Runtime.Interp.env_of_tables () in
+                List.iter
+                  (fun input ->
+                    check string input
+                      (parse_str c1 env (lex c1 input))
+                      (parse_str c2 env (lex c2 input)))
+                  [
+                    "ID x"; "( ID ) x"; "( ID ) y"; "< [ ID ] > y"; "( ID x";
+                  ]));
       ] );
     ( "compiled_cache_gc",
       [
@@ -404,4 +457,6 @@ let suite =
                     in
                     check int "no leftover temps" 0 (List.length temps)));
       ] );
+    ( "compiled_cache_bench",
+      List.concat_map per_grammar Bench_grammars.Specs.all );
   ]

@@ -220,6 +220,18 @@ let determinism_tests =
            (fun jobs ->
              Exec.Pool.with_pool ~jobs (fun pool -> digest ~pool g = seq))
            [ 2; 4 ]));
+    Alcotest.test_case "pooled cache compile saves the sequential blob"
+      `Quick (fun () ->
+        let src = example_grammar "diverging.g" in
+        let seq = digest_of src in
+        Test_cache.with_dir (fun dir ->
+            Exec.Pool.with_pool ~jobs:4 (fun pool ->
+                let _, o = Llstar.Compiled_cache.of_source_exn ~pool ~dir src in
+                check bool "miss" true (o = Llstar.Compiled_cache.Miss));
+            let c, o = Llstar.Compiled_cache.of_source_exn ~dir src in
+            check bool "hit" true (o = Llstar.Compiled_cache.Hit);
+            check string "loaded digest = sequential" seq
+              (Llstar.Compiled_cache.payload_digest c)));
   ]
 
 (* --- batched parsing --------------------------------------------------- *)
@@ -279,54 +291,9 @@ let batch_tests =
               (Runtime.Profile.decisions_covered seq_p)
               (Runtime.Profile.decisions_covered par_p))
           [ 2; 3; 8 ]);
-    Alcotest.test_case "verdicts" `Quick (fun () ->
-        let rs, _ = run_batch ~jobs:2 () in
-        let ok r = Runtime.Batch.outcome_ok r.Runtime.Batch.outcome in
-        Alcotest.(check bool) "ok1" true (ok rs.(0));
-        Alcotest.(check bool) "ok2" true (ok rs.(1));
-        Alcotest.(check bool) "bad rejected" false (ok rs.(2));
-        Alcotest.(check bool) "ok3" true (ok rs.(3));
-        Alcotest.(check bool)
-          "total tokens positive" true
-          (Runtime.Batch.total_tokens rs > 0));
-    (* The historic --lazy x --jobs incompatibility, now fixed: a lazy
-       compilation batches at any job count with the same verdicts as the
-       sequential run (the engines synchronize internally). *)
-    Alcotest.test_case "lazy batch matches sequential at any job count"
-      `Quick (fun () ->
-        let run_lazy ~jobs =
-          let c =
-            Llstar.Compiled.of_source_exn ~strategy:Llstar.Compiled.Lazy
-              expr_src
-          in
-          let inputs =
-            List.map
-              (fun (name, text) -> { Runtime.Batch.name; text })
-              batch_inputs
-          in
-          Exec.Pool.with_pool ~jobs (fun pool ->
-              Runtime.Batch.run ~pool c inputs)
-        in
-        let seq = run_lazy ~jobs:1 in
-        List.iter
-          (fun jobs ->
-            let par = run_lazy ~jobs in
-            Array.iteri
-              (fun i (r : Runtime.Batch.result_) ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "input %d verdict, jobs=%d" i jobs)
-                  (Runtime.Batch.outcome_ok seq.(i).Runtime.Batch.outcome)
-                  (Runtime.Batch.outcome_ok r.Runtime.Batch.outcome))
-              par)
-          [ 2; 4 ]);
-    (* Regression: the old rejection fired even when nothing could run in
-       parallel -- a single input (or none) under a jobs>1 pool. *)
-    Alcotest.test_case "lazy batch with n <= 1 under a jobs>1 pool" `Quick
+    Alcotest.test_case "batch with n <= 1 under a jobs>1 pool" `Quick
       (fun () ->
-        let c =
-          Llstar.Compiled.of_source_exn ~strategy:Llstar.Compiled.Lazy
-            expr_src
-        in
+        let c = compile expr_src in
         Exec.Pool.with_pool ~jobs:2 (fun pool ->
             let rs =
               Runtime.Batch.run ~pool c
@@ -338,6 +305,42 @@ let batch_tests =
               (Runtime.Batch.outcome_ok rs.(0).Runtime.Batch.outcome);
             check int "empty batch" 0
               (Array.length (Runtime.Batch.run ~pool c []))));
+    Alcotest.test_case "cache-loaded batch matches sequential" `Quick
+      (fun () ->
+        let seq, _ = run_batch ~jobs:1 () in
+        Test_cache.with_dir (fun dir ->
+            ignore (Llstar.Compiled_cache.of_source_exn ~dir expr_src);
+            let c, o = Llstar.Compiled_cache.of_source_exn ~dir expr_src in
+            check bool "hit" true (o = Llstar.Compiled_cache.Hit);
+            let inputs =
+              List.map
+                (fun (name, text) -> { Runtime.Batch.name; text })
+                batch_inputs
+            in
+            List.iter
+              (fun jobs ->
+                let par =
+                  Exec.Pool.with_pool ~jobs (fun pool ->
+                      Runtime.Batch.run ~pool c inputs)
+                in
+                Array.iteri
+                  (fun i (r : Runtime.Batch.result_) ->
+                    check bool
+                      (Printf.sprintf "input %d verdict, jobs=%d" i jobs)
+                      (Runtime.Batch.outcome_ok seq.(i).Runtime.Batch.outcome)
+                      (Runtime.Batch.outcome_ok r.Runtime.Batch.outcome))
+                  par)
+              [ 1; 2; 4 ]));
+    Alcotest.test_case "verdicts" `Quick (fun () ->
+        let rs, _ = run_batch ~jobs:2 () in
+        let ok r = Runtime.Batch.outcome_ok r.Runtime.Batch.outcome in
+        Alcotest.(check bool) "ok1" true (ok rs.(0));
+        Alcotest.(check bool) "ok2" true (ok rs.(1));
+        Alcotest.(check bool) "bad rejected" false (ok rs.(2));
+        Alcotest.(check bool) "ok3" true (ok rs.(3));
+        Alcotest.(check bool)
+          "total tokens positive" true
+          (Runtime.Batch.total_tokens rs > 0));
     (* Failure contract: fail-fast with a full drain.  Two inputs raise
        (via a semantic predicate); the exception surfaced must be the one
        at the smallest input index, and every non-raising input's work
@@ -426,59 +429,159 @@ let batch_tests =
 
 (* --- fuzz sharding determinism ----------------------------------------- *)
 
+let sharded_fuzz (spec : Bench_grammars.Workload.spec) () =
+  let run ?pool () =
+    match Fuzz.Driver.run_spec ?pool ~seed:7 ~runs:30 spec with
+    | Ok r -> r
+    | Error e ->
+        Alcotest.failf "fuzz failed: %a" Llstar.Compiled.pp_error e
+  in
+  let seq = run () in
+  List.iter
+    (fun jobs ->
+      Exec.Pool.with_pool ~jobs (fun pool ->
+          let par = run ~pool () in
+          check int "accepted" seq.Fuzz.Driver.r_accepted
+            par.Fuzz.Driver.r_accepted;
+          check int "rejected" seq.Fuzz.Driver.r_rejected
+            par.Fuzz.Driver.r_rejected;
+          check int "mutated" seq.Fuzz.Driver.r_mutated
+            par.Fuzz.Driver.r_mutated;
+          check int "failures"
+            (List.length seq.Fuzz.Driver.r_failures)
+            (List.length par.Fuzz.Driver.r_failures)))
+    [ 2; 4 ]
+
 let fuzz_tests =
   [
-    Alcotest.test_case "sharded fuzz report = sequential" `Slow (fun () ->
-        let spec = Bench_grammars.Mini_java.spec in
-        let run ?pool () =
-          match Fuzz.Driver.run_spec ?pool ~seed:7 ~runs:30 spec with
-          | Ok r -> r
-          | Error e ->
-              Alcotest.failf "fuzz failed: %a" Llstar.Compiled.pp_error e
-        in
-        let seq = run () in
-        List.iter
-          (fun jobs ->
-            Exec.Pool.with_pool ~jobs (fun pool ->
-                let par = run ~pool () in
-                check int "accepted" seq.Fuzz.Driver.r_accepted
-                  par.Fuzz.Driver.r_accepted;
-                check int "rejected" seq.Fuzz.Driver.r_rejected
-                  par.Fuzz.Driver.r_rejected;
-                check int "mutated" seq.Fuzz.Driver.r_mutated
-                  par.Fuzz.Driver.r_mutated;
-                check int "failures"
-                  (List.length seq.Fuzz.Driver.r_failures)
-                  (List.length par.Fuzz.Driver.r_failures)))
-          [ 2; 4 ]);
-    (* Same session under the lazy strategy: every chunk predicts against
-       the one shared set of engines (a concurrency stress of the sprout
-       path), and the report must still match the sequential lazy run. *)
-    Alcotest.test_case "sharded lazy fuzz report = sequential" `Slow
+    Alcotest.test_case "sharded fuzz report = sequential" `Slow
+      (sharded_fuzz Bench_grammars.Mini_java.spec);
+    (* MiniVB's diverging decision predicts with its LL(1) DFA. *)
+    Alcotest.test_case "sharded fuzz report = sequential on MiniVB" `Slow
+      (sharded_fuzz (Option.get (Bench_grammars.Specs.find "MiniVB")));
+  ]
+
+(* --- one compiled grammar shared by many workers ------------------------ *)
+
+(* Worker domains share a compiled grammar and never write to it:
+   prediction reads the lookahead DFAs the analysis (or the cache)
+   produced, so concurrent parses agree with sequential ones and leave the
+   compiled value's payload digest as it was. *)
+
+let parse_str c env toks =
+  match Runtime.Interp.parse ~env c toks with
+  | Ok tree -> "ok: " ^ Runtime.Tree.to_string (Llstar.Compiled.sym c) tree
+  | Error errs ->
+      Fmt.str "error: %a"
+        Fmt.(list (Runtime.Parse_error.pp (Llstar.Compiled.sym c)))
+        errs
+
+let shared_tests =
+  [
+    Alcotest.test_case "many tasks share one compiled grammar" `Quick
       (fun () ->
         let spec = Bench_grammars.Mini_java.spec in
-        let run ?pool () =
-          match
-            Fuzz.Driver.run_spec ?pool ~strategy:Llstar.Compiled.Lazy ~seed:7
-              ~runs:30 spec
-          with
-          | Ok r -> r
-          | Error e ->
-              Alcotest.failf "fuzz failed: %a" Llstar.Compiled.pp_error e
+        let cw, _ = Test_cache.fresh_and_cached spec in
+        let c = cw.Bench_grammars.Workload.c in
+        let before = Llstar.Compiled_cache.payload_digest c in
+        let env = Bench_grammars.Workload.env_of_spec spec in
+        let corpus =
+          Bench_grammars.Workload.build_corpus cw ~target_tokens:800
         in
-        let seq = run () in
+        let toks =
+          List.map (Bench_grammars.Workload.lex_exn cw)
+            corpus.Bench_grammars.Workload.texts
+        in
+        let expected = List.map (parse_str c env) toks in
+        Exec.Pool.with_pool ~jobs:4 (fun pool ->
+            let tasks =
+              List.init 16 (fun _ ->
+                  Exec.Pool.submit pool (fun () ->
+                      List.map (parse_str c env) toks))
+            in
+            List.iteri
+              (fun ti got ->
+                List.iteri
+                  (fun i (e, g) ->
+                    check string (Printf.sprintf "task %d program %d" ti i) e g)
+                  (List.combine expected got))
+              (List.map Exec.Pool.await tasks));
+        check string "compiled grammar unchanged" before
+          (Llstar.Compiled_cache.payload_digest c));
+    Alcotest.test_case "parallel batches leave every bench grammar unchanged"
+      `Quick (fun () ->
         List.iter
-          (fun jobs ->
-            Exec.Pool.with_pool ~jobs (fun pool ->
-                let par = run ~pool () in
-                check int "accepted" seq.Fuzz.Driver.r_accepted
-                  par.Fuzz.Driver.r_accepted;
-                check int "rejected" seq.Fuzz.Driver.r_rejected
-                  par.Fuzz.Driver.r_rejected;
-                check int "failures"
-                  (List.length seq.Fuzz.Driver.r_failures)
-                  (List.length par.Fuzz.Driver.r_failures)))
-          [ 2; 4 ]);
+          (fun (spec : Bench_grammars.Workload.spec) ->
+            let name = spec.Bench_grammars.Workload.name in
+            let cw, _ = Test_cache.fresh_and_cached spec in
+            let c = cw.Bench_grammars.Workload.c in
+            let before = Llstar.Compiled_cache.payload_digest c in
+            let corpus =
+              Bench_grammars.Workload.build_corpus cw ~target_tokens:800
+            in
+            let inputs =
+              List.mapi
+                (fun i text -> { Runtime.Batch.name = string_of_int i; text })
+                corpus.Bench_grammars.Workload.texts
+            in
+            let run ~jobs =
+              Exec.Pool.with_pool ~jobs (fun pool ->
+                  Runtime.Batch.run ~pool
+                    ~config:spec.Bench_grammars.Workload.lexer_config
+                    ~env:(Bench_grammars.Workload.env_of_spec spec)
+                    c inputs)
+            in
+            let verdicts rs =
+              Array.map
+                (fun (r : Runtime.Batch.result_) ->
+                  Runtime.Batch.outcome_ok r.Runtime.Batch.outcome)
+                rs
+            in
+            let seq = verdicts (run ~jobs:1) in
+            check bool (name ^ " corpus parses") true
+              (Array.for_all Fun.id seq);
+            List.iter
+              (fun jobs ->
+                check (Alcotest.array bool)
+                  (Printf.sprintf "%s verdicts, jobs=%d" name jobs)
+                  seq
+                  (verdicts (run ~jobs)))
+              [ 2; 4 ];
+            check string (name ^ " unchanged") before
+              (Llstar.Compiled_cache.payload_digest c))
+          Bench_grammars.Specs.all);
+    qtest ~count:40 "random grammars: parallel verdicts = sequential"
+      (QCheck.pair Test_props.arb_grammar
+         (QCheck.list_of_size (QCheck.Gen.int_range 1 8)
+            (QCheck.list_of_size (QCheck.Gen.int_bound 8)
+               (QCheck.int_bound 4))))
+      (fun (g, sentences) ->
+        match
+          Llstar.Compiled.compile ~analysis_opts:Test_props.rand_opts g
+        with
+        | Error _ -> true (* unlucky generated shape; nothing to compare *)
+        | Ok c ->
+            let before = Llstar.Compiled_cache.payload_digest c in
+            let toks_list =
+              List.map
+                (fun s ->
+                  Test_props.tokens_of_names c
+                    (List.map (fun i -> [| "A"; "B"; "C"; "D"; "E" |].(i)) s))
+                sentences
+            in
+            let verdict toks =
+              match Runtime.Interp.recognize c toks with
+              | Ok () -> true
+              | Error _ -> false
+            in
+            let seq = List.map verdict toks_list in
+            List.for_all
+              (fun jobs ->
+                Exec.Pool.with_pool ~jobs (fun pool ->
+                    Exec.Pool.map_list pool verdict toks_list)
+                = seq)
+              [ 2; 4 ]
+            && Llstar.Compiled_cache.payload_digest c = before);
   ]
 
 (* --- metrics merge ----------------------------------------------------- *)
@@ -611,6 +714,7 @@ let suite =
     ("exec-determinism", determinism_tests);
     ("exec-batch", batch_tests);
     ("exec-fuzz", fuzz_tests);
+    ("exec-shared", shared_tests);
     ("exec-metrics", metrics_tests);
     ("exec-wide-dfa", wide_tests);
   ]

@@ -1,6 +1,7 @@
 (* Profile counters: the DFA depth and speculation depth are recorded
    separately (the old [record] folded speculation into the DFA depth,
-   double-counting it), and the lazy/cached DFA-state counters. *)
+   double-counting it), and the cached and retired lazy DFA-state
+   counters. *)
 
 open Helpers
 
@@ -38,16 +39,29 @@ let suite =
             check int "max k" 2 (Runtime.Profile.max_k p);
             check (Alcotest.float 1e-9) "back k" 0.0
               (Runtime.Profile.back_k p));
-        test "lazy and cached DFA-state counters" (fun () ->
+        test "cached DFA-state counter" (fun () ->
             let p = Runtime.Profile.create () in
-            Runtime.Profile.record_dfa_built p ~decision:0 ~cached:false ~n:3;
-            Runtime.Profile.record_dfa_built p ~decision:1 ~cached:true ~n:7;
-            Runtime.Profile.record_dfa_built p ~decision:0 ~cached:false ~n:0;
-            check int "lazy" 3 (Runtime.Profile.lazy_dfa_states p);
+            Runtime.Profile.record_cached_states p ~decision:1 ~n:7;
+            Runtime.Profile.record_cached_states p ~decision:0 ~n:0;
             check int "cached" 7 (Runtime.Profile.cached_dfa_states p);
             Runtime.Profile.reset p;
-            check int "lazy after reset" 0 (Runtime.Profile.lazy_dfa_states p);
             check int "cached after reset" 0
               (Runtime.Profile.cached_dfa_states p));
+        test "a fresh compile credits no cached or lazy DFA states" (fun () ->
+            let c = compile "grammar T; s : A B C | A B D | E ;" in
+            let p = Runtime.Profile.create () in
+            List.iter
+              (fun input ->
+                match Runtime.Interp.parse ~profile:p c (lex c input) with
+                | Ok _ -> ()
+                | Error _ -> Alcotest.failf "parse of %S failed" input)
+              [ "A B C"; "A B D"; "E" ];
+            check int "decision events" 3 (Runtime.Profile.events p);
+            check int "cached" 0 (Runtime.Profile.cached_dfa_states p);
+            check int "lazy" 0 (Runtime.Profile.lazy_dfa_states p);
+            (* the retired counter stays in the JSON document *)
+            check bool "lazy_dfa_states field" true
+              (Obs.Json.member "lazy_dfa_states" (Runtime.Profile.to_json p)
+              = Some (Obs.Json.int 0)));
       ] );
   ]
