@@ -74,9 +74,8 @@ let recognize_all cw env ?tracer token_lists () =
    request pipeline over the same registry entry and pool -- JSON request
    decode, pooled lex+parse with a profile, counter + histogram recording
    under a mutex, response encode -- so the quotient isolates exactly the
-   new per-request work.  Its lex+parse is the handler's: the chunked
-   lexer through a token window capped at the text length, then a drain
-   for the token total. *)
+   new per-request work.  Its lex+parse is the handler's call: one
+   [Runtime.Drive.run] with the handler's default token budget. *)
 
 let serve_grammar = "MiniJava"
 
@@ -97,28 +96,22 @@ let baseline_handle ~(entry : Serve.Registry.entry) ~pool
   | Ok req ->
       let text = Option.get req.Serve.Protocol.text in
       let work () =
-        let sym = Llstar.Compiled.sym entry.Serve.Registry.c in
-        let ls =
-          Runtime.Lexer_engine.stream entry.Serve.Registry.lexer_config sym
-            (Runtime.Lexer_engine.reader_of_string text)
-        in
-        let ts =
-          Runtime.Token_stream.of_pull
-            ~window:
-              (min Runtime.Token_stream.default_window (String.length text))
-            (Runtime.Lexer_engine.pull ls)
-        in
         let profile = Runtime.Profile.create () in
-        let o =
-          Runtime.Generated.interp_outcome_stream ~env:entry.Serve.Registry.env
-            ~profile entry.Serve.Registry.c ts
-        in
-        match Runtime.Lexer_engine.drain ls with
-        | Error _ -> failwith "bench corpus must lex"
-        | Ok _ -> (o, profile, Runtime.Lexer_engine.produced ls)
+        match
+          Runtime.Drive.run
+            ~max_tokens:Serve.Handler.default_limits.max_tokens
+            ~env:entry.Serve.Registry.env ~profile
+            ~input_bytes:(String.length text)
+            entry.Serve.Registry.lexer_config Runtime.Drive.Interp
+            entry.Serve.Registry.c
+            (Runtime.Lexer_engine.reader_of_string text)
+        with
+        | Runtime.Drive.Parsed p -> (p, profile)
+        | Runtime.Drive.Lex_error _ | Runtime.Drive.Token_budget _ ->
+            failwith "bench corpus must lex within the budget"
       in
       let t0 = Unix.gettimeofday () in
-      let o, profile, tokens = Exec.Pool.await (Exec.Pool.submit pool work) in
+      let p, profile = Exec.Pool.await (Exec.Pool.submit pool work) in
       let wall_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
       Mutex.lock m_lock;
       Obs.Metrics.incr
@@ -128,7 +121,7 @@ let baseline_handle ~(entry : Serve.Registry.entry) ~pool
                ("op", "parse");
                ("grammar", serve_grammar);
                ("backend", "interp");
-               ("ok", string_of_bool o.Runtime.Generated.ok);
+               ("ok", string_of_bool p.Runtime.Drive.ok);
              ]
            "serve.requests");
       Obs.Metrics.observe
@@ -140,7 +133,7 @@ let baseline_handle ~(entry : Serve.Registry.entry) ~pool
         (Obs.Metrics.histogram metrics
            ~labels:[ ("grammar", serve_grammar) ]
            "serve.tokens")
-        tokens;
+        p.Runtime.Drive.produced;
       Obs.Metrics.merge ~into:metrics (Runtime.Profile.registry profile);
       Mutex.unlock m_lock;
       Obs.Json.to_string
@@ -148,9 +141,9 @@ let baseline_handle ~(entry : Serve.Registry.entry) ~pool
            [
              ("grammar", Obs.Json.str serve_grammar);
              ("backend", Obs.Json.str "interp");
-             ("tokens", Obs.Json.int tokens);
+             ("tokens", Obs.Json.int p.Runtime.Drive.produced);
              ("wall_us", Obs.Json.int wall_us);
-             ("consumed", Obs.Json.int o.Runtime.Generated.consumed);
+             ("consumed", Obs.Json.int p.Runtime.Drive.consumed);
            ])
 
 let serve_hot_path () =

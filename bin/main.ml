@@ -37,7 +37,9 @@ let bounded_reader ?limit path (read : Runtime.Lexer_engine.reader) :
         if !seen > limit then raise (Input_too_large { path; limit });
         n
 
-let with_input ?max_bytes path (f : Runtime.Lexer_engine.reader -> 'a) : 'a =
+(* [f] gets the reader and, for a regular file, its byte length. *)
+let with_input ?max_bytes path
+    (f : ?input_bytes:int -> Runtime.Lexer_engine.reader -> 'a) : 'a =
   match open_in_bin path with
   | exception Sys_error msg ->
       Fmt.epr "error: cannot read input: %s@." msg;
@@ -47,7 +49,14 @@ let with_input ?max_bytes path (f : Runtime.Lexer_engine.reader -> 'a) : 'a =
         bounded_reader ?limit:max_bytes path
           (Runtime.Lexer_engine.reader_of_channel ic)
       in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f read)
+      let input_bytes =
+        match Unix.fstat (Unix.descr_of_in_channel ic) with
+        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> Some st_size
+        | _ -> None
+      in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> f ?input_bytes read)
 
 let grammar_arg =
   Arg.(
@@ -286,13 +295,12 @@ let atn_cmd =
 (* --- parse ------------------------------------------------------------- *)
 
 let parse_cmd =
-  (* Single-input mode: the chunked lexer feeds a bounded token window and
-     the interpreter parses as tokens arrive.  Without --tree or --recover
-     it only recognizes, in O(window + speculation reach) live memory; a
-     tree keeps its leaves, which are copied [Token.t] values, so both
-     flags work at any --window.  The whole input is always scanned
-     (drain), so a lex error anywhere wins over the parse verdict, exactly
-     as tokenize-then-parse would report it. *)
+  (* Single-input mode: one {!Runtime.Drive.run} over the file.  Without
+     --tree or --recover it only recognizes, in O(window + speculation
+     reach) live memory; a tree keeps its leaves, which are copied
+     [Token.t] values, so both flags work at any --window.  A lex error
+     anywhere wins over the parse verdict, exactly as tokenize-then-parse
+     would report it. *)
   let run_single grammar input config start show_tree profile_flag verbose
       recover cache_dir window max_input_bytes trace_file trace_format =
     let tracer, close_trace = make_tracer trace_file trace_format in
@@ -309,43 +317,26 @@ let parse_cmd =
         if verbose then Fmt.pr "%a" Runtime.Profile.pp_decisions profile
       end
     in
-    let lex_error e =
-      Fmt.epr "%s: lex error: %a@." input Runtime.Lexer_engine.pp_error e;
-      quit 1
-    in
     match
-      with_input ?max_bytes:max_input_bytes input (fun read ->
-          let ls = Runtime.Lexer_engine.stream ~tracer config sym read in
-          let ts =
-            Runtime.Token_stream.of_pull ~window
-              (Runtime.Lexer_engine.pull ls)
-          in
-          let t = Runtime.Interp.create ~profile ~tracer ~recover c ts in
-          let verdict =
-            if show_tree || recover then
-              Result.map Option.some (Runtime.Interp.run t ?start ())
-            else
-              Result.map (fun () -> None)
-                (Runtime.Interp.recognize_run t ?start ())
-          in
-          match Runtime.Lexer_engine.drain ls with
-          | Error e -> Error e
-          | Ok _ -> Ok (verdict, Runtime.Lexer_engine.produced ls))
+      with_input ?max_bytes:max_input_bytes input (fun ?input_bytes read ->
+          Runtime.Drive.run ~window ~recover ~tree:show_tree ?start ~profile
+            ~tracer ?input_bytes config Runtime.Drive.Interp c read)
     with
     | exception Input_too_large { path; limit } ->
         Fmt.epr "%s: input exceeds --max-input-bytes (%d)@." path limit;
         quit 1
-    | exception Runtime.Lexer_engine.Lex_error e -> lex_error e
-    | Error e -> lex_error e
-    | Ok (Ok tree, total) ->
-        Fmt.pr "parsed %d tokens@." total;
-        (match tree with
-        | Some tree when show_tree ->
-            Fmt.pr "%s@." (Runtime.Tree.to_string sym tree)
-        | _ -> ());
+    | Runtime.Drive.Lex_error e ->
+        Fmt.epr "%s: lex error: %a@." input Runtime.Lexer_engine.pp_error e;
+        quit 1
+    | Runtime.Drive.Token_budget _ -> assert false (* no budget is given *)
+    | Runtime.Drive.Parsed { ok = true; produced; tree; _ } ->
+        Fmt.pr "parsed %d tokens@." produced;
+        Option.iter
+          (fun tree -> Fmt.pr "%s@." (Runtime.Tree.to_string sym tree))
+          (if show_tree then tree else None);
         show_profile ();
         close_trace ()
-    | Ok (Error errors, _) ->
+    | Runtime.Drive.Parsed { errors; _ } ->
         List.iter
           (fun e -> Fmt.epr "%a@." (Runtime.Parse_error.pp sym) e)
           errors;

@@ -613,8 +613,20 @@ let freeze (b : builder) ~fallback : Look_dfa.t =
   let max_k = Look_dfa.compute_max_k t in
   { t with cyclic = max_k = None; max_k }
 
-(* Build the start state D0: the closure of each alternative's left edge. *)
-let build_d0 (b : builder) : wstate =
+(* Settle a freshly discovered state: resolve its conflicts, accept when
+   exactly one viable alternative survives without predicate edges, and
+   attach the fragment-end default.  The LL(1) fallback's D0 is the one
+   state settled without that default ([fragment_end:false]). *)
+let settle ?(fragment_end = true) (b : builder) (d : wstate) : unit =
+  resolve b d;
+  (match Bitset.elements (viable_alts b d.configs) with
+  | [ j ] when d.pred_edges = [] -> d.accept <- j
+  | _ -> ());
+  if fragment_end then attach_fragment_end b d
+
+(* The start state D0: the closure of each alternative's left edge,
+   settled. *)
+let build_d0 ?fragment_end (b : builder) : wstate =
   let targets = Atn.decision_alt_targets b.atn b.decision in
   let seeds =
     Array.to_list
@@ -622,7 +634,7 @@ let build_d0 (b : builder) : wstate =
   in
   let configs, overflow = closure ~collect_preds:true b seeds in
   let d, _fresh = new_wstate b ~depth:0 ~path:[] configs overflow in
-  resolve b d;
+  settle ?fragment_end b d;
   d
 
 (* A state keeps expanding while some viable alternative is not covered by
@@ -669,30 +681,6 @@ let note_open (b : builder) (d : wstate) : unit =
   if n > open_limit b.opts then
     raise (Not_converging_exn { depth = k; open_states = n })
 
-(* ------------------------------------------------------------------ *)
-(* Per-state construction steps: the body of the work-list loop below,
-   one state and one terminal at a time. *)
-
-(* Finish a freshly discovered state: set the accept when a single
-   alternative survives resolution, and attach the fragment-end default. *)
-let settle_fresh (b : builder) (d : wstate) : unit =
-  resolve b d;
-  (match Bitset.elements (viable_alts b d.configs) with
-  | [ j ] when d.pred_edges = [] -> d.accept <- j
-  | _ -> ());
-  attach_fragment_end b d
-
-(* D0 plus the settling the eager construction applies to it.  Note the
-   LL(1) fallback deliberately does not attach the fragment-end default to
-   its D0; it keeps using [build_d0] directly. *)
-let init_d0 (b : builder) : wstate =
-  let d0 = build_d0 b in
-  (match Bitset.elements (viable_alts b d0.configs) with
-  | [ j ] when d0.pred_edges = [] -> d0.accept <- j
-  | _ -> ());
-  attach_fragment_end b d0;
-  d0
-
 (* User-capped depth (the grammar's k option): force a resolution at this
    state instead of expanding it further. *)
 let force_cap_resolution (b : builder) (d : wstate) : unit =
@@ -708,49 +696,35 @@ let force_cap_resolution (b : builder) (d : wstate) : unit =
          })
   end
 
-(* One modified-subset-construction step (the body of Algorithm 8's inner
-   loop): compute the target of [d] over terminal [a], discovering and
-   settling the target state when it is new.  Returns [None] when no
-   configuration of [d] moves on [a]. *)
-let step_terminal (b : builder) (d : wstate) (a : int) : (wstate * bool) option
-    =
-  let mv = move b.atn d.configs a in
-  if mv = [] then None
-  else begin
-    let configs, overflow = closure b mv in
-    let d', fresh =
-      new_wstate b ~depth:(d.depth + 1) ~path:(a :: d.path) configs overflow
-    in
-    if fresh then begin
-      settle_fresh b d';
-      if b.allow_multi_recursion && should_expand b d' then note_open b d'
-    end;
-    d.term_edges <- (a, d'.id) :: d.term_edges;
-    Some (d', fresh)
-  end
-
-(* Expand one work-list state: force a resolution past the user's k-cap,
-   otherwise step every outgoing terminal, queueing fresh expandable
-   states. *)
-let expand_state (b : builder) (work : wstate Queue.t) (d : wstate) : unit =
-  let beyond_cap =
-    match b.opts.k_cap with Some k -> d.depth >= k | None -> false
-  in
-  if beyond_cap then force_cap_resolution b d
-  else
-    List.iter
-      (fun a ->
-        match step_terminal b d a with
-        | Some (d', fresh) -> if fresh && should_expand b d' then Queue.add d' work
-        | None -> ())
-      (outgoing_terminals b.atn d.configs)
-
+(* Algorithm 8's work list: each state that is still open is expanded
+   once.  Past the user's k-cap a resolution is forced; otherwise every
+   outgoing terminal is stepped (move + closure + dedup), and a target
+   met for the first time is settled and, if still open, queued. *)
 let create_dfa_exn (b : builder) : Look_dfa.t =
-  let d0 = init_d0 b in
+  let d0 = build_d0 b in
   let work = Queue.create () in
   if should_expand b d0 then Queue.add d0 work;
   while not (Queue.is_empty work) do
-    expand_state b work (Queue.pop work)
+    let d = Queue.pop work in
+    match b.opts.k_cap with
+    | Some k when d.depth >= k -> force_cap_resolution b d
+    | _ ->
+        List.iter
+          (fun a ->
+            let mv = move b.atn d.configs a in
+            if mv <> [] then begin
+              let configs, overflow = closure b mv in
+              let d', fresh =
+                new_wstate b ~depth:(d.depth + 1) ~path:(a :: d.path)
+                  configs overflow
+              in
+              if fresh then settle b d';
+              let open_ = fresh && should_expand b d' in
+              if open_ && b.allow_multi_recursion then note_open b d';
+              d.term_edges <- (a, d'.id) :: d.term_edges;
+              if open_ then Queue.add d' work
+            end)
+          (outgoing_terminals b.atn d.configs)
   done;
   freeze b ~fallback:false
 
@@ -761,10 +735,7 @@ let create_dfa_exn (b : builder) : Look_dfa.t =
    otherwise. *)
 
 let create_fallback (b : builder) : Look_dfa.t =
-  let d0 = build_d0 b in
-  (match Bitset.elements (viable_alts b d0.configs) with
-  | [ j ] when d0.pred_edges = [] -> d0.accept <- j
-  | _ -> ());
+  let d0 = build_d0 ~fragment_end:false b in
   if d0.accept = 0 && d0.pred_edges = [] then
     List.iter
       (fun a ->

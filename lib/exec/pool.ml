@@ -109,3 +109,49 @@ let chunk_ranges ?(granularity = default_chunks_per_worker) ~jobs n :
   if granularity < 1 then
     invalid_arg "Exec.Pool.chunk_ranges: granularity must be >= 1";
   shard_ranges ~shards:(jobs * granularity) n
+
+(* Ordered, drained fan-out over the indices [0 .. n-1]: the shape the
+   batch and fuzz drivers share.  With a pool of more than one job and
+   [n > 1], the indices are split by [chunk_ranges]; each chunk is one
+   task that makes its own state with [local] and runs [body] over its
+   range, and the tasks are awaited in chunk order, where [merge] folds
+   each chunk's state back -- also a chunk whose body raised, so no
+   completed work is dropped.  Every task is drained before a failure
+   surfaces, and the one re-raised is the first failing chunk's: with
+   ascending chunks and a body that stops at its first failing index,
+   that is the smallest failing index, the one a sequential run hits
+   first.  Otherwise [body shared (0, n)] runs inline on the caller's
+   state.  The chunk results come back in chunk order. *)
+let map_chunks ?granularity ?pool ~(shared : 's) ~(local : unit -> 's)
+    ~(merge : 's -> unit) (body : 's -> int * int -> 'r) (n : int) : 'r list
+    =
+  match pool with
+  | Some p when jobs p > 1 && n > 1 ->
+      let chunk range () =
+        let st = local () in
+        match body st range with
+        | r -> (st, Ok r)
+        | exception e -> (st, Error (e, Printexc.get_raw_backtrace ()))
+      in
+      let tasks =
+        List.map
+          (fun range -> submit p (chunk range))
+          (chunk_ranges ?granularity ~jobs:(jobs p) n)
+      in
+      let outcomes =
+        List.map
+          (fun task ->
+            match await task with
+            | st, r ->
+                merge st;
+                r
+            | exception e ->
+                (* the task itself died (resource exhaustion) *)
+                Error (e, Printexc.get_raw_backtrace ()))
+          tasks
+      in
+      List.map
+        (function
+          | Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+        outcomes
+  | _ -> [ body shared (0, n) ]

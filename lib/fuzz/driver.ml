@@ -143,7 +143,7 @@ type shard = {
    the range. *)
 let run_range ?(size = 30) ?(mutate = true) ?fuel ?time_cap ?corpus_dir
     ?profile ?stream_window ~(seed : int) (cw : Workload.compiled) (lo, hi) :
-    (shard, Llstar.Compiled.error) result =
+    shard =
   let spec = cw.Workload.spec in
   let o = Oracle.create_with ?fuel ?time_cap ?profile ?stream_window cw in
       let vocab = Oracle.(o.vocab) in
@@ -205,19 +205,18 @@ let run_range ?(size = 30) ?(mutate = true) ?fuel ?time_cap ?corpus_dir
                   :: !failures)
               divs
       done;
-      Ok
-        {
-          s_accepted = !accepted;
-          s_rejected = !rejected;
-          s_mutated = !mutated;
-          s_explained = !explained;
-          s_failures = List.rev !failures;
-        }
+      {
+        s_accepted = !accepted;
+        s_rejected = !rejected;
+        s_mutated = !mutated;
+        s_explained = !explained;
+        s_failures = List.rev !failures;
+      }
 
 (* One fuzzing session over a single grammar spec.  The LL-star compilation
    happens once and is shared, read-only, by every chunk.  [pool] spreads
    the run indices across workers in several chunks per worker
-   ([Exec.Pool.chunk_ranges]; modest granularity -- each chunk builds its
+   ([Exec.Pool.map_chunks]; modest granularity -- each chunk builds its
    own oracle around the shared compilation, since the baseline backends
    hold mutable parser state); each chunk also owns a private profile,
    merged on join.  The report is identical for any job count because
@@ -229,56 +228,27 @@ let run_spec ?size ?mutate ?fuel ?time_cap ?corpus_dir ?profile ?pool
   match Workload.compile_result spec with
   | Error e -> Error e
   | Ok cw -> (
-      let jobs = match pool with None -> 1 | Some p -> Exec.Pool.jobs p in
       let shards =
-        match pool with
-        | Some p when jobs > 1 && runs > 1 ->
-            let tasks =
-              List.map
-                (fun range ->
-                  Exec.Pool.submit p (fun () ->
-                      let sp =
-                        Option.map (fun _ -> Runtime.Profile.create ()) profile
-                      in
-                      let r =
-                        run_range ?size ?mutate ?fuel ?time_cap ?corpus_dir
-                          ?profile:sp ?stream_window ~seed cw range
-                      in
-                      (r, sp)))
-                (Exec.Pool.chunk_ranges ~granularity:4 ~jobs runs)
-            in
-            List.map
-              (fun task ->
-                let r, sp = Exec.Pool.await task in
-                (match (profile, sp) with
-                | Some into, Some src -> Runtime.Profile.merge ~into src
-                | _ -> ());
-                r)
-              tasks
-        | _ ->
-            [
-              run_range ?size ?mutate ?fuel ?time_cap ?corpus_dir ?profile
-                ?stream_window ~seed cw (0, runs);
-            ]
+        Exec.Pool.map_chunks ~granularity:4 ?pool ~shared:profile
+          ~local:(fun () ->
+            Option.map (fun _ -> Runtime.Profile.create ()) profile)
+          ~merge:(fun sp ->
+            match (profile, sp) with
+            | Some into, Some src -> Runtime.Profile.merge ~into src
+            | _ -> ())
+          (fun profile range ->
+            run_range ?size ?mutate ?fuel ?time_cap ?corpus_dir ?profile
+              ?stream_window ~seed cw range)
+          runs
       in
-      match
-        List.find_map (function Error e -> Some e | Ok _ -> None) shards
-      with
-      | Some e -> Error e
-      | None ->
-          let shards =
-            List.map (function Ok s -> s | Error _ -> assert false) shards
-          in
-          Ok
-            {
-              r_grammar = spec.Workload.name;
-              r_runs = runs;
-              r_accepted =
-                List.fold_left (fun a s -> a + s.s_accepted) 0 shards;
-              r_rejected =
-                List.fold_left (fun a s -> a + s.s_rejected) 0 shards;
-              r_mutated = List.fold_left (fun a s -> a + s.s_mutated) 0 shards;
-              r_explained =
-                List.fold_left (fun a s -> a + s.s_explained) 0 shards;
-              r_failures = List.concat_map (fun s -> s.s_failures) shards;
-            })
+      let sum f = List.fold_left (fun a s -> a + f s) 0 shards in
+      Ok
+        {
+          r_grammar = spec.Workload.name;
+          r_runs = runs;
+          r_accepted = sum (fun s -> s.s_accepted);
+          r_rejected = sum (fun s -> s.s_rejected);
+          r_mutated = sum (fun s -> s.s_mutated);
+          r_explained = sum (fun s -> s.s_explained);
+          r_failures = List.concat_map (fun s -> s.s_failures) shards;
+        })

@@ -1,9 +1,10 @@
 (* Batched parsing driver: run one compiled grammar over many inputs,
-   optionally across the worker domains of an [Exec.Pool].
+   optionally across the worker domains of an [Exec.Pool].  Each input
+   streams through {!Drive.run}, the same pass as a single-input parse.
 
    Scheduling model ("per-input parser state is naturally isolated"): the
    input list is split into several chunks per worker
-   ([Exec.Pool.chunk_ranges]); each chunk is one pool task that owns
+   ([Exec.Pool.map_chunks]); each chunk is one pool task that owns
    everything mutable it touches -- its token streams, one interpreter
    per input, its own [Profile] (metrics registry).  Chunks queue in the
    pool's shared run queue, so uneven inputs no longer serialize on the
@@ -11,10 +12,10 @@
    read-only once the vocabulary is frozen, so batches run at any job
    count with byte-identical results.
 
-   Determinism: outcomes are written into a result slot per input index
-   and chunks are awaited in order, so the returned array is in input
-   order whatever the interleaving; per-chunk metrics registries are
-   merged into the caller's profile in chunk (= input) order.
+   Determinism: each chunk returns its outcomes in input order and chunks
+   are awaited in order, so the returned array is in input order whatever
+   the interleaving; per-chunk metrics registries are merged into the
+   caller's profile in chunk (= input) order.
 
    Failure contract (fail-fast with a full drain): an exception raised
    while parsing one input stops that chunk at that input; every other
@@ -25,38 +26,34 @@
    silently dropped). *)
 
 type input = { name : string; text : string }
+type result_ = { input : input; outcome : Drive.verdict }
 
-type outcome =
-  | Parsed of { tokens : int }
-  | Lex_error of Lexer_engine.error
-  | Parse_errors of { tokens : int; errors : Parse_error.t list }
-
-type result_ = { input : input; outcome : outcome }
-
-let outcome_ok = function Parsed _ -> true | _ -> false
+let outcome_ok = function Drive.Parsed p -> p.ok | _ -> false
 
 let pp_outcome ppf (sym, r) =
   match r.outcome with
-  | Parsed { tokens } -> Fmt.pf ppf "%s: parsed %d tokens" r.input.name tokens
-  | Lex_error e ->
-      Fmt.pf ppf "%s: lex error: %a" r.input.name Lexer_engine.pp_error e
-  | Parse_errors { tokens; errors } ->
-      Fmt.pf ppf "%s: %d tokens, %d parse errors:@.  %a" r.input.name tokens
+  | Drive.Parsed { ok = true; produced; _ } ->
+      Fmt.pf ppf "%s: parsed %d tokens" r.input.name produced
+  | Drive.Parsed { produced; errors; _ } ->
+      Fmt.pf ppf "%s: %d tokens, %d parse errors:@.  %a" r.input.name produced
         (List.length errors)
         Fmt.(list ~sep:(any "@.  ") (Parse_error.pp sym))
         errors
+  | Drive.Lex_error e ->
+      Fmt.pf ppf "%s: lex error: %a" r.input.name Lexer_engine.pp_error e
+  | Drive.Token_budget n ->
+      Fmt.pf ppf "%s: %d tokens, over the token budget" r.input.name n
 
-(* Parse one input with shard-local state. *)
+(* Parse one input with shard-local state, streamed at the default
+   window. *)
 let run_one ~config ~env ~profile ~recover ?start (c : Llstar.Compiled.t)
-    (input : input) : outcome =
-  let sym = Llstar.Compiled.sym c in
-  match Lexer_engine.tokenize config sym input.text with
-  | Error e -> Lex_error e
-  | Ok toks -> (
-      match Interp.parse ~env ~profile ~recover ?start c toks with
-      | Ok _tree -> Parsed { tokens = Array.length toks }
-      | Error errors ->
-          Parse_errors { tokens = Array.length toks; errors })
+    (input : input) : result_ =
+  let outcome =
+    Drive.run ~recover ?start ~env ~profile
+      ~input_bytes:(String.length input.text) config Drive.Interp c
+      (Lexer_engine.reader_of_string input.text)
+  in
+  { input; outcome }
 
 (* Parse every input; [pool] spreads the list across its workers in
    chunks.  The merged per-chunk metrics land in [profile] when given.
@@ -64,89 +61,24 @@ let run_one ~config ~env ~profile ~recover ?start (c : Llstar.Compiled.t)
 let run ?pool ?(config = Lexer_engine.default_config)
     ?(env = Interp.default_env) ?profile ?(recover = false) ?start
     (c : Llstar.Compiled.t) (inputs : input list) : result_ array =
-  let jobs = match pool with None -> 1 | Some p -> Exec.Pool.jobs p in
   let inputs = Array.of_list inputs in
-  let n = Array.length inputs in
-  let results : outcome option array = Array.make n None in
-  (match pool with
-  | Some p when jobs > 1 && n > 1 ->
-      let chunk (lo, hi) =
-        Exec.Pool.submit p (fun () ->
-            (* Chunk-local profile: no synchronization on the hot path;
-               merged below, after the join.  A raising input stops this
-               chunk (fail-fast) but is reported, not re-raised, so the
-               join below can drain and merge every task first. *)
-            let sp = Profile.create () in
-            let outs = Array.make (hi - lo) None in
-            let failure = ref None in
-            let i = ref lo in
-            while !failure = None && !i < hi do
-              (match
-                 run_one ~config ~env ~profile:sp ~recover ?start c
-                   inputs.(!i)
-               with
-              | o -> outs.(!i - lo) <- Some o
-              | exception e ->
-                  failure := Some (!i, e, Printexc.get_raw_backtrace ()));
-              incr i
-            done;
-            (outs, sp, !failure))
-      in
-      let tasks =
-        List.map
-          (fun range -> (range, chunk range))
-          (Exec.Pool.chunk_ranges ~jobs n)
-      in
-      (* Drain every task before surfacing any failure: completed outcomes
-         are merged whatever happened elsewhere, and the exception raised
-         (if any) is the one at the smallest input index -- exactly the
-         one a sequential run would have hit first. *)
-      let first_failure = ref None in
-      let note_failure ((i, _, _) as f) =
-        match !first_failure with
-        | Some (j, _, _) when j <= i -> ()
-        | _ -> first_failure := Some f
-      in
-      List.iter
-        (fun ((lo, _hi), task) ->
-          match Exec.Pool.await task with
-          | outs, sp, failure ->
-              Array.iteri
-                (fun i o ->
-                  match o with
-                  | Some o -> results.(lo + i) <- Some o
-                  | None -> ())
-                outs;
-              (match profile with
-              | Some into -> Profile.merge ~into sp
-              | None -> ());
-              Option.iter note_failure failure
-          | exception e ->
-              (* Defensive: the chunk body catches per-input exceptions,
-                 so a raising await means the task itself died (resource
-                 exhaustion); attribute it to the chunk's first input. *)
-              note_failure (lo, e, Printexc.get_raw_backtrace ()))
-        tasks;
-      (match !first_failure with
-      | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-  | _ ->
-      let sp = match profile with Some p -> p | None -> Profile.create () in
-      Array.iteri
-        (fun i input ->
-          results.(i) <- Some (run_one ~config ~env ~profile:sp ~recover ?start c input))
-        inputs);
-  Array.mapi
-    (fun i input -> { input; outcome = Option.get results.(i) })
-    inputs
+  let shared = match profile with Some p -> p | None -> Profile.create () in
+  Exec.Pool.map_chunks ?pool ~shared ~local:Profile.create
+    ~merge:(fun sp -> Option.iter (fun into -> Profile.merge ~into sp) profile)
+    (fun profile (lo, hi) ->
+      Array.map
+        (run_one ~config ~env ~profile ~recover ?start c)
+        (Array.sub inputs lo (hi - lo)))
+    (Array.length inputs)
+  |> Array.concat
 
 (* Total token count across successfully lexed inputs, for throughput. *)
 let total_tokens (rs : result_ array) : int =
   Array.fold_left
     (fun acc r ->
       match r.outcome with
-      | Parsed { tokens } | Parse_errors { tokens; _ } -> acc + tokens
-      | Lex_error _ -> acc)
+      | Drive.Parsed p -> acc + p.produced
+      | Drive.Lex_error _ | Drive.Token_budget _ -> acc)
     0 rs
 
 (* Read a file-list argument: "@manifest" names a file with one input path

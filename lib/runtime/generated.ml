@@ -22,14 +22,12 @@
    - speculation rewinds the stream but keeps the high-water mark, so
      profiled lookahead depths include speculative reach. *)
 
-type memo_entry = Failed | Succeeded of int (* stop index *)
-
 type st = {
   ts : Token_stream.t;
   env : Interp.env;
   profile : Profile.t option;
   memo_enabled : bool;
-  mutable memo : (int, memo_entry) Hashtbl.t option;
+  mutable memo : (int, Interp.memo_entry) Hashtbl.t option;
       (* keyed by packed (rule, prec, pos); created on first speculative
          use so parses that never speculate pay nothing for memoization *)
   mutable speculating : int;
@@ -164,16 +162,9 @@ let record st ~decision ~depth ~backtracked ~spec_depth : unit =
 (* ------------------------------------------------------------------ *)
 (* Memoization, only while speculating (paper section 6.2). *)
 
-(* Memo key packing: position in bits 0..29, precedence bound in bits
-   30..44, rule id in bits 45..61.  The bounds are far beyond anything a
-   real grammar produces (2^30 tokens, prec < 2^15, 2^17 rules); an int
-   key keeps the speculation-time lookup allocation-free, and the
-   position in the low bits makes windowed eviction a cheap range test
-   ({!Interp.memo_key} uses the same packing). *)
-let memo_key ~(rule : int) ~(prec : int) ~(pos : int) : int =
-  (((rule lsl 15) lor prec) lsl 30) lor pos
-
-let memo_table st : (int, memo_entry) Hashtbl.t =
+(* The table holds {!Interp}'s memo entries under its key packing, and is
+   evicted by its [evict_memo_before]. *)
+let memo_table st : (int, Interp.memo_entry) Hashtbl.t =
   match st.memo with
   | Some tbl -> tbl
   | None ->
@@ -188,18 +179,20 @@ let memo_table st : (int, memo_entry) Hashtbl.t =
 let memoized st ~(rule : int) ~(prec : int) (body : unit -> unit) : unit =
   if st.memo_enabled && st.speculating > 0 then begin
       let tbl = memo_table st in
-      let key = memo_key ~rule ~prec ~pos:(Token_stream.index st.ts) in
+      let pos = Token_stream.index st.ts in
+      let key = Interp.memo_key ~rule ~prec ~pos in
       match Hashtbl.find_opt tbl key with
-      | Some Failed -> raise Spec_fail
-      | Some (Succeeded stop) ->
+      | Some Interp.Failed -> raise Spec_fail
+      | Some (Interp.Succeeded stop) ->
           (* valid because speculation builds no tree and runs no actions *)
           Token_stream.seek st.ts stop
       | None -> (
           match body () with
           | () ->
-              Hashtbl.replace tbl key (Succeeded (Token_stream.index st.ts))
+              Hashtbl.replace tbl key
+                (Interp.Succeeded (Token_stream.index st.ts))
           | exception Spec_fail ->
-              Hashtbl.replace tbl key Failed;
+              Hashtbl.replace tbl key Interp.Failed;
               raise Spec_fail)
     end
   else body ()

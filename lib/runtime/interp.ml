@@ -57,18 +57,15 @@ let env_of_tables ?(preds = []) ?(actions = []) () =
 exception Spec_fail
 (* Internal: a speculative parse failed to match.  Never escapes. *)
 
-(* Diagnostic tracing (also enabled by the ANTLRKIT_TRACE environment
-   variable): prints rule entries, predictions and failures, including those
-   inside speculation, to stderr. *)
-let trace = ref (Sys.getenv_opt "ANTLRKIT_TRACE" <> None)
-
+(* Memo entries and key packing, shared with {!Generated}. *)
 type memo_entry = Failed | Succeeded of int (* stop index *)
 
-(* Memo key packing, shared with {!Generated}: position in bits 0..29,
-   precedence bound in bits 30..44, rule id in bits 45..61.  An int key
-   keeps speculation-time lookups allocation-free, and -- with the
-   position in the low bits -- makes windowed eviction a cheap range test
-   per entry. *)
+(* Position in bits 0..29, precedence bound in bits 30..44, rule id in
+   bits 45..61.  The bounds are far beyond anything a real grammar
+   produces (2^30 tokens, prec < 2^15, 2^17 rules); an int key keeps
+   speculation-time lookups allocation-free, and -- with the position in
+   the low bits -- makes windowed eviction a cheap range test per
+   entry. *)
 let memo_key ~(rule : int) ~(prec : int) ~(pos : int) : int =
   (((rule lsl 15) lor prec) lsl 30) lor pos
 
@@ -76,9 +73,9 @@ let memo_pos (key : int) : int = key land 0x3FFFFFFF
 
 (* Windowed memo eviction: entries keyed at positions behind the release
    frontier can never be hit again (the stream refuses to rewind there),
-   so drop them when the stream's window slides.  Polymorphic in the entry
-   type: {!Generated} uses the same packing with its own entry type. *)
-let evict_memo_before (tbl : (int, 'a) Hashtbl.t) (frontier : int) : unit =
+   so drop them when the stream's window slides. *)
+let evict_memo_before (tbl : (int, memo_entry) Hashtbl.t) (frontier : int) :
+    unit =
   Hashtbl.filter_map_inplace
     (fun key v -> if memo_pos key < frontier then None else Some v)
     tbl
@@ -119,12 +116,6 @@ let emit t ev = Obs.Trace.emit t.tracer ev
 let error t kind rule =
   let tok = Token_stream.lt t.ts 1 in
   let e = Parse_error.{ kind; token = tok; rule } in
-  if !trace then
-    Fmt.epr "[trace]%s error @%d: %a@."
-      (String.make t.speculating '>')
-      (Token_stream.index t.ts)
-      (Parse_error.pp (Llstar.Compiled.sym t.c))
-      e;
   if t.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
 
 (* Offending-token error for prediction: report at the token that killed the
@@ -135,12 +126,6 @@ let prediction_error t ~decision ~depth rule =
     Parse_error.
       { kind = No_viable_alt { decision; depth = depth + 1 }; token = tok; rule }
   in
-  if !trace then
-    Fmt.epr "[trace]%s error @%d: %a@."
-      (String.make t.speculating '>')
-      (Token_stream.index t.ts)
-      (Parse_error.pp (Llstar.Compiled.sym t.c))
-      e;
   if t.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
 
 (* ------------------------------------------------------------------ *)
@@ -266,12 +251,6 @@ and predict t (decision : int) ~prec ~rule : int =
     emit t
       (Obs.Trace.Decision_exit
          { decision; alt; k = depth; pos = Token_stream.index t.ts });
-  if !trace then
-    Fmt.epr "[trace]%s d%d @%d -> alt %d (k=%d)@."
-      (String.make t.speculating '>')
-      decision
-      (Token_stream.index t.ts)
-      alt depth;
   (match t.profile with
   | Some p when t.speculating = 0 ->
       Profile.record p ~decision ~depth ~backtracked:!backtracked

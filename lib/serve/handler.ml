@@ -70,127 +70,52 @@ let mono_us () : int =
 (* ------------------------------------------------------------------ *)
 (* Parse *)
 
-type parse_result = {
-  ok : bool;
-  errors : Runtime.Parse_error.t list;
-  consumed : int;
+(* What the pool hands back: the verdict and the request's profile, plus
+   the parse-vs-total latency breakdown.  [queue_us] is measured from
+   submit to the instant a worker entered the closure; [parse_us] is the
+   closure's own wall time (lex + parse).  Request wall minus the two is
+   protocol/dispatch overhead. *)
+type parse_work = {
+  verdict : Runtime.Drive.verdict;
+  profile : Runtime.Profile.t;
+  queue_us : int;
+  parse_us : int;
 }
 
-type parse_verdict =
-  [ `Lex_error of Runtime.Lexer_engine.error
-  | `Token_budget of int
-  | `No_generated
-  | `Done of parse_result * Runtime.Profile.t * int (* lexed tokens *) ]
-
-(* What the pool hands back: the verdict plus the parse-vs-total latency
-   breakdown.  [queue_us] is measured from submit to the instant a worker
-   entered the closure; [parse_us] is the closure's own wall time (lex +
-   parse).  Request wall minus the two is protocol/dispatch overhead. *)
-type parse_work = { verdict : parse_verdict; queue_us : int; parse_us : int }
-
-let result_of_outcome (o : Runtime.Generated.outcome) : parse_result =
-  {
-    ok = o.Runtime.Generated.ok;
-    errors = Option.to_list o.Runtime.Generated.error;
-    consumed = o.Runtime.Generated.consumed;
-  }
-
-(* The closure submitted to the pool: the request text feeds the chunked
-   scanner, the scanner feeds a bounded token window, and the parser pulls
-   as it goes -- O(window) live tokens however large the payload.  Lexing
-   and parsing both count against the request's budget and both run off
-   the connection thread.  The token budget is enforced incrementally: the
-   pull aborts the parse the moment production crosses [max_tokens].  The
-   scanner is drained afterwards, so a lex error or a budget overrun
-   anywhere in the input wins over the parse verdict, with the same total
-   count, exactly as lexing everything up front would report it.
+(* The closure submitted to the pool: one {!Runtime.Drive.run} over the
+   request text, so lexing and parsing both run off the connection
+   thread, in O(window) live tokens however large the payload, with the
+   request's token budget enforced as tokens arrive.  The driver caps the
+   window at the text's byte length, which keeps small requests from
+   allocating (and the major GC from scanning) the whole default window
+   each time.
 
    [tracer] is the per-request capture ring (or [null]); it sees lexer
    mode events from the scanner and decision/speculation/memo events from
    the interpreter.  Generated parsers have no tracer hook, so their
    captures carry lexer events only. *)
-let parse_work h (entry : Registry.entry) ~(backend : Protocol.backend)
+let parse_work h (entry : Registry.entry) ~(backend : Runtime.Drive.backend)
     ~(start : string option) ~(recover : bool) ~(window : int)
     ~(tracer : Obs.Trace.t) ~(submitted_us : int) (text : string) () :
     parse_work =
   let t_start = mono_us () in
-  let queue_us = max 0 (t_start - submitted_us) in
-  let finish verdict = { verdict; queue_us; parse_us = mono_us () - t_start } in
-  let sym = Llstar.Compiled.sym entry.c in
-  let ls =
-    Runtime.Lexer_engine.stream ~tracer entry.lexer_config sym
+  let profile = Runtime.Profile.create () in
+  let verdict =
+    Runtime.Drive.run ~window ~max_tokens:h.limits.max_tokens ~recover ?start
+      ~env:entry.env ~profile ~tracer ~input_bytes:(String.length text)
+      entry.lexer_config backend entry.c
       (Runtime.Lexer_engine.reader_of_string text)
   in
-  let exception Over_budget in
-  let pull =
-    let inner = Runtime.Lexer_engine.pull ls in
-    fun () ->
-      if Runtime.Lexer_engine.produced ls > h.limits.max_tokens then
-        raise Over_budget;
-      inner ()
-  in
-  (* A text never lexes to more tokens than it has bytes, so a window of
-     that size already never slides; the cap keeps small requests from
-     allocating (and the major GC from scanning) the whole default window
-     each time. *)
-  let window = min window (String.length text) in
-  let ts = Runtime.Token_stream.of_pull ~window pull in
-  let profile = Runtime.Profile.create () in
-  let run =
-    match backend with
-    | Protocol.Interp when recover ->
-        (* Recovery collects every error; the tree is discarded, only
-           acceptance and the error list travel back. *)
-        Some
-          (fun () ->
-            let tr =
-              Runtime.Interp.create ~env:entry.env ~profile ~tracer
-                ~recover:true entry.c ts
-            in
-            let errors =
-              match Runtime.Interp.run tr ?start () with
-              | Ok _ -> []
-              | Error es -> es
-            in
-            (* recovery consumes to EOF by design: [consumed] becomes the
-               total once the scanner is drained *)
-            { ok = errors = []; errors; consumed = 0 })
-    | Protocol.Interp ->
-        Some
-          (fun () ->
-            result_of_outcome
-              (Runtime.Generated.interp_outcome_stream ~env:entry.env
-                 ~profile ~tracer ?start entry.c ts))
-    | Protocol.Generated -> (
-        match entry.generated with
-        | None -> None
-        | Some (module P) ->
-            Some
-              (fun () ->
-                result_of_outcome
-                  (P.outcome_stream ~env:entry.env ~profile ts)))
-  in
-  match run with
-  | None -> finish `No_generated
-  | Some run -> (
-      match run () with
-      | exception Runtime.Lexer_engine.Lex_error le -> finish (`Lex_error le)
-      | exception Over_budget -> (
-          match Runtime.Lexer_engine.drain ls with
-          | Error le -> finish (`Lex_error le)
-          | Ok _ -> finish (`Token_budget (Runtime.Lexer_engine.produced ls)))
-      | r -> (
-          match Runtime.Lexer_engine.drain ls with
-          | Error le -> finish (`Lex_error le)
-          | Ok _ ->
-              let n = Runtime.Lexer_engine.produced ls in
-              if n > h.limits.max_tokens then finish (`Token_budget n)
-              else begin
-                Runtime.Profile.observe_parse_us profile
-                  (mono_us () - t_start);
-                let r = if recover then { r with consumed = n } else r in
-                finish (`Done (r, profile, n))
-              end))
+  (match verdict with
+  | Runtime.Drive.Parsed _ ->
+      Runtime.Profile.observe_parse_us profile (mono_us () - t_start)
+  | Runtime.Drive.Lex_error _ | Runtime.Drive.Token_budget _ -> ());
+  {
+    verdict;
+    profile;
+    queue_us = max 0 (t_start - submitted_us);
+    parse_us = mono_us () - t_start;
+  }
 
 (* Record a finished parse request into the shared registry and tracer.
    [tokens = 0] for requests that died before lexing finished.
@@ -262,111 +187,117 @@ let respond_parse h (req : Protocol.request) ~(entry : Registry.entry)
   in
   let req_id = req_id_of h req in
   let backend = req.Protocol.backend in
-  (* Per-request capture ring: only materialized when the slow
-     log is armed, so the disabled path stays allocation-free. *)
-  let cap =
-    match h.slow_log with
-    | Some sl -> Some (Obs.Trace.Ring.create (Slow_log.max_events sl))
-    | None -> None
+  let driven =
+    match backend with
+    | Protocol.Interp -> Some Runtime.Drive.Interp
+    | Protocol.Generated ->
+        Option.map
+          (fun p -> Runtime.Drive.Generated p)
+          entry.Registry.generated
   in
-  let rtr =
-    match cap with
-    | Some buf -> Obs.Trace.ring buf
-    | None -> Obs.Trace.null
-  in
-  let t0 = Obs.Trace.monotonic_now () in
-  let submitted_us = int_of_float (t0 *. 1e6) in
-  let { verdict; queue_us; parse_us } =
-    Exec.Pool.await
-      (Exec.Pool.submit h.pool
-         (parse_work h entry ~backend ~start:req.Protocol.start
-            ~recover:req.Protocol.recover ~window ~tracer:rtr ~submitted_us
-            text))
-  in
-  let finish ~(ok : bool) ~(tokens : int)
-      ~(profile : Runtime.Profile.t option) : int * float
-      (* wall_us, wall_s *) =
-    let wall = Obs.Trace.monotonic_now () -. t0 in
-    let wall_us = int_of_float (wall *. 1e6) in
-    record h ~req_id ~op ~grammar:gname ~backend ~ok ~tokens ~wall_us
-      ~queue_us ~parse_us ~profile;
-    (match (h.slow_log, cap) with
-    | Some sl, Some buf when Slow_log.should_retain sl ~wall_us ~ok ->
-        Slow_log.record sl ~req_id ~op ~grammar:gname
-          ~backend:(Protocol.backend_name backend)
-          ~ok ~wall_us ~queue_us ~parse_us buf
-    | _ -> ());
-    (wall_us, wall)
-  in
-  match verdict with
-            | `Lex_error le ->
-                let _ = finish ~ok:false ~tokens:0 ~profile:None in
-                fail "lex_error"
-                  (Fmt.str "%a" Runtime.Lexer_engine.pp_error le)
-                  ~extra:
+  match driven with
+  | None ->
+      fail "no_generated_parser"
+        (Printf.sprintf
+           "grammar %S has no generated parser; use backend=interp" gname)
+  | Some driven -> (
+      (* Per-request capture ring: only materialized when the slow
+         log is armed, so the disabled path stays allocation-free. *)
+      let cap =
+        match h.slow_log with
+        | Some sl -> Some (Obs.Trace.Ring.create (Slow_log.max_events sl))
+        | None -> None
+      in
+      let rtr =
+        match cap with
+        | Some buf -> Obs.Trace.ring buf
+        | None -> Obs.Trace.null
+      in
+      let t0 = Obs.Trace.monotonic_now () in
+      let submitted_us = int_of_float (t0 *. 1e6) in
+      let { verdict; profile; queue_us; parse_us } =
+        Exec.Pool.await
+          (Exec.Pool.submit h.pool
+             (parse_work h entry ~backend:driven ~start:req.Protocol.start
+                ~recover:req.Protocol.recover ~window ~tracer:rtr
+                ~submitted_us text))
+      in
+      let finish ~(ok : bool) ~(tokens : int)
+          ~(profile : Runtime.Profile.t option) : int * float
+          (* wall_us, wall_s *) =
+        let wall = Obs.Trace.monotonic_now () -. t0 in
+        let wall_us = int_of_float (wall *. 1e6) in
+        record h ~req_id ~op ~grammar:gname ~backend ~ok ~tokens ~wall_us
+          ~queue_us ~parse_us ~profile;
+        (match (h.slow_log, cap) with
+        | Some sl, Some buf when Slow_log.should_retain sl ~wall_us ~ok ->
+            Slow_log.record sl ~req_id ~op ~grammar:gname
+              ~backend:(Protocol.backend_name backend)
+              ~ok ~wall_us ~queue_us ~parse_us buf
+        | _ -> ());
+        (wall_us, wall)
+      in
+      match verdict with
+      | Runtime.Drive.Lex_error le ->
+          let _ = finish ~ok:false ~tokens:0 ~profile:None in
+          fail "lex_error"
+            (Fmt.str "%a" Runtime.Lexer_engine.pp_error le)
+            ~extra:
+              [
+                ( "position",
+                  Obs.Json.obj
                     [
-                      ( "position",
-                        Obs.Json.obj
-                          [
-                            ("line", Obs.Json.int le.Runtime.Lexer_engine.line);
-                            ("col", Obs.Json.int le.Runtime.Lexer_engine.col);
-                          ] );
-                    ]
-            | `Token_budget n ->
-                let _ = finish ~ok:false ~tokens:n ~profile:None in
-                fail "token_budget"
-                  (Printf.sprintf "input lexed to %d tokens; limit is %d" n
-                     h.limits.max_tokens)
-            | `No_generated ->
-                fail "no_generated_parser"
-                  (Printf.sprintf "grammar %S has no generated parser; use \
-                                   backend=interp" gname)
-            | `Done (r, profile, tokens) ->
-                let wall = Obs.Trace.monotonic_now () -. t0 in
-                let over_budget = wall > h.limits.time_budget_s in
-                let wall_us, _ =
-                  finish ~ok:(r.ok && not over_budget) ~tokens
-                    ~profile:(Some profile)
-                in
-                let base =
-                  [
-                    ("grammar", Obs.Json.str gname);
-                    ( "backend",
-                      Obs.Json.str (Protocol.backend_name req.Protocol.backend)
+                      ("line", Obs.Json.int le.Runtime.Lexer_engine.line);
+                      ("col", Obs.Json.int le.Runtime.Lexer_engine.col);
+                    ] );
+              ]
+      | Runtime.Drive.Token_budget n ->
+          let _ = finish ~ok:false ~tokens:n ~profile:None in
+          fail "token_budget"
+            (Printf.sprintf "input lexed to %d tokens; limit is %d" n
+               h.limits.max_tokens)
+      | Runtime.Drive.Parsed r ->
+          let wall = Obs.Trace.monotonic_now () -. t0 in
+          let over_budget = wall > h.limits.time_budget_s in
+          let wall_us, _ =
+            finish ~ok:(r.ok && not over_budget) ~tokens:r.produced
+              ~profile:(Some profile)
+          in
+          let base =
+            [
+              ("grammar", Obs.Json.str gname);
+              ("backend", Obs.Json.str (Protocol.backend_name backend));
+              ("tokens", Obs.Json.int r.produced);
+              ("wall_us", Obs.Json.int wall_us);
+            ]
+          in
+          if over_budget then
+            (* Post-hoc guard: the result is withheld, the overrun is the
+               answer (fuzz-oracle time_cap discipline). *)
+            fail "time_budget"
+              (Printf.sprintf "request took %.3fs; budget is %.3fs" wall
+                 h.limits.time_budget_s)
+              ~extra:base
+          else if r.ok then
+            Protocol.ok_response ~id ~op
+              (base @ [ ("consumed", Obs.Json.int r.consumed) ])
+          else
+            let sym = Llstar.Compiled.sym entry.Registry.c in
+            let message =
+              match r.errors with
+              | e :: _ -> Runtime.Parse_error.to_string sym e
+              | [] -> "parse failed"
+            in
+            fail "parse_error" message
+              ~extra:
+                (base
+                @ [
+                    ("consumed", Obs.Json.int r.consumed);
+                    ( "errors",
+                      Obs.Json.list
+                        (List.map (Runtime.Parse_error.to_json sym) r.errors)
                     );
-                    ("tokens", Obs.Json.int tokens);
-                    ("wall_us", Obs.Json.int wall_us);
-                  ]
-                in
-                if over_budget then
-                  (* Post-hoc guard: the result is withheld, the overrun
-                     is the answer (fuzz-oracle time_cap discipline). *)
-                  fail "time_budget"
-                    (Printf.sprintf
-                       "request took %.3fs; budget is %.3fs" wall
-                       h.limits.time_budget_s)
-                    ~extra:base
-                else if r.ok then
-                  Protocol.ok_response ~id ~op
-                    (base @ [ ("consumed", Obs.Json.int r.consumed) ])
-                else
-                  let sym = Llstar.Compiled.sym entry.Registry.c in
-                  let message =
-                    match r.errors with
-                    | e :: _ -> Runtime.Parse_error.to_string sym e
-                    | [] -> "parse failed"
-                  in
-                  fail "parse_error" message
-                    ~extra:
-                      (base
-                      @ [
-                          ("consumed", Obs.Json.int r.consumed);
-                          ( "errors",
-                            Obs.Json.list
-                              (List.map
-                                 (Runtime.Parse_error.to_json sym)
-                                 r.errors) );
-                        ])
+                  ]))
 
 (* Validation for parse and parse_stream: a loaded grammar, a bounded
    text payload, recovery only where it exists, and a client-supplied

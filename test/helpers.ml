@@ -150,22 +150,24 @@ let materialized_verdict ?env ?(config = Runtime.Lexer_engine.default_config)
   | Ok toks ->
       (Parsed (Runtime.Generated.interp_outcome ?env c toks), Array.length toks)
 
-(* The chunked lexer feeding a [window]-token sliding stream into Interp.
-   The rest of the input is drained after the verdict, so a lex error
-   anywhere wins, as it does on the materialized path.  Also the tokens
-   produced and the stream's peak resident tokens.  [wrap_pull] lets a
-   caller observe every chunk pull. *)
+(* [text] through {!Runtime.Drive.run} at [window]: the chunked lexer
+   feeding a sliding token window into Interp, with the rest of the input
+   drained after the verdict, so a lex error anywhere wins, as it does on
+   the materialized path.  Also the tokens produced (0 on a lex error, as
+   on the materialized path) and the window's peak resident tokens.
+   [wrap_reader] lets a caller observe every read of the input. *)
 let streamed_verdict ?env ?(config = Runtime.Lexer_engine.default_config)
-    ?(wrap_pull = Fun.id) ~window c text : verdict * int * int =
-  let module Le = Runtime.Lexer_engine in
-  let ls = Le.stream config (Llstar.Compiled.sym c) (Le.reader_of_string text) in
-  let ts = Runtime.Token_stream.of_pull ~window (wrap_pull (Le.pull ls)) in
-  let v =
-    match Runtime.Generated.interp_outcome_stream ?env c ts with
-    | exception Le.Lex_error e -> Lex_failed (e.Le.line, e.Le.col)
-    | o -> (
-        match Le.drain ls with
-        | Error e -> Lex_failed (e.Le.line, e.Le.col)
-        | Ok _ -> Parsed o)
-  in
-  (v, Le.produced ls, Runtime.Token_stream.peak_live ts)
+    ?(wrap_reader = Fun.id) ~window c text : verdict * int * int =
+  let module D = Runtime.Drive in
+  match
+    D.run ?env ~window ~input_bytes:(String.length text) config D.Interp c
+      (wrap_reader (Runtime.Lexer_engine.reader_of_string text))
+  with
+  | D.Lex_error { line; col; _ } -> (Lex_failed (line, col), 0, 0)
+  | D.Token_budget _ -> assert false (* no budget is given *)
+  | D.Parsed p ->
+      let error = match p.D.errors with e :: _ -> Some e | [] -> None in
+      let consumed = p.D.consumed in
+      ( Parsed { Runtime.Generated.ok = p.D.ok; error; consumed },
+        p.D.produced,
+        p.D.peak_live )

@@ -427,6 +427,117 @@ let batch_tests =
         Unix.rmdir dir);
   ]
 
+(* --- batch inputs stream through the driver -------------------------- *)
+
+(* One to three byte edits (deletion, replacement, insertion) drawn from
+   characters that break the lexer as well as the parser. *)
+let mutate_bytes rng text =
+  let alphabet = "`$#\"'/*(){};,.+-=<>@ \n0aZ" in
+  let pick () = alphabet.[Random.State.int rng (String.length alphabet)] in
+  let n = String.length text in
+  let at =
+    List.init (1 + Random.State.int rng 3) (fun _ ->
+        Random.State.int rng (max 1 n))
+  in
+  let b = Buffer.create (n + 4) in
+  String.iteri
+    (fun i ch ->
+      if not (List.mem i at) then Buffer.add_char b ch
+      else
+        match Random.State.int rng 3 with
+        | 0 -> ()
+        | 1 -> Buffer.add_char b (pick ())
+        | _ ->
+            Buffer.add_char b ch;
+            Buffer.add_char b (pick ()))
+    text;
+  Buffer.contents b
+
+(* The independent reference: lex everything, then parse the array. *)
+type reference =
+  | Lex of Runtime.Lexer_engine.error
+  | Syntax of Runtime.Parse_error.t list * int (* errors, tokens *)
+
+let reference ~config ~env ~recover c text =
+  match Runtime.Lexer_engine.tokenize config (Llstar.Compiled.sym c) text with
+  | Error e -> Lex e
+  | Ok toks -> (
+      match Runtime.Interp.parse ~env ~recover c toks with
+      | Ok _ -> Syntax ([], Array.length toks)
+      | Error errors -> Syntax (errors, Array.length toks))
+
+let matches_reference (want : reference) (got : Runtime.Drive.verdict) =
+  match (want, got) with
+  | Lex e, Runtime.Drive.Lex_error e' -> e = e'
+  | Syntax (errors, n), Runtime.Drive.Parsed p ->
+      p.Runtime.Drive.ok = (errors = [])
+      && p.Runtime.Drive.errors = errors
+      && p.Runtime.Drive.produced = n
+  | _ -> false
+
+(* Every bench corpus, each program also with byte mutations, through
+   [Batch.run] at jobs 1 and 4: the verdict, the error list and the token
+   count of every input must be the reference's.  Programs run to ~400
+   tokens, past the lexer's 256-token chunk, so a parse that stops early
+   leaves input that only the drain lexes. *)
+let batch_matches_reference ~recover () =
+  let lex = ref 0 and syntax = ref 0 and accepted = ref 0 in
+  List.iter
+    (fun (spec : Bench_grammars.Workload.spec) ->
+      let name = spec.Bench_grammars.Workload.name in
+      let config = spec.Bench_grammars.Workload.lexer_config in
+      let env = Bench_grammars.Workload.env_of_spec spec in
+      let cw, _ = Test_cache.fresh_and_cached spec in
+      let c = cw.Bench_grammars.Workload.c in
+      let corpus =
+        Bench_grammars.Workload.build_corpus cw ~target_tokens:800
+      in
+      let rng = Random.State.make [| 20 |] in
+      let texts =
+        List.concat_map
+          (fun text -> [ text; mutate_bytes rng text; mutate_bytes rng text ])
+          corpus.Bench_grammars.Workload.texts
+      in
+      let inputs =
+        List.mapi
+          (fun i text -> { Runtime.Batch.name = string_of_int i; text })
+          texts
+      in
+      let want = List.map (reference ~config ~env ~recover c) texts in
+      List.iter
+        (function
+          | Lex _ -> incr lex
+          | Syntax ([], _) -> incr accepted
+          | Syntax (_, _) -> incr syntax)
+        want;
+      List.iter
+        (fun jobs ->
+          let got =
+            Exec.Pool.with_pool ~jobs (fun pool ->
+                Runtime.Batch.run ~pool ~config ~env ~recover c inputs)
+          in
+          List.iteri
+            (fun i w ->
+              if not (matches_reference w got.(i).Runtime.Batch.outcome) then
+                Alcotest.failf "%s input %d, jobs=%d, recover=%b: %a" name i
+                  jobs recover Runtime.Batch.pp_outcome
+                  (Llstar.Compiled.sym c, got.(i)))
+            want)
+        [ 1; 4 ])
+    Bench_grammars.Specs.all;
+  (* the mutations reach every verdict kind *)
+  check bool "some inputs fail to lex" true (!lex > 0);
+  check bool "some inputs fail to parse" true (!syntax > 0);
+  check bool "some inputs parse" true (!accepted > 0)
+
+let batch_stream_tests =
+  [
+    Alcotest.test_case "batch = tokenize + parse on mutated corpora" `Quick
+      (batch_matches_reference ~recover:false);
+    Alcotest.test_case "batch = tokenize + parse ~recover on mutated corpora"
+      `Quick (batch_matches_reference ~recover:true);
+  ]
+
 (* --- fuzz sharding determinism ----------------------------------------- *)
 
 let sharded_fuzz (spec : Bench_grammars.Workload.spec) () =
@@ -713,6 +824,7 @@ let suite =
     ("exec-pool", pool_tests);
     ("exec-determinism", determinism_tests);
     ("exec-batch", batch_tests);
+    ("exec-batch-stream", batch_stream_tests);
     ("exec-fuzz", fuzz_tests);
     ("exec-shared", shared_tests);
     ("exec-metrics", metrics_tests);

@@ -109,21 +109,22 @@ let stream_scale_text (n : int) : string =
 
 (* [streamed_verdict] plus the largest live heap sampled during the parse,
    as words over a full-major floor taken before it.  The heap is sampled
-   every 64 chunk pulls and once after the parse. *)
+   every 16 reads of the input (a read fills the lexer's 4 KiB byte
+   window) and once after the parse. *)
 let streamed_sampled ~window c text =
   Gc.full_major ();
   let floor = (Gc.stat ()).Gc.live_words in
-  let sampled = ref floor and pulls = ref 0 in
+  let sampled = ref floor and reads = ref 0 in
   let sample () =
     Gc.full_major ();
     sampled := max !sampled (Gc.stat ()).Gc.live_words
   in
-  let wrap_pull pull () =
-    incr pulls;
-    if !pulls land 63 = 0 then sample ();
-    pull ()
+  let wrap_reader read buf off len =
+    incr reads;
+    if !reads land 15 = 0 then sample ();
+    read buf off len
   in
-  let v, n, peak = streamed_verdict ~wrap_pull ~window c text in
+  let v, n, peak = streamed_verdict ~wrap_reader ~window c text in
   sample ();
   (v, n, peak, !sampled - floor)
 
@@ -633,6 +634,84 @@ let memo_tests =
           (Runtime.Interp.memo_entries t));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Drive: the one bytes-to-verdict pass *)
+
+let drive_src = {|
+grammar Expr;
+prog : e EOF ;
+e : e '*' e | e '+' e | '(' e ')' | INT | ID ;
+|}
+
+let drive ?window ?max_tokens ?recover ?tree c text =
+  Runtime.Drive.run ?window ?max_tokens ?recover ?tree
+    ~input_bytes:(String.length text) Runtime.Lexer_engine.default_config
+    Runtime.Drive.Interp c
+    (Runtime.Lexer_engine.reader_of_string text)
+
+let parsed = function
+  | Runtime.Drive.Parsed p -> p
+  | Runtime.Drive.Lex_error _ -> Alcotest.fail "unexpected lex error"
+  | Runtime.Drive.Token_budget _ -> Alcotest.fail "unexpected token budget"
+
+(* [n] operands joined by '+': 2n - 1 tokens. *)
+let sum_text n = String.concat " + " (List.init n (fun _ -> "1"))
+
+let drive_tests =
+  [
+    test "window max_int on a string parses as at the default window"
+      (fun () ->
+        let c = compile drive_src in
+        List.iter
+          (fun text ->
+            let d = parsed (drive c text) in
+            let m = parsed (drive ~window:max_int c text) in
+            check bool (text ^ ": ok") d.ok m.ok;
+            check bool (text ^ ": errors") true (d.errors = m.errors);
+            check int (text ^ ": consumed") d.consumed m.consumed;
+            check int (text ^ ": produced") d.produced m.produced;
+            check bool
+              (text ^ ": window capped at the byte length")
+              true
+              (m.peak_live <= max 1 (String.length text)))
+          [ "1 + 2 * 3"; "( x + 1 ) * y"; "1 + *"; ""; sum_text 3000 ]);
+    test "a lex error past the point where the parse stopped wins" (fun () ->
+        let c = compile drive_src in
+        (* the parse fails at the third token; the lex error sits 1000
+           tokens later, beyond every chunk the parse pulled *)
+        let text = "1 + * " ^ sum_text 500 ^ " `" in
+        (match drive c text with
+        | Runtime.Drive.Lex_error e ->
+            check int "line" 1 e.Runtime.Lexer_engine.line
+        | _ -> Alcotest.fail "expected the drained lex error");
+        let p = parsed (drive c ("1 + * " ^ sum_text 500)) in
+        check bool "rejected" false p.ok;
+        check int "produced counts the whole input" 1002 p.produced;
+        check int "consumed stops at the error" 2 p.consumed);
+    test "the token budget is checked per pull and counts the whole input"
+      (fun () ->
+        let c = compile drive_src in
+        let text = sum_text 1000 in
+        (match drive ~max_tokens:10 c text with
+        | Runtime.Drive.Token_budget n -> check int "all tokens" 1999 n
+        | _ -> Alcotest.fail "expected a token budget overrun");
+        (match drive ~max_tokens:10 c (text ^ " `") with
+        | Runtime.Drive.Lex_error _ -> ()
+        | _ -> Alcotest.fail "a lex error beyond the budget must win");
+        let p = parsed (drive ~max_tokens:1999 c text) in
+        check bool "at the budget" true p.ok);
+    test "recover consumes every token; a tree only when asked" (fun () ->
+        let c = compile drive_src in
+        let r = parsed (drive ~recover:true c "1 + * 2 ) 3") in
+        check bool "rejected" false r.ok;
+        check bool "errors recorded" true (r.errors <> []);
+        check int "consumed = produced" r.produced r.consumed;
+        check bool "no tree without --tree" true
+          ((parsed (drive c "1 + 2")).tree = None);
+        check bool "tree when asked" true
+          ((parsed (drive ~tree:true c "1 + 2")).tree <> None));
+  ]
+
 let suite =
   [
     ("token-stream", stream_tests);
@@ -642,4 +721,5 @@ let suite =
     ("actions-speculation", action_tests);
     ("left-recursion", leftrec_tests);
     ("memoization", memo_tests);
+    ("drive", drive_tests);
   ]
