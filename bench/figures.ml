@@ -67,12 +67,12 @@ let predict_on c input_names =
           if depth < Array.length toks then toks.(depth).Runtime.Token.ttype
           else Grammar.Sym.eof
         in
-        match Llstar.Look_dfa.lookup_edge dfa state la with
-        | Some tgt -> walk tgt (depth + 1)
-        | None ->
-            let preds = Llstar.Look_dfa.pred_edges_of dfa state in
-            if Array.length preds > 0 then (-1, depth) (* backtracks *)
-            else (0, depth))
+        let tgt = Llstar.Look_dfa.target dfa state la in
+        if tgt >= 0 then walk tgt (depth + 1)
+        else
+          let preds = Llstar.Look_dfa.pred_edges_of dfa state in
+          if Array.length preds > 0 then (-1, depth) (* backtracks *)
+          else (0, depth))
   in
   let alt, k = walk dfa.Llstar.Look_dfa.start 0 in
   Fmt.pr "  upon %-30s => %s (k=%d)@."

@@ -295,6 +295,13 @@ let atn_cmd =
 (* --- parse ------------------------------------------------------------- *)
 
 let parse_cmd =
+  (* [--start] must name a rule of the grammar: an unknown one is a usage
+     error, reported before any input is read. *)
+  let unknown_start c = function
+    | Some name when Atn.rule_by_name c.Llstar.Compiled.atn name = None ->
+        Some name
+    | _ -> None
+  in
   (* Single-input mode: one {!Runtime.Drive.run} over the file.  Without
      --tree or --recover it only recognizes, in O(window + speculation
      reach) live memory; a tree keeps its leaves, which are copied
@@ -309,6 +316,11 @@ let parse_cmd =
       exit code
     in
     let c = compile_grammar ?cache_dir ~tracer grammar in
+    Option.iter
+      (fun name ->
+        Fmt.epr "no rule '%s'@." name;
+        quit 2)
+      (unknown_start c start);
     let sym = Llstar.Compiled.sym c in
     let profile = Runtime.Profile.create () in
     let show_profile () =
@@ -356,6 +368,11 @@ let parse_cmd =
     | Ok inputs ->
         Exec.Pool.with_pool ~jobs (fun pool ->
             let c = compile_grammar ?cache_dir ~pool grammar in
+            Option.iter
+              (fun name ->
+                Fmt.epr "no rule '%s'@." name;
+                exit 2)
+              (unknown_start c start);
             let sym = Llstar.Compiled.sym c in
             let profile = Runtime.Profile.create () in
             let results =

@@ -316,6 +316,10 @@ let emit_dfa_table t (d : Ir.decision_ir) =
   | Some k -> line t ~indent:2 "max_k = Some %d;" k);
   line t ~indent:2 "uses_synpred = %b;" dfa.Llstar.Look_dfa.uses_synpred;
   line t ~indent:2 "fallback = %b;" dfa.Llstar.Look_dfa.fallback;
+  line t ~indent:2 "start_row = [| %s |];"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map string_of_int dfa.Llstar.Look_dfa.start_row)));
   line t ~indent:1 "}";
   blank t
 
@@ -342,13 +346,13 @@ let emit_table_decision t (d : Ir.decision_ir) =
   match table_synpreds d.Ir.de_dfa with
   | [] ->
       line t ~indent:1
-        "Rt.predict_table st %s ~prec ~rule:%d ~synpred:(fun r -> \
+        "Rt.predict_table st %s ~prec ~rule:%d ~synpred:(fun _ r -> \
          Rt.unknown_synpred r)"
         (dfa_val id) d.Ir.de_rule
   | synpreds ->
       line t ~indent:1 "Rt.predict_table st %s ~prec ~rule:%d" (dfa_val id)
         d.Ir.de_rule;
-      line t ~indent:2 "~synpred:(fun r ->";
+      line t ~indent:2 "~synpred:(fun st r ->";
       List.iteri
         (fun i r ->
           line t ~indent:3 "%s r = %d then %s st ~prec:0"

@@ -1,68 +1,18 @@
 (* Closure-execution backend: run the codegen IR in-process.
 
    This interprets the IR with closures, mirroring the control flow the
-   OCaml emitter prints -- same decision plans, same runtime helpers
-   ({!Runtime.Generated}), same freshness rule for left-edge synpreds.
-   It exists so property tests can drive the lowered representation
-   against the ATN interpreter on qcheck-random grammars without
-   compiling emitted source, covering the decision-plan logic that the
-   six bench parsers alone would not. *)
+   OCaml emitter prints -- same runtime helpers ({!Runtime.Generated}),
+   same stuck guard, same freshness rule for left-edge synpreds.  Every
+   decision, whatever its plan, predicts with
+   {!Runtime.Generated.predict_table}: the one DFA walk, of which the
+   emitted [Inline] match chains are a transcription.  It exists so
+   property tests can drive the lowered representation against the ATN
+   interpreter on qcheck-random grammars without compiling emitted
+   source, covering lowering cases that the six bench parsers alone
+   would not. *)
 
 module Rt = Runtime.Generated
 module Ts = Runtime.Token_stream
-
-(* Inline-plan prediction: walk the DFA the way the emitted match/if
-   chains do (accept first, then terminal edges, then the ordered
-   predicate chain; the next token is examined before predicates even
-   when no terminal edge can match, for high-water parity with the
-   interpreter). *)
-let inline_predict (st : Rt.st) (d : Ir.decision_ir) ~(prec : int)
-    ~(synpred : int -> unit) : int =
-  let dfa = d.Ir.de_dfa in
-  let bt = ref false and reach = ref 0 in
-  let record ~depth alt =
-    Rt.record st ~decision:d.Ir.de_id ~depth ~backtracked:!bt
-      ~spec_depth:!reach;
-    alt
-  in
-  let rec walk q k =
-    let acc = dfa.Llstar.Look_dfa.accept.(q) in
-    if acc <> 0 then record ~depth:k acc
-    else begin
-      let tok = Ts.la st.ts (k + 1) in
-      match Llstar.Look_dfa.lookup_edge dfa q tok with
-      | Some q' -> walk q' (k + 1)
-      | None -> preds q k
-    end
-  and preds q k =
-    let edges = dfa.Llstar.Look_dfa.preds.(q) in
-    let n = Array.length edges in
-    let rec try_edge i =
-      if i >= n then
-        Rt.no_viable st ~decision:d.Ir.de_id ~depth:k ~rule:d.Ir.de_rule
-      else begin
-        let e = edges.(i) in
-        let guard_ok =
-          match e.Llstar.Look_dfa.guard with
-          | [] -> true
-          | g -> List.mem (Ts.la st.ts (k + 1)) g
-        in
-        let ok =
-          guard_ok
-          && (match e.Llstar.Look_dfa.pred with
-             | None -> true
-             | Some (Atn.Sem code) -> Rt.sem st code
-             | Some (Atn.Prec bound) -> prec <= bound
-             | Some (Atn.Syn r) ->
-                 Rt.syn_pred st ~bt ~reach ~depth:k (fun () -> synpred r))
-        in
-        if ok then record ~depth:k e.Llstar.Look_dfa.alt
-        else try_edge (i + 1)
-      end
-    in
-    try_edge 0
-  in
-  walk dfa.Llstar.Look_dfa.start 0
 
 let to_parser (ir : Ir.t) : (module Rt.PARSER) =
   let nrules = Array.length ir.Ir.rules in
@@ -70,18 +20,13 @@ let to_parser (ir : Ir.t) : (module Rt.PARSER) =
     Array.make nrules (fun _st ~prec:_ ->
         invalid_arg "codegen exec: rule not linked")
   in
+  (* Both plans predict with the frozen DFA's one walk: the emitted
+     [Inline] match chains are a transcription of it. *)
+  let synpred st r = rules.(r) st ~prec:0 in
   let decide : (Rt.st -> prec:int -> int) array =
     Array.map
-      (fun (d : Ir.decision_ir) ->
-        match d.Ir.de_plan with
-        | Ir.Inline ->
-            fun st ~prec ->
-              inline_predict st d ~prec ~synpred:(fun r ->
-                  rules.(r) st ~prec:0)
-        | Ir.Table ->
-            fun st ~prec ->
-              Rt.predict_table st d.Ir.de_dfa ~prec ~rule:d.Ir.de_rule
-                ~synpred:(fun r -> rules.(r) st ~prec:0))
+      (fun (d : Ir.decision_ir) st ~prec ->
+        Rt.predict_table st d.Ir.de_dfa ~prec ~rule:d.Ir.de_rule ~synpred)
       ir.Ir.decisions
   in
   let body_of (r : Ir.rule_ir) : Rt.st -> prec:int -> unit =

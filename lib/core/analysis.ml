@@ -608,10 +608,13 @@ let freeze (b : builder) ~fallback : Look_dfa.t =
       max_k = None;
       uses_synpred = b.uses_synpred;
       fallback;
+      start_row = [||];
     }
   in
   let max_k = Look_dfa.compute_max_k t in
-  { t with cyclic = max_k = None; max_k }
+  Look_dfa.with_start_row
+    { t with cyclic = max_k = None; max_k }
+    ~num_terms:(Grammar.Sym.num_terms b.atn.Atn.sym)
 
 (* Settle a freshly discovered state: resolve its conflicts, accept when
    exactly one viable alternative survives without predicate edges, and

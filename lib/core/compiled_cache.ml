@@ -34,8 +34,9 @@
    v5: [Analysis.warning] gained [Not_converging], and [states_built] is
    split by attempt ([Analysis.effort]).
    v6: lazy construction is gone: the key no longer carries a strategy
-   and the payload is the compiled value alone. *)
-let format_version = 6
+   and the payload is the compiled value alone.
+   v7: [Look_dfa.t] gained [start_row]. *)
+let format_version = 7
 
 let magic = "ANTLRKIT-CACHE\n"
 

@@ -29,6 +29,9 @@ type t = {
   max_k : int option; (* longest terminal path to an accept; None if cyclic *)
   uses_synpred : bool; (* some predicate edge launches a speculative parse *)
   fallback : bool; (* produced by the LL(1) fallback, not full analysis *)
+  start_row : int array;
+    (* [start]'s terminal edges as a dense row over the token ids: the
+       target state, or -1 (see [with_start_row]) *)
 }
 
 (* Rows are sorted by terminal id (the analysis freeze sorts them and the
@@ -38,38 +41,46 @@ type t = {
    rows keep the scan.  The wildcard edge matches any terminal except EOF
    and, having id 1 (only EOF's 0 sorts below it), can only live in one of
    the first two slots -- the fallback checks those directly instead of
-   re-walking the row. *)
+   re-walking the row.  [target] returns the target state, or -1 when
+   [term] has no edge: it runs once per lookahead token of every
+   prediction, so it allocates nothing. *)
 let linear_cutoff = 8
 
-let lookup_edge (t : t) (state : int) (term : int) : int option =
+let target (t : t) (state : int) (term : int) : int =
   let row = t.edges.(state) in
   let n = Array.length row in
-  let wild_fallback () =
-    if term = Grammar.Sym.eof then None
-    else if n > 0 && fst row.(0) = Grammar.Sym.wildcard then Some (snd row.(0))
-    else if n > 1 && fst row.(1) = Grammar.Sym.wildcard then Some (snd row.(1))
-    else None
-  in
+  let found = ref (-1) in
   if n <= linear_cutoff then begin
-    let rec go i =
-      if i >= n then wild_fallback ()
-      else
-        let sym, tgt = row.(i) in
-        if sym = term then Some tgt else go (i + 1)
-    in
-    go 0
+    let i = ref 0 in
+    while !found < 0 && !i < n do
+      let sym, tgt = row.(!i) in
+      if sym = term then found := tgt;
+      incr i
+    done
   end
   else begin
-    let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in
+    let lo = ref 0 and hi = ref (n - 1) in
     while !found < 0 && !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
-      let sym, _ = row.(mid) in
-      if sym = term then found := mid
+      let sym, tgt = row.(mid) in
+      if sym = term then found := tgt
       else if sym < term then lo := mid + 1
       else hi := mid - 1
-    done;
-    if !found >= 0 then Some (snd row.(!found)) else wild_fallback ()
-  end
+    done
+  end;
+  if !found >= 0 || term = Grammar.Sym.eof then !found
+  else if n > 0 && fst row.(0) = Grammar.Sym.wildcard then snd row.(0)
+  else if n > 1 && fst row.(1) = Grammar.Sym.wildcard then snd row.(1)
+  else -1
+
+(* LL(finite) step one (Belcak): most predictions stop after one token,
+   so the first edge of every walk -- from [start] -- is a dense-row read
+   instead of a row scan.  Built once when the DFA is frozen and carried
+   in the compilation cache, so a parse never builds one.  Its entries are
+   [target]'s, wildcard edge included; the walk takes [target] for a token
+   id beyond the row. *)
+let with_start_row (t : t) ~(num_terms : int) : t =
+  { t with start_row = Array.init num_terms (target t t.start) }
 
 let accept_of t state = if t.accept.(state) = 0 then None else Some t.accept.(state)
 let pred_edges_of t state = t.preds.(state)

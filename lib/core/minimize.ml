@@ -102,6 +102,8 @@ let minimize (dfa : Look_dfa.t) : Look_dfa.t =
         }
       in
       let max_k = Look_dfa.compute_max_k t in
-      { t with Look_dfa.cyclic = max_k = None; max_k }
+      Look_dfa.with_start_row
+        { t with Look_dfa.cyclic = max_k = None; max_k }
+        ~num_terms:(Array.length dfa.Look_dfa.start_row)
     end
   end

@@ -31,6 +31,7 @@ type st = {
       (* keyed by packed (rule, prec, pos); created on first speculative
          use so parses that never speculate pay nothing for memoization *)
   mutable speculating : int;
+  walk : Interp.walk; (* where [predict_table]'s latest DFA walk stopped *)
 }
 
 exception Spec_fail
@@ -45,7 +46,15 @@ exception Spec_fail
    so a state belongs to one input: every parse gets a fresh one. *)
 let make ?(env = Interp.default_env) ?profile ~(memoize : bool)
     (ts : Token_stream.t) : st =
-  { ts; env; profile; memo_enabled = memoize; memo = None; speculating = 0 }
+  {
+    ts;
+    env;
+    profile;
+    memo_enabled = memoize;
+    memo = None;
+    speculating = 0;
+    walk = Interp.new_walk ();
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Errors.  While speculating, every failure is a [Spec_fail]. *)
@@ -199,57 +208,50 @@ let memoized st ~(rule : int) ~(prec : int) (body : unit -> unit) : unit =
 
 (* ------------------------------------------------------------------ *)
 (* Table-driven prediction: the fallback for decisions too large to compile
-   to nested matches.  A transcription of {!Interp.predict} over a frozen
-   (eager) lookahead DFA; [synpred] dispatches a synpred rule id to the
-   generated rule function. *)
+   to nested matches.  The DFA walk is {!Interp.walk_dfa}, the one every
+   backend runs; the predicate edges are tried in order as in
+   {!Interp.predict}.  [synpred] dispatches a synpred rule id to the
+   generated rule function; it takes the state so callers can pass a
+   closed function, and the accept path allocates nothing. *)
 
 let predict_table st (dfa : Llstar.Look_dfa.t) ~(prec : int) ~(rule : int)
-    ~(synpred : int -> unit) : int =
+    ~(synpred : st -> int -> unit) : int =
   let decision = dfa.Llstar.Look_dfa.decision in
-  let backtracked = ref false and spec_reach = ref 0 in
-  let eval_pred (p : Atn.pred) ~depth : bool =
-    match p with
-    | Atn.Sem code -> sem st code
-    | Atn.Prec n -> prec <= n
-    | Atn.Syn r ->
-        syn_pred st ~bt:backtracked ~reach:spec_reach ~depth (fun () ->
-            synpred r)
-  in
-  let try_preds state depth =
-    let preds = Llstar.Look_dfa.pred_edges_of dfa state in
-    if Array.length preds > 0 then begin
-      let chosen = ref 0 in
-      let i = ref 0 in
-      while !chosen = 0 && !i < Array.length preds do
-        let e = preds.(!i) in
-        let guard_ok =
-          match e.Llstar.Look_dfa.guard with
-          | [] -> true
-          | g -> List.mem (Token_stream.la st.ts (depth + 1)) g
-        in
-        (if guard_ok then
-           match e.Llstar.Look_dfa.pred with
-           | None -> chosen := e.Llstar.Look_dfa.alt
-           | Some p -> if eval_pred p ~depth then chosen := e.Llstar.Look_dfa.alt);
-        incr i
-      done;
-      if !chosen = 0 then no_viable st ~decision ~depth ~rule
-      else (!chosen, depth)
-    end
-    else no_viable st ~decision ~depth ~rule
-  in
-  let rec walk state depth =
-    match Llstar.Look_dfa.accept_of dfa state with
-    | Some alt -> (alt, depth)
-    | None -> (
-        let term = Token_stream.la st.ts (depth + 1) in
-        match Llstar.Look_dfa.lookup_edge dfa state term with
-        | Some tgt -> walk tgt (depth + 1)
-        | None -> try_preds state depth)
-  in
-  let alt, depth = walk dfa.Llstar.Look_dfa.start 0 in
-  record st ~decision ~depth ~backtracked:!backtracked ~spec_depth:!spec_reach;
-  alt
+  Interp.walk_dfa ~tracer:Obs.Trace.null st.ts dfa st.walk;
+  let state = st.walk.Interp.state and depth = st.walk.Interp.depth in
+  let accepted = dfa.Llstar.Look_dfa.accept.(state) in
+  if accepted <> 0 then begin
+    record st ~decision ~depth ~backtracked:false ~spec_depth:0;
+    accepted
+  end
+  else begin
+    let preds = dfa.Llstar.Look_dfa.preds.(state) in
+    let chosen = ref 0 and i = ref 0 in
+    let backtracked = ref false and spec_reach = ref 0 in
+    while !chosen = 0 && !i < Array.length preds do
+      let e = preds.(!i) in
+      let guard_ok =
+        match e.Llstar.Look_dfa.guard with
+        | [] -> true
+        | g -> List.mem (Token_stream.la st.ts (depth + 1)) g
+      in
+      (if guard_ok then
+         match e.Llstar.Look_dfa.pred with
+         | None -> chosen := e.Llstar.Look_dfa.alt
+         | Some (Atn.Sem code) -> if sem st code then chosen := e.Llstar.Look_dfa.alt
+         | Some (Atn.Prec n) -> if prec <= n then chosen := e.Llstar.Look_dfa.alt
+         | Some (Atn.Syn r) ->
+             if
+               syn_pred st ~bt:backtracked ~reach:spec_reach ~depth (fun () ->
+                   synpred st r)
+             then chosen := e.Llstar.Look_dfa.alt);
+      incr i
+    done;
+    if !chosen = 0 then no_viable st ~decision ~depth ~rule;
+    record st ~decision ~depth ~backtracked:!backtracked
+      ~spec_depth:!spec_reach;
+    !chosen
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Entry points and the oracle contract.

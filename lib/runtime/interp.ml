@@ -80,6 +80,60 @@ let evict_memo_before (tbl : (int, memo_entry) Hashtbl.t) (frontier : int) :
     (fun key v -> if memo_pos key < frontier then None else Some v)
     tbl
 
+(* Where a lookahead-DFA walk stopped ({!walk_dfa}).  Each parser owns one
+   and reuses it for every prediction, so a walk allocates nothing. *)
+type walk = {
+  mutable state : int; (* an accept state, or one with no edge for LA *)
+  mutable depth : int; (* tokens of lookahead the walk consumed *)
+}
+
+let new_walk () = { state = 0; depth = 0 }
+
+(* The terminal-edge walk of prediction (Figure 5), the one DFA walk of
+   every backend: {!predict} here and {!Generated.predict_table}.  From
+   the start state, follow the edge for each next token until an accept
+   state or a state with no edge for the next token.  The first edge comes
+   from the start state's dense row ({!Llstar.Look_dfa.with_start_row}),
+   later ones from {!Llstar.Look_dfa.target}.  Predicate edges are the
+   caller's fallback: states resolved purely by predicates have no
+   terminal edges, and fragment-end defaults must only fire when
+   lookahead runs off the end of a syntactic-predicate fragment.  The
+   next token is examined even at a state without terminal edges, so the
+   high-water mark (and the profiled depth) is the same on every
+   backend. *)
+let walk_dfa ~(tracer : Obs.Trace.t) (ts : Token_stream.t)
+    (dfa : Llstar.Look_dfa.t) (w : walk) : unit =
+  let accept = dfa.Llstar.Look_dfa.accept in
+  let start_row = dfa.Llstar.Look_dfa.start_row in
+  let state = ref dfa.Llstar.Look_dfa.start and depth = ref 0 in
+  let stopped = ref false in
+  while not !stopped do
+    if accept.(!state) <> 0 then stopped := true
+    else begin
+      let term = Token_stream.la ts (!depth + 1) in
+      let tgt =
+        if !depth = 0 && term < Array.length start_row then start_row.(term)
+        else Llstar.Look_dfa.target dfa !state term
+      in
+      if tgt < 0 then stopped := true
+      else begin
+        if Obs.Trace.on tracer then
+          Obs.Trace.emit tracer
+            (Obs.Trace.Dfa_edge
+               {
+                 decision = dfa.Llstar.Look_dfa.decision;
+                 state = !state;
+                 term;
+                 target = tgt;
+               });
+        state := tgt;
+        incr depth
+      end
+    end
+  done;
+  w.state <- !state;
+  w.depth <- !depth
+
 type t = {
   c : Llstar.Compiled.t;
   env : env;
@@ -104,6 +158,14 @@ type t = {
      the first recovery and reused for every sync set, paired with the
      ff-terminal-id -> token-type translation (-1: not a lexed token) *)
   mutable ff : (Grammar.First_follow.t * int array) option;
+  (* Results handed back by the hot path without allocating a tuple; each
+     is read right after the call that sets it, before anything can
+     overwrite it *)
+  walk : walk; (* where the latest [walk_dfa] stopped *)
+  mutable synpred_reach : int; (* tokens the latest [eval_synpred] saw *)
+  mutable pred_reach : int;
+    (* furthest speculation of the latest [try_preds], -1 if it ran no
+       syntactic predicate *)
 }
 
 let atn t = t.c.Llstar.Compiled.atn
@@ -128,13 +190,26 @@ let prediction_error t ~decision ~depth rule =
   in
   if t.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
 
+(* Progress guard membership, for the rare second and later decisions at
+   one input position. *)
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: tl -> x = y || mem_int x tl
+
 (* ------------------------------------------------------------------ *)
+(* The hot path -- prediction and rule invocation -- allocates no closure,
+   option or tuple per prediction or per rule invocation: loops instead of
+   local recursive functions, results through [t]'s scratch fields, and
+   tree nodes only when a tree is built.  A tuple or closure here costs
+   more than the DFA walk it serves (most decisions stop after one
+   token). *)
+
 (* Speculation: evaluate a syntactic predicate by simulating its pseudo-rule
    as a recognizer from the current position, then rewinding.  Returns
-   success plus the number of tokens of lookahead the speculation consumed
-   (for profiling). *)
+   success; [t.synpred_reach] is the number of tokens of lookahead the
+   speculation consumed (for profiling). *)
 
-let rec eval_synpred t (rule : int) : bool * int =
+let rec eval_synpred t (rule : int) : bool =
   let start = Token_stream.mark t.ts in
   if tr_on t then
     emit t
@@ -158,17 +233,8 @@ let rec eval_synpred t (rule : int) : bool * int =
     emit t
       (Obs.Trace.Synpred_exit
          { rule = Atn.rule_name (atn t) rule; ok; reach; pos = start });
-  (ok, reach)
-
-(* Evaluate a prediction-DFA predicate edge. *)
-and eval_pred t (p : Atn.pred) ~prec : bool * int * bool =
-  (* returns (holds, speculation reach, was a syntactic predicate) *)
-  match p with
-  | Atn.Sem code -> (t.env.sem_pred code (Token_stream.lt t.ts 1), 0, false)
-  | Atn.Prec n -> (prec <= n, 0, false)
-  | Atn.Syn rule ->
-      let ok, reach = eval_synpred t rule in
-      (ok, reach, true)
+  t.synpred_reach <- reach;
+  ok
 
 (* ------------------------------------------------------------------ *)
 (* Prediction (Figure 5): run the decision's lookahead DFA over the input
@@ -183,62 +249,9 @@ and predict t (decision : int) ~prec ~rule : int =
            rule = Atn.rule_name (atn t) rule;
            pos = Token_stream.index t.ts;
          });
-  let dfa = Llstar.Compiled.dfa t.c decision in
-  let spec_reach = ref 0 in
-  let backtracked = ref false in
-  (* Ordered predicate edges.  An edge applies when its lookahead guard (if
-     any) admits the next token and its predicate (if any) holds; an edge
-     with neither is the gated default. *)
-  let try_preds state depth =
-    let preds = Llstar.Look_dfa.pred_edges_of dfa state in
-    if Array.length preds > 0 then begin
-      let chosen = ref 0 in
-      let i = ref 0 in
-      while !chosen = 0 && !i < Array.length preds do
-        let e = preds.(!i) in
-        let guard_ok =
-          match e.Llstar.Look_dfa.guard with
-          | [] -> true
-          | g -> List.mem (Token_stream.la t.ts (depth + 1)) g
-        in
-        (if guard_ok then
-           match e.Llstar.Look_dfa.pred with
-           | None -> chosen := e.Llstar.Look_dfa.alt
-           | Some p ->
-               let holds, reach, was_syn = eval_pred t p ~prec in
-               if was_syn then begin
-                 backtracked := true;
-                 spec_reach := max !spec_reach (depth + reach);
-                 if tr_on t then
-                   emit t (Obs.Trace.Backtrack { decision; depth })
-               end;
-               if holds then chosen := e.Llstar.Look_dfa.alt);
-        incr i
-      done;
-      if !chosen = 0 then prediction_error t ~decision ~depth rule
-      else (!chosen, depth)
-    end
-    else prediction_error t ~decision ~depth rule
-  in
-  let rec walk state depth =
-    match Llstar.Look_dfa.accept_of dfa state with
-    | Some alt -> (alt, depth)
-    | None -> (
-        (* Terminal edges first; predicate edges are the fallback.  States
-           resolved purely by predicates have no terminal edges, and
-           fragment-end defaults must only fire when lookahead runs off the
-           end of a syntactic-predicate fragment. *)
-        let term = Token_stream.la t.ts (depth + 1) in
-        match Llstar.Look_dfa.lookup_edge dfa state term with
-        | Some tgt ->
-            if tr_on t then
-              emit t (Obs.Trace.Dfa_edge { decision; state; term; target = tgt });
-            walk tgt (depth + 1)
-        | None -> try_preds state depth)
-  in
-  let alt, depth =
-    try walk dfa.Llstar.Look_dfa.start 0
-    with e ->
+  match predict_walk t decision ~prec ~rule with
+  | alt -> alt
+  | exception e ->
       (* keep the decision span balanced on the no-viable-alternative path;
          alt 0 marks a failed prediction *)
       if tr_on t then
@@ -246,174 +259,195 @@ and predict t (decision : int) ~prec ~rule : int =
           (Obs.Trace.Decision_exit
              { decision; alt = 0; k = 0; pos = Token_stream.index t.ts });
       raise e
+
+and predict_walk t decision ~prec ~rule : int =
+  let dfa = Llstar.Compiled.dfa t.c decision in
+  walk_dfa ~tracer:t.tracer t.ts dfa t.walk;
+  let state = t.walk.state and depth = t.walk.depth in
+  let accepted = dfa.Llstar.Look_dfa.accept.(state) in
+  let alt =
+    if accepted <> 0 then accepted
+    else try_preds t dfa state ~decision ~depth ~prec ~rule
   in
+  let spec_reach = if accepted <> 0 then -1 else t.pred_reach in
   if tr_on t then
     emit t
       (Obs.Trace.Decision_exit
          { decision; alt; k = depth; pos = Token_stream.index t.ts });
   (match t.profile with
   | Some p when t.speculating = 0 ->
-      Profile.record p ~decision ~depth ~backtracked:!backtracked
-        ~spec_depth:!spec_reach
+      Profile.record p ~decision ~depth ~backtracked:(spec_reach >= 0)
+        ~spec_depth:(max 0 spec_reach)
   | _ -> ());
   alt
 
+(* Ordered predicate edges.  An edge applies when its lookahead guard (if
+   any) admits the next token and its predicate (if any) holds; an edge
+   with neither is the gated default. *)
+and try_preds t dfa state ~decision ~depth ~prec ~rule : int =
+  let preds = dfa.Llstar.Look_dfa.preds.(state) in
+  let chosen = ref 0 and i = ref 0 and spec_reach = ref (-1) in
+  while !chosen = 0 && !i < Array.length preds do
+    let e = preds.(!i) in
+    let guard_ok =
+      match e.Llstar.Look_dfa.guard with
+      | [] -> true
+      | g -> List.mem (Token_stream.la t.ts (depth + 1)) g
+    in
+    (if guard_ok then
+       match e.Llstar.Look_dfa.pred with
+       | None -> chosen := e.Llstar.Look_dfa.alt
+       | Some (Atn.Sem code) ->
+           if t.env.sem_pred code (Token_stream.lt t.ts 1) then
+             chosen := e.Llstar.Look_dfa.alt
+       | Some (Atn.Prec n) -> if prec <= n then chosen := e.Llstar.Look_dfa.alt
+       | Some (Atn.Syn synrule) ->
+           let holds = eval_synpred t synrule in
+           spec_reach := max !spec_reach (depth + t.synpred_reach);
+           if tr_on t then emit t (Obs.Trace.Backtrack { decision; depth });
+           if holds then chosen := e.Llstar.Look_dfa.alt);
+    incr i
+  done;
+  if !chosen = 0 then prediction_error t ~decision ~depth rule;
+  t.pred_reach <- !spec_reach;
+  !chosen
+
 (* ------------------------------------------------------------------ *)
-(* Rule invocation: simulate the rule's submachine. *)
+(* Rule invocation: simulate the rule's submachine.  Returns the rule's
+   tree node when [building] (none for a synpred fragment), else [].
+   While speculating, invocations are memoized (section 6.2). *)
 
 and parse_rule t (rule : int) ~prec ~building : Tree.t list =
+  match t.memo with
+  | Some tbl when t.speculating > 0 -> memo_rule t tbl rule ~prec ~building
+  | _ -> run_rule t rule ~prec ~building
+
+and memo_rule t tbl rule ~prec ~building : Tree.t list =
+  let pos = Token_stream.index t.ts in
+  let key = memo_key ~rule ~prec ~pos in
+  match Hashtbl.find tbl key with
+  | entry -> (
+      if tr_on t then
+        emit t (Obs.Trace.Memo_hit { rule = Atn.rule_name (atn t) rule; pos });
+      match entry with
+      | Failed -> raise Spec_fail
+      | Succeeded stop ->
+          (* Valid because speculation builds no tree and runs no actions. *)
+          Token_stream.seek t.ts stop;
+          [])
+  | exception Not_found -> (
+      if tr_on t then
+        emit t (Obs.Trace.Memo_miss { rule = Atn.rule_name (atn t) rule; pos });
+      match run_rule t rule ~prec ~building with
+      | _ ->
+          Hashtbl.replace tbl key (Succeeded (Token_stream.index t.ts));
+          []
+      | exception Spec_fail ->
+          Hashtbl.replace tbl key Failed;
+          raise Spec_fail)
+
+and run_rule t rule ~prec ~building : Tree.t list =
   let a = atn t in
   let ri = a.Atn.rules.(rule) in
-  let use_memo = t.speculating > 0 && t.memo <> None in
-  let memo_key =
-    if use_memo then memo_key ~rule ~prec ~pos:(Token_stream.index t.ts)
-    else 0
-  in
-  let memo_entry =
-    if use_memo then Hashtbl.find_opt (Option.get t.memo) memo_key else None
-  in
-  if use_memo && tr_on t then
-    emit t
-      (let pos = Token_stream.index t.ts in
-       match memo_entry with
-       | Some _ -> Obs.Trace.Memo_hit { rule = ri.Atn.r_name; pos }
-       | None -> Obs.Trace.Memo_miss { rule = ri.Atn.r_name; pos });
-  match memo_entry with
-  | Some Failed -> raise Spec_fail
-  | Some (Succeeded stop) ->
-      (* Valid because speculation builds no tree and runs no actions. *)
-      Token_stream.seek t.ts stop;
-      []
-  | None -> (
-      let run () =
-        let children = ref [] in
-        let add c = if building then children := c :: !children in
-        let state = ref ri.Atn.r_entry in
-        let chosen_alt = ref 1 in
-        (* Set right after a prediction: the chosen alternative's left-edge
-           syntactic predicate is subsumed by the decision that selected it
-           (the analysis strips predicates from decisions it can resolve,
-           section 6.1), so the gate is not re-evaluated. *)
-        let fresh_prediction = ref false in
-        (* Progress guard: a loop decision whose body matched no input would
-           otherwise re-enter forever (e.g. a nullable body under ambiguity
-           resolution).  If the same decision fires twice at the same input
-           position, force its exit alternative. *)
-        let seen_here = ref [] in
-        let last_pos = ref (-1) in
-        while !state <> ri.Atn.r_stop do
-          let s = !state in
-          match Atn.decision_of a s with
-          | d when d >= 0 ->
-              let decision = a.Atn.decisions.(d) in
-              let pos = Token_stream.index t.ts in
-              let stuck =
-                if pos <> !last_pos then begin
-                  last_pos := pos;
-                  seen_here := [ d ];
-                  false
-                end
-                else if List.mem d !seen_here then true
-                else begin
-                  seen_here := d :: !seen_here;
-                  false
-                end
-              in
-              let alt =
-                if stuck then
-                  match decision.Atn.d_exit_alt with
-                  | Some e -> e
-                  | None ->
-                      error t
-                        (Parse_error.No_viable_alt { decision = d; depth = 1 })
-                        rule
-                else predict t d ~prec ~rule
-              in
-              if s = ri.Atn.r_entry then chosen_alt := alt;
-              let targets = Atn.decision_alt_targets a decision in
-              fresh_prediction := true;
-              state := targets.(alt - 1)
-          | _ -> (
-              match a.Atn.trans.(s) with
-              | [||] ->
-                  (* dead end that is not the stop state: internal error *)
-                  error t (Parse_error.No_viable_alt { decision = -1; depth = 1 }) rule
-              | row ->
-                  let edge, tgt = row.(0) in
-                  let was_fresh = !fresh_prediction in
-                  fresh_prediction := false;
-                  ignore was_fresh;
-                  (match edge with
-                  | Atn.Eps -> fresh_prediction := was_fresh; state := tgt
-                  | Atn.Term term ->
-                      let la1 = Token_stream.la t.ts 1 in
-                      let matches =
-                        la1 = term
-                        || (term = Grammar.Sym.wildcard && la1 <> Grammar.Sym.eof)
-                      in
-                      if matches then begin
-                        let tok = Token_stream.consume t.ts in
-                        add (Tree.Leaf tok);
-                        state := tgt
-                      end
-                      else
-                        error t
-                          (Parse_error.Mismatched_token { expected = term })
-                          rule
-                  | Atn.Rule { rule = callee; arg } ->
-                      let callee_prec = Option.value ~default:0 arg in
-                      let sub =
-                        parse_rule t callee ~prec:callee_prec ~building
-                      in
-                      List.iter add sub;
-                      state := tgt
-                  | Atn.Pred (Atn.Sem code) ->
-                      if t.env.sem_pred code (Token_stream.lt t.ts 1) then
-                        state := tgt
-                      else
-                        error t (Parse_error.Failed_predicate { text = code })
-                          rule
-                  | Atn.Pred (Atn.Prec n) ->
-                      if prec <= n then state := tgt
-                      else
-                        error t
-                          (Parse_error.Failed_predicate
-                             { text = Printf.sprintf "p <= %d" n })
-                          rule
-                  | Atn.Pred (Atn.Syn synrule) ->
-                      if was_fresh then state := tgt
-                      else begin
-                        let ok, _ = eval_synpred t synrule in
-                        if ok then state := tgt
-                        else
-                          error t
-                            (Parse_error.Failed_predicate
-                               { text = Atn.rule_name a synrule })
-                            rule
-                      end
-                  | Atn.Act { id; always } ->
-                      let code, _ = a.Atn.actions.(id) in
-                      if t.speculating = 0 || always then
-                        t.env.action code (Token_stream.prev t.ts);
-                      state := tgt))
-        done;
-        (!chosen_alt, List.rev !children)
+  (* a synpred fragment never contributes a tree node *)
+  let building = building && not ri.Atn.r_is_synpred in
+  let children = ref [] in
+  let state = ref ri.Atn.r_entry in
+  let chosen_alt = ref 1 in
+  (* Set right after a prediction: the chosen alternative's left-edge
+     syntactic predicate is subsumed by the decision that selected it (the
+     analysis strips predicates from decisions it can resolve, section
+     6.1), so the gate is not re-evaluated. *)
+  let fresh_prediction = ref false in
+  (* Progress guard: a loop decision whose body matched no input would
+     otherwise re-enter forever (e.g. a nullable body under ambiguity
+     resolution).  If the same decision fires twice at the same input
+     position, force its exit alternative.  The first decision at a
+     position is kept apart from the rest, so the common case allocates
+     nothing. *)
+  let last_pos = ref (-1) and first_here = ref (-1) and more_here = ref [] in
+  while !state <> ri.Atn.r_stop do
+    let s = !state in
+    let d = Atn.decision_of a s in
+    if d >= 0 then begin
+      let pos = Token_stream.index t.ts in
+      let stuck =
+        if pos <> !last_pos then begin
+          last_pos := pos;
+          first_here := d;
+          more_here := [];
+          false
+        end
+        else if d = !first_here || mem_int d !more_here then true
+        else begin
+          more_here := d :: !more_here;
+          false
+        end
       in
-      if ri.Atn.r_is_synpred || not building then begin
-        match run () with
-        | _ ->
-            if use_memo then
-              Hashtbl.replace (Option.get t.memo) memo_key
-                (Succeeded (Token_stream.index t.ts));
-            []
-        | exception Spec_fail ->
-            if use_memo then
-              Hashtbl.replace (Option.get t.memo) memo_key Failed;
-            raise Spec_fail
-      end
-      else
-        let alt, children = run () in
-        [ Tree.Node { rule; alt; children } ])
+      let alt =
+        if stuck then
+          match a.Atn.decisions.(d).Atn.d_exit_alt with
+          | Some e -> e
+          | None ->
+              error t (Parse_error.No_viable_alt { decision = d; depth = 1 }) rule
+        else predict t d ~prec ~rule
+      in
+      if s = ri.Atn.r_entry then chosen_alt := alt;
+      fresh_prediction := true;
+      (* [s] is the decision state: its edges are the alternatives *)
+      state := snd a.Atn.trans.(s).(alt - 1)
+    end
+    else begin
+      let row = a.Atn.trans.(s) in
+      if Array.length row = 0 then
+        (* dead end that is not the stop state: internal error *)
+        error t (Parse_error.No_viable_alt { decision = -1; depth = 1 }) rule;
+      let edge, tgt = row.(0) in
+      let was_fresh = !fresh_prediction in
+      fresh_prediction := false;
+      match edge with
+      | Atn.Eps ->
+          fresh_prediction := was_fresh;
+          state := tgt
+      | Atn.Term term ->
+          let la1 = Token_stream.la t.ts 1 in
+          if la1 = term || (term = Grammar.Sym.wildcard && la1 <> Grammar.Sym.eof)
+          then begin
+            let tok = Token_stream.consume t.ts in
+            if building then children := Tree.Leaf tok :: !children;
+            state := tgt
+          end
+          else error t (Parse_error.Mismatched_token { expected = term }) rule
+      | Atn.Rule { rule = callee; arg } ->
+          let callee_prec = Option.value ~default:0 arg in
+          let sub = parse_rule t callee ~prec:callee_prec ~building in
+          children := List.rev_append sub !children;
+          state := tgt
+      | Atn.Pred (Atn.Sem code) ->
+          if t.env.sem_pred code (Token_stream.lt t.ts 1) then state := tgt
+          else error t (Parse_error.Failed_predicate { text = code }) rule
+      | Atn.Pred (Atn.Prec n) ->
+          if prec <= n then state := tgt
+          else
+            error t
+              (Parse_error.Failed_predicate { text = Printf.sprintf "p <= %d" n })
+              rule
+      | Atn.Pred (Atn.Syn synrule) ->
+          if was_fresh || eval_synpred t synrule then state := tgt
+          else
+            error t
+              (Parse_error.Failed_predicate { text = Atn.rule_name a synrule })
+              rule
+      | Atn.Act { id; always } ->
+          let code, _ = a.Atn.actions.(id) in
+          if t.speculating = 0 || always then
+            t.env.action code (Token_stream.prev t.ts);
+          state := tgt
+    end
+  done;
+  if building then
+    [ Tree.Node { rule; alt = !chosen_alt; children = List.rev !children } ]
+  else []
 
 (* ------------------------------------------------------------------ *)
 (* Panic-mode recovery: sync to a token that can follow the current rule. *)
@@ -560,6 +594,9 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     max_errors;
     follow_cache = Hashtbl.create 16;
     ff = None;
+    walk = new_walk ();
+    synpred_reach = 0;
+    pred_reach = -1;
   }
 
 let start_rule_id t = function

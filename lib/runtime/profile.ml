@@ -68,10 +68,12 @@ let reset t =
   M.reset t.registry;
   Hashtbl.reset t.per_decision
 
+(* [Hashtbl.find], not [find_opt]: [record] runs once per prediction,
+   and an option per lookup is the only allocation it would make. *)
 let dstats_of t decision =
-  match Hashtbl.find_opt t.per_decision decision with
-  | Some ds -> ds
-  | None ->
+  match Hashtbl.find t.per_decision decision with
+  | ds -> ds
+  | exception Not_found ->
       let labels = [ ("decision", string_of_int decision) ] in
       let ds =
         {

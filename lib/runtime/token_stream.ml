@@ -30,6 +30,7 @@ type t = {
   mutable marks : int list; (* live marks (absolute), newest first *)
   mutable on_release : int -> unit; (* called with the new frontier *)
   mutable peak : int; (* max tokens resident at once *)
+  window : int; (* length [toks] grows to before the window slides *)
 }
 
 exception Released of { frontier : int; requested : int }
@@ -46,7 +47,7 @@ let () =
 let default_window = 4096
 
 (* hw = -1: no index has been examined until the first [lt]/[la] call *)
-let make toks ~limit ~eof_seen src =
+let make toks ~window ~limit ~eof_seen src =
   {
     toks;
     p = 0;
@@ -58,20 +59,28 @@ let make toks ~limit ~eof_seen src =
     marks = [];
     on_release = ignore;
     peak = limit;
+    window;
   }
 
 (* A window that is already full and a source that is already exhausted:
    no copy, and [room] is never reached, so the window never slides. *)
 let of_array toks =
-  make toks ~limit:(Array.length toks) ~eof_seen:true (fun () -> [||])
+  let n = Array.length toks in
+  make toks ~window:n ~limit:n ~eof_seen:true (fun () -> [||])
 
 (* A shared filler for vacated window slots, so reclaimed tokens become
    garbage immediately instead of lingering behind the frontier until the
    slot is overwritten. *)
 let filler = Token.eof_token ~index:(-1)
 
+(* The array starts at no more than the default window and grows to
+   [window] on demand ([room]), so a window far beyond the input -- up to
+   [max_int] -- costs only what the input fills. *)
 let of_pull ?(window = default_window) pull =
-  make (Array.make (max 1 window) filler) ~limit:0 ~eof_seen:false pull
+  let window = max 1 window in
+  make
+    (Array.make (min window default_window) filler)
+    ~window ~limit:0 ~eof_seen:false pull
 
 (* Tokens seen so far: the total count once the source is exhausted (at
    once, for [of_array]). *)
@@ -106,15 +115,23 @@ let slide t =
     t.on_release t.base
   end
 
-(* Make room for [n] more tokens: slide first, grow (amortized doubling)
-   only if the live span still does not fit.  The window only outgrows its
-   configured size when speculation genuinely needs a longer reach. *)
+(* Make room for [n] more tokens.  Below the configured window the array
+   grows (amortized doubling, capped at [window]) without sliding; at the
+   window, slide first and grow only if the live span still does not fit.
+   The window only outgrows its configured size when speculation genuinely
+   needs a longer reach. *)
 let room t n =
-  if t.limit + n > Array.length t.toks then begin
-    slide t;
-    if t.limit + n > Array.length t.toks then begin
-      let cap = max (2 * Array.length t.toks) (t.limit + n) in
-      let toks = Array.make cap filler in
+  let len = Array.length t.toks in
+  if t.limit + n > len then begin
+    let cap = max t.window len in
+    if t.limit + n > cap then slide t;
+    let need = t.limit + n in
+    if need > len then begin
+      let size =
+        if need <= cap then min cap (max (2 * len) need)
+        else max (2 * cap) need
+      in
+      let toks = Array.make size filler in
       Array.blit t.toks 0 toks 0 t.limit;
       t.toks <- toks
     end

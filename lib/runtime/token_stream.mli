@@ -25,6 +25,7 @@ type t = {
   mutable marks : int list; (* live marks (absolute), newest first *)
   mutable on_release : int -> unit; (* called with the new frontier *)
   mutable peak : int; (* max tokens resident at once *)
+  window : int; (* length [toks] grows to before the window slides *)
 }
 (** The representation is exposed so generated parsers (lib/codegen's
     emitter) can inline the lookahead/consume hot path as direct field
@@ -52,8 +53,12 @@ val of_pull : ?window:int -> (unit -> Token.t array) -> t
 (** [of_pull pull] is a window over the token chunks produced by [pull]
     ([ [||] ] meaning end of input; exceptions propagate to the lookahead
     call that triggered the pull).  [window] (default {!default_window})
-    sizes the window; it grows -- by doubling -- only when the live span
-    (unreleased marks plus lookahead reach) exceeds it. *)
+    sizes the window: the token array starts at no more than
+    {!default_window} and doubles up to [window] as tokens arrive, so a
+    window beyond the input (up to [max_int]) never allocates more than
+    the input fills.  The window slides once [window] tokens are
+    resident, and grows past [window] -- by doubling -- only when the
+    live span (unreleased marks plus lookahead reach) exceeds it. *)
 
 val size : t -> int
 (** Tokens seen so far: the total pulled count, complete once the source

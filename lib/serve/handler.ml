@@ -299,11 +299,36 @@ let respond_parse h (req : Protocol.request) ~(entry : Registry.entry)
                     );
                   ]))
 
+(* A [start] rule the parse can honour, or the reason it cannot: the
+   interpreter starts at any rule of the grammar, a generated parser only
+   at the rule it was generated for. *)
+let start_error (entry : Registry.entry) (backend : Protocol.backend)
+    (start : string option) : string option =
+  match (start, backend, entry.Registry.generated) with
+  | None, _, _ | Some _, Protocol.Generated, None -> None
+  | Some name, Protocol.Interp, _ -> (
+      match Atn.rule_by_name entry.Registry.c.Llstar.Compiled.atn name with
+      | Some _ -> None
+      | None ->
+          Some
+            (Printf.sprintf "grammar %S has no rule %S" entry.Registry.name
+               name))
+  | Some name, Protocol.Generated, Some (module P : Runtime.Generated.PARSER)
+    ->
+      if name = P.start_rule_name then None
+      else
+        Some
+          (Printf.sprintf
+             "the generated parser starts at rule %S; use backend=interp to \
+              start at %S"
+             P.start_rule_name name)
+
 (* Validation for parse and parse_stream: a loaded grammar, a bounded
-   text payload, recovery only where it exists, and a client-supplied
-   window no larger than the token budget -- a window beyond it is never
-   needed, and an unbounded one would reach [Array.make] inside the pool
-   job and take the connection thread down with it. *)
+   text payload, recovery only where it exists, a start rule the backend
+   has, and a client-supplied window no larger than the token budget -- a
+   window beyond it is never needed.  Everything is checked here, before
+   the pool job: an exception inside the job would take the connection
+   thread down with it. *)
 let do_parse h (req : Protocol.request) : Obs.Json.t =
   let id = req.Protocol.id in
   let fail code message = Protocol.error_response ~id ~code ~message () in
@@ -330,11 +355,15 @@ let do_parse h (req : Protocol.request) : Obs.Json.t =
             fail "bad_request"
               "error recovery is only supported on the interp backend"
           else
-            match req.Protocol.window with
-            | Some w when w < 1 || w > max_tokens ->
+            match
+              ( start_error entry req.Protocol.backend req.Protocol.start,
+                req.Protocol.window )
+            with
+            | Some message, _ -> fail "bad_request" message
+            | None, Some w when w < 1 || w > max_tokens ->
                 fail "bad_request"
                   (Printf.sprintf "\"window\" must be in [1, %d]" max_tokens)
-            | window ->
+            | None, window ->
                 respond_parse h req ~entry ~gname ~text
                   ~window:
                     (Option.value window

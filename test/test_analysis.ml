@@ -104,9 +104,8 @@ let dfa_predict c decision names =
     | Some alt -> Some (alt, depth)
     | None -> (
         let la = if depth < Array.length arr then arr.(depth) else Grammar.Sym.eof in
-        match Llstar.Look_dfa.lookup_edge dfa state la with
-        | Some tgt -> walk tgt (depth + 1)
-        | None -> None)
+        let tgt = Llstar.Look_dfa.target dfa state la in
+        if tgt >= 0 then walk tgt (depth + 1) else None)
   in
   walk dfa.Llstar.Look_dfa.start 0
 
@@ -178,10 +177,10 @@ let fig2_tests =
         (* walk '-' '-' by hand: must end in a state with predicate edges *)
         let sym = Llstar.Compiled.sym c in
         let dash = Option.get (Grammar.Sym.find_term sym "'-'") in
-        let s1 =
-          Option.get (Llstar.Look_dfa.lookup_edge dfa dfa.Llstar.Look_dfa.start dash)
-        in
-        let s2 = Option.get (Llstar.Look_dfa.lookup_edge dfa s1 dash) in
+        let s1 = Llstar.Look_dfa.target dfa dfa.Llstar.Look_dfa.start dash in
+        check bool "edge on the first dash" true (s1 >= 0);
+        let s2 = Llstar.Look_dfa.target dfa s1 dash in
+        check bool "edge on the second dash" true (s2 >= 0);
         check bool "pred edges present" true
           (Array.length (Llstar.Look_dfa.pred_edges_of dfa s2) > 0));
     test "parses both alternatives with correct trees" (fun () ->

@@ -743,7 +743,7 @@ let metrics_tests =
 
 (* A grammar whose first decision has one alternative per keyword: the
    decision state's edge row has hundreds of outgoing terminals, driving
-   [lookup_edge] down the bisection path (rows longer than the linear
+   [Look_dfa.target] down the bisection path (rows longer than the linear
    cutoff).  Also a natural home for the freeze check: the vocabulary is
    frozen after compilation, so looking up known terminals works and
    interning new ones must raise. *)
@@ -775,25 +775,23 @@ let wide_tests =
         for i = 0 to wide_n - 1 do
           let name = Printf.sprintf "'kw%03d'" i in
           let id = Option.get (Grammar.Sym.find_term sym name) in
-          match
-            Llstar.Look_dfa.lookup_edge dfa dfa.Llstar.Look_dfa.start id
-          with
-          | None -> Alcotest.failf "no edge for %s" name
-          | Some tgt -> (
-              match Llstar.Look_dfa.accept_of dfa tgt with
-              | Some alt -> check int name (i + 1) alt
-              | None -> Alcotest.failf "%s: target not accepting" name)
+          let tgt = Llstar.Look_dfa.target dfa dfa.Llstar.Look_dfa.start id in
+          if tgt < 0 then Alcotest.failf "no edge for %s" name
+          else
+            match Llstar.Look_dfa.accept_of dfa tgt with
+            | Some alt -> check int name (i + 1) alt
+            | None -> Alcotest.failf "%s: target not accepting" name
         done;
         (* unknown terminals miss: EOF and an id beyond the vocabulary *)
         Alcotest.(check bool)
           "eof misses" true
-          (Llstar.Look_dfa.lookup_edge dfa dfa.Llstar.Look_dfa.start
+          (Llstar.Look_dfa.target dfa dfa.Llstar.Look_dfa.start
              Grammar.Sym.eof
-          = None);
+          = -1);
         Alcotest.(check bool)
           "unknown terminal misses" true
-          (Llstar.Look_dfa.lookup_edge dfa dfa.Llstar.Look_dfa.start 999_999
-          = None);
+          (Llstar.Look_dfa.target dfa dfa.Llstar.Look_dfa.start 999_999
+          = -1);
         (* end-to-end: a mid-row and a last keyword both parse; a keyword
            in the wrong position (still lexable) is rejected *)
         Alcotest.(check bool) "parses kw157" true (parses c "kw157 end");
@@ -805,6 +803,34 @@ let wide_tests =
         Alcotest.(check bool) "explicit beats wildcard" true
           (parses c "a x c");
         Alcotest.(check bool) "wild then b" true (parses c "a x b"));
+    Alcotest.test_case "start rows equal the edge lookup, fresh and cached"
+      `Quick (fun () ->
+        (* the walk's first edge comes from [start_row], the rest from
+           [target]: they must agree on every token of every decision *)
+        let check_rows label (c : Llstar.Compiled.t) =
+          let n = Grammar.Sym.num_terms (Llstar.Compiled.sym c) in
+          for d = 0 to Llstar.Compiled.num_decisions c - 1 do
+            let dfa = Llstar.Compiled.dfa c d in
+            let row = dfa.Llstar.Look_dfa.start_row in
+            check int (Printf.sprintf "%s d%d: row length" label d) n
+              (Array.length row);
+            Array.iteri
+              (fun term tgt ->
+                if
+                  tgt
+                  <> Llstar.Look_dfa.target dfa dfa.Llstar.Look_dfa.start term
+                then Alcotest.failf "%s d%d: token %d" label d term)
+              row
+          done
+        in
+        check_rows "Wide" (compile wide_src);
+        check_rows "wildcard" (compile "grammar W;\ns : . 'b' | 'a' 'c' ;");
+        List.iter
+          (fun (spec : Bench_grammars.Workload.spec) ->
+            let cw, cached = Test_cache.fresh_and_cached spec in
+            check_rows spec.name cw.Bench_grammars.Workload.c;
+            check_rows (spec.name ^ " cached") cached)
+          Bench_grammars.Specs.all);
     Alcotest.test_case "vocabulary freezes after compile" `Quick (fun () ->
         let c = compile expr_src in
         let sym = Llstar.Compiled.sym c in

@@ -84,7 +84,8 @@ let reach_tests =
     test "empty speculation reports zero lookahead reach" (fun () ->
         let c = compile "grammar R; s : e 'A' ; e : ;" in
         let t = interp_for c "A" in
-        let ok, reach = Runtime.Interp.eval_synpred t (rule_id c "e") in
+        let ok = Runtime.Interp.eval_synpred t (rule_id c "e") in
+        let reach = t.Runtime.Interp.synpred_reach in
         check bool "speculation succeeds" true ok;
         (* pre-fix: the high-water mark was pre-set to the start position,
            so reach came out as 1 despite no token being examined *)
@@ -92,7 +93,8 @@ let reach_tests =
     test "non-empty speculation still counts examined tokens" (fun () ->
         let c = compile "grammar S; s : e 'C' ; e : 'A' 'B' ;" in
         let t = interp_for c "A B C" in
-        let ok, reach = Runtime.Interp.eval_synpred t (rule_id c "e") in
+        let ok = Runtime.Interp.eval_synpred t (rule_id c "e") in
+        let reach = t.Runtime.Interp.synpred_reach in
         check bool "speculation succeeds" true ok;
         check int "reach" 2 reach);
   ]

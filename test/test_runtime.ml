@@ -205,6 +205,39 @@ let streaming_tests =
              (fun a b -> a < b)
              (List.filteri (fun i _ -> i < List.length fs - 1) fs)
              (List.tl fs)));
+    test "the array grows to the window before it slides" (fun () ->
+        let ts = Ts.of_pull ~window:5000 (pull_of_array ~chunk:1 (mk_tokens 20_000)) in
+        let first_slide = ref (-1) in
+        Ts.set_release_hook ts (fun f ->
+            if !first_slide < 0 then first_slide := f);
+        while not (Ts.at_eof ts) do
+          ignore (Ts.consume ts)
+        done;
+        check int "resident tokens reach the window" 5000 (Ts.peak_live ts);
+        check bool "no slide before the window filled" true
+          (!first_slide > 0 && !first_slide >= 5000 - 1));
+    test "window max_int over a pull parses as at the default window"
+      (fun () ->
+        let c =
+          compile "grammar E; prog : e EOF ; e : e '+' e | '(' e ')' | INT ;"
+        in
+        List.iter
+          (fun input ->
+            let toks = lex c input in
+            let run ?window () =
+              Runtime.Interp.run
+                (Runtime.Interp.create ~recover:true c
+                   (Ts.of_pull ?window (pull_of_array toks)))
+                ()
+            in
+            check bool input true (run () = run ~window:max_int ()))
+          [
+            "1 + 2";
+            "( 1 + ) 2";
+            "";
+            (* longer than the default window: the array keeps growing *)
+            String.concat " + " (List.init 3000 (fun _ -> "1"));
+          ]);
     test "streaming parse at window 1 agrees with materialized" (fun () ->
         let c =
           compile
@@ -712,6 +745,51 @@ let drive_tests =
           ((parsed (drive ~tree:true c "1 + 2")).tree <> None));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Interp's hot path allocates no closure, option or tuple per prediction
+   or rule invocation (DESIGN.md, "Interpreter").  Minor words per token
+   over a seeded 4k-token corpus, already lexed, catch one coming back:
+   with a closure, option and tuple per prediction and per rule
+   invocation, this corpus cost MiniJava 185 words per token and RatsC
+   371.  The bounds are about twice what the allocation-free path
+   measures (6.2 and 16.8). *)
+
+let minor_words_per_token (spec : Bench_grammars.Workload.spec) : float =
+  let cw = Bench_grammars.Workload.compile spec in
+  let corpus =
+    Bench_grammars.Workload.build_corpus ~seed:7 cw ~target_tokens:4000
+  in
+  let programs =
+    List.map (Bench_grammars.Workload.lex_exn cw)
+      corpus.Bench_grammars.Workload.texts
+  in
+  let env = Bench_grammars.Workload.env_of_spec spec in
+  let run () =
+    List.iter
+      (fun toks ->
+        match Runtime.Interp.recognize ~env cw.Bench_grammars.Workload.c toks with
+        | Ok () -> ()
+        | Error _ -> Alcotest.failf "%s: corpus program rejected" spec.name)
+      programs
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int corpus.Bench_grammars.Workload.tokens
+
+let alloc_tests =
+  List.map
+    (fun (name, bound) ->
+      test (Printf.sprintf "%s: Interp.recognize minor words per token" name)
+        (fun () ->
+          let spec = Option.get (Bench_grammars.Specs.find name) in
+          let w = minor_words_per_token spec in
+          check bool
+            (Printf.sprintf "%.1f words/token <= %.1f" w bound)
+            true (w <= bound)))
+    [ ("MiniJava", 12.5); ("RatsC", 34.) ]
+
 let suite =
   [
     ("token-stream", stream_tests);
@@ -722,4 +800,5 @@ let suite =
     ("left-recursion", leftrec_tests);
     ("memoization", memo_tests);
     ("drive", drive_tests);
+    ("interp-alloc", alloc_tests);
   ]

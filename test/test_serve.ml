@@ -115,6 +115,44 @@ let handler_tests =
             | _ -> Alcotest.fail "grammars not a list");
             let unk = handle_ok h (req [ ("op", Json.str "frobnicate") ]) in
             check string "unknown op" "unknown_op" (error_code unk)));
+    test "parse: a start rule the backend lacks is a bad request" (fun () ->
+        with_handler (fun h ->
+            let start name = Some [ ("start", Json.str name) ] in
+            List.iter
+              (fun (backend, name) ->
+                let r =
+                  handle_ok h
+                    (parse_req ~grammar:"MiniJava" ~backend
+                       ?extra:(start name) "package p; class A { int x; }")
+                in
+                check string
+                  (Printf.sprintf "%s start=%s" backend name)
+                  "bad_request" (error_code r))
+              [
+                ("interp", "nosuchrule");
+                ("generated", "nosuchrule");
+                (* a real rule, but not the one the parser was made for *)
+                ("generated", "classDecl");
+              ];
+            (* the start rule itself, and any rule on interp, still parse *)
+            let ok backend name text =
+              handle_ok h
+                (parse_req ~grammar:"MiniJava" ~backend ?extra:(start name)
+                   text)
+            in
+            check bool "generated at its start rule" true
+              (get_ok
+                 (ok "generated" "compilationUnit"
+                    "package p; class A { int x; }"));
+            check bool "interp at another rule" true
+              (get_ok (ok "interp" "classDecl" "class A { int x; }"));
+            (* the daemon still answers and still shuts down *)
+            check bool "ping after" true
+              (get_ok (handle_ok h (req [ ("op", Json.str "ping") ])));
+            let _, action =
+              Serve.Handler.handle h (req [ ("op", Json.str "shutdown") ])
+            in
+            check bool "shutdown after" true (action = `Shutdown)));
     test "parse: accept, reject, both backends" (fun () ->
         with_handler (fun h ->
             let ok = handle_ok h (parse_req "A B") in
