@@ -35,8 +35,10 @@
    split by attempt ([Analysis.effort]).
    v6: lazy construction is gone: the key no longer carries a strategy
    and the payload is the compiled value alone.
-   v7: [Look_dfa.t] gained [start_row]. *)
-let format_version = 7
+   v7: [Look_dfa.t] gained [start_row].
+   v8: [start_row] marks accepting targets as [-(2 + state)]: same shape,
+   different meaning, so a v7 row would walk past an accept state. *)
+let format_version = 8
 
 let magic = "ANTLRKIT-CACHE\n"
 

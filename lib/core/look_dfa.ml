@@ -31,7 +31,8 @@ type t = {
   fallback : bool; (* produced by the LL(1) fallback, not full analysis *)
   start_row : int array;
     (* [start]'s terminal edges as a dense row over the token ids: the
-       target state, or -1 (see [with_start_row]) *)
+       target state, [-(2 + s)] for an accepting target [s], or -1 (see
+       [with_start_row]) *)
 }
 
 (* Rows are sorted by terminal id (the analysis freeze sorts them and the
@@ -73,14 +74,24 @@ let target (t : t) (state : int) (term : int) : int =
   else if n > 1 && fst row.(1) = Grammar.Sym.wildcard then snd row.(1)
   else -1
 
-(* LL(finite) step one (Belcak): most predictions stop after one token,
-   so the first edge of every walk -- from [start] -- is a dense-row read
-   instead of a row scan.  Built once when the DFA is frozen and carried
-   in the compilation cache, so a parse never builds one.  Its entries are
-   [target]'s, wildcard edge included; the walk takes [target] for a token
+(* LL(finite) (Belcak): most predictions stop after one token, so the
+   first edge of every walk -- from [start] -- is a dense-row read instead
+   of a row scan, and a first edge into an accept state says so in the
+   row itself: the entry is [-(2 + s)] for an accepting target [s], so
+   the walk returns without testing [accept] or entering its loop.  Built
+   once when the DFA is frozen and carried in the compilation cache, so a
+   parse never builds one.  Its entries are [target]'s, wildcard edge
+   included, decoded by [row_target]; the walk takes [target] for a token
    id beyond the row. *)
 let with_start_row (t : t) ~(num_terms : int) : t =
-  { t with start_row = Array.init num_terms (target t t.start) }
+  let entry term =
+    let s = target t t.start term in
+    if s >= 0 && t.accept.(s) <> 0 then -2 - s else s
+  in
+  { t with start_row = Array.init num_terms entry }
+
+(* The target state of a [start_row] entry, or -1 for no edge. *)
+let row_target (entry : int) : int = if entry < -1 then -2 - entry else entry
 
 let accept_of t state = if t.accept.(state) = 0 then None else Some t.accept.(state)
 let pred_edges_of t state = t.preds.(state)

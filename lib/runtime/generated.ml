@@ -27,9 +27,9 @@ type st = {
   env : Interp.env;
   profile : Profile.t option;
   memo_enabled : bool;
-  mutable memo : (int, Interp.memo_entry) Hashtbl.t option;
-      (* keyed by packed (rule, prec, pos); created on first speculative
-         use so parses that never speculate pay nothing for memoization *)
+  mutable memo : Memo.t option;
+      (* made on the first speculative invocation ({!Memo.attach}), so
+         parses that never speculate pay nothing for memoization *)
   mutable speculating : int;
   walk : Interp.walk; (* where [predict_table]'s latest DFA walk stopped *)
 }
@@ -171,39 +171,29 @@ let record st ~decision ~depth ~backtracked ~spec_depth : unit =
 (* ------------------------------------------------------------------ *)
 (* Memoization, only while speculating (paper section 6.2). *)
 
-(* The table holds {!Interp}'s memo entries under its key packing, and is
-   evicted by its [evict_memo_before]. *)
-let memo_table st : (int, Interp.memo_entry) Hashtbl.t =
-  match st.memo with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 256 in
-      (* Windowed eviction: entries behind the stream's release frontier
-         key positions the stream can no longer rewind to, so they can
-         never be hit again -- drop them whenever the window slides. *)
-      Token_stream.set_release_hook st.ts (Interp.evict_memo_before tbl);
-      st.memo <- Some tbl;
-      tbl
-
 let memoized st ~(rule : int) ~(prec : int) (body : unit -> unit) : unit =
   if st.memo_enabled && st.speculating > 0 then begin
-      let tbl = memo_table st in
-      let pos = Token_stream.index st.ts in
-      let key = Interp.memo_key ~rule ~prec ~pos in
-      match Hashtbl.find_opt tbl key with
-      | Some Interp.Failed -> raise Spec_fail
-      | Some (Interp.Succeeded stop) ->
-          (* valid because speculation builds no tree and runs no actions *)
-          Token_stream.seek st.ts stop
-      | None -> (
-          match body () with
-          | () ->
-              Hashtbl.replace tbl key
-                (Interp.Succeeded (Token_stream.index st.ts))
-          | exception Spec_fail ->
-              Hashtbl.replace tbl key Interp.Failed;
-              raise Spec_fail)
-    end
+    let memo =
+      match st.memo with
+      | Some m -> m
+      | None ->
+          let m = Memo.attach st.ts in
+          st.memo <- Some m;
+          m
+    in
+    let key = Memo.key ~rule ~prec ~pos:(Token_stream.index st.ts) in
+    let stop = Memo.find memo key in
+    if stop = Memo.failed then raise Spec_fail
+    else if stop <> Memo.absent then
+      (* valid because speculation builds no tree and runs no actions *)
+      Token_stream.seek st.ts stop
+    else
+      match body () with
+      | () -> Memo.add memo key (Token_stream.index st.ts)
+      | exception Spec_fail ->
+          Memo.add memo key Memo.failed;
+          raise Spec_fail
+  end
   else body ()
 
 (* ------------------------------------------------------------------ *)

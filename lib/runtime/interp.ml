@@ -57,29 +57,6 @@ let env_of_tables ?(preds = []) ?(actions = []) () =
 exception Spec_fail
 (* Internal: a speculative parse failed to match.  Never escapes. *)
 
-(* Memo entries and key packing, shared with {!Generated}. *)
-type memo_entry = Failed | Succeeded of int (* stop index *)
-
-(* Position in bits 0..29, precedence bound in bits 30..44, rule id in
-   bits 45..61.  The bounds are far beyond anything a real grammar
-   produces (2^30 tokens, prec < 2^15, 2^17 rules); an int key keeps
-   speculation-time lookups allocation-free, and -- with the position in
-   the low bits -- makes windowed eviction a cheap range test per
-   entry. *)
-let memo_key ~(rule : int) ~(prec : int) ~(pos : int) : int =
-  (((rule lsl 15) lor prec) lsl 30) lor pos
-
-let memo_pos (key : int) : int = key land 0x3FFFFFFF
-
-(* Windowed memo eviction: entries keyed at positions behind the release
-   frontier can never be hit again (the stream refuses to rewind there),
-   so drop them when the stream's window slides. *)
-let evict_memo_before (tbl : (int, memo_entry) Hashtbl.t) (frontier : int) :
-    unit =
-  Hashtbl.filter_map_inplace
-    (fun key v -> if memo_pos key < frontier then None else Some v)
-    tbl
-
 (* Where a lookahead-DFA walk stopped ({!walk_dfa}).  Each parser owns one
    and reuses it for every prediction, so a walk allocates nothing. *)
 type walk = {
@@ -89,13 +66,20 @@ type walk = {
 
 let new_walk () = { state = 0; depth = 0 }
 
+let trace_edge tracer (dfa : Llstar.Look_dfa.t) state term target =
+  Obs.Trace.emit tracer
+    (Obs.Trace.Dfa_edge
+       { decision = dfa.Llstar.Look_dfa.decision; state; term; target })
+
 (* The terminal-edge walk of prediction (Figure 5), the one DFA walk of
    every backend: {!predict} here and {!Generated.predict_table}.  From
    the start state, follow the edge for each next token until an accept
    state or a state with no edge for the next token.  The first edge comes
    from the start state's dense row ({!Llstar.Look_dfa.with_start_row}),
-   later ones from {!Llstar.Look_dfa.target}.  Predicate edges are the
-   caller's fallback: states resolved purely by predicates have no
+   later ones from {!Llstar.Look_dfa.target}.  Most predictions stop after
+   that first edge, and the row marks an accepting target, so such a walk
+   returns after one [la 1] without entering the loop.  Predicate edges
+   are the caller's fallback: states resolved purely by predicates have no
    terminal edges, and fragment-end defaults must only fire when
    lookahead runs off the end of a syntactic-predicate fragment.  The
    next token is examined even at a state without terminal edges, so the
@@ -104,35 +88,42 @@ let new_walk () = { state = 0; depth = 0 }
 let walk_dfa ~(tracer : Obs.Trace.t) (ts : Token_stream.t)
     (dfa : Llstar.Look_dfa.t) (w : walk) : unit =
   let accept = dfa.Llstar.Look_dfa.accept in
-  let start_row = dfa.Llstar.Look_dfa.start_row in
-  let state = ref dfa.Llstar.Look_dfa.start and depth = ref 0 in
-  let stopped = ref false in
-  while not !stopped do
-    if accept.(!state) <> 0 then stopped := true
-    else begin
-      let term = Token_stream.la ts (!depth + 1) in
-      let tgt =
-        if !depth = 0 && term < Array.length start_row then start_row.(term)
-        else Llstar.Look_dfa.target dfa !state term
-      in
-      if tgt < 0 then stopped := true
-      else begin
-        if Obs.Trace.on tracer then
-          Obs.Trace.emit tracer
-            (Obs.Trace.Dfa_edge
-               {
-                 decision = dfa.Llstar.Look_dfa.decision;
-                 state = !state;
-                 term;
-                 target = tgt;
-               });
-        state := tgt;
-        incr depth
+  let start = dfa.Llstar.Look_dfa.start in
+  w.state <- start;
+  w.depth <- 0;
+  if accept.(start) = 0 then begin
+    let term = Token_stream.la ts 1 in
+    let start_row = dfa.Llstar.Look_dfa.start_row in
+    let first =
+      if term < Array.length start_row then start_row.(term)
+      else Llstar.Look_dfa.target dfa start term
+    in
+    if first <> -1 then begin
+      let tgt = Llstar.Look_dfa.row_target first in
+      if Obs.Trace.on tracer then trace_edge tracer dfa start term tgt;
+      w.state <- tgt;
+      w.depth <- 1;
+      (* a negative [first] is an accepting target: the walk is done *)
+      if first >= 0 then begin
+        let state = ref tgt and depth = ref 1 and stopped = ref false in
+        while not !stopped do
+          if accept.(!state) <> 0 then stopped := true
+          else begin
+            let term = Token_stream.la ts (!depth + 1) in
+            let tgt = Llstar.Look_dfa.target dfa !state term in
+            if tgt < 0 then stopped := true
+            else begin
+              if Obs.Trace.on tracer then trace_edge tracer dfa !state term tgt;
+              state := tgt;
+              incr depth
+            end
+          end
+        done;
+        w.state <- !state;
+        w.depth <- !depth
       end
     end
-  done;
-  w.state <- !state;
-  w.depth <- !depth
+  end
 
 type t = {
   c : Llstar.Compiled.t;
@@ -140,7 +131,10 @@ type t = {
   ts : Token_stream.t;
   profile : Profile.t option;
   tracer : Obs.Trace.t;
-  memo : (int, memo_entry) Hashtbl.t option; (* packed (rule, prec, pos) *)
+  memoize : bool;
+  mutable memo : Memo.t option;
+    (* made on the first speculative rule invocation ({!Memo.attach}), so
+       a parse that never speculates pays nothing for memoization *)
   mutable speculating : int;
   recover : bool;
   mutable errors : Parse_error.t list;
@@ -318,33 +312,40 @@ and try_preds t dfa state ~decision ~depth ~prec ~rule : int =
    While speculating, invocations are memoized (section 6.2). *)
 
 and parse_rule t (rule : int) ~prec ~building : Tree.t list =
-  match t.memo with
-  | Some tbl when t.speculating > 0 -> memo_rule t tbl rule ~prec ~building
-  | _ -> run_rule t rule ~prec ~building
+  if t.memoize && t.speculating > 0 then memo_rule t rule ~prec ~building
+  else run_rule t rule ~prec ~building
 
-and memo_rule t tbl rule ~prec ~building : Tree.t list =
+and memo_rule t rule ~prec ~building : Tree.t list =
+  let memo =
+    match t.memo with
+    | Some m -> m
+    | None ->
+        let m = Memo.attach t.ts in
+        t.memo <- Some m;
+        m
+  in
   let pos = Token_stream.index t.ts in
-  let key = memo_key ~rule ~prec ~pos in
-  match Hashtbl.find tbl key with
-  | entry -> (
-      if tr_on t then
-        emit t (Obs.Trace.Memo_hit { rule = Atn.rule_name (atn t) rule; pos });
-      match entry with
-      | Failed -> raise Spec_fail
-      | Succeeded stop ->
-          (* Valid because speculation builds no tree and runs no actions. *)
-          Token_stream.seek t.ts stop;
-          [])
-  | exception Not_found -> (
-      if tr_on t then
-        emit t (Obs.Trace.Memo_miss { rule = Atn.rule_name (atn t) rule; pos });
-      match run_rule t rule ~prec ~building with
-      | _ ->
-          Hashtbl.replace tbl key (Succeeded (Token_stream.index t.ts));
-          []
-      | exception Spec_fail ->
-          Hashtbl.replace tbl key Failed;
-          raise Spec_fail)
+  let key = Memo.key ~rule ~prec ~pos in
+  let stop = Memo.find memo key in
+  if stop <> Memo.absent then begin
+    if tr_on t then
+      emit t (Obs.Trace.Memo_hit { rule = Atn.rule_name (atn t) rule; pos });
+    if stop = Memo.failed then raise Spec_fail;
+    (* Valid because speculation builds no tree and runs no actions. *)
+    Token_stream.seek t.ts stop;
+    []
+  end
+  else begin
+    if tr_on t then
+      emit t (Obs.Trace.Memo_miss { rule = Atn.rule_name (atn t) rule; pos });
+    match run_rule t rule ~prec ~building with
+    | _ ->
+        Memo.add memo key (Token_stream.index t.ts);
+        []
+    | exception Spec_fail ->
+        Memo.add memo key Memo.failed;
+        raise Spec_fail
+  end
 
 and run_rule t rule ~prec ~building : Tree.t list =
   let a = atn t in
@@ -557,11 +558,11 @@ let recover_to_follow t rule =
 
 (* [create] runs the parser over any stream: a pinned array
    ({!Token_stream.of_array}) or a window fed by the chunked lexer
-   ({!Token_stream.of_pull}).  The memo table subscribes to the stream's
-   release hook so entries behind the frontier are evicted as the window
-   slides -- they can never be hit again, because the stream refuses to
-   rewind past the frontier.  A window that never slides never fires the
-   hook. *)
+   ({!Token_stream.of_pull}).  The memo table, made on the first
+   speculative invocation, subscribes to the stream's release hook so
+   entries behind the frontier are evicted as the window slides -- they
+   can never be hit again, because the stream refuses to rewind past the
+   frontier.  A window that never slides never fires the hook. *)
 let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     ?(recover = false) ?(max_errors = 25) (c : Llstar.Compiled.t)
     (ts : Token_stream.t) : t =
@@ -575,17 +576,14 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
           ~n:(Llstar.Compiled.dfa c d).Llstar.Look_dfa.nstates
       done
   | _ -> ());
-  let memo = if memoize then Some (Hashtbl.create 1024) else None in
-  Option.iter
-    (fun tbl -> Token_stream.set_release_hook ts (evict_memo_before tbl))
-    memo;
   {
     c;
     env;
     ts;
     profile;
     tracer;
-    memo;
+    memoize;
+    memo = None;
     speculating = 0;
     recover;
     errors = [];
@@ -702,4 +700,4 @@ let recognize ?env ?profile ?tracer ?start (c : Llstar.Compiled.t)
 (* Number of (rule, position) results currently memoized; the paper's
    section-6.2 point is that memoizing only while speculating keeps this far
    below a packrat parser's table. *)
-let memo_entries t = match t.memo with Some tbl -> Hashtbl.length tbl | None -> 0
+let memo_entries t = match t.memo with Some m -> Memo.length m | None -> 0

@@ -121,7 +121,13 @@ let record_cached_states t ~decision ~n =
 
 let events t = M.h_count t.look
 let back_events t = M.h_count t.spec
-let decisions_covered t = Hashtbl.length t.per_decision
+(* Decisions that made a prediction.  A cache-loaded compilation also
+   interns a cell for every decision it credits with cached states, so the
+   table's size would count decisions the parse never reached. *)
+let decisions_covered t =
+  Hashtbl.fold
+    (fun _ ds acc -> if M.value ds.d_events > 0 then acc + 1 else acc)
+    t.per_decision 0
 let avg_k t = M.h_avg t.look
 let avg_dfa_k t = M.h_avg t.dfa_look
 let back_k t = M.h_avg t.spec

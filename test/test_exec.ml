@@ -806,7 +806,8 @@ let wide_tests =
     Alcotest.test_case "start rows equal the edge lookup, fresh and cached"
       `Quick (fun () ->
         (* the walk's first edge comes from [start_row], the rest from
-           [target]: they must agree on every token of every decision *)
+           [target]: they must agree on every token of every decision,
+           and the row must mark exactly the accepting targets *)
         let check_rows label (c : Llstar.Compiled.t) =
           let n = Grammar.Sym.num_terms (Llstar.Compiled.sym c) in
           for d = 0 to Llstar.Compiled.num_decisions c - 1 do
@@ -815,11 +816,17 @@ let wide_tests =
             check int (Printf.sprintf "%s d%d: row length" label d) n
               (Array.length row);
             Array.iteri
-              (fun term tgt ->
-                if
-                  tgt
-                  <> Llstar.Look_dfa.target dfa dfa.Llstar.Look_dfa.start term
-                then Alcotest.failf "%s d%d: token %d" label d term)
+              (fun term entry ->
+                let tgt =
+                  Llstar.Look_dfa.target dfa dfa.Llstar.Look_dfa.start term
+                in
+                if Llstar.Look_dfa.row_target entry <> tgt then
+                  Alcotest.failf "%s d%d: token %d" label d term;
+                let accepting =
+                  tgt >= 0 && dfa.Llstar.Look_dfa.accept.(tgt) <> 0
+                in
+                if accepting <> (entry < -1) then
+                  Alcotest.failf "%s d%d: token %d accept mark" label d term)
               row
           done
         in

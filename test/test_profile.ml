@@ -5,6 +5,107 @@
 
 open Helpers
 
+(* ------------------------------------------------------------------ *)
+(* Decision counts are part of the paper's results (Tables 3 and 4), so a
+   change to prediction or speculation must leave them alone.  Each bench
+   grammar's seed-7 4k-token corpus is parsed by Interp and by its
+   generated parser; the two print the same profile (summary line and
+   per-decision table: events, backtracks, avg/max k, speculation depth),
+   whose digest is pinned. *)
+
+module Workload = Bench_grammars.Workload
+
+let corpus_programs (spec : Workload.spec) =
+  let cw, _ = Test_cache.fresh_and_cached spec in
+  let corpus = Workload.build_corpus ~seed:7 cw ~target_tokens:4000 in
+  (cw, List.map (Workload.lex_exn cw) corpus.Workload.texts)
+
+let profile_text (spec : Workload.spec) ~(generated : bool) : string =
+  let cw, programs = corpus_programs spec in
+  let env = Workload.env_of_spec spec in
+  let p = Runtime.Profile.create () in
+  let (module P : Runtime.Generated.PARSER) =
+    Option.get (Gen.Registry.find spec.name)
+  in
+  List.iter
+    (fun toks ->
+      let ok =
+        if generated then (P.outcome ~env ~profile:p toks).Runtime.Generated.ok
+        else
+          Result.is_ok
+            (Runtime.Interp.recognize ~env ~profile:p cw.Workload.c toks)
+      in
+      if not ok then Alcotest.failf "%s: corpus program rejected" spec.name)
+    programs;
+  Fmt.str "%a@.%a" Runtime.Profile.pp p Runtime.Profile.pp_decisions p
+
+let golden_tests =
+  List.map
+    (fun (name, digest) ->
+      test (name ^ ": Interp and generated profiles match the digest")
+        (fun () ->
+          let spec = Option.get (Bench_grammars.Specs.find name) in
+          List.iter
+            (fun generated ->
+              let text = profile_text spec ~generated in
+              check string
+                (if generated then "generated" else "Interp")
+                digest
+                (Digest.to_hex (Digest.string text)))
+            [ false; true ]))
+    [
+      ("MiniJava", "58e5545a201d532cec2c1b5db46fbd2c");
+      ("RatsC", "a6c55eb87a5bb928d63a5880fc55280a");
+      ("RatsJava", "c324953688beae95d020c2aa36c1d460");
+      ("MiniVB", "cae33533cfacfc183948540d7991561e");
+      ("MiniSQL", "f1d8b95230b4aabad2fc5b2bc12e02f1");
+      ("MiniCSharp", "9a455f72fa6a81dc578efaa92b5b5c55");
+    ]
+
+(* Every [Decision_exit] of a successful prediction reports as its [k] the
+   number of [Dfa_edge] events since its [Decision_enter]: the first-token
+   accept emits the edge the loop would have.  Decisions nest through
+   speculation (a syntactic predicate runs after its decision's walk), so
+   the counts live on a stack; a failed prediction (alt 0) reports k 0
+   and is only popped. *)
+let trace_walk_tests =
+  List.map
+    (fun (spec : Workload.spec) ->
+      test (spec.name ^ ": decision k equals its DFA edges") (fun () ->
+          let cw, programs = corpus_programs spec in
+          let env = Workload.env_of_spec spec in
+          let stack = ref [] and exits = ref 0 in
+          let sink _ (ev : Obs.Trace.event) =
+            match (ev, !stack) with
+            | Obs.Trace.Decision_enter _, st -> stack := 0 :: st
+            | Obs.Trace.Dfa_edge _, n :: st -> stack := (n + 1) :: st
+            | Obs.Trace.Dfa_edge { decision; _ }, [] ->
+                Alcotest.failf "d%d: edge outside a decision" decision
+            | Obs.Trace.Decision_exit { decision; alt; k; pos }, n :: st ->
+                stack := st;
+                if alt <> 0 then begin
+                  incr exits;
+                  if k <> n then
+                    Alcotest.failf "d%d at %d: k=%d after %d edges" decision
+                      pos k n
+                end
+            | Obs.Trace.Decision_exit { decision; _ }, [] ->
+                Alcotest.failf "d%d: exit without enter" decision
+            | _ -> ()
+          in
+          let tracer = Obs.Trace.make sink in
+          List.iter
+            (fun toks ->
+              match
+                Runtime.Interp.recognize ~env ~tracer cw.Workload.c toks
+              with
+              | Ok () -> ()
+              | Error _ -> Alcotest.failf "%s: corpus program rejected" spec.name)
+            programs;
+          check int "balanced" 0 (List.length !stack);
+          check bool "exits checked" true (!exits > 0)))
+    Bench_grammars.Specs.all
+
 let suite =
   [
     ( "profile_counters",
@@ -47,6 +148,18 @@ let suite =
             Runtime.Profile.reset p;
             check int "cached after reset" 0
               (Runtime.Profile.cached_dfa_states p));
+        test "cached states alone cover no decision" (fun () ->
+            (* a cache-loaded compilation credits every decision; only a
+               prediction makes a decision covered *)
+            let p = Runtime.Profile.create () in
+            for d = 0 to 2 do
+              Runtime.Profile.record_cached_states p ~decision:d ~n:3
+            done;
+            check int "covered before parsing" 0
+              (Runtime.Profile.decisions_covered p);
+            Runtime.Profile.record p ~decision:1 ~depth:1 ~backtracked:false
+              ~spec_depth:0;
+            check int "covered" 1 (Runtime.Profile.decisions_covered p));
         test "a fresh compile credits no cached or lazy DFA states" (fun () ->
             let c = compile "grammar T; s : A B C | A B D | E ;" in
             let p = Runtime.Profile.create () in
@@ -64,4 +177,6 @@ let suite =
               (Obs.Json.member "lazy_dfa_states" (Runtime.Profile.to_json p)
               = Some (Obs.Json.int 0)));
       ] );
+    ("profile-golden", golden_tests);
+    ("trace-walk", trace_walk_tests);
   ]

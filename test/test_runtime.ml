@@ -667,6 +667,80 @@ let memo_tests =
           (Runtime.Interp.memo_entries t));
   ]
 
+(* [Runtime.Memo] against a [Hashtbl] model: random adds, overwrites,
+   finds and window evictions, enough adds to cross chunk (64-slot) and
+   growth boundaries, and keys that share a position but differ in rule or
+   precedence (including the largest rule and precedence the key
+   packing holds). *)
+type memo_op =
+  | Add of int * int * int * int (* rule, prec, pos, value *)
+  | Find of int * int * int
+  | Evict of int
+
+let memo_op_gen : memo_op QCheck.Gen.t =
+  let open QCheck.Gen in
+  let rule = oneof [ int_bound 5; return 131071 ]
+  and prec = oneof [ int_bound 2; return 32767 ]
+  and pos = int_bound 300 in
+  frequency
+    [
+      ( 24,
+        map
+          (fun (((r, p), x), v) -> Add (r, p, x, v))
+          (pair (pair (pair rule prec) pos) (int_range (-1) 400)) );
+      (12, map (fun ((r, p), x) -> Find (r, p, x)) (pair (pair rule prec) pos));
+      (1, map (fun f -> Evict f) pos);
+    ]
+
+let show_memo_op = function
+  | Add (r, p, x, v) -> Printf.sprintf "add r%d p%d @%d = %d" r p x v
+  | Find (r, p, x) -> Printf.sprintf "find r%d p%d @%d" r p x
+  | Evict f -> Printf.sprintf "evict < %d" f
+
+let memo_props =
+  [
+    qtest ~count:200 "Memo agrees with a Hashtbl model"
+      (QCheck.make
+         ~print:(fun ops -> String.concat "; " (List.map show_memo_op ops))
+         QCheck.Gen.(list_size (int_range 1 700) memo_op_gen))
+      (fun ops ->
+        let m = Runtime.Memo.create () and model = Hashtbl.create 64 in
+        let key r p x = Runtime.Memo.key ~rule:r ~prec:p ~pos:x in
+        let expect k =
+          Option.value ~default:Runtime.Memo.absent (Hashtbl.find_opt model k)
+        in
+        let check_all what =
+          Hashtbl.iter
+            (fun k v ->
+              if Runtime.Memo.find m k <> v then
+                QCheck.Test.fail_reportf "%s: key %d lost" what k)
+            model;
+          if Runtime.Memo.length m <> Hashtbl.length model then
+            QCheck.Test.fail_reportf "%s: %d entries, model %d" what
+              (Runtime.Memo.length m) (Hashtbl.length model)
+        in
+        List.iter
+          (fun op ->
+            match op with
+            | Add (r, p, x, v) ->
+                Runtime.Memo.add m (key r p x) v;
+                Hashtbl.replace model (key r p x) v
+            | Find (r, p, x) ->
+                let got = Runtime.Memo.find m (key r p x) in
+                if got <> expect (key r p x) then
+                  QCheck.Test.fail_reportf "%s: got %d, model %d"
+                    (show_memo_op op) got (expect (key r p x))
+            | Evict f ->
+                Runtime.Memo.evict_before m f;
+                Hashtbl.filter_map_inplace
+                  (fun k v -> if Runtime.Memo.pos_of_key k < f then None else Some v)
+                  model;
+                check_all (show_memo_op op))
+          ops;
+        check_all "end";
+        true);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Drive: the one bytes-to-verdict pass *)
 
@@ -778,8 +852,50 @@ let minor_words_per_token (spec : Bench_grammars.Workload.spec) : float =
   let words = Gc.minor_words () -. before in
   words /. float_of_int corpus.Bench_grammars.Workload.tokens
 
+(* A parse that never speculates makes no memo table.  An eager
+   1024-bucket [Hashtbl] per [Interp.create] of a memoizing grammar put
+   1024 words on the major heap for every parse.  Words allocated directly in
+   the major heap (not promoted) are counted around one create and
+   recognize of a short MiniJava program.  [Gc.counters], because OCaml
+   5's [Gc.quick_stat] folds in the running domain's major words only at
+   a collection. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let create_alloc_test =
+  test "MiniJava: a non-speculating parse allocates no memo table" (fun () ->
+      let spec = Option.get (Bench_grammars.Specs.find "MiniJava") in
+      let cw, _ = Test_cache.fresh_and_cached spec in
+      let c = cw.Bench_grammars.Workload.c in
+      let env = Bench_grammars.Workload.env_of_spec spec in
+      let toks =
+        Bench_grammars.Workload.lex_exn cw "class A { int x; void f() { } }"
+      in
+      let profile = Runtime.Profile.create () in
+      let run () =
+        let t =
+          Runtime.Interp.create ~env ~profile c
+            (Runtime.Token_stream.of_array toks)
+        in
+        (match Runtime.Interp.recognize_run t () with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "rejected");
+        t
+      in
+      ignore (run ());
+      check int "no speculation" 0 (Runtime.Profile.back_events profile);
+      let before = direct_major_words () in
+      let t = run () in
+      let words = direct_major_words () -. before in
+      check int "no memo entries" 0 (Runtime.Interp.memo_entries t);
+      check bool
+        (Printf.sprintf "%.0f major words < 256" words)
+        true (words < 256.))
+
 let alloc_tests =
-  List.map
+  create_alloc_test
+  :: List.map
     (fun (name, bound) ->
       test (Printf.sprintf "%s: Interp.recognize minor words per token" name)
         (fun () ->
@@ -799,6 +915,7 @@ let suite =
     ("actions-speculation", action_tests);
     ("left-recursion", leftrec_tests);
     ("memoization", memo_tests);
+    ("memo-table", memo_props);
     ("drive", drive_tests);
     ("interp-alloc", alloc_tests);
   ]

@@ -820,7 +820,7 @@ let generated_reset_tests =
         check bool "first request accepts" true
           (Rt.run_st st ~start_rule:1 s_entry).Rt.ok;
         (* Naive reuse (the pre-fix serve bug): new tokens, same memo.  The
-           stale Succeeded entry for (rule x, pos 0) makes the synpred
+           stale success entry for (rule x, pos 0) makes the synpred
            "succeed" without looking at the input, steering the decision
            into alt 1, which then rejects C D. *)
         let stale =
