@@ -64,23 +64,22 @@ let grammar_arg =
     & pos 0 (some file) None
     & info [] ~docv:"GRAMMAR" ~doc:"Grammar file in the ANTLR-like metalanguage.")
 
-let compile_grammar ?cache_dir ?tracer ?pool path =
-  let src = read_file path in
-  let result =
-    match cache_dir with
-    | None -> Llstar.Compiled.of_source ?pool src
-    | Some dir -> (
-        match Llstar.Compiled_cache.of_source ?tracer ?pool ~dir src with
-        | Ok (c, outcome) ->
-            Fmt.epr "[cache] %s@."
-              (match outcome with
-              | Llstar.Compiled_cache.Hit -> "hit"
-              | Llstar.Compiled_cache.Miss -> "miss");
-            Ok c
-        | Error e -> Error e)
-  in
-  match result with
-  | Ok c -> c
+(* Every grammar file the CLI reads is compiled by the one grammar loader,
+   [Llstar.Compiled_cache.of_source].  With --cache-dir the outcome goes to
+   stderr; an error is reported against [path] and exits 2.  [src] is the
+   file's text when the caller has already read it. *)
+let compile_grammar ?cache_dir ?tracer ?pool ?minimize ?src path =
+  let src = match src with Some s -> s | None -> read_file path in
+  match
+    Llstar.Compiled_cache.of_source ?tracer ?pool ?minimize ?dir:cache_dir src
+  with
+  | Ok (c, outcome) ->
+      if cache_dir <> None then
+        Fmt.epr "[cache] %s@."
+          (match outcome with
+          | Llstar.Compiled_cache.Hit -> "hit"
+          | Llstar.Compiled_cache.Miss -> "miss");
+      c
   | Error e ->
       Fmt.epr "%s: %a@." path Llstar.Compiled.pp_error e;
       exit 2
@@ -202,31 +201,7 @@ let lexer_config_term =
 
 let analyze_cmd =
   let run grammar verbose minimize cache_dir =
-    let c =
-      if not minimize then compile_grammar ?cache_dir grammar
-      else begin
-        let src = read_file grammar in
-        match Grammar.Meta_parser.parse_result src with
-        | Error msg ->
-            Fmt.epr "%s: %s@." grammar msg;
-            exit 2
-        | Ok surface -> (
-            let opts =
-              {
-                (Llstar.Analysis.options_of_grammar surface) with
-                Llstar.Analysis.minimize = true;
-              }
-            in
-            match
-              Llstar.Compiled.compile ~analysis_opts:opts ~grammar_source:src
-                surface
-            with
-            | Ok c -> c
-            | Error e ->
-                Fmt.epr "%s: %a@." grammar Llstar.Compiled.pp_error e;
-                exit 2)
-      end
-    in
+    let c = compile_grammar ?cache_dir ~minimize grammar in
     let report = c.Llstar.Compiled.report in
     Fmt.pr "%a" Llstar.Report.pp report;
     Fmt.pr "%a"
@@ -252,7 +227,8 @@ let analyze_cmd =
 let dot_cmd =
   let run grammar decision =
     let c = compile_grammar grammar in
-    if decision >= Array.length c.Llstar.Compiled.results then begin
+    if decision < 0 || decision >= Array.length c.Llstar.Compiled.results
+    then begin
       Fmt.epr "decision %d out of range (grammar has %d)@." decision
         (Array.length c.Llstar.Compiled.results);
       exit 2
@@ -649,13 +625,9 @@ let codegen_cmd =
             Some spec.Bench_grammars.Workload.lexer_config,
             Some spec.Bench_grammars.Workload.grammar_text,
             spec.Bench_grammars.Workload.samples )
-      | None, Some path -> (
+      | None, Some path ->
           let src = read_file path in
-          match Llstar.Compiled.of_source src with
-          | Error e ->
-              Fmt.epr "%s: %a@." path Llstar.Compiled.pp_error e;
-              exit 2
-          | Ok c -> (c, Some config, Some src, []))
+          (compile_grammar ~src path, Some config, Some src, [])
       | None, None ->
           Fmt.epr "codegen: need a GRAMMAR file or --bench NAME@.";
           exit 2
@@ -1040,191 +1012,6 @@ let client_cmd =
           structured error.")
     Term.(const run $ socket_arg $ tcp_arg $ file $ wait $ quiet)
 
-(* --- top: live per-grammar request/latency tables ---------------------- *)
-
-let top_cmd =
-  let interval =
-    Arg.(
-      value & opt float 2.0
-      & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Seconds between stats polls.")
-  in
-  let count =
-    Arg.(
-      value & opt int 0
-      & info [ "count" ] ~docv:"N"
-          ~doc:"Render $(docv) frames then exit ($(b,0) = run until ^C).")
-  in
-  let raw =
-    Arg.(
-      value & flag
-      & info [ "raw" ]
-          ~doc:
-            "Never clear the screen; print each frame as plain text \
-             (CI-friendly; also the default when stdout is not a tty).")
-  in
-  let run socket tcp interval count raw =
-    let module J = Obs.Json in
-    let addr = resolve_addr socket tcp in
-    let jint = function Some (J.Int i) -> i | _ -> 0 in
-    let jfloat = function
-      | Some (J.Float f) -> f
-      | Some (J.Int i) -> float_of_int i
-      | _ -> 0.0
-    in
-    let jstr = function Some (J.String s) -> s | _ -> "" in
-    match Serve.Client.connect_retry ~attempts:100 ~delay_s:0.1 addr with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        exit 1
-    | Ok c ->
-        let clear = (not raw) && Unix.isatty Unix.stdout in
-        (* previous frame's per-(grammar,backend) request totals, for RPS
-           from counter deltas; the first frame divides by uptime. *)
-        let prev : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
-        let prev_t = ref nan in
-        let frame () : (unit, string) result =
-          match Serve.Client.request_line c {|{"op":"stats","id":"top"}|} with
-          | Error msg -> Error msg
-          | Ok resp -> (
-              match J.parse resp with
-              | Error msg -> Error ("bad stats response: " ^ msg)
-              | Ok j when J.member "ok" j <> Some (J.Bool true) ->
-                  Error ("daemon refused stats: " ^ resp)
-              | Ok j ->
-                  let stats =
-                    Option.value (J.member "stats" j) ~default:J.Null
-                  in
-                  let benches =
-                    Option.value (J.member "benches" stats) ~default:J.Null
-                  in
-                  let wall_s = jfloat (J.member "wall_s" stats) in
-                  let pool =
-                    Option.value (J.member "pool" benches) ~default:J.Null
-                  in
-                  (* rows keyed (grammar, backend), built from the metric
-                     points of the serve registry snapshot *)
-                  let tbl = Hashtbl.create 16 in
-                  let row key =
-                    match Hashtbl.find_opt tbl key with
-                    | Some r -> r
-                    | None ->
-                        let r = (ref 0, ref 0, ref (0, 0, 0)) in
-                        Hashtbl.add tbl key r;
-                        r
-                  in
-                  let points =
-                    match J.member "serve" benches with
-                    | Some (J.List pts) -> pts
-                    | _ -> []
-                  in
-                  List.iter
-                    (fun pt ->
-                      let name = jstr (J.member "name" pt) in
-                      let labels =
-                        Option.value (J.member "labels" pt) ~default:J.Null
-                      in
-                      let label k = jstr (J.member k labels) in
-                      let metric =
-                        Option.value (J.member "metric" pt) ~default:J.Null
-                      in
-                      if name = "serve.requests" && label "op" = "parse" then begin
-                        let reqs, errs, _ =
-                          row (label "grammar", label "backend")
-                        in
-                        let n = jint (J.member "value" metric) in
-                        reqs := !reqs + n;
-                        if label "ok" = "false" then errs := !errs + n
-                      end
-                      else if name = "serve.request_us" && label "op" = "parse"
-                      then begin
-                        let _, _, lat = row (label "grammar", label "backend") in
-                        lat :=
-                          ( jint (J.member "p50_us" metric),
-                            jint (J.member "p99_us" metric),
-                            jint (J.member "max_us" metric) )
-                      end)
-                    points;
-                  let now = Unix.gettimeofday () in
-                  let dt = now -. !prev_t in
-                  let rps_of key reqs =
-                    if Float.is_nan !prev_t then
-                      if wall_s > 0.0 then float_of_int reqs /. wall_s else 0.0
-                    else
-                      let before =
-                        Option.value (Hashtbl.find_opt prev key) ~default:0
-                      in
-                      if dt > 0.0 then float_of_int (reqs - before) /. dt
-                      else 0.0
-                  in
-                  let rows =
-                    Hashtbl.fold
-                      (fun key (reqs, errs, lat) acc ->
-                        (key, !reqs, !errs, !lat) :: acc)
-                      tbl []
-                    |> List.sort compare
-                  in
-                  if clear then Fmt.pr "\027[2J\027[H";
-                  let total_reqs =
-                    List.fold_left (fun a (_, r, _, _) -> a + r) 0 rows
-                  and total_errs =
-                    List.fold_left (fun a (_, _, e, _) -> a + e) 0 rows
-                  in
-                  let total_rps =
-                    List.fold_left
-                      (fun a (key, r, _, _) -> a +. rps_of key r)
-                      0.0 rows
-                  in
-                  Fmt.pr
-                    "[antlrkit top] uptime %.1fs  pool %s x%d (pending %d)  \
-                     total %d reqs, %d errors, %.1f rps@."
-                    wall_s
-                    (jstr (J.member "backend" pool))
-                    (jint (J.member "jobs" pool))
-                    (jint (J.member "pending" pool))
-                    total_reqs total_errs total_rps;
-                  Fmt.pr "%-16s %-10s %8s %6s %8s %9s %9s %9s@." "GRAMMAR"
-                    "BACKEND" "REQS" "ERR" "RPS" "P50(ms)" "P99(ms)"
-                    "MAX(ms)";
-                  List.iter
-                    (fun (((g, b) as key), reqs, errs, (p50, p99, mx)) ->
-                      Fmt.pr "%-16s %-10s %8d %6d %8.1f %9.2f %9.2f %9.2f@."
-                        g b reqs errs (rps_of key reqs)
-                        (float_of_int p50 /. 1000.0)
-                        (float_of_int p99 /. 1000.0)
-                        (float_of_int mx /. 1000.0))
-                    rows;
-                  Fmt.pr "@?";
-                  Hashtbl.reset prev;
-                  List.iter
-                    (fun (key, reqs, _, _) -> Hashtbl.replace prev key reqs)
-                    rows;
-                  prev_t := now;
-                  Ok ())
-        in
-        let rec loop i =
-          if count = 0 || i < count then begin
-            (match frame () with
-            | Ok () -> ()
-            | Error msg ->
-                Fmt.epr "%s@." msg;
-                Serve.Client.close c;
-                exit 1);
-            if count = 0 || i + 1 < count then Unix.sleepf interval;
-            loop (i + 1)
-          end
-        in
-        loop 0;
-        Serve.Client.close c
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live view of a running antlrkit serve daemon: per-grammar and \
-          per-backend request rates, error counts, and latency quantiles \
-          (p50/p99/max) from periodic stats polls.")
-    Term.(const run $ socket_arg $ tcp_arg $ interval $ count $ raw)
-
 let () =
   let doc = "LL(*) grammar analysis and parsing (Parr & Fisher, PLDI 2011)" in
   exit
@@ -1240,5 +1027,4 @@ let () =
             codegen_cmd;
             serve_cmd;
             client_cmd;
-            top_cmd;
           ]))

@@ -11,15 +11,15 @@
      options, the cache format version and the compiler version, so any
      input that could change the result changes the file name;
    - the blob carries a magic string, the key, and a digest of the payload;
-     a missing, truncated, corrupted or mismatched blob makes [load] return
-     [None] -- the caller recompiles, it never crashes (the payload digest
-     is verified *before* unmarshaling, so [Marshal] only ever sees bytes
-     this module wrote);
+     a missing, truncated, corrupted or mismatched blob makes [load_key]
+     return [None] -- the caller recompiles, it never crashes (the payload
+     digest is verified *before* unmarshaling, so [Marshal] only ever sees
+     bytes this module wrote);
    - writes go through a temp file and an atomic rename, so a crashed or
      concurrent writer can leave a stale temp file but never a torn blob;
    - stale temp files are garbage-collected when a cache directory is
      opened ([gc_stale_temps], called once per directory per process from
-     [compile]): a temp whose writer pid is provably dead, or whose mtime
+     [of_source]): a temp whose writer pid is provably dead, or whose mtime
      is older than [stale_temp_age_s], is removed; a live writer's fresh
      temp is never touched, and valid blobs are never candidates (only
      [.<key>.tmp.<pid>]-shaped names are considered). *)
@@ -62,7 +62,7 @@ let key ?analysis_opts (g : Grammar.Ast.t) : string =
 
 (* The key a compiled value would be stored under.  Uses the options the
    compilation actually resolved, so a [save] lands on the same blob a
-   later [load]/[compile] with the same inputs will look up. *)
+   later [of_source] with the same inputs will look up. *)
 let key_of (c : Compiled.t) : string =
   key_of_parts c.Compiled.surface c.Compiled.opts
 
@@ -175,7 +175,7 @@ let gc_stale_temps ?(max_age_s = stale_temp_age_s) ~dir () : string list =
         names;
       List.rev !removed
 
-(* One sweep per directory per process: [compile] is on the request path
+(* One sweep per directory per process: [of_source] is on the request path
    of a long-lived server, and a readdir per compilation would scale with
    cache size.  The guard is keyed by the raw path string; a directory
    reached through two spellings is swept twice, which is harmless. *)
@@ -255,36 +255,43 @@ let load_key ?(tracer = Obs.Trace.null) ~dir (k : string) : Compiled.t option
       (Obs.Trace.Cache_load { key = k; hit = result <> None });
   result
 
-let load ?tracer ?analysis_opts ~dir (g : Grammar.Ast.t) : Compiled.t option
-    =
-  load_key ?tracer ~dir (key ?analysis_opts g)
-
 (* ------------------------------------------------------------------ *)
-(* Load-or-rebuild entry points *)
+(* The grammar loader *)
 
-let compile ?tracer ?analysis_opts ?grammar_source ?pool ~dir
-    (g : Grammar.Ast.t) : (Compiled.t * outcome, Compiled.error) result =
-  sweep_once ~dir;
-  let k = key ?analysis_opts g in
-  match load_key ?tracer ~dir k with
-  | Some c -> Ok (c, Hit)
-  | None -> (
-      match Compiled.compile ?analysis_opts ?grammar_source ?pool g with
-      | Error e -> Error e
-      | Ok c ->
-          (* Best effort: a read-only or full cache directory must not fail
-             the compilation. *)
-          ignore (save ~dir c);
-          Ok (c, Miss))
-
-let of_source ?tracer ?analysis_opts ?pool ~dir (src : string) :
-    (Compiled.t * outcome, Compiled.error) result =
+(* The one path from grammar text to a compiled value: the CLI, the serve
+   registry and the bench workloads all load grammars here, so whatever
+   bounds a load (the analysis options today, a compile budget later) has
+   one home.  With [dir], a valid blob skips the analysis and a fresh
+   compilation is saved (best effort: a read-only or full cache directory
+   must not fail the load); without it the grammar is analysed and the
+   outcome is [Miss].  [minimize] minimizes every lookahead DFA; it is
+   part of the options, so a minimized load has its own key. *)
+let of_source ?tracer ?analysis_opts ?(minimize = false) ?pool ?dir
+    (src : string) : (Compiled.t * outcome, Compiled.error) result =
   match Grammar.Meta_parser.parse_result src with
   | Error msg -> Error (Compiled.Message msg)
-  | Ok surface ->
-      compile ?tracer ?analysis_opts ~grammar_source:src ?pool ~dir surface
-
-let of_source_exn ?analysis_opts ?pool ~dir src =
-  match of_source ?analysis_opts ?pool ~dir src with
-  | Ok r -> r
-  | Error e -> failwith (Fmt.str "%a" Compiled.pp_error e)
+  | Ok surface -> (
+      let analysis_opts =
+        if minimize then
+          Some
+            {
+              (resolve_opts ?analysis_opts surface) with
+              Analysis.minimize = true;
+            }
+        else analysis_opts
+      in
+      let cached =
+        Option.bind dir (fun dir ->
+            sweep_once ~dir;
+            load_key ?tracer ~dir (key ?analysis_opts surface))
+      in
+      match cached with
+      | Some c -> Ok (c, Hit)
+      | None -> (
+          match
+            Compiled.compile ?analysis_opts ~grammar_source:src ?pool surface
+          with
+          | Error e -> Error e
+          | Ok c ->
+              Option.iter (fun dir -> ignore (save ~dir c)) dir;
+              Ok (c, Miss)))

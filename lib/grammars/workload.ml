@@ -31,12 +31,13 @@ type compiled = {
   gen : Grammar.Sentence_gen.t; (* over the surface grammar *)
 }
 
-(* [pool] fans the per-decision analysis out. *)
+(* Through the one grammar loader, without a cache directory; [pool]
+   fans the per-decision analysis out. *)
 let compile_result ?pool (spec : spec) :
     (compiled, Llstar.Compiled.error) result =
-  match Llstar.Compiled.of_source ?pool spec.grammar_text with
+  match Llstar.Compiled_cache.of_source ?pool spec.grammar_text with
   | Error e -> Error e
-  | Ok c ->
+  | Ok (c, _) ->
       let surface = c.Llstar.Compiled.surface in
       Ok { spec; c; gen = Grammar.Sentence_gen.prepare surface }
 

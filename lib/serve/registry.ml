@@ -2,9 +2,10 @@
    grammar, lexer configuration, predicate environment and (when the name
    matches a generated parser in lib/gen) the generated backend.
 
-   Compilation goes through [Llstar.Compiled_cache] when the registry was
-   created with a cache directory, so a daemon restart pays a blob load
-   instead of a full ATN + lookahead-DFA analysis, and opening the
+   Every grammar is compiled by [Llstar.Compiled_cache.of_source], the one
+   grammar loader.  When the registry was created with a cache directory,
+   a daemon restart pays a blob load instead of a full ATN +
+   lookahead-DFA analysis, and opening the
    directory garbage-collects temp files left by crashed writers.  The
    entry list is guarded by a mutex: [find] is on the per-request path of
    many concurrent connection threads while [load]/[evict] mutate.
@@ -46,26 +47,36 @@ let create ?cache_dir () : t =
 
 let cache_dir t = t.cache_dir
 
-(* ------------------------------------------------------------------ *)
-(* Compilation *)
-
-let compile_source t ?tracer ?pool (src : string) :
-    (Llstar.Compiled.t * Llstar.Compiled_cache.outcome option, string) result
-    =
-  match t.cache_dir with
-  | Some dir -> (
-      match Llstar.Compiled_cache.of_source ?tracer ?pool ~dir src with
-      | Ok (c, outcome) -> Ok (c, Some outcome)
-      | Error e -> Error (Fmt.str "%a" Llstar.Compiled.pp_error e))
-  | None -> (
-      match Llstar.Compiled.of_source ?pool src with
-      | Ok c -> Ok (c, None)
-      | Error e -> Error (Fmt.str "%a" Llstar.Compiled.pp_error e))
-
 let insert t (e : entry) : unit =
   Mutex.lock t.lock;
   t.entries <- (e.name, e) :: List.remove_assoc e.name t.entries;
   Mutex.unlock t.lock
+
+(* ------------------------------------------------------------------ *)
+(* Loading *)
+
+(* Compile [src] through the one grammar loader and register it under
+   [name]; a compile error comes back as ["name: <error>"]. *)
+let load t ?tracer ?pool ~name ~lexer_config ~env ~generated (src : string)
+    : (entry, string) result =
+  match
+    Llstar.Compiled_cache.of_source ?tracer ?pool ?dir:t.cache_dir src
+  with
+  | Error e -> Error (Fmt.str "%s: %a" name Llstar.Compiled.pp_error e)
+  | Ok (c, outcome) ->
+      let e =
+        {
+          name;
+          c;
+          digest = Llstar.Compiled_cache.payload_digest c;
+          lexer_config;
+          env;
+          generated;
+          cache = Option.map (fun _ -> outcome) t.cache_dir;
+        }
+      in
+      insert t e;
+      Ok e
 
 (* Load a builtin bench grammar: its lexer configuration and semantic
    predicates come from the workload spec, and the generated parser (if
@@ -76,44 +87,17 @@ let load_builtin t ?tracer ?pool (name : string) : (entry, string) result =
       Error
         (Printf.sprintf "unknown builtin grammar %S (builtins: %s)" name
            (String.concat ", " builtin_names))
-  | Some spec -> (
-      match compile_source t ?tracer ?pool spec.grammar_text with
-      | Error e -> Error (Printf.sprintf "%s: %s" name e)
-      | Ok (c, cache) ->
-          let e =
-            {
-              name;
-              c;
-              digest = Llstar.Compiled_cache.payload_digest c;
-              lexer_config = spec.lexer_config;
-              env = Bench_grammars.Workload.env_of_spec spec;
-              generated = Gen.Registry.find name;
-              cache;
-            }
-          in
-          insert t e;
-          Ok e)
+  | Some spec ->
+      load t ?tracer ?pool ~name ~lexer_config:spec.lexer_config
+        ~env:(Bench_grammars.Workload.env_of_spec spec)
+        ~generated:(Gen.Registry.find name) spec.grammar_text
 
 (* Load ad-hoc grammar text under [name]: default lexer configuration,
    empty predicate environment, interpreter backend only. *)
 let load_source t ?tracer ?pool ~(name : string) (src : string) :
     (entry, string) result =
-  match compile_source t ?tracer ?pool src with
-  | Error e -> Error (Printf.sprintf "%s: %s" name e)
-  | Ok (c, cache) ->
-      let e =
-        {
-          name;
-          c;
-          digest = Llstar.Compiled_cache.payload_digest c;
-          lexer_config = Runtime.Lexer_engine.default_config;
-          env = Runtime.Interp.default_env;
-          generated = None;
-          cache;
-        }
-      in
-      insert t e;
-      Ok e
+  load t ?tracer ?pool ~name ~lexer_config:Runtime.Lexer_engine.default_config
+    ~env:Runtime.Interp.default_env ~generated:None src
 
 let load_builtins t ?tracer ?pool ?(names = builtin_names) () :
     (entry list, string) result =

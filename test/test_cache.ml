@@ -24,8 +24,10 @@ let with_dir (f : string -> 'a) : 'a =
   in
   Fun.protect ~finally:cleanup (fun () -> f dir)
 
-let compile_cached ~dir src =
-  match Llstar.Compiled_cache.of_source ~dir src with
+let compile_cached ?analysis_opts ?minimize ?pool ~dir src =
+  match
+    Llstar.Compiled_cache.of_source ?analysis_opts ?minimize ?pool ~dir src
+  with
   | Ok r -> r
   | Error e -> Alcotest.failf "cache compile failed: %a" Llstar.Compiled.pp_error e
 
@@ -55,9 +57,10 @@ let fresh_and_cached (spec : Workload.spec) =
             (match Llstar.Compiled_cache.save ~dir c with
             | Ok _ -> ()
             | Error e -> Alcotest.failf "save failed: %s" e);
-            match Llstar.Compiled_cache.load ~dir c.Llstar.Compiled.surface with
-            | Some c' -> c'
-            | None -> Alcotest.fail "the saved blob did not load")
+            match compile_cached ~dir spec.Workload.grammar_text with
+            | c', Llstar.Compiled_cache.Hit -> c'
+            | _, Llstar.Compiled_cache.Miss ->
+                Alcotest.fail "the saved blob did not load")
       in
       Hashtbl.add bench_pairs spec.Workload.name (cw, cached);
       (cw, cached)
@@ -136,15 +139,7 @@ let suite =
                 Llstar.Analysis.k_cap = Some 1;
               }
             in
-            let compile_k1 dir =
-              match
-                Llstar.Compiled_cache.compile ~analysis_opts:opts ~dir surface
-              with
-              | Ok r -> r
-              | Error e ->
-                  Alcotest.failf "cache compile failed: %a"
-                    Llstar.Compiled.pp_error e
-            in
+            let compile_k1 dir = compile_cached ~analysis_opts:opts ~dir src in
             with_dir (fun dir ->
                 let _ = compile_cached ~dir src in
                 let c1, o1 = compile_k1 dir in
@@ -162,6 +157,50 @@ let suite =
                   (parses c1 "A B D");
                 check bool "default blob accepts A B D" true
                   (parses c3 "A B D")));
+        test "a minimized load has its own key and hits on its second call"
+          (fun () ->
+            let src = Bench_grammars.Mini_java.spec.Workload.grammar_text in
+            let sizes (c : Llstar.Compiled.t) =
+              Array.map
+                (fun (r : Llstar.Analysis.result) ->
+                  r.Llstar.Analysis.dfa.Llstar.Look_dfa.nstates)
+                c.Llstar.Compiled.results
+            in
+            let fresh =
+              let surface = Grammar.Meta_parser.parse src in
+              Llstar.Compiled.compile_exn
+                ~analysis_opts:
+                  {
+                    (Llstar.Analysis.options_of_grammar surface) with
+                    Llstar.Analysis.minimize = true;
+                  }
+                surface
+            in
+            with_dir (fun dir ->
+                let plain, _ = compile_cached ~dir src in
+                let m1, o1 = compile_cached ~minimize:true ~dir src in
+                check bool "first minimized load misses" true
+                  (o1 = Llstar.Compiled_cache.Miss);
+                let m2, o2 = compile_cached ~minimize:true ~dir src in
+                check bool "second minimized load hits" true
+                  (o2 = Llstar.Compiled_cache.Hit);
+                check bool "loaded from the cache" true
+                  (Llstar.Compiled.from_cache m2);
+                check (Alcotest.array int) "miss: fresh minimized sizes"
+                  (sizes fresh) (sizes m1);
+                check (Alcotest.array int) "hit: fresh minimized sizes"
+                  (sizes fresh) (sizes m2);
+                check bool "minimization shrank some DFA" true
+                  (sizes plain <> sizes m2);
+                check bool "own key" true
+                  (Llstar.Compiled_cache.key_of plain
+                  <> Llstar.Compiled_cache.key_of m2);
+                let blobs =
+                  Array.to_list (Sys.readdir dir)
+                  |> List.filter (fun f ->
+                         Filename.check_suffix f ".antlrkit-cache")
+                in
+                check int "one blob each" 2 (List.length blobs)));
         test "re-saving a hit keeps one loadable blob" (fun () ->
             with_dir (fun dir ->
                 let c1, _ = compile_cached ~dir src in
@@ -412,7 +451,6 @@ let suite =
             with_dir (fun dir ->
                 Unix.mkdir dir 0o700;
                 let c = compile src in
-                let surface = c.Llstar.Compiled.surface in
                 let want = Llstar.Compiled_cache.payload_digest c in
                 Exec.Pool.with_pool ~jobs:4 (fun p ->
                     let writer () =
@@ -423,15 +461,15 @@ let suite =
                       done;
                       0
                     in
+                    (* a reader that misses compiles and saves: one more
+                       writer *)
                     let reader () =
                       let seen = ref 0 in
                       for _ = 1 to 20 do
-                        match Llstar.Compiled_cache.load ~dir surface with
-                        | None -> () (* not yet written: fine *)
-                        | Some c' ->
-                            incr seen;
-                            if Llstar.Compiled_cache.payload_digest c' <> want
-                            then Alcotest.fail "torn or foreign blob observed"
+                        let c', o = compile_cached ~dir src in
+                        if o = Llstar.Compiled_cache.Hit then incr seen;
+                        if Llstar.Compiled_cache.payload_digest c' <> want then
+                          Alcotest.fail "torn or foreign blob observed"
                       done;
                       !seen
                     in
@@ -445,9 +483,10 @@ let suite =
                     in
                     ignore (List.map Exec.Pool.await tasks));
                 (* after the dust settles: exactly one valid blob, no temps *)
-                match Llstar.Compiled_cache.load ~dir surface with
-                | None -> Alcotest.fail "no blob survived the race"
-                | Some c' ->
+                match compile_cached ~dir src with
+                | _, Llstar.Compiled_cache.Miss ->
+                    Alcotest.fail "no blob survived the race"
+                | c', Llstar.Compiled_cache.Hit ->
                     check string "converged on a digest-valid entry" want
                       (Llstar.Compiled_cache.payload_digest c');
                     let temps =

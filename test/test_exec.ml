@@ -226,9 +226,9 @@ let determinism_tests =
         let seq = digest_of src in
         Test_cache.with_dir (fun dir ->
             Exec.Pool.with_pool ~jobs:4 (fun pool ->
-                let _, o = Llstar.Compiled_cache.of_source_exn ~pool ~dir src in
+                let _, o = Test_cache.compile_cached ~pool ~dir src in
                 check bool "miss" true (o = Llstar.Compiled_cache.Miss));
-            let c, o = Llstar.Compiled_cache.of_source_exn ~dir src in
+            let c, o = Test_cache.compile_cached ~dir src in
             check bool "hit" true (o = Llstar.Compiled_cache.Hit);
             check string "loaded digest = sequential" seq
               (Llstar.Compiled_cache.payload_digest c)));
@@ -309,8 +309,8 @@ let batch_tests =
       (fun () ->
         let seq, _ = run_batch ~jobs:1 () in
         Test_cache.with_dir (fun dir ->
-            ignore (Llstar.Compiled_cache.of_source_exn ~dir expr_src);
-            let c, o = Llstar.Compiled_cache.of_source_exn ~dir expr_src in
+            ignore (Test_cache.compile_cached ~dir expr_src);
+            let c, o = Test_cache.compile_cached ~dir expr_src in
             check bool "hit" true (o = Llstar.Compiled_cache.Hit);
             let inputs =
               List.map

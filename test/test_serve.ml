@@ -924,9 +924,53 @@ let server_tests =
         check bool "server thread joined" true !drained);
   ]
 
+(* --- the registry over the one grammar loader ---------------------------- *)
+
+let registry_load_tests =
+  [
+    test "load answers the loader's cache outcome and its errors" (fun () ->
+        Test_cache.with_dir (fun dir ->
+            Exec.Pool.with_pool ~jobs:1 (fun pool ->
+                let load ?cache_dir fields =
+                  let registry = Serve.Registry.create ?cache_dir () in
+                  let h = Serve.Handler.create ~registry ~pool () in
+                  handle_ok h (req (("op", Json.str "load") :: fields))
+                in
+                let builtin ?cache_dir () =
+                  let r = load ?cache_dir [ ("grammar", Json.str "MiniSQL") ] in
+                  check bool "load ok" true (get_ok r);
+                  let g = get "grammar" r in
+                  (get "cache" g, get "digest" g)
+                in
+                let cold, digest = builtin ~cache_dir:dir () in
+                check string "cold" "\"miss\"" (Json.to_string cold);
+                let warm, warm_digest = builtin ~cache_dir:dir () in
+                check string "a fresh registry over the directory hits"
+                  "\"hit\"" (Json.to_string warm);
+                check string "same digest" (Json.to_string digest)
+                  (Json.to_string warm_digest);
+                let none, none_digest = builtin () in
+                check string "no directory" "null" (Json.to_string none);
+                check string "same digest without a cache"
+                  (Json.to_string digest)
+                  (Json.to_string none_digest);
+                let bad_src = "grammar broken; s : ( ;" in
+                let bad =
+                  load ~cache_dir:dir
+                    [
+                      ("grammar", Json.str "broken"); ("text", Json.str bad_src);
+                    ]
+                in
+                check string "code" "compile_error" (error_code bad);
+                check string "message"
+                  (Json.to_string (Json.str ("broken: " ^ compile_err bad_src)))
+                  (Json.to_string (get "message" (get "error" bad))))));
+  ]
+
 let suite =
   [
     ("serve_protocol", protocol_tests);
+    ("serve_registry_load", registry_load_tests);
     ("serve_handler", handler_tests);
     ("serve_telemetry_ops", telemetry_op_tests);
     ("serve_slow_log", slow_log_tests);
