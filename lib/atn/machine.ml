@@ -69,7 +69,6 @@ type t = {
   augmented_start : int; (* state calling the start rule, followed by EOF *)
 }
 
-let num_rules t = Array.length t.rules
 let rule_name t r = t.rules.(r).r_name
 let rule_by_name t name =
   let found = ref None in
@@ -101,13 +100,6 @@ let pp_edge sym ppf = function
       Fmt.pf ppf "<%s[%d]>" (Sym.nonterm_name sym rule) p
   | Pred p -> pp_pred sym ppf p
   | Act { id; always } -> Fmt.pf ppf "{act%d%s}" id (if always then "!!" else "")
-
-let decision_kind_str = function
-  | Rule_decision -> "rule"
-  | Block_decision -> "block"
-  | Opt_decision -> "opt"
-  | Star_loop -> "star-loop"
-  | Plus_loop -> "plus-loop"
 
 let pp ppf t =
   Fmt.pf ppf "ATN: %d states, %d rules, %d decisions@." t.nstates

@@ -100,7 +100,3 @@ let recognize_tokens ?start (t : t) (sym : Grammar.Sym.t)
   in
   recognize ?start t names
 
-let pp_conflict ppf c =
-  Fmt.pf ppf "LL(1) conflict at (%s, %s): productions %a" c.nonterm c.term
-    Fmt.(list ~sep:(any ", ") int)
-    c.prods

@@ -9,9 +9,11 @@
    formulation costs a closure block per rule invocation, which is
    exactly the interpretive overhead this backend exists to remove.
    Lookahead decisions become nested match/if chains over token ids
-   ([Inline] plan) or an embedded frozen DFA walked by
-   {!Runtime.Generated.predict_table} ([Table] plan); syntactic
-   predicates become boolean speculation functions over stream marks.
+   ([Inline] plan) or an embedded frozen DFA predicted by
+   {!Runtime.Interp.predict} ([Table] plan); syntactic predicates run
+   through {!Runtime.Interp.speculate}, which calls back into the one
+   emitted [synpred] dispatcher.  Speculation, memoization and errors are
+   {!Runtime.Interp}'s code, reached without building a closure.
 
    Emission is deterministic: the output depends only on the IR (no
    timestamps, no hash iteration order), which the CI hygiene check
@@ -56,11 +58,12 @@ let rule_decisions (r : Ir.rule_ir) : int list =
              None)
   |> List.sort_uniq compare
 
-(* Stuck-guard strategy for a rule's decisions.  The interpreter tracks
-   "decisions already fired at this input position" as an int list; rules
-   with at most 62 distinct decisions get a bitmask instead (one bit per
-   decision, pure int arithmetic, no allocation).  The observable
-   behavior -- when the exit alternative is forced -- is identical. *)
+(* Stuck-guard strategy for a rule's decisions: the set of decisions
+   already fired at this input position.  Rules with at most 62 distinct
+   decisions keep it as a bitmask (one bit per decision, pure int
+   arithmetic, no allocation), larger ones as an int list
+   ({!Runtime.Generated.stuck}).  The observable behavior -- when the exit
+   alternative is forced -- is the interpreter's. *)
 type guard_mode =
   | No_decide
   | Mask of (int * int) list (* decision id -> bit *)
@@ -74,21 +77,14 @@ let guard_mode (r : Ir.rule_ir) : guard_mode =
         Mask (List.mapi (fun i d -> (d, 1 lsl i)) ds)
       else List_guard
 
-let dfa_has_synpred (dfa : Llstar.Look_dfa.t) : bool =
-  Array.exists
-    (fun row ->
-      Array.exists
-        (fun (e : Llstar.Look_dfa.pred_edge) ->
-          match e.Llstar.Look_dfa.pred with
-          | Some (Atn.Syn _) -> true
-          | Some (Atn.Sem _) | Some (Atn.Prec _) | None -> false)
-        row)
-    dfa.Llstar.Look_dfa.preds
+let is_synpred_edge (e : Llstar.Look_dfa.pred_edge) : bool =
+  match e.Llstar.Look_dfa.pred with
+  | Some (Atn.Syn _) -> true
+  | Some (Atn.Sem _) | Some (Atn.Prec _) | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Inline decision compilation: one top-level function per DFA state,
-   each taking the current lookahead depth [k].  Decisions whose DFA has
-   no syntactic predicates skip the backtrack-tracking refs entirely. *)
+   each taking the current lookahead depth [k]. *)
 
 (* Group terminal edges by target, preserving first-occurrence order, so
    tokens leading to the same DFA state share one match arm. *)
@@ -122,10 +118,7 @@ let pred_edge_condition (e : Llstar.Look_dfa.pred_edge) : string option =
     | None -> None
     | Some (Atn.Sem code) -> Some (spf "Rt.sem st %S" code)
     | Some (Atn.Prec n) -> Some (spf "prec <= %d" n)
-    | Some (Atn.Syn r) ->
-        Some
-          (spf "Rt.syn_pred st ~bt ~reach ~depth:k (fun () -> %s st ~prec:0)"
-             (rule_fn r))
+    | Some (Atn.Syn r) -> Some (spf "Rt.synpred_edge st ~depth:k synpred st %d" r)
   in
   match (guard, pred) with
   | None, None -> None
@@ -136,38 +129,29 @@ let pred_edge_condition (e : Llstar.Look_dfa.pred_edge) : string option =
 let emit_inline_decision t (ir : Ir.t) (d : Ir.decision_ir) =
   let dfa = d.Ir.de_dfa in
   let id = d.Ir.de_id in
-  let has_syn = dfa_has_synpred dfa in
   (* context threaded through every DFA-state function *)
-  let params =
-    if has_syn then
-      "(st : Rt.st) ~(prec : int) (ts : Ts.t) (bt : bool ref) (reach : int \
-       ref)"
-    else "(st : Rt.st) ~(prec : int) (ts : Ts.t)"
-  in
-  let args = if has_syn then "st ~prec ts bt reach" else "st ~prec ts" in
-  let backtracked = if has_syn then "!bt" else "false" in
-  let spec_depth = if has_syn then "!reach" else "0" in
+  let params = "(st : Rt.st) ~(prec : int) (ts : Ts.t)" in
+  let args = "st ~prec ts" in
   line t ~indent:0 "(* decision d%d in rule %s: %d DFA state%s%s *)" id
     (Grammar.Sym.nonterm_name ir.Ir.sym d.Ir.de_rule)
     dfa.Llstar.Look_dfa.nstates
     (if dfa.Llstar.Look_dfa.nstates = 1 then "" else "s")
     (if dfa.Llstar.Look_dfa.cyclic then ", cyclic" else "");
   line t ~indent:0 "and %s (st : Rt.st) ~(prec : int) : int =" (decide_fn id);
-  if has_syn then
-    line t ~indent:1 "%s st ~prec st.Rt.ts (ref false) (ref 0) 0"
-      (dfa_state_fn ~decision:id dfa.Llstar.Look_dfa.start)
-  else
-    line t ~indent:1 "%s st ~prec st.Rt.ts 0"
-      (dfa_state_fn ~decision:id dfa.Llstar.Look_dfa.start);
-  let accept_body ~indent alt =
-    line t ~indent
-      "record st ~decision:%d ~depth:k ~backtracked:%s ~spec_depth:%s;" id
-      backtracked spec_depth;
+  line t ~indent:1 "%s st ~prec st.Rt.ts 0"
+    (dfa_state_fn ~decision:id dfa.Llstar.Look_dfa.start);
+  (* a chain with synpred edges folds their reach into [st.pred_reach] *)
+  let accept_body ?(spec = false) ~indent alt =
+    line t ~indent "record st ~decision:%d ~depth:k ~reach:%s;" id
+      (if spec then "st.Rt.pred_reach" else "(-1)");
     line t ~indent "%d" alt
   in
   (* predicate chain / prediction failure for state [q] at depth [k] *)
   let emit_fallthrough ~indent q =
     let preds = dfa.Llstar.Look_dfa.preds.(q) in
+    let spec = Array.exists is_synpred_edge preds in
+    let accept_body = accept_body ~spec in
+    if spec then line t ~indent "st.Rt.pred_reach <- -1;";
     let fail () =
       line t ~indent "Rt.no_viable st ~decision:%d ~depth:k ~rule:%d" id
         d.Ir.de_rule
@@ -323,43 +307,24 @@ let emit_dfa_table t (d : Ir.decision_ir) =
   line t ~indent:1 "}";
   blank t
 
-(* Synpred rule ids referenced by a DFA's predicate edges, ascending. *)
-let table_synpreds (dfa : Llstar.Look_dfa.t) : int list =
-  let acc = ref [] in
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun (e : Llstar.Look_dfa.pred_edge) ->
-          match e.Llstar.Look_dfa.pred with
-          | Some (Atn.Syn r) -> if not (List.mem r !acc) then acc := r :: !acc
-          | Some (Atn.Sem _) -> ()
-          | Some (Atn.Prec _) -> ()
-          | None -> ())
-        row)
-    dfa.Llstar.Look_dfa.preds;
-  List.sort compare !acc
-
 let emit_table_decision t (d : Ir.decision_ir) =
   let id = d.Ir.de_id in
   line t "(* decision d%d: table plan *)" id;
   line t "and %s (st : Rt.st) ~(prec : int) : int =" (decide_fn id);
-  match table_synpreds d.Ir.de_dfa with
-  | [] ->
-      line t ~indent:1
-        "Rt.predict_table st %s ~prec ~rule:%d ~synpred:(fun _ r -> \
-         Rt.unknown_synpred r)"
-        (dfa_val id) d.Ir.de_rule
-  | synpreds ->
-      line t ~indent:1 "Rt.predict_table st %s ~prec ~rule:%d" (dfa_val id)
-        d.Ir.de_rule;
-      line t ~indent:2 "~synpred:(fun st r ->";
-      List.iteri
-        (fun i r ->
-          line t ~indent:3 "%s r = %d then %s st ~prec:0"
-            (if i = 0 then "if" else "else if")
-            r (rule_fn r))
-        synpreds;
-      line t ~indent:3 "else Rt.unknown_synpred r)"
+  line t ~indent:1 "Rt.predict st %s ~prec ~rule:%d synpred st" (dfa_val id)
+    d.Ir.de_rule
+
+(* The one runner every speculation calls back into: synpred rule id ->
+   its emitted rule function.  Closed, so passing it allocates nothing. *)
+let emit_synpred_dispatch t (ir : Ir.t) =
+  line t "and synpred (st : Rt.st) (r : int) (_ : int) : unit =";
+  line t ~indent:1 "match r with";
+  Array.iter
+    (fun (r : Ir.rule_ir) ->
+      if r.Ir.ru_is_synpred then
+        line t ~indent:1 "| %d -> %s st ~prec:0" r.Ir.ru_id (rule_fn r.Ir.ru_id))
+    ir.Ir.rules;
+  line t ~indent:1 "| r -> G.unknown_synpred r"
 
 (* ------------------------------------------------------------------ *)
 (* Rule bodies: one top-level function per reachable ATN state, the
@@ -431,10 +396,9 @@ let emit_node t (r : Ir.rule_ir) (decision_by_id : Ir.decision_ir array)
       (* the decision that just selected this alternative subsumes its
          left-edge synpred: skip the gate when the prediction is fresh *)
       line t ~indent:1 "if fresh then %s %s ~fresh:false" (sfn target) args;
-      line t ~indent:1
-        "else if Rt.syn_gate st (fun () -> %s st ~prec:0) then %s %s \
+      line t ~indent:1 "else if Rt.speculate st synpred st %d then %s %s \
          ~fresh:false"
-        (rule_fn synrule) (sfn target) args;
+        synrule (sfn target) args;
       line t ~indent:1 "else Rt.failed_pred st ~text:%S ~rule:%d" text
         r.Ir.ru_id
   | Ir.Do_action { code; always; target } ->
@@ -470,7 +434,7 @@ let emit_node t (r : Ir.rule_ir) (decision_by_id : Ir.decision_ir array)
           line t ~indent:3 "%s st ~prec" (decide_fn decision);
           line t ~indent:2 "end"
       | List_guard ->
-          line t ~indent:2 "if Rt.stuck st last_pos seen ~d:%d then %s"
+          line t ~indent:2 "if G.stuck st last_pos seen ~d:%d then %s"
             decision stuck_expr;
           line t ~indent:2 "else %s st ~prec" (decide_fn decision));
       line t ~indent:1 "in";
@@ -479,7 +443,7 @@ let emit_node t (r : Ir.rule_ir) (decision_by_id : Ir.decision_ir array)
         (fun i tgt ->
           line t ~indent:1 " | %d -> %s %s ~fresh:true" (i + 1) (sfn tgt) args)
         targets;
-      line t ~indent:1 " | a -> Rt.bad_alt ~decision:%d a)" decision
+      line t ~indent:1 " | a -> G.bad_alt ~decision:%d a)" decision
 
 let emit_rule t (ir : Ir.t) (decision_by_id : Ir.decision_ir array)
     (r : Ir.rule_ir) ~first =
@@ -488,15 +452,15 @@ let emit_rule t (ir : Ir.t) (decision_by_id : Ir.decision_ir array)
     (if r.Ir.ru_is_synpred then " -- syntactic-predicate fragment" else "");
   let kw = if first then "let rec" else "and" in
   if ir.Ir.memoize then begin
-    (* memoization only applies while speculating; skip the thunk
-       allocation entirely on the committed (non-speculative) path *)
+    (* memoization only applies while speculating; the body has the
+       runner signature {!Runtime.Interp.memo_rule} calls back with *)
     line t "%s %s (st : Rt.st) ~(prec : int) : unit =" kw (rule_fn r.Ir.ru_id);
-    line t ~indent:1 "if st.Rt.speculating > 0 then";
-    line t ~indent:2 "Rt.memoized st ~rule:%d ~prec (fun () -> %s st ~prec)"
-      r.Ir.ru_id (body_fn r.Ir.ru_id);
-    line t ~indent:1 "else %s st ~prec" (body_fn r.Ir.ru_id);
+    line t ~indent:1 "if st.Rt.speculating > 0 then Rt.memo_rule st %s st %d prec"
+      (body_fn r.Ir.ru_id) r.Ir.ru_id;
+    line t ~indent:1 "else %s st %d prec" (body_fn r.Ir.ru_id) r.Ir.ru_id;
     blank t;
-    line t "and %s (st : Rt.st) ~(prec : int) : unit =" (body_fn r.Ir.ru_id)
+    line t "and %s (st : Rt.st) (_ : int) (prec : int) : unit ="
+      (body_fn r.Ir.ru_id)
   end
   else
     line t "%s %s (st : Rt.st) ~(prec : int) : unit =" kw (rule_fn r.Ir.ru_id);
@@ -538,7 +502,8 @@ let emit (ir : Ir.t) : string =
   blank t;
   line t "[@@@ocaml.warning \"-26-27-32-33-39\"]";
   blank t;
-  line t "module Rt = Runtime.Generated";
+  line t "module Rt = Runtime.Interp";
+  line t "module G = Runtime.Generated";
   line t "module Ts = Runtime.Token_stream";
   blank t;
   line t "(* Lookahead, inlined over the exposed stream representation: same";
@@ -554,12 +519,10 @@ let emit (ir : Ir.t) : string =
   line t ~indent:1 "end";
   line t ~indent:1 "else Ts.la_far ts k";
   blank t;
-  line t "let[@inline] record (st : Rt.st) ~decision ~depth ~backtracked";
-  line t ~indent:2 "~spec_depth : unit =";
+  line t "let[@inline] record (st : Rt.st) ~decision ~depth ~reach : unit =";
   line t ~indent:1 "match st.Rt.profile with";
   line t ~indent:1 "| None -> ()";
-  line t ~indent:1
-    "| Some _ -> Rt.record st ~decision ~depth ~backtracked ~spec_depth";
+  line t ~indent:1 "| Some _ -> Rt.record st ~decision ~depth ~reach";
   blank t;
   line t "let grammar_name = %S" ir.Ir.grammar_name;
   line t "let start_rule_name = %S" ir.Ir.rules.(ir.Ir.start_rule).Ir.ru_name;
@@ -592,14 +555,16 @@ let emit (ir : Ir.t) : string =
       | Ir.Table -> emit_table_decision t d);
       blank t)
     ir.Ir.decisions;
+  emit_synpred_dispatch t ir;
+  blank t;
   line t "let entry (st : Rt.st) : unit = %s st ~prec:0"
     (rule_fn ir.Ir.start_rule);
   blank t;
-  line t "let outcome_stream ?env ?profile (ts : Ts.t) : Rt.outcome =";
+  line t "let outcome_stream ?env ?profile (ts : Ts.t) : G.outcome =";
   line t ~indent:1
-    "Rt.run_recognizer ?env ?profile ~memoize ~start_rule entry ts";
+    "G.run_recognizer ?env ?profile ~memoize ~start_rule entry ts";
   blank t;
   line t
-    "let outcome ?env ?profile (toks : Runtime.Token.t array) : Rt.outcome =";
+    "let outcome ?env ?profile (toks : Runtime.Token.t array) : G.outcome =";
   line t ~indent:1 "outcome_stream ?env ?profile (Ts.of_array toks)";
   Buffer.contents t.b

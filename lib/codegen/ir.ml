@@ -10,7 +10,7 @@
 
    Decision nodes carry a plan: [Inline] compiles the lookahead DFA to
    nested match/if chains over token ids; [Table] embeds the frozen DFA
-   and walks it generically ({!Runtime.Generated.predict_table}).  Both
+   and predicts with it generically ({!Runtime.Interp.predict}).  Both
    plans keep the DFA value around -- the emitter needs the states and
    edges either way.
 

@@ -192,8 +192,3 @@ let lower ?(inline_threshold = default_inline_threshold) ?lexer ?grammar_text
           lexer_hint = lexer;
           grammar_text;
         }
-
-let lower_exn ?inline_threshold ?lexer ?grammar_text c =
-  match lower ?inline_threshold ?lexer ?grammar_text c with
-  | Ok ir -> ir
-  | Error msg -> failwith msg

@@ -96,9 +96,6 @@ let row_target (entry : int) : int = if entry < -1 then -2 - entry else entry
 let accept_of t state = if t.accept.(state) = 0 then None else Some t.accept.(state)
 let pred_edges_of t state = t.preds.(state)
 
-let num_edges t =
-  Array.fold_left (fun acc row -> acc + Array.length row) 0 t.edges
-
 (* Longest terminal-edge path from [start] to any accepting or predicated
    state; [None] when the reachable graph is cyclic. *)
 let compute_max_k (t : t) : int option =

@@ -56,8 +56,6 @@ type t = {
   start : string; (* defaults to the first rule *)
 }
 
-let epsilon_alt = { elems = [] }
-
 let make ?(options = default_options) ?start gname rules =
   let start =
     match (start, rules) with
@@ -93,22 +91,6 @@ let terminals g =
   iter_elements
     (function
       | Term name ->
-          if not (Hashtbl.mem acc name) then begin
-            Hashtbl.add acc name ();
-            order := name :: !order
-          end
-      | _ -> ())
-    g;
-  List.rev !order
-
-(* All rule names referenced anywhere in the grammar (not necessarily
-   defined). *)
-let referenced_rules g =
-  let acc = Hashtbl.create 32 in
-  let order = ref [] in
-  iter_elements
-    (function
-      | Nonterm { name; _ } ->
           if not (Hashtbl.mem acc name) then begin
             Hashtbl.add acc name ();
             order := name :: !order

@@ -7,7 +7,6 @@ open Ast
 let t name : element = Term name
 let lit text : element = Term ("'" ^ text ^ "'")
 let nt name : element = Nonterm { name; arg = None }
-let nt_arg name arg : element = Nonterm { name; arg = Some arg }
 let alt elems : alt = { elems }
 let alts (xs : element list list) : alt list = List.map alt xs
 let block xs : element = Block { alts = alts xs; suffix = One }
@@ -15,10 +14,8 @@ let opt xs : element = Block { alts = alts xs; suffix = Opt }
 let star xs : element = Block { alts = alts xs; suffix = Star }
 let plus xs : element = Block { alts = alts xs; suffix = Plus }
 let sem_pred code : element = Sem_pred code
-let prec_pred n : element = Prec_pred n
 let syn_pred xs : element = Syn_pred (alts xs)
 let action code : element = Action { code; always = false }
-let always_action code : element = Action { code; always = true }
 let wild : element = Wild
 
 let rule ?(line = 0) name (productions : element list list) : rule =

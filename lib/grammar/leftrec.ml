@@ -140,6 +140,3 @@ let rewrite (g : t) : t =
       g.rules
   in
   { g with rules }
-
-let has_left_recursive_rules (g : t) =
-  List.exists is_left_recursive_rule g.rules

@@ -32,5 +32,3 @@ val rewrite_rule : Ast.rule -> Ast.rule
 
 val rewrite : Ast.t -> Ast.t
 (** Rewrite every immediately left-recursive rule; other rules unchanged. *)
-
-val has_left_recursive_rules : Ast.t -> bool

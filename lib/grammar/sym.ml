@@ -113,7 +113,6 @@ let intern_nonterm t name =
       id
 
 let find_term t name = Hashtbl.find_opt t.term_ids name
-let find_nonterm t name = Hashtbl.find_opt t.nterm_ids name
 
 let term_name t id =
   if id >= 0 && id < t.terms then t.term_names.(id)
@@ -132,6 +131,3 @@ let is_literal t id = Hashtbl.mem t.literal_text id
 let literals t =
   Hashtbl.fold (fun id text acc -> (text, id) :: acc) t.literal_text []
   |> List.sort compare
-
-let pp_term t ppf id = Fmt.string ppf (term_name t id)
-let pp_nonterm t ppf id = Fmt.string ppf (nonterm_name t id)

@@ -35,7 +35,6 @@ val freeze : t -> unit
 val is_frozen : t -> bool
 
 val find_term : t -> string -> int option
-val find_nonterm : t -> string -> int option
 val term_name : t -> int -> string
 val nonterm_name : t -> int -> string
 val num_terms : t -> int
@@ -54,6 +53,3 @@ val is_literal : t -> int -> bool
 
 val literals : t -> (string * int) list
 (** All literal terminals as [(raw text, id)], sorted. *)
-
-val pp_term : t -> Format.formatter -> int -> unit
-val pp_nonterm : t -> Format.formatter -> int -> unit

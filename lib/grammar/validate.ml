@@ -39,8 +39,6 @@ let pp_issue ppf = function
         rule alt2 alt1
   | Empty_grammar -> Fmt.pf ppf "grammar has no rules"
 
-let issue_to_string i = Fmt.str "%a" pp_issue i
-
 (* ------------------------------------------------------------------ *)
 (* Nullability: can a construct derive the empty string?  Predicates,
    actions and syntactic predicates consume no input. *)

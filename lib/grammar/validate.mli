@@ -16,7 +16,6 @@ type issue =
 
 val is_error : issue -> bool
 val pp_issue : Format.formatter -> issue -> unit
-val issue_to_string : issue -> string
 
 val check : Ast.t -> issue list
 (** All issues, errors first in source order. *)

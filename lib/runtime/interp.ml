@@ -13,7 +13,9 @@
    always-executed [{{...}}] kind), the stream is rewound afterwards, and --
    per section 6.2 -- rule invocations are memoized *only while speculating*,
    which keeps the memoization cache far smaller than a packrat parser's
-   while still bounding backtracking to linear time. *)
+   while still bounding backtracking to linear time.  Generated parsers
+   run the same speculation, memoization, predicate-edge and error code
+   (the [st] record below); only the rule walk is theirs. *)
 
 type env = {
   sem_pred : string -> Token.t -> bool;
@@ -55,7 +57,8 @@ let env_of_tables ?(preds = []) ?(actions = []) () =
   }
 
 exception Spec_fail
-(* Internal: a speculative parse failed to match.  Never escapes. *)
+(* Internal: a speculative parse failed to match.  Never escapes
+   {!speculate}. *)
 
 (* Where a lookahead-DFA walk stopped ({!walk_dfa}).  Each parser owns one
    and reuses it for every prediction, so a walk allocates nothing. *)
@@ -72,7 +75,8 @@ let trace_edge tracer (dfa : Llstar.Look_dfa.t) state term target =
        { decision = dfa.Llstar.Look_dfa.decision; state; term; target })
 
 (* The terminal-edge walk of prediction (Figure 5), the one DFA walk of
-   every backend: {!predict} here and {!Generated.predict_table}.  From
+   every backend: {!predict} runs it for the interpreter and for
+   generated parsers' table-plan decisions.  From
    the start state, follow the edge for each next token until an accept
    state or a state with no edge for the next token.  The first edge comes
    from the start state's dense row ({!Llstar.Look_dfa.with_start_row}),
@@ -125,17 +129,275 @@ let walk_dfa ~(tracer : Obs.Trace.t) (ts : Token_stream.t)
     end
   end
 
-type t = {
-  c : Llstar.Compiled.t;
-  env : env;
+(* ------------------------------------------------------------------ *)
+(* The speculation runtime, shared by both backends: this interpreter and
+   every generated parser ({!Generated}, whose state is this record) run
+   the code below, so errors, speculation, memoization and predicate
+   edges behave the same by construction.
+
+   The hot path -- prediction and rule invocation -- allocates no closure,
+   option or tuple per prediction or per rule invocation: loops instead of
+   local recursive functions, results through the state's scratch fields,
+   and tree nodes only when a tree is built.  A tuple or closure here
+   costs more than the DFA walk it serves (most decisions stop after one
+   token). *)
+
+type st = {
   ts : Token_stream.t;
+  env : env;
   profile : Profile.t option;
-  tracer : Obs.Trace.t;
+  tracer : Obs.Trace.t; (* {!Obs.Trace.null} in a generated parser *)
+  rule_name : int -> string; (* for trace events *)
   memoize : bool;
   mutable memo : Memo.t option;
     (* made on the first speculative rule invocation ({!Memo.attach}), so
        a parse that never speculates pays nothing for memoization *)
   mutable speculating : int;
+  (* Results handed back without allocating a tuple; each is read right
+     after the call that sets it, before anything can overwrite it *)
+  walk : walk; (* where the latest [walk_dfa] stopped *)
+  mutable synpred_reach : int; (* tokens the latest [speculate] saw *)
+  mutable pred_reach : int;
+    (* furthest speculation of the current predicate-edge chain, -1 if it
+       ran no syntactic predicate *)
+}
+
+(* The memo table is keyed by (rule, precedence, position) only -- NOT by
+   token content -- so a state belongs to one input: every parse gets a
+   fresh one. *)
+let new_st ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
+    ?(rule_name = string_of_int) ~memoize (ts : Token_stream.t) : st =
+  {
+    ts;
+    env;
+    profile;
+    tracer;
+    rule_name;
+    memoize;
+    memo = None;
+    speculating = 0;
+    walk = new_walk ();
+    synpred_reach = 0;
+    pred_reach = -1;
+  }
+
+(* Runs rule [rule] at precedence [prec] as a recognizer over a backend's
+   context ['a]: the interpreter passes itself, a generated parser its
+   state.  Runners are closed functions, so handing one over allocates
+   nothing. *)
+type 'a runner = 'a -> int -> int -> unit
+
+(* Structured tracing: every emission is guarded by [tr_on] at the call site
+   so the disabled path costs one flag read and never allocates an event. *)
+let[@inline] tr_on s = Obs.Trace.on s.tracer
+let[@inline] emit s ev = Obs.Trace.emit s.tracer ev
+
+(* Errors.  While speculating, every failure is a [Spec_fail]. *)
+let error s kind rule : 'a =
+  let e = Parse_error.{ kind; token = Token_stream.lt s.ts 1; rule } in
+  if s.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
+
+let mismatched s ~expected ~rule : 'a =
+  error s (Parse_error.Mismatched_token { expected }) rule
+
+let failed_pred s ~text ~rule : 'a =
+  error s (Parse_error.Failed_predicate { text }) rule
+
+(* A loop decision made no progress and has no exit alternative. *)
+let stuck_fail s ~decision ~rule : 'a =
+  error s (Parse_error.No_viable_alt { decision; depth = 1 }) rule
+
+(* A non-stop state with no outgoing transition: internal error. *)
+let dead s ~rule : 'a =
+  error s (Parse_error.No_viable_alt { decision = -1; depth = 1 }) rule
+
+(* Prediction failure: report at the token that killed the DFA, [depth]
+   (the 0-based walk depth) plus one tokens ahead (section 4.4). *)
+let no_viable s ~decision ~depth ~rule : 'a =
+  let tok = Token_stream.lt s.ts (depth + 1) in
+  let e =
+    Parse_error.
+      { kind = No_viable_alt { decision; depth = depth + 1 }; token = tok; rule }
+  in
+  if s.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
+
+(* Semantic predicate: sees LT(1), the next input token. *)
+let[@inline] sem s code = s.env.sem_pred code (Token_stream.lt s.ts 1)
+
+(* Embedded action: runs outside speculation (or always, for the
+   always-executed kind); sees the most recently consumed token. *)
+let[@inline] action s code always =
+  if s.speculating = 0 || always then s.env.action code (Token_stream.prev s.ts)
+
+(* Profile a prediction whose DFA walk took [depth] tokens; [reach] is
+   the furthest speculation of its predicate edges, -1 if none ran. *)
+let[@inline] record s ~decision ~depth ~reach =
+  match s.profile with
+  | Some p when s.speculating = 0 ->
+      Profile.record p ~decision ~depth ~backtracked:(reach >= 0)
+        ~spec_depth:(if reach > 0 then reach else 0)
+  | _ -> ()
+
+(* The end-of-input check once the start rule has returned. *)
+let extraneous s ~rule : Parse_error.t option =
+  if Token_stream.la s.ts 1 = Grammar.Sym.eof then None
+  else
+    Some
+      Parse_error.
+        { kind = Extraneous_input; token = Token_stream.lt s.ts 1; rule }
+
+(* Speculation: run the synpred fragment [rule] as a recognizer from the
+   current position, then rewind.  Returns success; [s.synpred_reach] is
+   the number of tokens of lookahead the speculation consumed.  The
+   high-water mark survives the rewind, so profiled lookahead depths
+   include speculative reach. *)
+let speculate s (run : 'a runner) (ctx : 'a) (rule : int) : bool =
+  let start = Token_stream.mark s.ts in
+  if tr_on s then
+    emit s (Obs.Trace.Synpred_enter { rule = s.rule_name rule; pos = start });
+  let saved_hw = Token_stream.high_water s.ts in
+  (* [start - 1]: the speculation has examined nothing yet, so an empty
+     synpred fragment reports a reach of 0, not 1 *)
+  Token_stream.set_high_water s.ts (start - 1);
+  s.speculating <- s.speculating + 1;
+  let ok = match run ctx rule 0 with () -> true | exception Spec_fail -> false in
+  s.speculating <- s.speculating - 1;
+  let reach = max 0 (Token_stream.high_water s.ts - start + 1) in
+  Token_stream.seek s.ts start;
+  Token_stream.release s.ts start;
+  Token_stream.set_high_water s.ts (max saved_hw (Token_stream.high_water s.ts));
+  if tr_on s then
+    emit s
+      (Obs.Trace.Synpred_exit
+         { rule = s.rule_name rule; ok; reach; pos = start });
+  s.synpred_reach <- reach;
+  ok
+
+(* A syntactic-predicate edge of a decision whose DFA walk stopped
+   [depth] tokens in: speculate and fold the reach into [s.pred_reach],
+   which the caller reset to -1 before the first edge. *)
+let synpred_edge s ~depth (run : 'a runner) (ctx : 'a) (rule : int) : bool =
+  let before = s.pred_reach in
+  let ok = speculate s run ctx rule in
+  let reach = depth + s.synpred_reach in
+  s.pred_reach <- (if reach > before then reach else before);
+  ok
+
+(* Memoization, only while speculating (section 6.2): callers test
+   [s.speculating > 0] first.  [run] is the rule body without this
+   wrapper. *)
+let memo_rule s (run : 'a runner) (ctx : 'a) (rule : int) (prec : int) : unit
+    =
+  let memo =
+    match s.memo with
+    | Some m -> m
+    | None ->
+        let m = Memo.attach s.ts in
+        s.memo <- Some m;
+        m
+  in
+  let pos = Token_stream.index s.ts in
+  let key = Memo.key ~rule ~prec ~pos in
+  let stop = Memo.find memo key in
+  if stop <> Memo.absent then begin
+    if tr_on s then
+      emit s (Obs.Trace.Memo_hit { rule = s.rule_name rule; pos });
+    if stop = Memo.failed then raise Spec_fail;
+    (* Valid because speculation builds no tree and runs no actions. *)
+    Token_stream.seek s.ts stop
+  end
+  else begin
+    if tr_on s then
+      emit s (Obs.Trace.Memo_miss { rule = s.rule_name rule; pos });
+    match run ctx rule prec with
+    | () -> Memo.add memo key (Token_stream.index s.ts)
+    | exception Spec_fail ->
+        Memo.add memo key Memo.failed;
+        raise Spec_fail
+  end
+
+(* Ordered predicate edges of the DFA state [state] where the walk
+   stopped.  An edge applies when its lookahead guard (if any) admits the
+   next token and its predicate (if any) holds; an edge with neither is
+   the gated default.  [run] runs synpred fragments. *)
+let try_preds s (dfa : Llstar.Look_dfa.t) state ~depth ~prec ~rule
+    (run : 'a runner) (ctx : 'a) : int =
+  let decision = dfa.Llstar.Look_dfa.decision in
+  let preds = dfa.Llstar.Look_dfa.preds.(state) in
+  let chosen = ref 0 and i = ref 0 in
+  s.pred_reach <- -1;
+  while !chosen = 0 && !i < Array.length preds do
+    let e = preds.(!i) in
+    let guard_ok =
+      match e.Llstar.Look_dfa.guard with
+      | [] -> true
+      | g -> List.mem (Token_stream.la s.ts (depth + 1)) g
+    in
+    (if guard_ok then
+       match e.Llstar.Look_dfa.pred with
+       | None -> chosen := e.Llstar.Look_dfa.alt
+       | Some (Atn.Sem code) -> if sem s code then chosen := e.Llstar.Look_dfa.alt
+       | Some (Atn.Prec n) -> if prec <= n then chosen := e.Llstar.Look_dfa.alt
+       | Some (Atn.Syn synrule) ->
+           let holds = synpred_edge s ~depth run ctx synrule in
+           if tr_on s then emit s (Obs.Trace.Backtrack { decision; depth });
+           if holds then chosen := e.Llstar.Look_dfa.alt);
+    incr i
+  done;
+  if !chosen = 0 then no_viable s ~decision ~depth ~rule;
+  !chosen
+
+(* Prediction (Figure 5): walk the decision's lookahead DFA from the
+   current position, fall back to its predicate edges, and record the
+   prediction in the profile.  [rule] is the rule making the decision. *)
+let predict_walk s (dfa : Llstar.Look_dfa.t) ~prec ~rule run ctx : int =
+  walk_dfa ~tracer:s.tracer s.ts dfa s.walk;
+  let state = s.walk.state and depth = s.walk.depth in
+  let accepted = dfa.Llstar.Look_dfa.accept.(state) in
+  let alt =
+    if accepted <> 0 then begin
+      s.pred_reach <- -1;
+      accepted
+    end
+    else try_preds s dfa state ~depth ~prec ~rule run ctx
+  in
+  if tr_on s then
+    emit s
+      (Obs.Trace.Decision_exit
+         {
+           decision = dfa.Llstar.Look_dfa.decision;
+           alt;
+           k = depth;
+           pos = Token_stream.index s.ts;
+         });
+  record s ~decision:dfa.Llstar.Look_dfa.decision ~depth ~reach:s.pred_reach;
+  alt
+
+let[@inline] predict s (dfa : Llstar.Look_dfa.t) ~prec ~rule
+    (run : 'a runner) (ctx : 'a) : int =
+  if not (tr_on s) then predict_walk s dfa ~prec ~rule run ctx
+  else begin
+    let decision = dfa.Llstar.Look_dfa.decision in
+    emit s
+      (Obs.Trace.Decision_enter
+         { decision; rule = s.rule_name rule; pos = Token_stream.index s.ts });
+    match predict_walk s dfa ~prec ~rule run ctx with
+    | alt -> alt
+    | exception e ->
+        (* keep the decision span balanced on the no-viable-alternative
+           path; alt 0 marks a failed prediction *)
+        emit s
+          (Obs.Trace.Decision_exit
+             { decision; alt = 0; k = 0; pos = Token_stream.index s.ts });
+        raise e
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The interpreter *)
+
+type t = {
+  c : Llstar.Compiled.t;
+  st : st;
   recover : bool;
   mutable errors : Parse_error.t list;
   (* length of [errors], maintained incrementally: the recovery loop tests
@@ -152,37 +414,9 @@ type t = {
      the first recovery and reused for every sync set, paired with the
      ff-terminal-id -> token-type translation (-1: not a lexed token) *)
   mutable ff : (Grammar.First_follow.t * int array) option;
-  (* Results handed back by the hot path without allocating a tuple; each
-     is read right after the call that sets it, before anything can
-     overwrite it *)
-  walk : walk; (* where the latest [walk_dfa] stopped *)
-  mutable synpred_reach : int; (* tokens the latest [eval_synpred] saw *)
-  mutable pred_reach : int;
-    (* furthest speculation of the latest [try_preds], -1 if it ran no
-       syntactic predicate *)
 }
 
 let atn t = t.c.Llstar.Compiled.atn
-
-(* Structured tracing: every emission is guarded by [tr_on] at the call site
-   so the disabled path costs one flag read and never allocates an event. *)
-let tr_on t = Obs.Trace.on t.tracer
-let emit t ev = Obs.Trace.emit t.tracer ev
-
-let error t kind rule =
-  let tok = Token_stream.lt t.ts 1 in
-  let e = Parse_error.{ kind; token = tok; rule } in
-  if t.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
-
-(* Offending-token error for prediction: report at the token that killed the
-   DFA, [depth] tokens ahead (section 4.4). *)
-let prediction_error t ~decision ~depth rule =
-  let tok = Token_stream.lt t.ts (depth + 1) in
-  let e =
-    Parse_error.
-      { kind = No_viable_alt { decision; depth = depth + 1 }; token = tok; rule }
-  in
-  if t.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
 
 (* Progress guard membership, for the rare second and later decisions at
    one input position. *)
@@ -190,164 +424,24 @@ let rec mem_int (x : int) = function
   | [] -> false
   | y :: tl -> x = y || mem_int x tl
 
-(* ------------------------------------------------------------------ *)
-(* The hot path -- prediction and rule invocation -- allocates no closure,
-   option or tuple per prediction or per rule invocation: loops instead of
-   local recursive functions, results through [t]'s scratch fields, and
-   tree nodes only when a tree is built.  A tuple or closure here costs
-   more than the DFA walk it serves (most decisions stop after one
-   token). *)
-
-(* Speculation: evaluate a syntactic predicate by simulating its pseudo-rule
-   as a recognizer from the current position, then rewinding.  Returns
-   success; [t.synpred_reach] is the number of tokens of lookahead the
-   speculation consumed (for profiling). *)
-
-let rec eval_synpred t (rule : int) : bool =
-  let start = Token_stream.mark t.ts in
-  if tr_on t then
-    emit t
-      (Obs.Trace.Synpred_enter { rule = Atn.rule_name (atn t) rule; pos = start });
-  let saved_hw = Token_stream.high_water t.ts in
-  (* [start - 1]: the speculation has examined nothing yet, so an empty
-     synpred fragment reports a reach of 0, not 1 *)
-  Token_stream.set_high_water t.ts (start - 1);
-  t.speculating <- t.speculating + 1;
-  let ok =
-    match parse_rule t rule ~prec:0 ~building:false with
-    | _ -> true
-    | exception Spec_fail -> false
-  in
-  t.speculating <- t.speculating - 1;
-  let reach = max 0 (Token_stream.high_water t.ts - start + 1) in
-  Token_stream.seek t.ts start;
-  Token_stream.release t.ts start;
-  Token_stream.set_high_water t.ts (max saved_hw (Token_stream.high_water t.ts));
-  if tr_on t then
-    emit t
-      (Obs.Trace.Synpred_exit
-         { rule = Atn.rule_name (atn t) rule; ok; reach; pos = start });
-  t.synpred_reach <- reach;
-  ok
-
-(* ------------------------------------------------------------------ *)
-(* Prediction (Figure 5): run the decision's lookahead DFA over the input
-   from the current position. *)
-
-and predict t (decision : int) ~prec ~rule : int =
-  if tr_on t then
-    emit t
-      (Obs.Trace.Decision_enter
-         {
-           decision;
-           rule = Atn.rule_name (atn t) rule;
-           pos = Token_stream.index t.ts;
-         });
-  match predict_walk t decision ~prec ~rule with
-  | alt -> alt
-  | exception e ->
-      (* keep the decision span balanced on the no-viable-alternative path;
-         alt 0 marks a failed prediction *)
-      if tr_on t then
-        emit t
-          (Obs.Trace.Decision_exit
-             { decision; alt = 0; k = 0; pos = Token_stream.index t.ts });
-      raise e
-
-and predict_walk t decision ~prec ~rule : int =
-  let dfa = Llstar.Compiled.dfa t.c decision in
-  walk_dfa ~tracer:t.tracer t.ts dfa t.walk;
-  let state = t.walk.state and depth = t.walk.depth in
-  let accepted = dfa.Llstar.Look_dfa.accept.(state) in
-  let alt =
-    if accepted <> 0 then accepted
-    else try_preds t dfa state ~decision ~depth ~prec ~rule
-  in
-  let spec_reach = if accepted <> 0 then -1 else t.pred_reach in
-  if tr_on t then
-    emit t
-      (Obs.Trace.Decision_exit
-         { decision; alt; k = depth; pos = Token_stream.index t.ts });
-  (match t.profile with
-  | Some p when t.speculating = 0 ->
-      Profile.record p ~decision ~depth ~backtracked:(spec_reach >= 0)
-        ~spec_depth:(max 0 spec_reach)
-  | _ -> ());
-  alt
-
-(* Ordered predicate edges.  An edge applies when its lookahead guard (if
-   any) admits the next token and its predicate (if any) holds; an edge
-   with neither is the gated default. *)
-and try_preds t dfa state ~decision ~depth ~prec ~rule : int =
-  let preds = dfa.Llstar.Look_dfa.preds.(state) in
-  let chosen = ref 0 and i = ref 0 and spec_reach = ref (-1) in
-  while !chosen = 0 && !i < Array.length preds do
-    let e = preds.(!i) in
-    let guard_ok =
-      match e.Llstar.Look_dfa.guard with
-      | [] -> true
-      | g -> List.mem (Token_stream.la t.ts (depth + 1)) g
-    in
-    (if guard_ok then
-       match e.Llstar.Look_dfa.pred with
-       | None -> chosen := e.Llstar.Look_dfa.alt
-       | Some (Atn.Sem code) ->
-           if t.env.sem_pred code (Token_stream.lt t.ts 1) then
-             chosen := e.Llstar.Look_dfa.alt
-       | Some (Atn.Prec n) -> if prec <= n then chosen := e.Llstar.Look_dfa.alt
-       | Some (Atn.Syn synrule) ->
-           let holds = eval_synpred t synrule in
-           spec_reach := max !spec_reach (depth + t.synpred_reach);
-           if tr_on t then emit t (Obs.Trace.Backtrack { decision; depth });
-           if holds then chosen := e.Llstar.Look_dfa.alt);
-    incr i
-  done;
-  if !chosen = 0 then prediction_error t ~decision ~depth rule;
-  t.pred_reach <- !spec_reach;
-  !chosen
-
-(* ------------------------------------------------------------------ *)
 (* Rule invocation: simulate the rule's submachine.  Returns the rule's
    tree node when [building] (none for a synpred fragment), else [].
    While speculating, invocations are memoized (section 6.2). *)
-
-and parse_rule t (rule : int) ~prec ~building : Tree.t list =
-  if t.memoize && t.speculating > 0 then memo_rule t rule ~prec ~building
-  else run_rule t rule ~prec ~building
-
-and memo_rule t rule ~prec ~building : Tree.t list =
-  let memo =
-    match t.memo with
-    | Some m -> m
-    | None ->
-        let m = Memo.attach t.ts in
-        t.memo <- Some m;
-        m
-  in
-  let pos = Token_stream.index t.ts in
-  let key = Memo.key ~rule ~prec ~pos in
-  let stop = Memo.find memo key in
-  if stop <> Memo.absent then begin
-    if tr_on t then
-      emit t (Obs.Trace.Memo_hit { rule = Atn.rule_name (atn t) rule; pos });
-    if stop = Memo.failed then raise Spec_fail;
-    (* Valid because speculation builds no tree and runs no actions. *)
-    Token_stream.seek t.ts stop;
+let rec parse_rule t (rule : int) ~prec ~building : Tree.t list =
+  let s = t.st in
+  if s.memoize && s.speculating > 0 then begin
+    memo_rule s body_runner t rule prec;
     []
   end
-  else begin
-    if tr_on t then
-      emit t (Obs.Trace.Memo_miss { rule = Atn.rule_name (atn t) rule; pos });
-    match run_rule t rule ~prec ~building with
-    | _ ->
-        Memo.add memo key (Token_stream.index t.ts);
-        []
-    | exception Spec_fail ->
-        Memo.add memo key Memo.failed;
-        raise Spec_fail
-  end
+  else run_rule t rule ~prec ~building
+
+(* The runners: a synpred fragment goes through [parse_rule], so its
+   invocations are memoized; a memoized invocation runs the body. *)
+and synpred_runner t rule prec = ignore (parse_rule t rule ~prec ~building:false)
+and body_runner t rule prec = ignore (run_rule t rule ~prec ~building:false)
 
 and run_rule t rule ~prec ~building : Tree.t list =
+  let s = t.st in
   let a = atn t in
   let ri = a.Atn.rules.(rule) in
   (* a synpred fragment never contributes a tree node *)
@@ -368,10 +462,10 @@ and run_rule t rule ~prec ~building : Tree.t list =
      nothing. *)
   let last_pos = ref (-1) and first_here = ref (-1) and more_here = ref [] in
   while !state <> ri.Atn.r_stop do
-    let s = !state in
-    let d = Atn.decision_of a s in
+    let cur = !state in
+    let d = Atn.decision_of a cur in
     if d >= 0 then begin
-      let pos = Token_stream.index t.ts in
+      let pos = Token_stream.index s.ts in
       let stuck =
         if pos <> !last_pos then begin
           last_pos := pos;
@@ -389,20 +483,18 @@ and run_rule t rule ~prec ~building : Tree.t list =
         if stuck then
           match a.Atn.decisions.(d).Atn.d_exit_alt with
           | Some e -> e
-          | None ->
-              error t (Parse_error.No_viable_alt { decision = d; depth = 1 }) rule
-        else predict t d ~prec ~rule
+          | None -> stuck_fail s ~decision:d ~rule
+        else
+          predict s (Llstar.Compiled.dfa t.c d) ~prec ~rule synpred_runner t
       in
-      if s = ri.Atn.r_entry then chosen_alt := alt;
+      if cur = ri.Atn.r_entry then chosen_alt := alt;
       fresh_prediction := true;
-      (* [s] is the decision state: its edges are the alternatives *)
-      state := snd a.Atn.trans.(s).(alt - 1)
+      (* [cur] is the decision state: its edges are the alternatives *)
+      state := snd a.Atn.trans.(cur).(alt - 1)
     end
     else begin
-      let row = a.Atn.trans.(s) in
-      if Array.length row = 0 then
-        (* dead end that is not the stop state: internal error *)
-        error t (Parse_error.No_viable_alt { decision = -1; depth = 1 }) rule;
+      let row = a.Atn.trans.(cur) in
+      if Array.length row = 0 then dead s ~rule;
       let edge, tgt = row.(0) in
       let was_fresh = !fresh_prediction in
       fresh_prediction := false;
@@ -411,44 +503,39 @@ and run_rule t rule ~prec ~building : Tree.t list =
           fresh_prediction := was_fresh;
           state := tgt
       | Atn.Term term ->
-          let la1 = Token_stream.la t.ts 1 in
+          let la1 = Token_stream.la s.ts 1 in
           if la1 = term || (term = Grammar.Sym.wildcard && la1 <> Grammar.Sym.eof)
           then begin
-            let tok = Token_stream.consume t.ts in
+            let tok = Token_stream.consume s.ts in
             if building then children := Tree.Leaf tok :: !children;
             state := tgt
           end
-          else error t (Parse_error.Mismatched_token { expected = term }) rule
+          else mismatched s ~expected:term ~rule
       | Atn.Rule { rule = callee; arg } ->
           let callee_prec = Option.value ~default:0 arg in
           let sub = parse_rule t callee ~prec:callee_prec ~building in
           children := List.rev_append sub !children;
           state := tgt
       | Atn.Pred (Atn.Sem code) ->
-          if t.env.sem_pred code (Token_stream.lt t.ts 1) then state := tgt
-          else error t (Parse_error.Failed_predicate { text = code }) rule
+          if sem s code then state := tgt else failed_pred s ~text:code ~rule
       | Atn.Pred (Atn.Prec n) ->
           if prec <= n then state := tgt
-          else
-            error t
-              (Parse_error.Failed_predicate { text = Printf.sprintf "p <= %d" n })
-              rule
+          else failed_pred s ~text:(Printf.sprintf "p <= %d" n) ~rule
       | Atn.Pred (Atn.Syn synrule) ->
-          if was_fresh || eval_synpred t synrule then state := tgt
-          else
-            error t
-              (Parse_error.Failed_predicate { text = Atn.rule_name a synrule })
-              rule
+          if was_fresh || speculate s synpred_runner t synrule then
+            state := tgt
+          else failed_pred s ~text:(Atn.rule_name a synrule) ~rule
       | Atn.Act { id; always } ->
-          let code, _ = a.Atn.actions.(id) in
-          if t.speculating = 0 || always then
-            t.env.action code (Token_stream.prev t.ts);
+          action s (fst a.Atn.actions.(id)) always;
           state := tgt
     end
   done;
   if building then
     [ Tree.Node { rule; alt = !chosen_alt; children = List.rev !children } ]
   else []
+
+(* Evaluate the syntactic predicate [rule] at the current position. *)
+let eval_synpred t rule = speculate t.st synpred_runner t rule
 
 (* ------------------------------------------------------------------ *)
 (* Panic-mode recovery: sync to a token that can follow the current rule. *)
@@ -533,24 +620,25 @@ let recover_to_follow t rule =
   let follow = follow_set t rule in
   (* a wildcard in the sync set means any token can follow the rule *)
   let any = Bitset.mem follow Grammar.Sym.wildcard in
+  let s = t.st in
   let skipped = ref 0 in
   let rec skip () =
-    let la1 = Token_stream.la t.ts 1 in
+    let la1 = Token_stream.la s.ts 1 in
     if la1 <> Grammar.Sym.eof && (not any) && not (Bitset.mem follow la1)
     then begin
-      ignore (Token_stream.consume t.ts);
+      ignore (Token_stream.consume s.ts);
       incr skipped;
       skip ()
     end
   in
   skip ();
-  if tr_on t then
-    emit t
+  if tr_on s then
+    emit s
       (Obs.Trace.Error_sync
          {
-           rule = Atn.rule_name (atn t) rule;
+           rule = s.rule_name rule;
            skipped = !skipped;
-           pos = Token_stream.index t.ts;
+           pos = Token_stream.index s.ts;
          })
 
 (* ------------------------------------------------------------------ *)
@@ -576,15 +664,10 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
           ~n:(Llstar.Compiled.dfa c d).Llstar.Look_dfa.nstates
       done
   | _ -> ());
+  let rule_name = Atn.rule_name c.Llstar.Compiled.atn in
   {
     c;
-    env;
-    ts;
-    profile;
-    tracer;
-    memoize;
-    memo = None;
-    speculating = 0;
+    st = new_st ~env ?profile ~tracer ~rule_name ~memoize ts;
     recover;
     errors = [];
     n_errors = 0;
@@ -592,9 +675,6 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     max_errors;
     follow_cache = Hashtbl.create 16;
     ff = None;
-    walk = new_walk ();
-    synpred_reach = 0;
-    pred_reach = -1;
   }
 
 let start_rule_id t = function
@@ -620,27 +700,25 @@ let record_error t (e : Parse_error.t) =
    list per error, turning recovery quadratic. *)
 let run (t : t) ?start () : (Tree.t, Parse_error.t list) result =
   let rule = start_rule_id t start in
+  let ts = t.st.ts in
   let tree = ref None in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let attempt_start = Token_stream.index t.ts in
+    let attempt_start = Token_stream.index ts in
     match parse_rule t rule ~prec:0 ~building:true with
     | [ tr ] ->
         tree := Some tr;
-        if Token_stream.la t.ts 1 <> Grammar.Sym.eof then begin
-          let tok = Token_stream.lt t.ts 1 in
-          let e =
-            Parse_error.{ kind = Extraneous_input; token = tok; rule }
-          in
-          let retry = t.recover && t.n_errors < t.max_errors in
-          record_error t e;
-          if retry then begin
-            ignore (Token_stream.consume t.ts);
-            if Token_stream.la t.ts 1 <> Grammar.Sym.eof then
-              continue_ := true
-          end
-        end
+        (match extraneous t.st ~rule with
+        | None -> ()
+        | Some e ->
+            let retry = t.recover && t.n_errors < t.max_errors in
+            record_error t e;
+            if retry then begin
+              ignore (Token_stream.consume ts);
+              if Token_stream.la ts 1 <> Grammar.Sym.eof then
+                continue_ := true
+            end)
     | _ -> tree := None
     | exception Parse_error.Error e ->
         tree := None;
@@ -654,12 +732,12 @@ let run (t : t) ?start () : (Tree.t, Parse_error.t list) result =
           (* a retry from where the failed attempt began would fail the
              same way again *)
           if
-            (repeat || Token_stream.index t.ts = attempt_start)
-            && Token_stream.la t.ts 1 <> Grammar.Sym.eof
-          then ignore (Token_stream.consume t.ts);
+            (repeat || Token_stream.index ts = attempt_start)
+            && Token_stream.la ts 1 <> Grammar.Sym.eof
+          then ignore (Token_stream.consume ts);
           if
-            Token_stream.la t.ts 1 <> Grammar.Sym.eof
-            && Token_stream.index t.ts < Token_stream.size t.ts
+            Token_stream.la ts 1 <> Grammar.Sym.eof
+            && Token_stream.index ts < Token_stream.size ts
           then continue_ := true
         end
   done;
@@ -678,18 +756,8 @@ let parse ?env ?profile ?tracer ?recover ?start (c : Llstar.Compiled.t)
 let recognize_run (t : t) ?start () : (unit, Parse_error.t list) result =
   let rule = start_rule_id t start in
   match parse_rule t rule ~prec:0 ~building:false with
-  | _ ->
-      if Token_stream.la t.ts 1 <> Grammar.Sym.eof then
-        Error
-          [
-            Parse_error.
-              {
-                kind = Extraneous_input;
-                token = Token_stream.lt t.ts 1;
-                rule;
-              };
-          ]
-      else Ok ()
+  | _ -> (
+      match extraneous t.st ~rule with None -> Ok () | Some e -> Error [ e ])
   | exception Parse_error.Error e -> Error [ e ]
 
 let recognize ?env ?profile ?tracer ?start (c : Llstar.Compiled.t)
@@ -700,4 +768,4 @@ let recognize ?env ?profile ?tracer ?start (c : Llstar.Compiled.t)
 (* Number of (rule, position) results currently memoized; the paper's
    section-6.2 point is that memoizing only while speculating keeps this far
    below a packrat parser's table. *)
-let memo_entries t = match t.memo with Some m -> Memo.length m | None -> 0
+let memo_entries t = match t.st.memo with Some m -> Memo.length m | None -> 0

@@ -19,8 +19,6 @@ let rec depth = function
   | Node { children; _ } ->
       1 + List.fold_left (fun acc c -> max acc (depth c)) 0 children
 
-let rule_of = function Node { rule; _ } -> Some rule | Leaf _ -> None
-
 let rec pp (sym : Grammar.Sym.t) ppf = function
   | Leaf tok ->
       if Token.is_eof tok then Fmt.string ppf "<EOF>"

@@ -56,6 +56,16 @@ let corpus_agreement (spec : Workload.spec) =
           if not (RtG.agree got want) then
             Alcotest.failf "%s diverges on %S: generated=%s interp=%s" name
               text (RtG.describe got) (RtG.describe want);
+          (* a 16-token window fed 4 tokens at a time slides under the
+             generated parser's speculation and evicts its memo *)
+          let slid =
+            P.outcome_stream ~env
+              (Runtime.Token_stream.of_pull ~window:16
+                 (pull_of_array ~chunk:4 toks))
+          in
+          if not (RtG.agree slid want) then
+            Alcotest.failf "%s diverges on %S: generated windowed=%s interp=%s"
+              name text (RtG.describe slid) (RtG.describe want);
           let streamed, _, _ =
             streamed_verdict ~env ~config:spec.Workload.lexer_config
               ~window:256 cw.Workload.c text

@@ -66,7 +66,7 @@ let recovery_tests =
            *second* b call), 'E' is real follow material *)
         Runtime.Interp.recover_to_follow t (rule_id c "x");
         check int "stopped on 'E'" 1
-          (Runtime.Token_stream.index t.Runtime.Interp.ts));
+          (Runtime.Token_stream.index Runtime.Interp.(t.st.ts)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -85,7 +85,7 @@ let reach_tests =
         let c = compile "grammar R; s : e 'A' ; e : ;" in
         let t = interp_for c "A" in
         let ok = Runtime.Interp.eval_synpred t (rule_id c "e") in
-        let reach = t.Runtime.Interp.synpred_reach in
+        let reach = Runtime.Interp.(t.st.synpred_reach) in
         check bool "speculation succeeds" true ok;
         (* pre-fix: the high-water mark was pre-set to the start position,
            so reach came out as 1 despite no token being examined *)
@@ -94,7 +94,7 @@ let reach_tests =
         let c = compile "grammar S; s : e 'C' ; e : 'A' 'B' ;" in
         let t = interp_for c "A B C" in
         let ok = Runtime.Interp.eval_synpred t (rule_id c "e") in
-        let reach = t.Runtime.Interp.synpred_reach in
+        let reach = Runtime.Interp.(t.st.synpred_reach) in
         check bool "speculation succeeds" true ok;
         check int "reach" 2 reach);
   ]

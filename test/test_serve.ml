@@ -770,9 +770,10 @@ let reuse_tests =
 
      s : (x)=> A B | C D ;     synpred x : A ;
 
-   using the same Runtime.Generated primitives emitted code uses. *)
+   using the same Runtime.Interp primitives emitted code uses. *)
 
-module Rt = Runtime.Generated
+module Rt = Runtime.Interp
+module G = Runtime.Generated
 module Ts = Runtime.Token_stream
 
 let tA = 3
@@ -792,11 +793,14 @@ let expect (st : Rt.st) (ty : int) : unit =
   else Rt.mismatched st ~expected:ty ~rule:1
 
 (* synpred body, memoized exactly like emitted synpred rules *)
-let x_spec (st : Rt.st) : unit =
-  Rt.memoized st ~rule:2 ~prec:0 (fun () -> expect st tA)
+let x_body (st : Rt.st) (_ : int) (_ : int) : unit = expect st tA
+
+let x_spec (st : Rt.st) (r : int) (prec : int) : unit =
+  if st.Rt.speculating > 0 then Rt.memo_rule st x_body st r prec
+  else x_body st r prec
 
 let s_entry (st : Rt.st) : unit =
-  if Rt.syn_gate st (fun () -> x_spec st) then begin
+  if Rt.speculate st x_spec st 2 then begin
     expect st tA;
     expect st tB
   end
@@ -810,25 +814,25 @@ let generated_reset_tests =
     test "memo leak: naive state reuse flips the verdict; fresh state fixes it"
       (fun () ->
         let fresh toks =
-          Rt.run_st (Rt.make ~memoize:true (Ts.of_array toks)) ~start_rule:1
+          G.run_st (Rt.new_st ~memoize:true (Ts.of_array toks)) ~start_rule:1
             s_entry
         in
         (* both inputs are in the language when parsed with fresh state *)
-        check bool "fresh accepts A B" true (fresh (mk_toks [ tA; tB ])).Rt.ok;
-        check bool "fresh accepts C D" true (fresh (mk_toks [ tC; tD ])).Rt.ok;
-        let st = Rt.make ~memoize:true (Ts.of_array (mk_toks [ tA; tB ])) in
+        check bool "fresh accepts A B" true (fresh (mk_toks [ tA; tB ])).G.ok;
+        check bool "fresh accepts C D" true (fresh (mk_toks [ tC; tD ])).G.ok;
+        let st = Rt.new_st ~memoize:true (Ts.of_array (mk_toks [ tA; tB ])) in
         check bool "first request accepts" true
-          (Rt.run_st st ~start_rule:1 s_entry).Rt.ok;
+          (G.run_st st ~start_rule:1 s_entry).G.ok;
         (* Naive reuse (the pre-fix serve bug): new tokens, same memo.  The
            stale success entry for (rule x, pos 0) makes the synpred
            "succeed" without looking at the input, steering the decision
            into alt 1, which then rejects C D. *)
         let stale =
-          Rt.run_st
+          G.run_st
             { st with Rt.ts = Ts.of_array (mk_toks [ tC; tD ]) }
             ~start_rule:1 s_entry
         in
-        check bool "stale memo flips accept to reject" false stale.Rt.ok);
+        check bool "stale memo flips accept to reject" false stale.G.ok);
   ]
 
 (* ------------------------------------------------------------------ *)
