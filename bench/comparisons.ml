@@ -57,7 +57,7 @@ c : ;
 (* ------------------------------------------------------------------ *)
 
 (* Parse every program in [token_lists]; returns best-of-[runs] total time
-   and the peak memoization-table size observed. *)
+   and the largest memo table a parse ended with (its live entries). *)
 let run_llstar ?(runs = 3) (spec : Workload.spec) token_lists =
   let cw = compiled spec in
   let env = Workload.env_of_spec spec in

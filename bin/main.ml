@@ -645,7 +645,8 @@ let codegen_cmd =
               exit 2
           | Some dir ->
               let files =
-                Codegen.Scaffold.workspace ?module_name ~standalone ~samples ir
+                Codegen.Scaffold.workspace ?module_name ~standalone ~samples
+                  ?bench ir
               in
               Codegen.Scaffold.write_all ~dir files;
               let s = Codegen.Ir.stats ir in

@@ -8,7 +8,10 @@
    Its [--check] mode recompiles the embedded grammar and replays every
    input through both the generated parser and the ATN interpreter,
    failing loudly on any accept/reject, error-position or consumed-count
-   disagreement; CI's codegen-diff job drives exactly that. *)
+   disagreement; CI's codegen-diff job drives exactly that.  A bench
+   grammar's driver runs both under the spec's semantic predicates
+   ({!Bench_grammars.Workload.env_of_spec}): its samples parse only under
+   them. *)
 
 let spf = Printf.sprintf
 
@@ -61,7 +64,7 @@ let lexer_config_literal (cfg : Runtime.Lexer_engine.config) : string =
       "  }";
     ]
 
-let driver_ml (ir : Ir.t) ~(module_name : string) : string =
+let driver_ml ?bench (ir : Ir.t) ~(module_name : string) : string =
   let b = Buffer.create 8192 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   let p = capitalize module_name in
@@ -95,6 +98,13 @@ let driver_ml (ir : Ir.t) ~(module_name : string) : string =
   line "";
   line "let sym =";
   line "  Rt.rebuild_sym ~token_names:P.token_names ~rule_names:P.rule_names";
+  line "";
+  (match bench with
+  | Some name ->
+      line "let env =";
+      line "  Bench_grammars.Workload.env_of_spec";
+      line "    (Option.get (Bench_grammars.Specs.find %S))" name
+  | None -> line "let env = Runtime.Interp.default_env");
   line "";
   line "let read_file path =";
   line "  let ic = open_in_bin path in";
@@ -143,12 +153,12 @@ let driver_ml (ir : Ir.t) ~(module_name : string) : string =
   line "  List.iter";
   line "    (fun path ->";
   line "      let toks = lex path (read_file path) in";
-  line "      let got = P.outcome toks in";
+  line "      let got = P.outcome ~env toks in";
   line "      Printf.printf \"%%s: %%s\\n\" path (Rt.describe got);";
   line "      match oracle with";
   line "      | None -> ()";
   line "      | Some c ->";
-  line "          let want = Rt.interp_outcome c toks in";
+  line "          let want = Rt.interp_outcome ~env c toks in";
   line "          if not (Rt.agree got want) then begin";
   line "            incr failures;";
   line "            Printf.printf";
@@ -162,31 +172,32 @@ let driver_ml (ir : Ir.t) ~(module_name : string) : string =
   line "  end";
   Buffer.contents b
 
-let dune_file ~(module_name : string) : string =
+let dune_file ?bench ~(module_name : string) () : string =
   String.concat "\n"
-    [
-      (* dune's own canonical formatting, so an in-tree generated
-         workspace stays clean under `dune build @fmt` *)
-      "(executable";
-      " (name main)";
-      spf " (modules main %s)" module_name;
-      " (libraries";
-      "  antlrkit.runtime";
-      "  antlrkit.llstar";
-      "  antlrkit.atn";
-      "  antlrkit.grammar";
-      "  antlrkit.obs";
-      "  fmt))";
-      "";
-    ]
+    ([
+       (* dune's own canonical formatting, so an in-tree generated
+          workspace stays clean under `dune build @fmt` *)
+       "(executable";
+       " (name main)";
+       spf " (modules main %s)" module_name;
+       " (libraries";
+       "  antlrkit.runtime";
+       "  antlrkit.llstar";
+       "  antlrkit.atn";
+       "  antlrkit.grammar";
+       "  antlrkit.obs";
+     ]
+    @ (if bench = None then [] else [ "  antlrkit.bench_grammars" ])
+    @ [ "  fmt))"; "" ])
 
 let dune_project_file : string =
   String.concat "\n" [ "(lang dune 3.0)"; "" ]
 
 (* The full workspace as (relative path, contents) pairs, deterministic
-   order.  [samples] become numbered files under samples/. *)
-let workspace ?module_name ?(standalone = false) ?(samples = []) (ir : Ir.t) :
-    (string * string) list =
+   order.  [samples] become numbered files under samples/; [bench] names
+   the bench grammar whose environment the driver runs under. *)
+let workspace ?module_name ?(standalone = false) ?(samples = []) ?bench
+    (ir : Ir.t) : (string * string) list =
   let module_name =
     match module_name with
     | Some m -> sanitize_module m
@@ -195,8 +206,8 @@ let workspace ?module_name ?(standalone = false) ?(samples = []) (ir : Ir.t) :
   let files =
     [
       (module_name ^ ".ml", Emit_ocaml.emit ir);
-      ("main.ml", driver_ml ir ~module_name);
-      ("dune", dune_file ~module_name);
+      ("main.ml", driver_ml ?bench ir ~module_name);
+      ("dune", dune_file ?bench ~module_name ());
     ]
   in
   let files =

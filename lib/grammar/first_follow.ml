@@ -6,8 +6,7 @@
    FIRST/FOLLOW sets are [Bitset.t] vectors indexed by nonterminal id.
    Membership, union and the change-detection the fixpoints iterate on are
    allocation-free byte operations instead of [Set.Make(String)] tree
-   merges; [First_follow_ref] keeps the original string-set implementation
-   as the differential-testing oracle.
+   merges.  test/test_bitset.ml checks every set against its definition.
 
    The string-keyed API ([first_of], [follow_of], [first_seq], [first_k])
    is retained as a thin compatibility view for validation, pretty-printing

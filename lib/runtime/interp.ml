@@ -150,8 +150,8 @@ type st = {
   rule_name : int -> string; (* for trace events *)
   memoize : bool;
   mutable memo : Memo.t option;
-    (* made on the first speculative rule invocation ({!Memo.attach}), so
-       a parse that never speculates pays nothing for memoization *)
+    (* made on the first speculative rule invocation, so a parse that
+       never speculates pays nothing for memoization *)
   mutable speculating : int;
   (* Results handed back without allocating a tuple; each is read right
      after the call that sets it, before anything can overwrite it *)
@@ -250,9 +250,14 @@ let extraneous s ~rule : Parse_error.t option =
    current position, then rewind.  Returns success; [s.synpred_reach] is
    the number of tokens of lookahead the speculation consumed.  The
    high-water mark survives the rewind, so profiled lookahead depths
-   include speculative reach. *)
+   include speculative reach.  The rewind to [start] is the stream's only
+   backward seek, so an outermost speculation kills every memo entry
+   keyed below [start]. *)
 let speculate s (run : 'a runner) (ctx : 'a) (rule : int) : bool =
   let start = Token_stream.mark s.ts in
+  (match s.memo with
+  | Some m when s.speculating = 0 -> Memo.forget_before m start
+  | _ -> ());
   if tr_on s then
     emit s (Obs.Trace.Synpred_enter { rule = s.rule_name rule; pos = start });
   let saved_hw = Token_stream.high_water s.ts in
@@ -292,7 +297,7 @@ let memo_rule s (run : 'a runner) (ctx : 'a) (rule : int) (prec : int) : unit
     match s.memo with
     | Some m -> m
     | None ->
-        let m = Memo.attach s.ts in
+        let m = Memo.create () in
         s.memo <- Some m;
         m
   in
@@ -647,10 +652,9 @@ let recover_to_follow t rule =
 (* [create] runs the parser over any stream: a pinned array
    ({!Token_stream.of_array}) or a window fed by the chunked lexer
    ({!Token_stream.of_pull}).  The memo table, made on the first
-   speculative invocation, subscribes to the stream's release hook so
-   entries behind the frontier are evicted as the window slides -- they
-   can never be hit again, because the stream refuses to rewind past the
-   frontier.  A window that never slides never fires the hook. *)
+   speculative invocation, drops its entries by the speculation starts
+   ({!Memo.forget_before}), not by the window, so both kinds of stream
+   keep it equally small. *)
 let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     ?(recover = false) ?(max_errors = 25) (c : Llstar.Compiled.t)
     (ts : Token_stream.t) : t =

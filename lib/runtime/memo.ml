@@ -6,17 +6,23 @@
    The table is an int -> int open-addressing table with linear probing.
    Its slots live in fixed 64-slot chunks of 128 words (key, value), so no
    block ever takes the large-allocation path and a growing table never
-   copies one big array; it grows only past 7/8 load.  Most parses never
-   speculate, so the backends make a table on their first speculative
-   lookup ({!attach}), and most lookups miss (0-21% hit on the bench
-   corpora): a probe is a multiply, a shift and a short scan within one
-   chunk, and neither a lookup nor an update allocates. *)
+   copies one big array.  Most parses never speculate, so the backends
+   make a table on their first speculative lookup, and most lookups miss
+   (0-19% hit on the bench grammars' corpora): a probe is a multiply, a
+   shift and a short scan within one chunk, and neither a lookup nor an
+   update allocates.
+
+   One lifetime rule bounds the table: the stream only rewinds to the
+   mark of a running speculation, so once an outermost speculation starts
+   at position q, no lookup below q can come again ({!forget_before}).
+   The dead entries go at once when every entry is dead, and otherwise in
+   place when the table would grow. *)
 
 (* Position in bits 0..29, precedence bound in bits 30..44, rule id in
    bits 45..61.  The bounds are far beyond anything a real grammar
    produces (2^30 tokens, prec < 2^15, 2^17 rules); with the position in
-   the low bits, windowed eviction is a mask and a compare per entry.
-   Every key is non-negative. *)
+   the low bits, eviction is a mask and a compare per entry.  Every key
+   is non-negative. *)
 let key ~(rule : int) ~(prec : int) ~(pos : int) : int =
   (((rule lsl 15) lor prec) lsl 30) lor pos
 
@@ -35,6 +41,9 @@ type t = {
   mutable mask : int; (* slots - 1; the slot count is a power of two *)
   mutable shift : int; (* 63 - log2 slots: [home] keeps the top bits *)
   mutable size : int;
+  mutable hi : int; (* largest position keyed since the table was empty *)
+  mutable lo : int; (* no entry is keyed below it *)
+  mutable floor : int; (* entries keyed below it are dead *)
 }
 
 let new_chunks n = Array.init n (fun _ -> Array.make (2 * chunk_slots) free)
@@ -49,6 +58,9 @@ let create () : t =
     mask = chunk_slots - 1;
     shift = 63 - chunk_bits;
     size = 0;
+    hi = -1;
+    lo = max_int;
+    floor = 0;
   }
 
 let length t = t.size
@@ -89,17 +101,6 @@ let grow t =
       done)
     old
 
-(* Bind [key] to [v], a stop index or [failed], replacing any binding. *)
-let add t key (v : int) : unit =
-  let i = slot t key in
-  let c = t.chunks.(i lsr chunk_bits) and o = offset i in
-  if c.(o) <> key then begin
-    c.(o) <- key;
-    t.size <- t.size + 1
-  end;
-  c.(o + 1) <- v;
-  if 8 * t.size > 7 * (t.mask + 1) then grow t
-
 (* Drop every entry keyed at a position before [frontier], in place.
    The scan starts just after a free slot, so no probe run wraps past its
    start: each run is met from its first slot.  An entry behind the
@@ -132,10 +133,44 @@ let evict_before t (frontier : int) : unit =
     done
   end
 
-(* A table for speculation over [ts].  Entries behind the stream's release
-   frontier key positions the stream can no longer rewind to, so they can
-   never be hit again: the table drops them whenever the window slides. *)
-let attach (ts : Token_stream.t) : t =
-  let t = create () in
-  Token_stream.set_release_hook ts (evict_before t);
-  t
+(* Bind [key] to [v], a stop index or [failed], replacing any binding.
+   Past 7/8 load the dead entries go first, if there are any; the table
+   grows only if that freed less than half its slots. *)
+let add t key (v : int) : unit =
+  let i = slot t key in
+  let c = t.chunks.(i lsr chunk_bits) and o = offset i in
+  if c.(o) <> key then begin
+    c.(o) <- key;
+    t.size <- t.size + 1;
+    let pos = pos_of_key key in
+    if pos > t.hi then t.hi <- pos;
+    if pos < t.lo then t.lo <- pos
+  end;
+  c.(o + 1) <- v;
+  if 8 * t.size > 7 * (t.mask + 1) then begin
+    let before = t.size in
+    if t.lo < t.floor then begin
+      evict_before t t.floor;
+      t.lo <- t.floor
+    end;
+    if 2 * (before - t.size) < t.mask + 1 then grow t
+  end
+
+(* An outermost speculation starts at [start]; starts never decrease.
+   Every entry keyed below [start] is dead.  When that is every entry,
+   the table empties at the cost of at most one chunk's fill: a table
+   that grew is replaced by a one-chunk one.  Otherwise [start] becomes
+   the floor that {!add} evicts below. *)
+let forget_before t (start : int) : unit =
+  t.floor <- start;
+  if t.hi < start then begin
+    if Array.length t.chunks > 1 then begin
+      t.chunks <- new_chunks 1;
+      t.mask <- chunk_slots - 1;
+      t.shift <- 63 - chunk_bits
+    end
+    else if t.size > 0 then Array.fill t.chunks.(0) 0 (2 * chunk_slots) free;
+    t.size <- 0;
+    t.hi <- -1;
+    t.lo <- max_int
+  end

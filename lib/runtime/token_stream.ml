@@ -28,7 +28,6 @@ type t = {
   src : unit -> Token.t array; (* chunk source; [ [||] ] ends the input *)
   mutable eof_seen : bool; (* the source returned its last chunk *)
   mutable marks : int list; (* live marks (absolute), newest first *)
-  mutable on_release : int -> unit; (* called with the new frontier *)
   mutable peak : int; (* max tokens resident at once *)
   window : int; (* length [toks] grows to before the window slides *)
 }
@@ -57,7 +56,6 @@ let make toks ~window ~limit ~eof_seen src =
     src;
     eof_seen;
     marks = [];
-    on_release = ignore;
     peak = limit;
     window;
   }
@@ -111,8 +109,7 @@ let slide t =
     t.base <- t.base + drop;
     t.p <- t.p - drop;
     t.hw <- t.hw - drop;
-    t.limit <- kept;
-    t.on_release t.base
+    t.limit <- kept
   end
 
 (* Make room for [n] more tokens.  Below the configured window the array
@@ -240,6 +237,6 @@ let at_eof t =
    the cursor resident, so [p = 0] implies absolute position 0. *)
 let prev t = if t.p > 0 then Some t.toks.(t.p - 1) else None
 
-let set_release_hook t f = t.on_release <- f
+let frontier t = t.base
 
 let peak_live t = t.peak

@@ -23,7 +23,6 @@ type t = {
   src : unit -> Token.t array; (* chunk source; [ [||] ] ends the input *)
   mutable eof_seen : bool; (* the source returned its last chunk *)
   mutable marks : int list; (* live marks (absolute), newest first *)
-  mutable on_release : int -> unit; (* called with the new frontier *)
   mutable peak : int; (* max tokens resident at once *)
   window : int; (* length [toks] grows to before the window slides *)
 }
@@ -112,10 +111,10 @@ val high_water : t -> int
 
 val set_high_water : t -> int -> unit
 
-val set_release_hook : t -> (int -> unit) -> unit
-(** Install a callback invoked with the new frontier whenever the window
-    slides.  Memo tables key entries by absolute position and use this to
-    evict everything behind the frontier. *)
+val frontier : t -> int
+(** Absolute index of the oldest resident token: {!seek} below it raises
+    {!Released}.  It advances each time the window slides, and stays 0 for
+    {!of_array}. *)
 
 val peak_live : t -> int
 (** Maximum number of tokens resident in the window at once: the live

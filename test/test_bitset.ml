@@ -1,12 +1,10 @@
-(* Bitset laws (qcheck) and the bitset-vs-string-set differential:
-   [First_follow] (interned-id bitsets) must agree exactly with the
-   retained reference implementation [First_follow_ref] (Set.Make(String))
-   on every grammar -- random ones and the six benchmark grammars. *)
+(* Bitset laws (qcheck), and [First_follow] (interned-id bitsets)
+   against the sets' definitions on every grammar -- random ones and the
+   six benchmark grammars. *)
 
 open Helpers
 module Gen = QCheck.Gen
 module FF = Grammar.First_follow
-module FFR = Grammar.First_follow_ref
 
 (* ------------------------------------------------------------------ *)
 (* Reference model: sorted deduplicated int lists *)
@@ -165,68 +163,202 @@ let growable_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: First_follow vs First_follow_ref *)
+(* First_follow against the definitions
 
-let ss_elems s = FF.SS.elements s
-let ssr_elems s = FFR.SS.elements s
-let seq_elems s = FF.SeqSet.elements s
-let seqr_elems s = FFR.SeqSet.elements s
+   Each set is the least fixpoint of its definition, computed the plain
+   way: every production is applied to the previous round's sets until a
+   round changes nothing.  Sets are sorted lists of names. *)
 
-(* Compare the two implementations exhaustively on one BNF skeleton:
-   nullable/FIRST/FOLLOW per nonterminal, FIRST of every production's rhs,
-   and FIRST_k (including identical blow-up behavior) for small k. *)
-let agree ?(ks = [ 1; 2; 3 ]) ?(max_set_size = 5_000) (bnf : Grammar.Bnf.t) :
-    bool =
+module Bnf = Grammar.Bnf
+
+let union a b = List.sort_uniq compare (a @ b)
+
+(* Apply [step] to an assoc list of per-nonterminal values until a round
+   changes nothing. *)
+let rec lfp step cur =
+  let next = step cur in
+  if next = cur then cur else lfp step next
+
+let per_nonterm (bnf : Bnf.t) v = List.map (fun n -> (n, v)) bnf.nonterms
+let get tbl default n = Option.value ~default (List.assoc_opt n tbl)
+
+(* [A] derives the empty string through some production whose symbols all
+   do. *)
+let def_nullable (bnf : Bnf.t) : string -> bool =
+  let tbl =
+    lfp
+      (fun cur ->
+        List.map
+          (fun (n, _) ->
+            ( n,
+              List.exists
+                (fun (p : Bnf.prod) ->
+                  List.for_all
+                    (function Bnf.T _ -> false | Bnf.N m -> get cur false m)
+                    p.rhs)
+                (Bnf.prods_of bnf n) ))
+          cur)
+      (per_nonterm bnf false)
+  in
+  get tbl false
+
+(* The terminals that begin a string [syms] derives (first is a function
+   giving a nonterminal's set), and whether [syms] derives the empty
+   string. *)
+let def_first_seq nullable first syms =
+  let rec go acc = function
+    | [] -> (acc, true)
+    | Bnf.T a :: _ -> (union acc [ a ], false)
+    | Bnf.N n :: rest ->
+        let acc = union acc (first n) in
+        if nullable n then go acc rest else (acc, false)
+  in
+  go [] syms
+
+let def_first (bnf : Bnf.t) nullable : string -> string list =
+  let tbl =
+    lfp
+      (fun cur ->
+        List.map
+          (fun (n, _) ->
+            ( n,
+              List.fold_left
+                (fun acc (p : Bnf.prod) ->
+                  union acc
+                    (fst (def_first_seq nullable (get cur []) p.rhs)))
+                [] (Bnf.prods_of bnf n) ))
+          cur)
+      (per_nonterm bnf [])
+  in
+  get tbl []
+
+(* EOF follows the start symbol; for every production [A -> u B v],
+   FIRST(v) follows [B], and so does FOLLOW(A) when [v] is nullable. *)
+let def_follow (bnf : Bnf.t) nullable first : string -> string list =
+  let tbl =
+    lfp
+      (fun cur ->
+        List.map
+          (fun (b, old) ->
+            let from_prod (p : Bnf.prod) =
+              let rec scan acc = function
+                | [] -> acc
+                | Bnf.N n :: v when n = b ->
+                    let f, empty = def_first_seq nullable first v in
+                    let acc = union acc f in
+                    let acc =
+                      if empty then union acc (get cur [] p.lhs) else acc
+                    in
+                    scan acc v
+                | _ :: v -> scan acc v
+              in
+              scan [] p.rhs
+            in
+            let start = if b = bnf.start then [ FF.eof_name ] else [] in
+            ( b,
+              List.fold_left
+                (fun acc p -> union acc (from_prod p))
+                (union old start) bnf.prods ))
+          cur)
+      (per_nonterm bnf [])
+  in
+  get tbl []
+
+(* FIRST_k by enumeration over derivation height: the sequences (length
+   <= k) yielded by derivation trees of height at most h, for h = 1, 2,
+   ... until a height adds nothing.  A terminal yields itself; a symbol
+   sequence yields what its first symbol yields once that has k tokens,
+   and otherwise that extended by what the rest yields, cut to k.  So the
+   symbols after k tokens need derive nothing, as in [First_follow]. *)
+let take k l = List.filteri (fun i _ -> i < k) l
+
+let def_seq_yield k (yields : string -> string list list) syms =
+  let rec go acc = function
+    | [] -> acc
+    | sym :: rest ->
+        let s = match sym with Bnf.T a -> [ [ a ] ] | Bnf.N n -> yields n in
+        let done_, open_ = List.partition (fun x -> List.length x >= k) acc in
+        let ext =
+          List.concat_map (fun x -> List.map (fun y -> take k (x @ y)) s) open_
+        in
+        let acc = List.sort_uniq compare (done_ @ ext) in
+        if acc = [] || List.for_all (fun x -> List.length x >= k) acc then acc
+        else go acc rest
+  in
+  go [ [] ] syms
+
+let def_first_k_table (bnf : Bnf.t) k : (string * string list list) list =
+  lfp
+    (fun cur ->
+      List.map
+        (fun (n, _) ->
+          ( n,
+            List.sort_uniq compare
+              (List.concat_map
+                 (fun (p : Bnf.prod) ->
+                   def_seq_yield k (get cur []) p.rhs)
+                 (Bnf.prods_of bnf n)) ))
+        cur)
+    (per_nonterm bnf [])
+
+(* [First_follow] on one BNF skeleton against the definitions:
+   nullable/FIRST/FOLLOW per nonterminal, FIRST of every production's rhs
+   and FIRST_k for each of [ks].  With a set bound equal to the largest
+   nonterminal FIRST_k set, every query answers; one below it, every
+   query raises [FF.Blowup] with that size. *)
+let agree ?(ks = [ 1; 2; 3 ]) (bnf : Bnf.t) : bool =
   let ff = FF.compute bnf in
-  let rf = FFR.compute bnf in
+  let nullable = def_nullable bnf in
+  let first = def_first bnf nullable in
+  let follow = def_follow bnf nullable first in
+  let ss = FF.SS.elements in
   let nt_ok n =
-    FF.is_nullable ff n = FFR.is_nullable rf n
-    && ss_elems (FF.first_of ff n) = ssr_elems (FFR.first_of rf n)
-    && ss_elems (FF.follow_of ff n) = ssr_elems (FFR.follow_of rf n)
+    FF.is_nullable ff n = nullable n
+    && ss (FF.first_of ff n) = first n
+    && ss (FF.follow_of ff n) = follow n
   in
-  let prod_ok (p : Grammar.Bnf.prod) =
-    let s1, n1 = FF.first_seq ff p.rhs in
-    let s2, n2 = FFR.first_seq rf p.rhs in
-    let firstk_ok k =
-      match FF.first_k ~max_set_size ff k p.rhs with
-      | s -> (
-          match FFR.first_k ~max_set_size rf k p.rhs with
-          | s' -> seq_elems s = seqr_elems s'
-          | exception FFR.Blowup _ -> false)
-      | exception FF.Blowup n -> (
-          match FFR.first_k ~max_set_size rf k p.rhs with
-          | _ -> false
-          | exception FFR.Blowup n' -> n = n')
-    in
-    ss_elems s1 = ssr_elems s2 && n1 = n2 && List.for_all firstk_ok ks
+  let firstk_ok k =
+    let tbl = def_first_k_table bnf k in
+    let largest = List.fold_left (fun m (_, s) -> max m (List.length s)) 0 tbl in
+    List.for_all
+      (fun (p : Bnf.prod) ->
+        FF.SeqSet.elements (FF.first_k ~max_set_size:largest ff k p.rhs)
+        = def_seq_yield k (get tbl []) p.rhs
+        && (largest = 0
+           ||
+           match FF.first_k ~max_set_size:(largest - 1) ff k p.rhs with
+           | _ -> false
+           | exception FF.Blowup n -> n = largest))
+      bnf.prods
   in
-  List.for_all nt_ok bnf.Grammar.Bnf.nonterms
-  && List.for_all prod_ok bnf.Grammar.Bnf.prods
+  let prod_ok (p : Bnf.prod) =
+    let s, e = FF.first_seq ff p.rhs in
+    (ss s, e) = def_first_seq nullable first p.rhs
+  in
+  List.for_all nt_ok bnf.nonterms
+  && List.for_all prod_ok bnf.prods
+  && List.for_all firstk_ok ks
 
-let differential_tests =
+let definition_tests =
   List.map
     (fun (spec : Bench_grammars.Workload.spec) ->
-      test (Printf.sprintf "bitset FF agrees with reference on %s"
-              spec.Bench_grammars.Workload.name) (fun () ->
+      test
+        (Printf.sprintf "bitset FF agrees with reference on %s"
+           spec.Bench_grammars.Workload.name) (fun () ->
           let ast =
             Grammar.Meta_parser.parse_exn
               spec.Bench_grammars.Workload.grammar_text
           in
-          (* k is pinned to 1 here: the reference recomputes its whole
-             FIRST_k fixpoint on every query, so per-production checks at
-             k>=2 on these grammars cost minutes.  The random-grammar
-             property below covers k up to 3. *)
           check bool "agree" true
-            (agree ~ks:[ 1 ] ~max_set_size:2_000 (Grammar.Bnf.convert ast))))
+            (agree ~ks:[ 1 ] (Bnf.convert ast))))
     Bench_grammars.Specs.all
   @ [
       qtest ~count:150 "bitset FF agrees with reference on random grammars"
-        Test_props.arb_grammar (fun g ->
-          agree (Grammar.Bnf.convert g));
+        Test_props.arb_grammar (fun g -> agree (Bnf.convert g));
     ]
 
 let suite =
   [
     ("bitset", bitset_props @ growable_tests);
-    ("bitset-differential", differential_tests);
+    ("bitset-differential", definition_tests);
   ]

@@ -106,6 +106,43 @@ let trace_walk_tests =
           check bool "exits checked" true (!exits > 0)))
     Bench_grammars.Specs.all
 
+(* Memo entries die by one lifetime rule (DESIGN.md, "The speculation
+   memo"); an entry dropped while a lookup could still come shows up as a
+   miss where there was a hit.  Interp's [Memo_hit]/[Memo_miss] events
+   over each bench grammar's seed-7 4k-token corpus (all six memoize) are
+   pinned at what the table answered when it kept every entry. *)
+let memo_golden_tests =
+  List.map
+    (fun (name, hits, misses) ->
+      test (name ^ ": memo hits and misses") (fun () ->
+          let spec = Option.get (Bench_grammars.Specs.find name) in
+          let cw, programs = corpus_programs spec in
+          let env = Workload.env_of_spec spec in
+          let h = ref 0 and m = ref 0 in
+          let sink _ = function
+            | Obs.Trace.Memo_hit _ -> incr h
+            | Obs.Trace.Memo_miss _ -> incr m
+            | _ -> ()
+          in
+          let tracer = Obs.Trace.make sink in
+          List.iter
+            (fun toks ->
+              if
+                Runtime.Interp.recognize ~env ~tracer cw.Workload.c toks
+                <> Ok ()
+              then Alcotest.failf "%s: corpus program rejected" name)
+            programs;
+          check int "hits" hits !h;
+          check int "misses" misses !m))
+    [
+      ("MiniJava", 277, 3363);
+      ("RatsC", 1558, 8515);
+      ("RatsJava", 1100, 4592);
+      ("MiniVB", 0, 144);
+      ("MiniSQL", 103, 5023);
+      ("MiniCSharp", 344, 2893);
+    ]
+
 let suite =
   [
     ( "profile_counters",
@@ -179,4 +216,5 @@ let suite =
       ] );
     ("profile-golden", golden_tests);
     ("trace-walk", trace_walk_tests);
+    ("memo-golden", memo_golden_tests);
   ]

@@ -191,15 +191,18 @@ let streaming_tests =
         check bool "leak detected" true (Ts.live_marks ts = [ m ]);
         check bool "pinned window retained the whole tail" true
           (Ts.peak_live ts >= 30));
-    test "release hook reports the advancing frontier" (fun () ->
+    test "the frontier advances as the window slides" (fun () ->
         let ts = Ts.of_pull ~window:2 (pull_of_array ~chunk:2 (mk_tokens 32)) in
         let frontiers = ref [] in
-        Ts.set_release_hook ts (fun f -> frontiers := f :: !frontiers);
         while not (Ts.at_eof ts) do
-          ignore (Ts.consume ts)
+          ignore (Ts.consume ts);
+          let f = Ts.frontier ts in
+          match !frontiers with
+          | last :: _ when last = f -> ()
+          | _ -> if f > 0 then frontiers := f :: !frontiers
         done;
         let fs = List.rev !frontiers in
-        check bool "hook fired" true (fs <> []);
+        check bool "window slid" true (fs <> []);
         check bool "frontiers strictly increase" true
           (List.for_all2
              (fun a b -> a < b)
@@ -208,10 +211,10 @@ let streaming_tests =
     test "the array grows to the window before it slides" (fun () ->
         let ts = Ts.of_pull ~window:5000 (pull_of_array ~chunk:1 (mk_tokens 20_000)) in
         let first_slide = ref (-1) in
-        Ts.set_release_hook ts (fun f ->
-            if !first_slide < 0 then first_slide := f);
         while not (Ts.at_eof ts) do
-          ignore (Ts.consume ts)
+          ignore (Ts.consume ts);
+          if !first_slide < 0 && Ts.frontier ts > 0 then
+            first_slide := Ts.frontier ts
         done;
         check int "resident tokens reach the window" 5000 (Ts.peak_live ts);
         check bool "no slide before the window filled" true
@@ -665,79 +668,125 @@ let memo_tests =
         (match Runtime.Interp.run t () with Ok _ -> () | Error _ -> Alcotest.fail "parse");
         check int "no speculation, no memo entries" 0
           (Runtime.Interp.memo_entries t));
+    test "memo entries die with the speculation, not with the window"
+      (fun () ->
+        (* every StreamScale statement speculates; a table that keeps its
+           entries for the window's lifetime ends holding ~10 per
+           statement on a materialized stream *)
+        let c = compile stream_scale_grammar in
+        let toks = lex c (stream_scale_text 2000) in
+        List.iter
+          (fun (label, ts) ->
+            let t = Runtime.Interp.create c ts in
+            check bool (label ^ " accepted") true
+              (Runtime.Interp.recognize_run t () = Ok ());
+            let n = Runtime.Interp.memo_entries t in
+            check bool
+              (Printf.sprintf "%s: %d memo entries <= 64" label n)
+              true (n <= 64))
+          [
+            ("of_array", Ts.of_array toks);
+            ("of_pull ~window:64", Ts.of_pull ~window:64 (pull_of_array toks));
+          ]);
   ]
 
 (* [Runtime.Memo] against a [Hashtbl] model: random adds, overwrites,
-   finds and window evictions, enough adds to cross chunk (64-slot) and
-   growth boundaries, and keys that share a position but differ in rule or
-   precedence (including the largest rule and precedence the key
-   packing holds). *)
+   finds, evictions and speculation starts, enough adds to cross chunk
+   (64-slot) and growth boundaries, and keys that share a position but
+   differ in rule or precedence (including the largest rule and precedence
+   the key packing holds).  As in the parser, starts never decrease and
+   adds and finds stay at or above the latest one: positions are offsets
+   from it. *)
 type memo_op =
   | Add of int * int * int * int (* rule, prec, pos, value *)
   | Find of int * int * int
   | Evict of int
+  | Forget of int (* a speculation starts this far past the last one *)
 
 let memo_op_gen : memo_op QCheck.Gen.t =
   let open QCheck.Gen in
   let rule = oneof [ int_bound 5; return 131071 ]
   and prec = oneof [ int_bound 2; return 32767 ]
-  and pos = int_bound 300 in
+  and pos = int_bound 60 in
+  (* small starts leave dead entries for a growing table to evict; a start
+     past 60 is past every live entry *)
   frequency
     [
-      ( 24,
+      ( 240,
         map
           (fun (((r, p), x), v) -> Add (r, p, x, v))
           (pair (pair (pair rule prec) pos) (int_range (-1) 400)) );
-      (12, map (fun ((r, p), x) -> Find (r, p, x)) (pair (pair rule prec) pos));
-      (1, map (fun f -> Evict f) pos);
+      (120, map (fun ((r, p), x) -> Find (r, p, x)) (pair (pair rule prec) pos));
+      (10, map (fun f -> Evict f) pos);
+      (20, map (fun d -> Forget d) (int_bound 40));
+      (2, map (fun d -> Forget d) (int_range 61 100));
     ]
 
 let show_memo_op = function
   | Add (r, p, x, v) -> Printf.sprintf "add r%d p%d @%d = %d" r p x v
   | Find (r, p, x) -> Printf.sprintf "find r%d p%d @%d" r p x
   | Evict f -> Printf.sprintf "evict < %d" f
+  | Forget d -> Printf.sprintf "start +%d" d
 
 let memo_props =
   [
-    qtest ~count:200 "Memo agrees with a Hashtbl model"
+    qtest ~count:500 "Memo agrees with a Hashtbl model"
       (QCheck.make
          ~print:(fun ops -> String.concat "; " (List.map show_memo_op ops))
          QCheck.Gen.(list_size (int_range 1 700) memo_op_gen))
       (fun ops ->
         let m = Runtime.Memo.create () and model = Hashtbl.create 64 in
-        let key r p x = Runtime.Memo.key ~rule:r ~prec:p ~pos:x in
+        let floor = ref 0 and top = ref (-1) in
+        let key r p x = Runtime.Memo.key ~rule:r ~prec:p ~pos:(!floor + x) in
         let expect k =
           Option.value ~default:Runtime.Memo.absent (Hashtbl.find_opt model k)
         in
-        let check_all what =
+        (* entries below the floor linger in the table until it evicts
+           them, so only an eviction at or above the floor leaves exactly
+           the model's entries *)
+        let check_all ~exact what =
           Hashtbl.iter
             (fun k v ->
               if Runtime.Memo.find m k <> v then
                 QCheck.Test.fail_reportf "%s: key %d lost" what k)
             model;
-          if Runtime.Memo.length m <> Hashtbl.length model then
-            QCheck.Test.fail_reportf "%s: %d entries, model %d" what
-              (Runtime.Memo.length m) (Hashtbl.length model)
+          let n = Runtime.Memo.length m and n' = Hashtbl.length model in
+          if n < n' || (exact && n <> n') then
+            QCheck.Test.fail_reportf "%s: %d entries, model %d" what n n'
+        in
+        let drop_below f =
+          Hashtbl.filter_map_inplace
+            (fun k v -> if Runtime.Memo.pos_of_key k < f then None else Some v)
+            model
         in
         List.iter
           (fun op ->
             match op with
             | Add (r, p, x, v) ->
                 Runtime.Memo.add m (key r p x) v;
-                Hashtbl.replace model (key r p x) v
+                Hashtbl.replace model (key r p x) v;
+                top := max !top (!floor + x)
             | Find (r, p, x) ->
                 let got = Runtime.Memo.find m (key r p x) in
                 if got <> expect (key r p x) then
                   QCheck.Test.fail_reportf "%s: got %d, model %d"
                     (show_memo_op op) got (expect (key r p x))
             | Evict f ->
-                Runtime.Memo.evict_before m f;
-                Hashtbl.filter_map_inplace
-                  (fun k v -> if Runtime.Memo.pos_of_key k < f then None else Some v)
-                  model;
-                check_all (show_memo_op op))
+                Runtime.Memo.evict_before m (!floor + f);
+                drop_below (!floor + f);
+                check_all ~exact:true (show_memo_op op)
+            | Forget d ->
+                floor := !floor + d;
+                Runtime.Memo.forget_before m !floor;
+                drop_below !floor;
+                check_all ~exact:false (show_memo_op op);
+                (* a start past every position ever added empties the table *)
+                if !floor > !top && Runtime.Memo.length m <> 0 then
+                  QCheck.Test.fail_reportf "%s: %d dead entries kept"
+                    (show_memo_op op) (Runtime.Memo.length m))
           ops;
-        check_all "end";
+        Runtime.Memo.evict_before m !floor;
+        check_all ~exact:true "end";
         true);
   ]
 
@@ -900,6 +949,29 @@ let create_alloc_test =
         (Printf.sprintf "%.0f major words < 256" words)
         true (words < 256.))
 
+(* The PEG-mode StreamScale parse speculates in every statement.  Its
+   memo entries die when the next statement's speculation starts; a
+   table that kept them for the stream's lifetime grew with the input,
+   and every chunk it grew by was promoted to the major heap.  Major
+   words (promoted or allocated there) per token of one
+   [Interp.recognize] over 2000 statements, already lexed: 1.2 with such
+   a table, 0 without.  The bound leaves room for ten promoted chunks. *)
+let peg_alloc_test =
+  test "StreamScale PEG: Interp.recognize major words per token" (fun () ->
+      let c = compile stream_scale_grammar in
+      let toks = lex c (stream_scale_text 2000) in
+      let run () =
+        if Runtime.Interp.recognize c toks <> Ok () then
+          Alcotest.fail "StreamScale rejected"
+      in
+      run ();
+      Gc.minor ();
+      let _, _, before = Gc.counters () in
+      run ();
+      let _, _, after = Gc.counters () in
+      let w = (after -. before) /. float_of_int (Array.length toks) in
+      check bool (Printf.sprintf "%.3f words/token <= 0.05" w) true (w <= 0.05))
+
 let alloc_tests =
   let row label generated (name, bound) =
     test (Printf.sprintf "%s: %s minor words per token" name label) (fun () ->
@@ -914,6 +986,7 @@ let alloc_tests =
   :: List.map (row "Interp.recognize" false)
        [ ("MiniJava", 12.5); ("RatsC", 34.) ])
   @ List.map (row "generated parser" true) [ ("MiniJava", 21.); ("RatsC", 43.) ]
+  @ [ peg_alloc_test ]
 
 let suite =
   [
