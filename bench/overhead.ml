@@ -101,7 +101,6 @@ let baseline_handle ~(entry : Serve.Registry.entry) ~pool
           Runtime.Drive.run
             ~max_tokens:Serve.Handler.default_limits.max_tokens
             ~env:entry.Serve.Registry.env ~profile
-            ~input_bytes:(String.length text)
             entry.Serve.Registry.lexer_config Runtime.Drive.Interp
             entry.Serve.Registry.c
             (Runtime.Lexer_engine.reader_of_string text)

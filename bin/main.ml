@@ -37,9 +37,7 @@ let bounded_reader ?limit path (read : Runtime.Lexer_engine.reader) :
         if !seen > limit then raise (Input_too_large { path; limit });
         n
 
-(* [f] gets the reader and, for a regular file, its byte length. *)
-let with_input ?max_bytes path
-    (f : ?input_bytes:int -> Runtime.Lexer_engine.reader -> 'a) : 'a =
+let with_input ?max_bytes path (f : Runtime.Lexer_engine.reader -> 'a) : 'a =
   match open_in_bin path with
   | exception Sys_error msg ->
       Fmt.epr "error: cannot read input: %s@." msg;
@@ -49,14 +47,7 @@ let with_input ?max_bytes path
         bounded_reader ?limit:max_bytes path
           (Runtime.Lexer_engine.reader_of_channel ic)
       in
-      let input_bytes =
-        match Unix.fstat (Unix.descr_of_in_channel ic) with
-        | { Unix.st_kind = Unix.S_REG; st_size; _ } -> Some st_size
-        | _ -> None
-      in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> f ?input_bytes read)
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f read)
 
 let grammar_arg =
   Arg.(
@@ -306,9 +297,9 @@ let parse_cmd =
       end
     in
     match
-      with_input ?max_bytes:max_input_bytes input (fun ?input_bytes read ->
+      with_input ?max_bytes:max_input_bytes input (fun read ->
           Runtime.Drive.run ~window ~recover ~tree:show_tree ?start ~profile
-            ~tracer ?input_bytes config Runtime.Drive.Interp c read)
+            ~tracer config Runtime.Drive.Interp c read)
     with
     | exception Input_too_large { path; limit } ->
         Fmt.epr "%s: input exceeds --max-input-bytes (%d)@." path limit;

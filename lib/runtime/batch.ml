@@ -49,8 +49,7 @@ let pp_outcome ppf (sym, r) =
 let run_one ~config ~env ~profile ~recover ?start (c : Llstar.Compiled.t)
     (input : input) : result_ =
   let outcome =
-    Drive.run ~recover ?start ~env ~profile
-      ~input_bytes:(String.length input.text) config Drive.Interp c
+    Drive.run ~recover ?start ~env ~profile config Drive.Interp c
       (Lexer_engine.reader_of_string input.text)
   in
   { input; outcome }

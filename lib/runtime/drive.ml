@@ -15,10 +15,9 @@
    - budget: with [max_tokens], every pull checks the count produced so
      far and stops the parse once it is crossed; the drain then counts
      the rest (a lex error still wins);
-   - window: when the input's byte length is known ([input_bytes]), the
-     window is capped there -- a text never lexes to more tokens than it
-     has bytes, so the capped window never slides, and a huge requested
-     window never reaches [Array.make];
+   - window: the token window and the lexer's byte buffer both start
+     small and grow from what arrives, so a short input costs what it
+     fills whatever [window] asks for (up to [max_int]);
    - results: [consumed] is every produced token under [recover] (recovery
      consumes to the end by design), and a tree is built only when [tree]
      or [recover] asks for one.  Without them the interpreter runs
@@ -44,7 +43,7 @@ type verdict =
    reject those requests before they get here. *)
 let run ?(window = Token_stream.default_window) ?max_tokens
     ?(recover = false) ?(tree = false) ?start ?(env = Interp.default_env)
-    ?profile ?(tracer = Obs.Trace.null) ?input_bytes
+    ?profile ?(tracer = Obs.Trace.null)
     (config : Lexer_engine.config) (backend : backend) (c : Llstar.Compiled.t)
     (read : Lexer_engine.reader) : verdict =
   let ls = Lexer_engine.stream ~tracer config (Llstar.Compiled.sym c) read in
@@ -57,9 +56,6 @@ let run ?(window = Token_stream.default_window) ?max_tokens
         fun () ->
           if Lexer_engine.produced ls > limit then raise Over_budget;
           pull ()
-  in
-  let window =
-    match input_bytes with Some n -> min window n | None -> window
   in
   let ts = Token_stream.of_pull ~window pull in
   let parse () =

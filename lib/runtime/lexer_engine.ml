@@ -240,8 +240,10 @@ let reader_of_channel ic = fun buf off len -> input ic buf off len
 
 (* The window retains bytes from [keep] (the current token's start) on;
    everything before it is dropped at the next refill.  Absolute byte
-   offsets throughout; the buffer grows only when a single token outlives
-   a full window. *)
+   offsets throughout.  The buffer starts small and doubles, up to [cap],
+   each time a read fills it, so a short input never holds more than it
+   needs; past [cap] it grows only when a single token outlives a full
+   window. *)
 type cursor = {
   read : reader;
   mutable buf : Bytes.t;
@@ -249,25 +251,26 @@ type cursor = {
   mutable off : int; (* absolute offset of buf.[0] *)
   mutable keep : int; (* compaction retains bytes at or above this offset *)
   mutable eof : bool;
+  cap : int; (* size a read-filled buffer doubles up to *)
 }
 
 let refill (cur : cursor) : unit =
   if not cur.eof then begin
+    let size = Bytes.length cur.buf in
     let drop = cur.keep - cur.off in
-    if drop > 0 then begin
-      Bytes.blit cur.buf drop cur.buf 0 (cur.len - drop);
-      cur.off <- cur.keep;
-      cur.len <- cur.len - drop
-    end;
-    if cur.len = Bytes.length cur.buf then begin
-      (* the retained span fills the window: a token longer than the
-         buffer; grow so scanning can continue *)
-      let nb = Bytes.create (2 * Bytes.length cur.buf) in
-      Bytes.blit cur.buf 0 nb 0 cur.len;
-      cur.buf <- nb
-    end;
-    let n = cur.read cur.buf cur.len (Bytes.length cur.buf - cur.len) in
-    if n = 0 then cur.eof <- true else cur.len <- cur.len + n
+    let kept = cur.len - drop in
+    let target =
+      if kept = size then 2 * size (* one token fills the window *)
+      else if cur.len = size then min cur.cap (2 * size) (* a read filled it *)
+      else size
+    in
+    let buf = if target > size then Bytes.create target else cur.buf in
+    if drop > 0 || buf != cur.buf then Bytes.blit cur.buf drop buf 0 kept;
+    cur.buf <- buf;
+    cur.off <- cur.keep;
+    cur.len <- kept;
+    let n = cur.read buf kept (Bytes.length buf - kept) in
+    if n = 0 then cur.eof <- true else cur.len <- kept + n
   end
 
 (* Byte (as a character code) at absolute offset [pos]; -1 past the end. *)
@@ -339,16 +342,22 @@ let make tracer config sym cur =
     state = Running;
   }
 
+(* 1 KiB fits the minor heap's largest block (256 words), so a short
+   input's buffer never goes straight to the major heap. *)
+let initial_buf = 1024
+
 let stream ?(tracer = Obs.Trace.null) ?(buf_chars = 4096) (config : config)
     (sym : Grammar.Sym.t) (read : reader) : stream =
+  let cap = max 64 buf_chars in
   make tracer config sym
     {
       read;
-      buf = Bytes.create (max 64 buf_chars);
+      buf = Bytes.create (min initial_buf cap);
       len = 0;
       off = 0;
       keep = 0;
       eof = false;
+      cap;
     }
 
 (* Whole-string scanning makes no copy: the window is [src] itself, filled
@@ -363,6 +372,7 @@ let of_string tracer config sym (src : string) : stream =
       off = 0;
       keep = 0;
       eof = true;
+      cap = String.length src;
     }
 
 let produced s = s.count

@@ -66,12 +66,15 @@ val stream :
   reader ->
   stream
 (** Open an incremental scan of [reader] against a grammar's vocabulary.
-    [buf_chars] (default 4 KiB, at least 64) sizes the byte window.  The
-    window retains the current token from its first byte, so it doubles
-    when one token (an identifier, number, string or character literal)
-    outlives it; whitespace and comments are never retained, however
-    long.  The scanner tables for a frozen vocabulary and a config are
-    built once and shared by every stream over them. *)
+    [buf_chars] (default 4 KiB, at least 64) sizes the byte window: it
+    starts at 1 KiB (or [buf_chars], if smaller) and doubles up to
+    [buf_chars] each time a read fills it, so a short input holds only
+    what it needs.  The window retains the current token from its first
+    byte, so it also doubles when one token (an identifier, number,
+    string or character literal) outlives it; whitespace and comments are
+    never retained, however long.  The scanner tables for a frozen
+    vocabulary and a config are built once and shared by every stream
+    over them. *)
 
 val next_chunk : ?max_tokens:int -> stream -> (Token.t array, error) result
 (** Scan up to [max_tokens] (default 256) further tokens.  [Ok [||]]

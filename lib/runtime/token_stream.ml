@@ -71,14 +71,11 @@ let of_array toks =
    slot is overwritten. *)
 let filler = Token.eof_token ~index:(-1)
 
-(* The array starts at no more than the default window and grows to
-   [window] on demand ([room]), so a window far beyond the input -- up to
-   [max_int] -- costs only what the input fills. *)
+(* The array starts empty: the first [room] sizes it to the first chunk,
+   and it doubles up to [window] as tokens arrive, so a parse holds only
+   what its input fills, whatever the window -- up to [max_int]. *)
 let of_pull ?(window = default_window) pull =
-  let window = max 1 window in
-  make
-    (Array.make (min window default_window) filler)
-    ~window ~limit:0 ~eof_seen:false pull
+  make [||] ~window:(max 1 window) ~limit:0 ~eof_seen:false pull
 
 (* Tokens seen so far: the total count once the source is exhausted (at
    once, for [of_array]). *)

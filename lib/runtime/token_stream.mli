@@ -52,12 +52,12 @@ val of_pull : ?window:int -> (unit -> Token.t array) -> t
 (** [of_pull pull] is a window over the token chunks produced by [pull]
     ([ [||] ] meaning end of input; exceptions propagate to the lookahead
     call that triggered the pull).  [window] (default {!default_window})
-    sizes the window: the token array starts at no more than
-    {!default_window} and doubles up to [window] as tokens arrive, so a
-    window beyond the input (up to [max_int]) never allocates more than
-    the input fills.  The window slides once [window] tokens are
-    resident, and grows past [window] -- by doubling -- only when the
-    live span (unreleased marks plus lookahead reach) exceeds it. *)
+    sizes the window: the token array starts empty, takes the size of
+    the first chunk and doubles up to [window] as tokens arrive, so a
+    parse holds only what its input fills, whatever the window (up to
+    [max_int]).  The window slides once [window] tokens are resident, and
+    grows past [window] -- by doubling -- only when the live span
+    (unreleased marks plus lookahead reach) exceeds it. *)
 
 val size : t -> int
 (** Tokens seen so far: the total pulled count, complete once the source

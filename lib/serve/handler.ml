@@ -85,10 +85,9 @@ type parse_work = {
 (* The closure submitted to the pool: one {!Runtime.Drive.run} over the
    request text, so lexing and parsing both run off the connection
    thread, in O(window) live tokens however large the payload, with the
-   request's token budget enforced as tokens arrive.  The driver caps the
-   window at the text's byte length, which keeps small requests from
-   allocating (and the major GC from scanning) the whole default window
-   each time.
+   request's token budget enforced as tokens arrive.  The token window
+   and the lexer's byte buffer grow from what arrives, so a small request
+   holds only what it fills, whatever its [window].
 
    [tracer] is the per-request capture ring (or [null]); it sees lexer
    mode events from the scanner and decision/speculation/memo events from
@@ -102,8 +101,7 @@ let parse_work h (entry : Registry.entry) ~(backend : Runtime.Drive.backend)
   let profile = Runtime.Profile.create () in
   let verdict =
     Runtime.Drive.run ~window ~max_tokens:h.limits.max_tokens ~recover ?start
-      ~env:entry.env ~profile ~tracer ~input_bytes:(String.length text)
-      entry.lexer_config backend entry.c
+      ~env:entry.env ~profile ~tracer entry.lexer_config backend entry.c
       (Runtime.Lexer_engine.reader_of_string text)
   in
   (match verdict with

@@ -160,7 +160,7 @@ let streamed_verdict ?env ?(config = Runtime.Lexer_engine.default_config)
     ?(wrap_reader = Fun.id) ~window c text : verdict * int * int =
   let module D = Runtime.Drive in
   match
-    D.run ?env ~window ~input_bytes:(String.length text) config D.Interp c
+    D.run ?env ~window config D.Interp c
       (wrap_reader (Runtime.Lexer_engine.reader_of_string text))
   with
   | D.Lex_error { line; col; _ } -> (Lex_failed (line, col), 0, 0)

@@ -236,7 +236,8 @@ let chunked ~buf_chars ~max_tokens config sym text tracer =
   go []
 
 (* The mutated texts one by one, and in runs of 16 so that inputs span
-   several 4 KiB windows. *)
+   several byte windows, through the default's growth from 1 KiB to
+   4 KiB. *)
 let edge_inputs texts =
   let mutated = mutated_texts ~seed:11 ~per:3 texts in
   let rec runs acc = function
@@ -252,6 +253,9 @@ let windows_and_chunks =
   [
     (64, 1); (64, 7); (64, 256);
     (100, 1); (100, 7); (100, 256);
+    (* the default window's initial size, then its first doubling *)
+    (1024, 1); (1024, 7); (1024, 256);
+    (2048, 1); (2048, 7); (2048, 256);
     (4096, 1); (4096, 7); (4096, 256);
   ]
 

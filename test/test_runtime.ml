@@ -109,8 +109,8 @@ let stream_scale_text (n : int) : string =
 
 (* [streamed_verdict] plus the largest live heap sampled during the parse,
    as words over a full-major floor taken before it.  The heap is sampled
-   every 16 reads of the input (a read fills the lexer's 4 KiB byte
-   window) and once after the parse. *)
+   every 16 reads of the input (a read fills the lexer's byte window, 4 KiB
+   once grown) and once after the parse. *)
 let streamed_sampled ~window c text =
   Gc.full_major ();
   let floor = (Gc.stat ()).Gc.live_words in
@@ -801,8 +801,7 @@ e : e '*' e | e '+' e | '(' e ')' | INT | ID ;
 
 let drive ?window ?max_tokens ?recover ?tree c text =
   Runtime.Drive.run ?window ?max_tokens ?recover ?tree
-    ~input_bytes:(String.length text) Runtime.Lexer_engine.default_config
-    Runtime.Drive.Interp c
+    Runtime.Lexer_engine.default_config Runtime.Drive.Interp c
     (Runtime.Lexer_engine.reader_of_string text)
 
 let parsed = function
@@ -827,7 +826,7 @@ let drive_tests =
             check int (text ^ ": consumed") d.consumed m.consumed;
             check int (text ^ ": produced") d.produced m.produced;
             check bool
-              (text ^ ": window capped at the byte length")
+              (text ^ ": no more tokens resident than bytes")
               true
               (m.peak_live <= max 1 (String.length text)))
           [ "1 + 2 * 3"; "( x + 1 ) * y"; "1 + *"; ""; sum_text 3000 ]);
@@ -866,6 +865,23 @@ let drive_tests =
           ((parsed (drive c "1 + 2")).tree = None);
         check bool "tree when asked" true
           ((parsed (drive ~tree:true c "1 + 2")).tree <> None));
+    test "window max_int over 1-token chunks holds every token once" (fun () ->
+        let c = compile drive_src in
+        List.iter
+          (fun text ->
+            let toks = lex c text in
+            let mat = Runtime.Generated.interp_outcome c toks in
+            let ts = Ts.of_pull ~window:max_int (pull_of_array ~chunk:1 toks) in
+            let str = Runtime.Generated.interp_outcome_stream c ts in
+            check bool
+              (Printf.sprintf "%s vs %s"
+                 (Runtime.Generated.describe mat)
+                 (Runtime.Generated.describe str))
+              true
+              (Runtime.Generated.agree mat str);
+            check int "peak_live = tokens" (Array.length toks)
+              (Ts.peak_live ts))
+          [ "1 + 2 * 3"; "1 + *"; sum_text 3000 ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -972,6 +988,26 @@ let peg_alloc_test =
       let w = (after -. before) /. float_of_int (Array.length toks) in
       check bool (Printf.sprintf "%.3f words/token <= 0.05" w) true (w <= 0.05))
 
+(* A streamed parse starts with an empty token window and a 1 KiB byte
+   buffer, both grown from what arrives, so a short one allocates nothing
+   directly on the major heap.  An eager 4096-token window and 4 KiB
+   buffer put 4,611 words there for every parse, whatever its size. *)
+let drive_alloc_test =
+  test "a 99-token streamed parse allocates nothing on the major heap"
+    (fun () ->
+      let c = compile drive_src in
+      let text = sum_text 50 in
+      let run () =
+        if not (parsed (drive c text)).ok then Alcotest.fail "rejected"
+      in
+      run ();
+      Gc.minor ();
+      let before = direct_major_words () in
+      run ();
+      Gc.minor ();
+      check int "direct major words" 0
+        (int_of_float (direct_major_words () -. before)))
+
 let alloc_tests =
   let row label generated (name, bound) =
     test (Printf.sprintf "%s: %s minor words per token" name label) (fun () ->
@@ -986,7 +1022,7 @@ let alloc_tests =
   :: List.map (row "Interp.recognize" false)
        [ ("MiniJava", 12.5); ("RatsC", 34.) ])
   @ List.map (row "generated parser" true) [ ("MiniJava", 21.); ("RatsC", 43.) ]
-  @ [ peg_alloc_test ]
+  @ [ peg_alloc_test; drive_alloc_test ]
 
 let suite =
   [
