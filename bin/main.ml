@@ -479,7 +479,7 @@ let gen_cmd =
 
 let fuzz_cmd =
   let run seed runs grammar mutate corpus_dir size profile_flag json_file
-      jobs stream_window =
+      jobs =
     let jobs = Exec.Pool.resolve_jobs jobs in
     Exec.Pool.with_pool ~jobs @@ fun pool ->
     let t0 = Unix.gettimeofday () in
@@ -498,8 +498,8 @@ let fuzz_cmd =
           else None
         in
         match
-          Fuzz.Driver.run_spec ~size ~mutate ?corpus_dir ?profile ~pool
-            ?stream_window ~seed ~runs spec
+          Fuzz.Driver.run_spec ~size ~mutate ?corpus_dir ?profile ~pool ~seed
+            ~runs spec
         with
         | Error e ->
             Fmt.epr "%s: %a@." spec.Bench_grammars.Workload.name
@@ -581,32 +581,21 @@ let fuzz_cmd =
             "Write a machine-readable telemetry document (per-grammar \
              verdict counts, failures and decision profiles) to $(docv).")
   in
-  let stream_window =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stream-window" ] ~docv:"TOKENS"
-          ~doc:
-            "Also run every input through the streaming LL(*) recognizer \
-             with a $(docv)-sized token window, and flag any disagreement \
-             with the materialized run (verdict, error position, consumed \
-             tokens) as a divergence.")
-  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: generated (and mutated) sentences are run \
-          through the LL(*), packrat, Earley and LL(1) recognizers and any \
+          through the LL(*), packrat, Earley and LL(1) recognizers, and \
+          through LL(*) again over a 16-token streaming window; any \
           unexplained disagreement, crash or hang is reported and shrunk.")
     Term.(
       const run $ seed $ runs $ grammar $ mutate $ corpus_dir $ size $ profile
-      $ json $ jobs_arg $ stream_window)
+      $ json $ jobs_arg)
 
 (* --- codegen ----------------------------------------------------------- *)
 
 let codegen_cmd =
-  let run grammar bench out_dir module_name standalone inline_threshold print_
-      config =
+  let run grammar bench out_dir module_name standalone print_ config =
     let c, lexer, grammar_text, samples =
       match (bench, grammar) with
       | Some name, _ ->
@@ -623,7 +612,7 @@ let codegen_cmd =
           Fmt.epr "codegen: need a GRAMMAR file or --bench NAME@.";
           exit 2
     in
-    match Codegen.Lower.lower ~inline_threshold ?lexer ?grammar_text c with
+    match Codegen.Lower.lower ?lexer ?grammar_text c with
     | Error msg ->
         Fmt.epr "codegen: %s@." msg;
         exit 2
@@ -688,16 +677,6 @@ let codegen_cmd =
             "Also emit a dune-project file so the workspace builds outside \
              an existing dune project.")
   in
-  let inline_threshold =
-    Arg.(
-      value
-      & opt int Codegen.Lower.default_inline_threshold
-      & info [ "inline-threshold" ] ~docv:"N"
-          ~doc:
-            "Compile lookahead DFAs with at most $(docv) states to nested \
-             match/if chains; larger decisions embed the DFA and walk it \
-             generically.")
-  in
   let print_ =
     Arg.(
       value & flag
@@ -714,7 +693,7 @@ let codegen_cmd =
           ATN/DFA interpreter and fails on any disagreement.")
     Term.(
       const run $ grammar $ bench $ out_dir $ module_name $ standalone
-      $ inline_threshold $ print_ $ lexer_config_term)
+      $ print_ $ lexer_config_term)
 
 (* --- serve / client ---------------------------------------------------- *)
 

@@ -9,7 +9,12 @@
    dispatch compiled away -- so this module validates the invariants it
    relies on and refuses to lower anything that violates them. *)
 
-let default_inline_threshold = 32
+(* Decisions whose DFA has at most this many states are lowered to nested
+   match chains ([Ir.Inline]); larger ones embed the DFA and walk it
+   ([Ir.Table]).  Lowering every decision inline multiplies the generated
+   parsers' build time and object size; lowering every decision to a
+   table costs parse throughput. *)
+let inline_threshold = 32
 
 type error = string
 
@@ -17,7 +22,7 @@ type error = string
    (the interpreter only ever follows [row.(0)]); decision states fan out
    by alternative.  Anything else is a malformed ATN. *)
 
-let lower ?(inline_threshold = default_inline_threshold) ?lexer ?grammar_text
+let lower ?lexer ?grammar_text
     (c : Llstar.Compiled.t) : (Ir.t, error) result =
   let atn = c.Llstar.Compiled.atn in
   let issues : string list ref = ref [] in

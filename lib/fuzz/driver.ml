@@ -142,10 +142,9 @@ type shard = {
    the (seed, range) pair -- never on which worker, or how many, executed
    the range. *)
 let run_range ?(size = 30) ?(mutate = true) ?fuel ?time_cap ?corpus_dir
-    ?profile ?stream_window ~(seed : int) (cw : Workload.compiled) (lo, hi) :
-    shard =
+    ?profile ~(seed : int) (cw : Workload.compiled) (lo, hi) : shard =
   let spec = cw.Workload.spec in
-  let o = Oracle.create_with ?fuel ?time_cap ?profile ?stream_window cw in
+  let o = Oracle.create_with ?fuel ?time_cap ?profile cw in
       let vocab = Oracle.(o.vocab) in
       let accepted = ref 0 and rejected = ref 0 in
       let mutated = ref 0 and explained = ref 0 in
@@ -223,7 +222,7 @@ let run_range ?(size = 30) ?(mutate = true) ?fuel ?time_cap ?corpus_dir
    runs are seed-index deterministic and chunks are merged in index
    order. *)
 let run_spec ?size ?mutate ?fuel ?time_cap ?corpus_dir ?profile ?pool
-    ?stream_window ~(seed : int) ~(runs : int) (spec : Workload.spec) :
+    ~(seed : int) ~(runs : int) (spec : Workload.spec) :
     (report, Llstar.Compiled.error) result =
   match Workload.compile_result spec with
   | Error e -> Error e
@@ -238,7 +237,7 @@ let run_spec ?size ?mutate ?fuel ?time_cap ?corpus_dir ?profile ?pool
             | _ -> ())
           (fun profile range ->
             run_range ?size ?mutate ?fuel ?time_cap ?corpus_dir ?profile
-              ?stream_window ~seed cw range)
+              ~seed cw range)
           runs
       in
       let sum f = List.fold_left (fun a s -> a + f s) 0 shards in

@@ -57,9 +57,9 @@ type outcome = {
   o_codegen : verdict option;
       (* generated parser (lib/gen), when one exists for the
          grammar; compared outcome-for-outcome against the interpreter *)
-  o_stream : verdict option;
-      (* streaming LL-star leg (bounded token window), when enabled;
-         compared outcome-for-outcome against the materialized run *)
+  o_stream : verdict;
+      (* streaming LL-star leg ([stream_window]-token window), compared
+         outcome-for-outcome against the materialized run *)
   o_explained : bool; (* an expected disagreement was normalized away *)
 }
 
@@ -79,10 +79,12 @@ type t = {
   profile : Runtime.Profile.t option;
     (* when set, the LL-star backend's decision profile accumulates across
        every checked input (the fuzz CLI's --profile/--json) *)
-  stream_window : int option;
-    (* when set, every input additionally runs through the streaming
-       LL-star recognizer with this token-window size *)
 }
+
+(* Every input also runs through the streaming LL-star recognizer, pulled
+   in chunks of this many tokens into a window of this size: small enough
+   that the window slides and evicts on every input longer than it. *)
+let stream_window = 16
 
 (* Build an oracle around an already compiled workload; the fuzz driver
    compiles once per spec and shares [cw] across its shard oracles (the
@@ -90,7 +92,7 @@ type t = {
    state -- but the LL-star compilation is read-only, so safely
    shareable). *)
 let create_with ?(fuel = 3_000_000) ?(time_cap = 2.0) ?profile
-    ?stream_window (cw : Workload.compiled) : t =
+    (cw : Workload.compiled) : t =
   let spec = cw.Workload.spec in
   let surface = cw.Workload.c.Llstar.Compiled.surface in
   let peg = surface.Grammar.Ast.options.Grammar.Ast.backtrack in
@@ -126,14 +128,13 @@ let create_with ?(fuel = 3_000_000) ?(time_cap = 2.0) ?profile
     fuel;
     time_cap;
     profile;
-    stream_window;
   }
 
-let create ?fuel ?time_cap ?profile ?stream_window (spec : Workload.spec) :
+let create ?fuel ?time_cap ?profile (spec : Workload.spec) :
     (t, Llstar.Compiled.error) result =
   match Workload.compile_result spec with
   | Error e -> Error e
-  | Ok cw -> Ok (create_with ?fuel ?time_cap ?profile ?stream_window cw)
+  | Ok cw -> Ok (create_with ?fuel ?time_cap ?profile cw)
 
 (* Render terminal spellings to a token array against the compiled
    vocabulary, the way corpus construction does: literals carry their raw
@@ -246,37 +247,33 @@ let check (t : t) (names : string list) : outcome * divergence list =
      position and consumed-token count.  Any mismatch is a retention bug
      in the window/memo machinery, never an expected disagreement. *)
   let stream =
-    Option.map
-      (fun window ->
-        guarded t slow "llstar-stream" (fun () ->
-            let pos = ref 0 in
-            let pull () =
-              let n = Array.length toks in
-              if !pos >= n then [||]
-              else begin
-                let len = min (max 1 window) (n - !pos) in
-                let a = Array.sub toks !pos len in
-                pos := !pos + len;
-                a
-              end
-            in
-            let ts = Runtime.Token_stream.of_pull ~window pull in
-            let got =
-              Runtime.Generated.interp_outcome_stream ~env:t.env
-                t.cw.Workload.c ts
-            in
-            let want =
-              Runtime.Generated.interp_outcome ~env:t.env t.cw.Workload.c
-                toks
-            in
-            if not (Runtime.Generated.agree got want) then
-              diverge "stream-mismatch"
-                (Printf.sprintf "streamed=%s materialized=%s (window %d)"
-                   (Runtime.Generated.describe got)
-                   (Runtime.Generated.describe want)
-                   window);
-            of_bool got.Runtime.Generated.ok))
-      t.stream_window
+    guarded t slow "llstar-stream" (fun () ->
+        let pos = ref 0 in
+        let pull () =
+          let n = Array.length toks in
+          if !pos >= n then [||]
+          else begin
+            let len = min stream_window (n - !pos) in
+            let a = Array.sub toks !pos len in
+            pos := !pos + len;
+            a
+          end
+        in
+        let ts = Runtime.Token_stream.of_pull ~window:stream_window pull in
+        let got =
+          Runtime.Generated.interp_outcome_stream ~env:t.env t.cw.Workload.c
+            ts
+        in
+        let want =
+          Runtime.Generated.interp_outcome ~env:t.env t.cw.Workload.c toks
+        in
+        if not (Runtime.Generated.agree got want) then
+          diverge "stream-mismatch"
+            (Printf.sprintf "streamed=%s materialized=%s (window %d)"
+               (Runtime.Generated.describe got)
+               (Runtime.Generated.describe want)
+               stream_window);
+        of_bool got.Runtime.Generated.ok)
   in
   (* Recovery probe on rejected inputs: panic-mode resynchronization must
      neither crash nor hang, whatever it is fed. *)
@@ -302,7 +299,7 @@ let check (t : t) (names : string list) : outcome * divergence list =
   crash "packrat" packrat;
   crash "ll1" ll1;
   crash "codegen" codegen;
-  crash "llstar-stream" stream;
+  crash "llstar-stream" (Some stream);
   crash "llstar-recovery" recovery;
   (* fuel guard trips: flagged so blow-ups are visible in CI *)
   let fuel backend = function

@@ -7,21 +7,12 @@
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 let connect (addr : Protocol.addr) : t =
-  let fd =
-    match addr with
-    | Protocol.Unix_sock path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-    | Protocol.Tcp (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        let ip =
-          try Unix.inet_addr_of_string host
-          with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        Unix.connect fd (Unix.ADDR_INET (ip, port));
-        fd
-  in
+  let sa = Protocol.sockaddr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd sa
+   with e ->
+     (try Unix.close fd with _ -> ());
+     raise e);
   { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
 
 (* Poll until the server is accepting: daemon startup (grammar compiles,

@@ -220,11 +220,12 @@ let respond_parse h (req : Protocol.request) ~(entry : Registry.entry)
                 ~recover:req.Protocol.recover ~window ~tracer:rtr
                 ~submitted_us text))
       in
+      (* One clock read: the budget verdict and the reported wall_us must
+         agree. *)
+      let wall = Obs.Trace.monotonic_now () -. t0 in
+      let wall_us = int_of_float (wall *. 1e6) in
       let finish ~(ok : bool) ~(tokens : int)
-          ~(profile : Runtime.Profile.t option) : int * float
-          (* wall_us, wall_s *) =
-        let wall = Obs.Trace.monotonic_now () -. t0 in
-        let wall_us = int_of_float (wall *. 1e6) in
+          ~(profile : Runtime.Profile.t option) : unit =
         record h ~req_id ~op ~grammar:gname ~backend ~ok ~tokens ~wall_us
           ~queue_us ~parse_us ~profile;
         (match (h.slow_log, cap) with
@@ -232,12 +233,11 @@ let respond_parse h (req : Protocol.request) ~(entry : Registry.entry)
             Slow_log.record sl ~req_id ~op ~grammar:gname
               ~backend:(Protocol.backend_name backend)
               ~ok ~wall_us ~queue_us ~parse_us buf
-        | _ -> ());
-        (wall_us, wall)
+        | _ -> ())
       in
       match verdict with
       | Runtime.Drive.Lex_error le ->
-          let _ = finish ~ok:false ~tokens:0 ~profile:None in
+          finish ~ok:false ~tokens:0 ~profile:None;
           fail "lex_error"
             (Fmt.str "%a" Runtime.Lexer_engine.pp_error le)
             ~extra:
@@ -250,17 +250,14 @@ let respond_parse h (req : Protocol.request) ~(entry : Registry.entry)
                     ] );
               ]
       | Runtime.Drive.Token_budget n ->
-          let _ = finish ~ok:false ~tokens:n ~profile:None in
+          finish ~ok:false ~tokens:n ~profile:None;
           fail "token_budget"
             (Printf.sprintf "input lexed to %d tokens; limit is %d" n
                h.limits.max_tokens)
       | Runtime.Drive.Parsed r ->
-          let wall = Obs.Trace.monotonic_now () -. t0 in
           let over_budget = wall > h.limits.time_budget_s in
-          let wall_us, _ =
-            finish ~ok:(r.ok && not over_budget) ~tokens:r.produced
-              ~profile:(Some profile)
-          in
+          finish ~ok:(r.ok && not over_budget) ~tokens:r.produced
+            ~profile:(Some profile);
           let base =
             [
               ("grammar", Obs.Json.str gname);

@@ -9,56 +9,40 @@
      GET /ready     readiness ("ready\n")
 
    It is deliberately not a web server: requests are parsed just enough
-   to extract the method and path, responses always close the connection,
-   and scrapes are handled one at a time on the listener thread (scrape
-   intervals are seconds; a parse-request stall cannot block a scrape
-   because scraping never touches the pool, only the metrics mutex).  A
-   slow or stuck client is bounded by a receive timeout and a header-size
-   cap, so it can delay -- never wedge -- the next scrape.
+   to extract the method and path, and responses always close the
+   connection.  The listener is a [Server] with its own per-connection
+   function, so each scrape gets a thread, as a line-protocol client does:
+   a slow or stuck client is bounded by a receive timeout and a
+   request-line cap, and delays no other scrape.  Scraping never touches
+   the pool, only the metrics mutex, so a parse-request stall cannot block
+   a scrape either.
 
-   Lifecycle mirrors [Server]: a self-pipe multiplexed against the listen
-   socket by [select], so [stop] is signal-safe and the thread joins
-   promptly.  Bind with [port = 0] to let the kernel choose (tests);
+   [stop] stops the server, which drains open scrapes, and joins its
+   thread.  Bind with [port = 0] to let the kernel choose (tests);
    [port t] reports the actual binding. *)
 
-type t = {
-  handler : Handler.t;
-  listen_fd : Unix.file_descr;
-  http_port : int;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
-  mutable thread : Thread.t option;
-}
+type t = { server : Server.t; mutable thread : Thread.t option }
 
-let max_header_bytes = 8192
+let max_request_line_bytes = 8192
 let recv_timeout_s = 5.0
 
-let port t = t.http_port
+let port t = Option.get (Server.port t.server)
 
 (* ------------------------------------------------------------------ *)
-(* Request parsing: the request line is all we need.  Returns the path of
-   a well-formed GET, [`Bad_method] for other methods, [`Malformed] for
-   anything that is not HTTP. *)
+(* Request parsing: the request line, CR and LF already stripped, is all
+   we need.  Returns the path of a well-formed GET, [`Bad_method] for other
+   methods, [`Malformed] for anything that is not HTTP. *)
 
-let parse_request_line (data : string) :
+let parse_request_line (line : string) :
     [ `Get of string | `Bad_method | `Malformed ] =
-  match String.index_opt data '\n' with
-  | None -> `Malformed
-  | Some eol -> (
-      let line = String.sub data 0 eol in
-      let line =
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      match String.split_on_char ' ' line with
-      | [ "GET"; target; _http ] -> (
-          (* strip any query string: /metrics?x=y scrapes /metrics *)
-          match String.index_opt target '?' with
-          | Some q -> `Get (String.sub target 0 q)
-          | None -> `Get target)
-      | [ _; _; _ ] -> `Bad_method
-      | _ -> `Malformed)
+  match String.split_on_char ' ' line with
+  | [ "GET"; target; _http ] -> (
+      (* strip any query string: /metrics?x=y scrapes /metrics *)
+      match String.index_opt target '?' with
+      | Some q -> `Get (String.sub target 0 q)
+      | None -> `Get target)
+  | [ _; _; _ ] -> `Bad_method
+  | _ -> `Malformed
 
 let response ~(status : string) ~(content_type : string) (body : string) :
     string =
@@ -89,70 +73,27 @@ let respond_to (h : Handler.t) (path : string) : string =
         ~content_type:"text/plain; charset=utf-8"
         "not found (try /metrics, /health, /ready)\n"
 
-(* Read until the header terminator, the size cap, EOF, or the timeout.
-   We never care about a body: these are GETs. *)
-let read_request (fd : Unix.file_descr) : string option =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 1024 in
-  let rec go () =
-    if Buffer.length buf > max_header_bytes then None
-    else
-      let seen = Buffer.contents buf in
-      let have_terminator =
-        (* enough to parse once the first line is complete *)
-        String.index_opt seen '\n' <> None
-      in
-      if have_terminator then Some seen
-      else
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> if seen = "" then None else Some seen
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-        | exception Unix.Unix_error (_, _, _) -> None
-  in
-  go ()
-
-let write_all (fd : Unix.file_descr) (s : string) : unit =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then
-      match Unix.write fd b off (len - off) with
-      | 0 -> ()
-      | n -> go (off + n)
-      | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  go 0
-
-let handle_conn (t : t) (fd : Unix.file_descr) : unit =
+(* One connection: read the request line (we never care about headers or
+   a body: these are GETs), answer, and let [Server] close the socket. *)
+let handle_conn (h : Handler.t) (_ : Server.t) (fd : Unix.file_descr) : unit
+    =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO recv_timeout_s
    with Unix.Unix_error (_, _, _) -> ());
-  (match read_request fd with
-  | None -> ()
-  | Some data -> (
-      match parse_request_line data with
-      | `Get path -> write_all fd (respond_to t.handler path)
+  let reply s = ignore (Server.write_all fd s) in
+  match
+    Server.read_line_bounded fd (ref "") (Bytes.create 1024)
+      ~max_bytes:max_request_line_bytes
+  with
+  | exception Unix.Unix_error (_, _, _) -> () (* receive timeout *)
+  | `Eof | `Too_long -> ()
+  | `Line line -> (
+      match parse_request_line line with
+      | `Get path -> reply (respond_to h path)
       | `Bad_method ->
-          write_all fd
+          reply
             (response ~status:"405 Method Not Allowed"
                ~content_type:"text/plain; charset=utf-8" "GET only\n")
-      | `Malformed -> ()));
-  try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
-
-let listen_loop (t : t) : unit =
-  let running = ref true in
-  while !running do
-    match Unix.select [ t.listen_fd; t.stop_r ] [] [] (-1.0) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | readable, _, _ ->
-        if List.mem t.stop_r readable then running := false
-        else if List.mem t.listen_fd readable then begin
-          match Unix.accept t.listen_fd with
-          | exception Unix.Unix_error (_, _, _) -> ()
-          | fd, _ -> handle_conn t fd
-        end
-  done
+      | `Malformed -> ())
 
 (* Bind, spawn the listener thread, return.  [host] defaults to loopback:
    metrics are an operational surface, not a public one; bind 0.0.0.0
@@ -160,42 +101,21 @@ let listen_loop (t : t) : unit =
 let start ?(host = "127.0.0.1") ~(port : int) (handler : Handler.t) :
     (t, string) result =
   match
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    let ip =
-      try Unix.inet_addr_of_string host
-      with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    (try Unix.bind fd (Unix.ADDR_INET (ip, port))
-     with e ->
-       (try Unix.close fd with _ -> ());
-       raise e);
-    Unix.listen fd 16;
-    let http_port =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> port
-    in
-    (fd, http_port)
+    Server.listen ~serve:(handle_conn handler)
+      ~addr:(Protocol.Tcp (host, port)) ()
   with
   | exception Unix.Unix_error (err, _, _) ->
       Error
         (Printf.sprintf "cannot bind metrics listener on %s:%d: %s" host port
            (Unix.error_message err))
-  | listen_fd, http_port ->
-      let stop_r, stop_w = Unix.pipe () in
-      let t = { handler; listen_fd; http_port; stop_r; stop_w; thread = None } in
-      t.thread <- Some (Thread.create (fun () -> listen_loop t) ());
-      Ok t
+  | server -> Ok { server; thread = Some (Thread.create Server.run server) }
 
-(* Idempotent: joins the listener thread and closes every fd. *)
+(* Idempotent: stops the listener, drains its connections and joins its
+   thread; [Server.run] closes every fd. *)
 let stop (t : t) : unit =
-  (try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1) with _ -> ());
-  (match t.thread with
+  match t.thread with
   | Some th ->
       t.thread <- None;
+      Server.stop t.server;
       Thread.join th
-  | None -> ());
-  List.iter
-    (fun fd -> try Unix.close fd with _ -> ())
-    [ t.listen_fd; t.stop_r; t.stop_w ]
+  | None -> ()

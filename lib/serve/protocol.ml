@@ -59,6 +59,17 @@ let addr_to_string = function
   | Unix_sock path -> path
   | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
 
+(* The socket address a server binds and a client connects to; a TCP host
+   is a dotted quad or a name resolved through the system resolver. *)
+let sockaddr : addr -> Unix.sockaddr = function
+  | Unix_sock path -> Unix.ADDR_UNIX path
+  | Tcp (host, port) ->
+      let ip =
+        try Unix.inet_addr_of_string host
+        with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+      in
+      Unix.ADDR_INET (ip, port)
+
 (* "host:port" for TCP; anything else is a filesystem socket path. *)
 let tcp_of_string (s : string) : (addr, string) result =
   match String.rindex_opt s ':' with

@@ -2,80 +2,112 @@
 
    Shape: one accept loop (the caller's thread, inside [run]) multiplexing
    the listen socket against a self-pipe with [select]; one lightweight
-   sys-thread per connection reading newline-framed requests and calling
-   [Handler.handle]; parse work itself runs on the handler's Exec.Pool, so
-   connection threads spend their lives blocked on sockets, not burning
-   CPU.
+   sys-thread per connection running the server's per-connection function.
+   [create] serves the line-JSON protocol ([conn_loop]: newline-framed
+   requests through [Handler.handle]); [Metrics_http] is the same server
+   with an HTTP request/response function.  Parse work itself runs on the
+   handler's Exec.Pool, so connection threads spend their lives blocked on
+   sockets, not burning CPU.
 
    Graceful shutdown (a shutdown request, [stop], or a signal wired to
    [stop]): the accept loop closes the listen socket, then shuts down the
    *receive* side of every open connection.  An idle connection's reader
    sees EOF and exits; a connection mid-request still owns its send side,
    so the in-flight response is written before the thread exits.  [run]
-   then waits for the connection count to drain to zero, joins the
-   threads, removes a Unix socket path, and returns -- the caller exits 0
-   with no request dropped mid-parse. *)
-
-type conn = { fd : Unix.file_descr; mutable receiving : bool }
+   then waits until every connection thread has closed its socket (after
+   that a thread only returns, so none is kept to be joined), removes a
+   Unix socket path, and returns -- the caller exits 0 with no request
+   dropped mid-parse. *)
 
 type t = {
-  handler : Handler.t;
+  serve : t -> Unix.file_descr -> unit;
+      (* one connection's life, run on its own thread; [serve_conn]
+         closes the fd when it returns *)
   addr : Protocol.addr;
   listen_fd : Unix.file_descr;
   stop_r : Unix.file_descr; (* self-pipe: anything written means stop *)
   stop_w : Unix.file_descr;
   lock : Mutex.t;
   drained : Condition.t;
-  mutable conns : conn list;
-  mutable n_conns : int;
-  mutable stopping : bool;
-  mutable threads : Thread.t list;
+  mutable conns : Unix.file_descr list;
+  bound_port : int option; (* TCP port the kernel bound; [None] on a path *)
+  pipe_lock : Mutex.t; (* guards the self-pipe's writes and its closing *)
+  mutable pipe_closed : bool; (* [run] has closed the self-pipe *)
 }
 
 let listen_on (addr : Protocol.addr) : Unix.file_descr =
-  match addr with
+  (match addr with
   | Protocol.Unix_sock path ->
       (* A stale socket file from a crashed daemon blocks bind; a live
          daemon would still be accepting on it, and two daemons on one
          path is operator error either way. *)
-      if Sys.file_exists path then Sys.remove path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-  | Protocol.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      let ip =
-        try Unix.inet_addr_of_string host
-        with _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.bind fd (Unix.ADDR_INET (ip, port));
-      Unix.listen fd 64;
-      fd
+      if Sys.file_exists path then Sys.remove path
+  | Protocol.Tcp _ -> ());
+  let sa = Protocol.sockaddr addr in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  try
+    (match addr with
+    | Protocol.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+    | Protocol.Unix_sock _ -> ());
+    Unix.bind fd sa;
+    Unix.listen fd 64;
+    fd
+  with e ->
+    (try Unix.close fd with _ -> ());
+    raise e
 
-let create ~(handler : Handler.t) ~(addr : Protocol.addr) () : t =
+(* Bind [addr] and return a server that runs [serve] on a thread per
+   accepted connection.  Raises [Unix.Unix_error] if the bind fails. *)
+let listen ~(serve : t -> Unix.file_descr -> unit) ~(addr : Protocol.addr)
+    () : t =
   (* A client that disconnects mid-response must cost us an EPIPE write
      error, not a process-killing signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
+  let listen_fd = listen_on addr in
   let stop_r, stop_w = Unix.pipe () in
   {
-    handler;
+    serve;
     addr;
-    listen_fd = listen_on addr;
+    listen_fd;
     stop_r;
     stop_w;
     lock = Mutex.create ();
     drained = Condition.create ();
     conns = [];
-    n_conns = 0;
-    stopping = false;
-    threads = [];
+    bound_port =
+      (match Unix.getsockname listen_fd with
+      | Unix.ADDR_INET (_, p) -> Some p
+      | Unix.ADDR_UNIX _ -> None);
+    pipe_lock = Mutex.create ();
+    pipe_closed = false;
   }
 
-(* Signal-safe and idempotent: just makes the self-pipe readable. *)
+(* The TCP port the listen socket is bound to (the kernel's choice when
+   [addr] asked for port 0); [None] on a Unix socket. *)
+let port (t : t) : int option = t.bound_port
+
+(* [Mutex.protect], which OCaml 4.14 lacks. *)
+let with_lock (m : Mutex.t) (f : unit -> 'a) : 'a =
+  Mutex.lock m;
+  match f () with
+  | v ->
+      Mutex.unlock m;
+      v
+  | exception e ->
+      Mutex.unlock m;
+      raise e
+
+(* Signal-safe and idempotent: makes the self-pipe readable, unless [run]
+   has already closed it.  Only [stop] and [run]'s closing take
+   [pipe_lock], so a signal handler that finds it held by its own thread
+   (the re-lock raises [Sys_error]) has interrupted a stop or the close:
+   the server is stopping either way, and the request is dropped. *)
 let stop (t : t) : unit =
-  try ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1) with _ -> ()
+  try
+    with_lock t.pipe_lock (fun () ->
+        if not t.pipe_closed then
+          ignore (Unix.write t.stop_w (Bytes.make 1 '!') 0 1))
+  with _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Bounded line reading.  [carry] holds bytes read past the previous
@@ -142,34 +174,19 @@ let write_all (fd : Unix.file_descr) (s : string) : bool =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Connection lifecycle *)
+(* The line-JSON protocol: one request per line, one response per line. *)
 
-let add_conn t (c : conn) : unit =
-  Mutex.lock t.lock;
-  t.conns <- c :: t.conns;
-  t.n_conns <- t.n_conns + 1;
-  Mutex.unlock t.lock
-
-let remove_conn t (c : conn) : unit =
-  Mutex.lock t.lock;
-  t.conns <- List.filter (fun c' -> c' != c) t.conns;
-  t.n_conns <- t.n_conns - 1;
-  if t.n_conns = 0 then Condition.broadcast t.drained;
-  Mutex.unlock t.lock
-
-let conn_loop t (c : conn) : unit =
-  let max_bytes =
-    t.handler.Handler.limits.Handler.max_request_bytes
-  in
+let conn_loop (handler : Handler.t) t (fd : Unix.file_descr) : unit =
+  let max_bytes = handler.Handler.limits.Handler.max_request_bytes in
   let carry = ref "" in
   let chunk = Bytes.create 65536 in
   let continue_ = ref true in
   while !continue_ do
-    match read_line_bounded c.fd carry chunk ~max_bytes with
+    match read_line_bounded fd carry chunk ~max_bytes with
     | `Eof -> continue_ := false
     | `Too_long ->
         ignore
-          (write_all c.fd
+          (write_all fd
              (Obs.Json.to_string
                 (Protocol.error_response ~id:Obs.Json.Null ~code:"too_large"
                    ~message:
@@ -180,20 +197,32 @@ let conn_loop t (c : conn) : unit =
         continue_ := false
     | `Line "" -> () (* blank keep-alive lines are fine *)
     | `Line line ->
-        let resp, action = Handler.handle t.handler line in
-        if not (write_all c.fd (resp ^ "\n")) then continue_ := false;
+        let resp, action = Handler.handle handler line in
+        if not (write_all fd (resp ^ "\n")) then continue_ := false;
         (match action with
         | `Shutdown ->
             stop t;
             continue_ := false
         | `Continue -> ())
-  done;
-  c.receiving <- false;
-  (try Unix.close c.fd with _ -> ());
-  remove_conn t c
+  done
+
+let create ~(handler : Handler.t) ~(addr : Protocol.addr) () : t =
+  listen ~serve:(conn_loop handler) ~addr ()
 
 (* ------------------------------------------------------------------ *)
 (* Accept loop and drain *)
+
+(* A connection's thread: run [serve], then close the fd and drop it
+   from [conns] under the lock, so [drain] never shuts down a closed (or
+   reused) descriptor. *)
+let serve_conn t (fd : Unix.file_descr) : unit =
+  Fun.protect
+    ~finally:(fun () ->
+      with_lock t.lock (fun () ->
+          t.conns <- List.filter (fun c -> c <> fd) t.conns;
+          (try Unix.close fd with _ -> ());
+          if t.conns = [] then Condition.broadcast t.drained))
+    (fun () -> t.serve t fd)
 
 let accept_loop t : unit =
   let running = ref true in
@@ -206,33 +235,23 @@ let accept_loop t : unit =
           match Unix.accept t.listen_fd with
           | exception Unix.Unix_error (_, _, _) -> ()
           | fd, _ ->
-              let c = { fd; receiving = true } in
-              add_conn t c;
-              let th = Thread.create (fun () -> conn_loop t c) () in
-              Mutex.lock t.lock;
-              t.threads <- th :: t.threads;
-              Mutex.unlock t.lock
+              with_lock t.lock (fun () -> t.conns <- fd :: t.conns);
+              ignore (Thread.create (serve_conn t) fd)
         end
   done
 
 let drain t : unit =
   Mutex.lock t.lock;
-  t.stopping <- true;
   (* Poke every open connection's receive side: idle readers see EOF
      immediately; a thread mid-request keeps its send side and finishes
      the response first. *)
   List.iter
-    (fun c ->
-      if c.receiving then
-        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with _ -> ())
+    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with _ -> ())
     t.conns;
-  while t.n_conns > 0 do
+  while t.conns <> [] do
     Condition.wait t.drained t.lock
   done;
-  let threads = t.threads in
-  t.threads <- [];
-  Mutex.unlock t.lock;
-  List.iter Thread.join threads
+  Mutex.unlock t.lock
 
 (* Serve until stopped, then drain gracefully.  Returns when every
    accepted request has been answered and every connection closed. *)
@@ -240,8 +259,11 @@ let run (t : t) : unit =
   accept_loop t;
   (try Unix.close t.listen_fd with _ -> ());
   drain t;
-  (try Unix.close t.stop_r with _ -> ());
-  (try Unix.close t.stop_w with _ -> ());
+  with_lock t.pipe_lock (fun () ->
+      t.pipe_closed <- true;
+      List.iter
+        (fun fd -> try Unix.close fd with _ -> ())
+        [ t.stop_r; t.stop_w ]);
   match t.addr with
   | Protocol.Unix_sock path -> ( try Sys.remove path with _ -> ())
   | Protocol.Tcp _ -> ()

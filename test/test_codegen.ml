@@ -12,10 +12,10 @@
      parsers, each with the compiled grammar's token and rule interning;
    - the closure-execution backend ({!Codegen.Exec}, which interprets
      the IR with the exact control flow the emitter prints) agrees with
-     the interpreter on qcheck-random grammars and random token strings,
-     at both the default inline threshold and [~inline_threshold:0]
-     (everything table-driven), so both decision-lowering strategies are
-     exercised;
+     the interpreter on qcheck-random grammars and random token strings.
+     Exec walks every decision's DFA and never reads its plan, so the
+     Inline/Table split is covered by the generated parsers above, not
+     here;
    - emission is deterministic (lower + emit twice, byte-identical);
    - every committed fuzz-corpus reproducer replays without divergence
      through the generated parser.
@@ -121,13 +121,13 @@ let registry_matches_specs =
         Bench_grammars.Specs.all)
 
 (* ------------------------------------------------------------------ *)
-(* Exec backend vs Interp on random grammars (both decision plans)     *)
+(* Exec backend vs Interp on random grammars                           *)
 
-let exec_agrees_with_interp ~inline_threshold (g, word) =
+let exec_agrees_with_interp (g, word) =
   match Test_props.compile_rand g with
   | None -> true
   | Some c -> (
-      match Codegen.Lower.lower ~inline_threshold c with
+      match Codegen.Lower.lower c with
       | Error m -> Alcotest.failf "lower failed on a compiled grammar: %s" m
       | Ok ir ->
           let (module P : RtG.PARSER) = Codegen.Exec.to_parser ir in
@@ -143,13 +143,8 @@ let arb_grammar_and_word =
 
 let props =
   [
-    qtest ~count:150 "exec backend agrees with Interp (inline decisions)"
-      arb_grammar_and_word
-      (exec_agrees_with_interp
-         ~inline_threshold:Codegen.Lower.default_inline_threshold);
-    qtest ~count:150 "exec backend agrees with Interp (table decisions)"
-      arb_grammar_and_word
-      (exec_agrees_with_interp ~inline_threshold:0);
+    qtest ~count:150 "exec backend agrees with Interp" arb_grammar_and_word
+      exec_agrees_with_interp;
     qtest ~count:100 "exec backend accepts drawn sentences iff Interp does"
       Test_props.arb_grammar_and_sentence (fun (g, sentence) ->
         match (Test_props.compile_rand g, sentence) with

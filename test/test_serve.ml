@@ -201,6 +201,32 @@ let handler_tests =
         with_handler ~limits (fun h ->
             let big = handle_ok h (parse_req (String.make 200 'A')) in
             check string "too large" "too_large" (error_code big)));
+    test "budgets: a parse over the time budget answers time_budget"
+      (fun () ->
+        let limits =
+          { Serve.Handler.default_limits with Serve.Handler.time_budget_s = 0.0 }
+        in
+        with_handler ~limits (fun h ->
+            let r = handle_ok h (parse_req "A B") in
+            check string "time budget" "time_budget" (error_code r);
+            List.iter
+              (fun k ->
+                check bool (k ^ " reported") true (Json.member k r <> None))
+              [ "grammar"; "backend"; "tokens"; "wall_us" ];
+            check bool "result withheld: no consumed" true
+              (Json.member "consumed" r = None);
+            let failed =
+              Obs.Metrics.counter h.Serve.Handler.metrics
+                ~labels:
+                  [
+                    ("op", "parse");
+                    ("grammar", "tiny");
+                    ("backend", "interp");
+                    ("ok", "false");
+                  ]
+                "serve.requests"
+            in
+            check int "counted as failed" 1 (Obs.Metrics.value failed)));
     test "recover collects errors; rejected on generated backend" (fun () ->
         with_handler (fun h ->
             let r =
@@ -717,6 +743,36 @@ let metrics_http_tests =
                   (match http_request ~port "/health" with
                   | _ -> false
                   | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true)));
+    test "a silent client delays neither a scrape nor stop" (fun () ->
+        with_handler (fun h ->
+            match Serve.Metrics_http.start ~port:0 h with
+            | Error e -> Alcotest.fail e
+            | Ok listener ->
+                let port = Serve.Metrics_http.port listener in
+                let silent = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+                Fun.protect
+                  ~finally:(fun () ->
+                    Serve.Metrics_http.stop listener;
+                    try Unix.close silent with Unix.Unix_error (_, _, _) -> ())
+                  (fun () ->
+                    Unix.connect silent
+                      (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+                    (* the listener's receive timeout is 5 s; a scrape queued
+                       behind the silent connection would wait it out *)
+                    let t0 = Unix.gettimeofday () in
+                    check bool "health answered" true
+                      (contains (http_request ~port "/health") "200 OK");
+                    let scrape_s = Unix.gettimeofday () -. t0 in
+                    check bool
+                      (Printf.sprintf "answered in %.2fs, not after the timeout"
+                         scrape_s)
+                      true (scrape_s < 2.0);
+                    let t0 = Unix.gettimeofday () in
+                    Serve.Metrics_http.stop listener;
+                    let stop_s = Unix.gettimeofday () -. t0 in
+                    check bool
+                      (Printf.sprintf "stop drained in %.2fs" stop_s)
+                      true (stop_s < 2.0))));
   ]
 
 (* The state-reset contract, observed through the public request path:
@@ -871,6 +927,34 @@ let with_server (f : string -> unit) : unit =
 
 let server_tests =
   [
+    test "stop after run returned writes to no reused descriptor" (fun () ->
+        with_handler (fun handler ->
+            (* opened before the server, so its fds are none of the server's *)
+            let r, w = Unix.pipe () in
+            Fun.protect
+              ~finally:(fun () ->
+                List.iter
+                  (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+                  [ r; w ])
+              (fun () ->
+                let server =
+                  Serve.Server.create ~handler
+                    ~addr:(Serve.Protocol.Tcp ("127.0.0.1", 0)) ()
+                in
+                let th = Thread.create Serve.Server.run server in
+                Serve.Server.stop server;
+                Thread.join th;
+                (* [run] closed its self-pipe; give the write end's number to
+                   an unrelated pipe, as a later open would *)
+                let reused = server.Serve.Server.stop_w in
+                Unix.dup2 w reused;
+                Fun.protect
+                  ~finally:(fun () -> Unix.close reused)
+                  (fun () ->
+                    Serve.Server.stop server;
+                    let readable, _, _ = Unix.select [ r ] [] [] 0.0 in
+                    check bool "nothing written to the reused fd" true
+                      (readable = [])))));
     test "concurrent clients, graceful drain, socket cleanup" (fun () ->
         let drained = ref false in
         with_server (fun sock ->
