@@ -87,6 +87,31 @@ let is_stop_state t s =
   let r = t.state_rule.(s) in
   r >= 0 && t.rules.(r).r_stop = s
 
+(* Per-state facts the LL-star closure walk tests on every step.  They are
+   derived from [t] in one pass rather than stored in it, so the marshaled
+   ATN keeps its shape; analysis computes them once per ATN before it fans
+   decisions out, and worker domains only read them. *)
+type state_flags = {
+  significant : bool array;
+    (* a stop state, a state with an outgoing terminal edge, or a terminal
+       sink (no edges, e.g. the augmented post-EOF state) *)
+  stop : bool array; (* [is_stop_state] *)
+  decision : bool array; (* [decision_of] >= 0 *)
+}
+
+let state_flags t =
+  let stop = Array.init t.nstates (is_stop_state t) in
+  let significant =
+    Array.init t.nstates (fun s ->
+        stop.(s)
+        || Array.length t.trans.(s) = 0
+        || Array.exists
+             (fun (edge, _) -> match edge with Term _ -> true | _ -> false)
+             t.trans.(s))
+  in
+  let decision = Array.map (fun d -> d >= 0) t.decision_of_state in
+  { significant; stop; decision }
+
 let pp_pred sym ppf = function
   | Sem code -> Fmt.pf ppf "{%s}?" code
   | Prec n -> Fmt.pf ppf "{p<=%d}?" n

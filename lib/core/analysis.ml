@@ -28,14 +28,28 @@
    alternative count and the interned token-type universe respectively:
    the subset construction manipulates these sets on every closure and
    every discovered state, and the flat representation keeps that
-   bookkeeping allocation-light.  Closures of already-seen seed
-   configurations are memoized per builder (see [closure]).
+   bookkeeping allocation-light.
 
-   Table keys: the dedup table, the closure memo and the closure walk's
-   busy set hash the whole key -- every configuration of a set, every
-   field of a configuration -- with [Config.hash], and call stacks are
-   hash-consed per builder ([Config.Stack]), so hashing and comparing a
-   configuration costs O(1) whatever its stack depth. *)
+   What one subset-construction step costs:
+   - closure: each seed configuration is walked once per builder and its
+     reached set memoized, sorted (see [closure]); a step reads the ATN's
+     per-state flags ([Atn.state_flags], computed once per ATN before the
+     decisions fan out), tests and inserts the busy set with one hash and
+     walks edges with a loop; a closure's set is the merge of its seeds'
+     sorted sets;
+   - move: one pass per state buckets every configuration's terminal edges
+     ([moves]), and a per-builder memo keyed on the canonical move set
+     sends a repeated move set straight to its state ([step]);
+   - conflicts: one pass over a state's runs of configurations at one ATN
+     state, bucketed by stack ([conflict_info]), so the cost does not grow
+     with the square of the alternatives.
+   [effort] counts closure steps and conflict comparisons.
+
+   Table keys: the dedup table, the move-set memo, the closure memo and
+   the closure walk's busy set hash the whole key -- every configuration
+   of a set, every field of a configuration -- with [Config.hash], and call
+   stacks are hash-consed per builder ([Config.Stack]), so hashing and
+   comparing a configuration costs O(1) whatever its stack depth. *)
 
 type warning =
   | Ambiguity of { decision : int; alts : int list; path : int list }
@@ -68,13 +82,23 @@ type result = {
   fallback : bool;
 }
 
-(* Analysis effort: DFA states built by each attempt at a decision -- the
-   full construction, the [Bounded] retry and the LL(1) fallback --
-   abandoned attempts included.  A count, not a time, so it is
-   deterministic. *)
-type effort = { primary : int; bounded : int; ll1 : int }
+(* DFA states built by each attempt at a decision -- the full
+   construction, the [Bounded] retry and the LL(1) fallback -- abandoned
+   attempts included. *)
+type states_built = { primary : int; bounded : int; ll1 : int }
 
-let total_effort e = e.primary + e.bounded + e.ll1
+let total_states s = s.primary + s.bounded + s.ll1
+
+(* Analysis effort: the states each attempt built, plus the work summed
+   over every attempt -- closure steps (configurations the closure walk
+   visited, busy ones included) and conflict comparisons (configurations
+   bucketed by stack, plus the Definition 6 tests between distinct stacks,
+   see [relate_stacks]).  Counts, not times, so they are deterministic. *)
+type effort = {
+  states : states_built;
+  closure_steps : int;
+  conflict_comparisons : int;
+}
 
 type fallback_strategy =
   | Bounded
@@ -116,11 +140,14 @@ type wstate = {
 }
 
 (* Cached closure of a single seed configuration: the significant
-   configurations its walk reaches, whether the walk hit the recursion
-   bound, and the alternatives it found left-recursing.  Only completed
-   walks are cached, so a cached entry is independent of the busy-set and
-   [allow_multi_recursion] state at the time it was recorded. *)
+   configurations its walk reaches (canonical), whether the walk hit the
+   recursion bound, and the alternatives it found left-recursing.  Only
+   completed walks are cached, so a cached entry is independent of the
+   busy-set and [allow_multi_recursion] state at the time it was
+   recorded.  [cm_seed] is the seed the entry is keyed on, shared by the
+   move-set memo's keys. *)
 type closure_memo_entry = {
+  cm_seed : Config.t;
   cm_reached : Config.t list;
   cm_overflow : bool;
   cm_rec_alts : int list;
@@ -140,24 +167,74 @@ end)
 
 let set_key set = { set; set_hash = Config.hash_list set }
 
+(* Move-set memo key: a canonical move set as an array, with its hash.  A
+   stored key's configurations are the closure memo's seeds, so an entry
+   costs a word per configuration. *)
+type move_key = { seeds : Config.t array; seeds_hash : int }
+
+module Moves = Hashtbl.Make (struct
+  type t = move_key
+
+  let equal a b =
+    a.seeds_hash = b.seeds_hash
+    && Array.length a.seeds = Array.length b.seeds
+    && Array.for_all2 Config.equal a.seeds b.seeds
+
+  let hash k = k.seeds_hash
+end)
+
+(* [conflict_info]'s working space, reused across the states of a builder.
+   [slot] maps a stack id to its bucket in the current run (-1 between
+   runs); bucket [s] holds [stacks.(s)], the summary [own.(s)] of its
+   alternatives and the pooled summary [rel.(s)] of its equivalent
+   buckets.
+
+   The stacks' top-first prefixes are interned in a trie: node 0 is the
+   empty prefix and [trie] maps (node, frame) to the node one frame
+   deeper.  [paths.(id)] is the path of the stack with that id --
+   [path.(d)] is the node of its top [d] frames, so the last node stands
+   for the whole stack -- computed once per stack.  [node_bucket] maps a
+   node to the bucket of the run's stack ending there (-1 between
+   runs). *)
+type run_scratch = {
+  mutable slot : int array;
+  mutable stacks : Config.Stack.t array;
+  mutable own : int array;
+  mutable rel : int array;
+  trie : (int * int, int) Hashtbl.t;
+  mutable paths : int array array;
+  mutable node_bucket : int array;
+}
+
 type builder = {
   atn : Atn.t;
+  flags : Atn.state_flags; (* shared by every builder of the ATN, read-only *)
   opts : options;
   decision : Atn.decision;
   mutable states : wstate list; (* reversed *)
   mutable nstates : int;
   dedup : wstate Dedup.t;
+  move_memo : wstate Moves.t;
+    (* canonical move set -> the state its closure reached *)
   recursive_alts : Bitset.t; (* universe: d_nalts + 1 *)
   stacks : Config.Stack.table; (* hash-consed call stacks *)
   closure_memo : closure_memo_entry Config.Tbl.t;
-  busy : unit Config.Tbl.t;
+  busy : Config.Busy.set;
     (* one seed's closure walk; cleared between seeds, never shared *)
+  mutable move_buckets : Config.t list array;
+    (* [moves] scratch, one list per terminal; empty between calls *)
+  runs : run_scratch; (* [conflict_info] scratch *)
+  mutable alt_slot : int array;
+    (* [resolve_with_preds] scratch, indexed by alternative; -1 between
+       calls *)
   mutable warnings : warning list;
   mutable uses_synpred : bool;
   allow_multi_recursion : bool; (* true in the fallback attempts *)
   mutable open_at_depth : int array;
     (* index k: fresh states at lookahead depth k that settled undecided,
        counted only when [allow_multi_recursion]; grows on demand *)
+  mutable closure_steps : int;
+  mutable conflict_comparisons : int;
 }
 
 let busy_initial = 64
@@ -176,17 +253,24 @@ let warn b w = b.warnings <- w :: b.warnings
    the seed configuration alone, so completed walks are memoized on the
    builder: distinct (state, terminal) steps that move onto the same
    configuration replay its recorded closure instead of re-walking the
-   ATN.  The final [Config.canonicalize] (sort + dedup) makes the
-   per-seed decomposition produce exactly the configuration sets the
-   shared-walk formulation did.  Walks are not cached while hoisting
+   ATN.  Each walk's reached set is kept canonical (sorted, deduplicated),
+   and the closure is their [Config.union]: the per-seed decomposition
+   produces exactly the configuration sets the shared-walk formulation
+   did.  Walks are not cached while hoisting
    predicates (the start state's closure) -- the [sem]/[free]/[crossed]
    collection differs there and D0 is built once per decision anyway --
-   nor when aborted by [Non_ll_regular_exn]. *)
+   nor when aborted by [Non_ll_regular_exn], which abandons the builder
+   (busy set included).
+
+   A step reads the state's significance, stop and decision flags from
+   [b.flags], tests and inserts the busy set with one hash, and walks the
+   state's edges with a loop: the walk allocates only the configurations
+   it steps to, the busy set's entries and the lists it records. *)
 let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
     Config.t list * bool =
   let acc = ref [] in
   let overflowed = ref false in
-  let atn = b.atn in
+  let atn = b.atn and flags = b.flags in
   let note_recursion alt =
     Bitset.add b.recursive_alts alt;
     if Bitset.cardinal b.recursive_alts > 1 && not b.allow_multi_recursion
@@ -206,50 +290,44 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
     let walk_overflow = ref false in
     let rec_alts = ref [] in
     let rec go (c : Config.t) =
-    if not (Config.Tbl.mem busy c) then begin
-      Config.Tbl.add busy c ();
-      (* Only configurations at *significant* states -- stop states and
-         states with outgoing terminal edges -- enter the DFA state's set.
-         Pass-through configurations (epsilon, action, predicate and
-         rule-call positions) carry no information their successors do not,
-         and recording them creates spurious Definition-7 conflicts, e.g. a
-         configuration sitting just before its own predicate edge with its
-         semantic context not yet collected. *)
-      let significant =
-        Atn.is_stop_state atn c.state
-        || Array.length atn.trans.(c.state) = 0 (* terminal sink, e.g. the
-                                                   augmented post-EOF state *)
-        || Array.exists
-             (fun (edge, _) ->
-               match edge with Atn.Term _ -> true | _ -> false)
-             atn.trans.(c.state)
-      in
-      if significant then reached := c :: !reached;
-      let c =
-        if (not c.crossed) && Atn.decision_of atn c.state >= 0 then
-          { c with crossed = true }
-        else c
-      in
-      if Atn.is_stop_state atn c.state then
-        (* Submachine stop: pop the return state, or -- with an empty stack,
-           the wildcard context -- chase every call site of this rule. *)
-        match c.stack with
-        | Push { top = f; rest; _ } -> go { c with state = f; stack = rest }
-        | Empty ->
-            let rule = atn.state_rule.(c.state) in
-            List.iter
-              (fun (follow, _arg) ->
-                go { c with state = follow; stack = Empty; free = true })
-              atn.callers.(rule)
-      else
-        Array.iter
-          (fun (edge, tgt) ->
+      b.closure_steps <- b.closure_steps + 1;
+      if Config.Busy.add busy c then begin
+        (* Only configurations at *significant* states -- stop states and
+           states with outgoing terminal edges (or none at all) -- enter
+           the DFA state's set.  Pass-through configurations (epsilon,
+           action, predicate and rule-call positions) carry no information
+           their successors do not, and recording them creates spurious
+           Definition-7 conflicts, e.g. a configuration sitting just before
+           its own predicate edge with its semantic context not yet
+           collected. *)
+        if flags.significant.(c.state) then reached := c :: !reached;
+        let c =
+          if (not c.crossed) && flags.decision.(c.state) then
+            { c with crossed = true }
+          else c
+        in
+        if flags.stop.(c.state) then
+          (* Submachine stop: pop the return state, or -- with an empty
+             stack, the wildcard context -- chase every call site of this
+             rule. *)
+          match c.stack with
+          | Push { top = f; rest; _ } -> go { c with state = f; stack = rest }
+          | Empty ->
+              let rule = atn.state_rule.(c.state) in
+              List.iter
+                (fun (follow, _arg) ->
+                  go { c with state = follow; stack = Empty; free = true })
+                atn.callers.(rule)
+        else
+          let edges = atn.trans.(c.state) in
+          for i = 0 to Array.length edges - 1 do
+            let edge, tgt = edges.(i) in
             match edge with
             | Atn.Term _ -> () (* left for move *)
             | Atn.Eps | Atn.Act _ -> go { c with state = tgt }
             | Atn.Pred p ->
-                (* Hoisting is restricted to predicates *visible at the left
-                   edge* of the decision (section 5.5): only the start
+                (* Hoisting is restricted to predicates *visible at the
+                   left edge* of the decision (section 5.5): only the start
                    state's closure collects them ([collect_preds]), because
                    a predicate first reached after k tokens of lookahead
                    would be evaluated at the decision point, k tokens too
@@ -263,9 +341,7 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
                   | Atn.Syn _ -> (not c.free) && not c.crossed
                 in
                 let sem =
-                  match c.sem with
-                  | None when collectable -> Some p
-                  | s -> s
+                  match c.sem with None when collectable -> Some p | s -> s
                 in
                 go { c with state = tgt; sem }
             | Atn.Rule { rule; arg = _ } ->
@@ -277,9 +353,9 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
                 end;
                 if depth >= b.opts.m then begin
                   walk_overflow := true;
-                  (* Keep the cut configuration itself even though its state
-                     is a pass-through: it is the only evidence that this
-                     alternative remains viable beyond the bound. *)
+                  (* Keep the cut configuration itself even though its
+                     state is a pass-through: it is the only evidence that
+                     this alternative remains viable beyond the bound. *)
                   reached := c :: !reached
                 end
                 else
@@ -288,28 +364,28 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
                       c with
                       state = atn.rules.(rule).r_entry;
                       stack = Config.Stack.push b.stacks follow c.stack;
-                    })
-          atn.trans.(c.state)
-    end
+                    }
+          done
+      end
     in
-    (* [clear] costs the table's bucket count: a walk that grew the table
-       past its initial size gives the memory back instead, so later small
-       walks keep clearing a small table. *)
-    Fun.protect
-      ~finally:(fun () ->
-        if Config.Tbl.length busy > 2 * busy_initial then
-          Config.Tbl.reset busy
-        else Config.Tbl.clear busy)
-      (fun () -> go seed_c);
+    go seed_c;
+    (* [clear] costs the set's bucket count: a walk that grew the set past
+       its initial size gives the memory back instead, so later small walks
+       keep clearing a small set. *)
+    if Config.Busy.length busy > 2 * busy_initial then
+      Config.Busy.reset busy busy_initial
+    else Config.Busy.clear busy;
+    let reached = Config.canonicalize !reached in
     (* the walk completed: safe to cache *)
     if not collect_preds then
       Config.Tbl.replace b.closure_memo seed_c
         {
-          cm_reached = !reached;
+          cm_seed = seed_c;
+          cm_reached = reached;
           cm_overflow = !walk_overflow;
           cm_rec_alts = !rec_alts;
         };
-    acc := List.rev_append !reached !acc;
+    acc := reached :: !acc;
     if !walk_overflow then overflowed := true
   in
   List.iter
@@ -319,28 +395,14 @@ let closure ?(collect_preds = false) (b : builder) (seed : Config.t list) :
       with
       | Some e ->
           List.iter note_recursion e.cm_rec_alts;
-          acc := List.rev_append e.cm_reached !acc;
+          acc := e.cm_reached :: !acc;
           if e.cm_overflow then overflowed := true
       | None -> run_seed c)
     seed;
-  (Config.canonicalize !acc, !overflowed)
+  (Config.union !acc, !overflowed)
 
 (* ------------------------------------------------------------------ *)
-(* Move: configurations reachable on terminal [a] (Algorithm 8's move). *)
-
-let move (atn : Atn.t) (configs : Config.t list) (a : int) : Config.t list =
-  List.concat_map
-    (fun (c : Config.t) ->
-      Array.to_list atn.trans.(c.state)
-      |> List.filter_map (fun (edge, tgt) ->
-             match edge with
-             | Atn.Term t
-               when t = a
-                    || (t = Grammar.Sym.wildcard && a <> Grammar.Sym.eof
-                       && a <> Grammar.Sym.wildcard) ->
-                 Some { c with state = tgt }
-             | _ -> None))
-    configs
+(* Move: configurations reachable on each terminal (Algorithm 8's move). *)
 
 (* Terminals with outgoing edges from any configuration of [configs];
    ascending (bitset iteration order). *)
@@ -355,6 +417,46 @@ let outgoing_terminals (atn : Atn.t) (configs : Config.t list) : int list =
     configs;
   Bitset.elements seen
 
+(* The move of [configs] on every outgoing terminal, in one pass over the
+   configurations: ascending terminals, each with its (non-empty) move list
+   in configuration order, then edge order.  A wildcard edge moves on every
+   terminal but EOF, so its target joins each of those lists at its own
+   position -- the lists are exactly what moving on one terminal at a time
+   produced, which keeps the closure walks, and so the step counts and
+   every DFA, as they were. *)
+let moves (b : builder) (configs : Config.t list) : (int * Config.t list) list
+    =
+  let atn = b.atn in
+  match outgoing_terminals atn configs with
+  | [] -> []
+  | outgoing ->
+      if Array.length b.move_buckets = 0 then
+        b.move_buckets <- Array.make (Grammar.Sym.num_terms atn.sym) [];
+      let buckets = b.move_buckets in
+      List.iter
+        (fun (c : Config.t) ->
+          let edges = atn.trans.(c.state) in
+          for i = 0 to Array.length edges - 1 do
+            match edges.(i) with
+            | Atn.Term t, tgt ->
+                let c' = { c with state = tgt } in
+                if t = Grammar.Sym.wildcard then
+                  List.iter
+                    (fun a ->
+                      if a <> Grammar.Sym.eof then
+                        buckets.(a) <- c' :: buckets.(a))
+                    outgoing
+                else buckets.(t) <- c' :: buckets.(t)
+            | _ -> ()
+          done)
+        configs;
+      List.map
+        (fun a ->
+          let mv = List.rev buckets.(a) in
+          buckets.(a) <- [];
+          (a, mv))
+        outgoing
+
 (* ------------------------------------------------------------------ *)
 (* Resolve (Algorithms 10 and 11) *)
 
@@ -363,40 +465,227 @@ let viable_alts (b : builder) (configs : Config.t list) : Bitset.t =
   List.iter (fun (c : Config.t) -> Bitset.add s c.alt) configs;
   s
 
+(* Alternative summaries of a set of configurations: 0 for none, [a > 0]
+   for exactly alternative [a], [several] for two or more. *)
+let several = -1
+
+let merge_alts x y = if x = 0 || x = y then y else if y = 0 then x else several
+
+(* Some alternative of summary [s] differs from [alt]. *)
+let has_other s alt = s = several || (s > 0 && s <> alt)
+
+(* Grow [a] (filled with [x]) to at least [n] elements. *)
+let grown a n x =
+  if Array.length a >= n then a
+  else begin
+    let a' = Array.make (max n (2 * Array.length a)) x in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  end
+
+(* The trie path of [stack] (see [run_scratch]). *)
+let trie_path (b : builder) (stack : Config.Stack.t) : int array =
+  let r = b.runs in
+  let id = Config.Stack.id stack in
+  r.paths <- grown r.paths (id + 1) [||];
+  if Array.length r.paths.(id) > 0 then r.paths.(id)
+  else begin
+    let path = Array.make (Config.Stack.depth stack + 1) 0 in
+    let rec walk d node = function
+      | Config.Stack.Empty -> ()
+      | Push { top; rest; _ } ->
+          let child =
+            match Hashtbl.find_opt r.trie (node, top) with
+            | Some child -> child
+            | None ->
+                let child = Hashtbl.length r.trie + 1 in
+                Hashtbl.add r.trie (node, top) child;
+                child
+          in
+          path.(d + 1) <- child;
+          walk (d + 1) child rest
+    in
+    walk 0 0 stack;
+    r.paths.(id) <- path;
+    path
+  end
+
+(* Stack depths as a bit set, depths past 62 sharing the top bit. *)
+let depth_bit d = 1 lsl min d 62
+
+(* Runs with at most this many distinct stacks test every pair of them. *)
+let pairwise_stacks = 8
+
+(* Pool the summaries [own] of the [k] distinct stacks [stacks.(0..k-1)]
+   of one run into [rel]: [rel.(p)] gets the summary of every other stack
+   equivalent to [stacks.(p)] (Definition 6).  Distinct stacks are
+   equivalent when one is a proper top-first prefix of the other, the empty
+   stack being a prefix of every stack, so a run whose stacks all have one
+   depth ([depths], a [depth_bit] set) relates none.  A few stacks are
+   tested pairwise.  Past [pairwise_stacks], pairs would grow with the
+   square of the stacks -- in a wide decision every alternative calls a
+   shared rule from its own call site, so each alternative has stacks of
+   its own -- and each stack's proper prefixes are looked up among the
+   run's stacks through their trie nodes instead, one probe per frame at a
+   depth where some stack of the run ends.  Each pair test or probe is one
+   conflict comparison. *)
+let relate_stacks (b : builder) (k : int) (depths : int) : unit =
+  let r = b.runs in
+  let { stacks; own; rel; _ } = r in
+  let compared () = b.conflict_comparisons <- b.conflict_comparisons + 1 in
+  let relate p q =
+    rel.(p) <- merge_alts rel.(p) own.(q);
+    rel.(q) <- merge_alts rel.(q) own.(p)
+  in
+  if depths land (depths - 1) = 0 then ()
+  else if k <= pairwise_stacks then
+    for p = 0 to k - 1 do
+      for q = p + 1 to k - 1 do
+        compared ();
+        if Config.stacks_equivalent stacks.(p) stacks.(q) then relate p q
+      done
+    done
+  else begin
+    let paths = Array.init k (fun p -> trie_path b stacks.(p)) in
+    r.node_bucket <- grown r.node_bucket (Hashtbl.length r.trie + 1) (-1);
+    let node_bucket = r.node_bucket in
+    let whole path = path.(Array.length path - 1) in
+    Array.iteri (fun p path -> node_bucket.(whole path) <- p) paths;
+    Array.iteri
+      (fun p path ->
+        for d = 0 to Array.length path - 2 do
+          if depths land depth_bit d <> 0 then begin
+            compared ();
+            let q = node_bucket.(path.(d)) in
+            if q >= 0 then relate p q
+          end
+        done)
+      paths;
+    Array.iter (fun path -> node_bucket.(whole path) <- -1) paths
+  end
+
+(* Room in [b.runs] for a run of [len] configurations. *)
+let reserve_run (b : builder) (len : int) : unit =
+  let r = b.runs in
+  r.slot <- grown r.slot b.stacks.Config.Stack.next (-1);
+  if Array.length r.own < len then begin
+    let size = max len (2 * Array.length r.own) in
+    r.stacks <- Array.make size Config.Stack.empty;
+    r.own <- Array.make size 0;
+    r.rel <- Array.make size 0
+  end
+
 (* The conflict set of a configuration set (Definition 7), together with the
-   configurations that participate in a conflicting pair. *)
+   configurations that participate in a conflicting pair: [part.(i)] for
+   the [i]th configuration of [configs] ([part] is empty when there is no
+   conflict).
+
+   [configs] is canonical, so it is sorted by ATN state and each state's
+   group is one run of it.  Inside a run the configurations are bucketed by
+   their hash-consed stack, one bucket per distinct stack, and each bucket
+   summarises its alternatives.  Then:
+   - a bucket with several alternatives conflicts with itself: every member
+     has a partner on the same stack predicting another alternative;
+   - buckets whose stacks are equivalent pool their summaries
+     ([relate_stacks]);
+   - a configuration participates when its own bucket has several
+     alternatives or an equivalent bucket holds an alternative other than
+     its own.
+   A run costs one comparison per configuration plus [relate_stacks]'s,
+   which depend on its distinct stacks, not on its alternatives: comparing
+   every pair of configurations was quadratic in the alternatives, because
+   every alternative of a wide decision reaches the same ATN states.  A
+   state's only allocations are the alternative set and, if something
+   conflicts, [part]. *)
 let conflict_info (b : builder) (configs : Config.t list) :
-    Bitset.t * unit Config.Tbl.t =
-  (* Group by state; within a group, quadratic scan (groups are small). *)
-  let by_state = Hashtbl.create 16 in
-  List.iter
-    (fun (c : Config.t) ->
-      let cur =
-        match Hashtbl.find_opt by_state c.state with Some l -> l | None -> []
-      in
-      Hashtbl.replace by_state c.state (c :: cur))
-    configs;
-  let participants = Config.Tbl.create 16 in
+    Bitset.t * bool array =
   let alts = Bitset.create (alt_universe b.decision) in
-  Hashtbl.iter
-    (fun _ group ->
-      let rec pairs = function
-        | [] -> ()
-        | c :: rest ->
-            List.iter
-              (fun c' ->
-                if Config.conflicts c c' then begin
-                  Config.Tbl.replace participants c ();
-                  Config.Tbl.replace participants c' ();
-                  Bitset.add alts c.Config.alt;
-                  Bitset.add alts c'.Config.alt
-                end)
-              rest;
-            pairs rest
-      in
-      pairs group)
-    by_state;
-  (alts, participants)
+  let part = ref [||] in
+  let mark x =
+    if Array.length !part = 0 then
+      part := Array.make (List.length configs) false;
+    !part.(x) <- true
+  in
+  (* [f x c] on the first [len] configurations [c] of [l], [x] counting
+     from [first]. *)
+  let rec iter_run f x len l =
+    match l with
+    | c :: rest when len > 0 ->
+        f x c;
+        iter_run f (x + 1) (len - 1) rest
+    | _ -> ()
+  in
+  (* The run of [len] configurations at the head of [run], the first being
+     the [first]th of [configs]. *)
+  let resolve_run first run len =
+    reserve_run b len;
+    let { slot; stacks; own; rel; _ } = b.runs in
+    let k = ref 0 and depths = ref 0 in
+    iter_run
+      (fun _ (c : Config.t) ->
+        let id = Config.Stack.id c.stack in
+        if slot.(id) < 0 then begin
+          slot.(id) <- !k;
+          stacks.(!k) <- c.stack;
+          own.(!k) <- 0;
+          rel.(!k) <- 0;
+          depths := !depths lor depth_bit (Config.Stack.depth c.stack);
+          incr k
+        end;
+        own.(slot.(id)) <- merge_alts own.(slot.(id)) c.alt)
+      first len run;
+    relate_stacks b !k !depths;
+    iter_run
+      (fun x (c : Config.t) ->
+        let s = slot.(Config.Stack.id c.stack) in
+        if own.(s) = several || has_other rel.(s) c.alt then begin
+          mark x;
+          Bitset.add alts c.alt
+        end)
+      first len run;
+    for s = 0 to !k - 1 do
+      slot.(Config.Stack.id stacks.(s)) <- -1
+    done;
+    b.conflict_comparisons <- b.conflict_comparisons + len
+  in
+  let rec runs first = function
+    | [] -> ()
+    | (c : Config.t) :: rest as run ->
+        let rec length len = function
+          | (c' : Config.t) :: rest when c'.state = c.state ->
+              length (len + 1) rest
+          | tail -> (len, tail)
+        in
+        let len, tail = length 1 rest in
+        if len > 1 then resolve_run first run len;
+        runs (first + len) tail
+  in
+  runs 0 configs;
+  (alts, !part)
+
+let participates (part : bool array) x = x < Array.length part && part.(x)
+
+(* Per-alternative agreement of the predicates carried by a set of
+   configurations: [Agree p] when every one carries [p]. *)
+type pred_acc = Unseen | Agree of Atn.pred | Disagree
+
+let agree acc (sem : Config.sem_ctx) =
+  match (acc, sem) with
+  | Unseen, Some p -> Agree p
+  | Agree p, Some q when Config.compare_pred p q = 0 -> acc
+  | _ -> Disagree
+
+(* [b.alt_slot] maps each alternative of [alt_list] to its position in it,
+   for one pass over a state's configurations; [release_alt_slots] puts it
+   back. *)
+let alt_slots (b : builder) (alt_list : int list) : int array =
+  if Array.length b.alt_slot = 0 then
+    b.alt_slot <- Array.make (alt_universe b.decision) (-1);
+  List.iteri (fun i a -> b.alt_slot.(a) <- i) alt_list;
+  b.alt_slot
+
+let release_alt_slots (b : builder) (alt_list : int list) =
+  List.iter (fun a -> b.alt_slot.(a) <- -1) alt_list
 
 (* Try to resolve the alternatives in [alts] with predicates
    (Algorithm 11, resolveWithPreds).  Each alternative needs a
@@ -411,84 +700,101 @@ let conflict_info (b : builder) (configs : Config.t list) :
    - lookahead gating: each predicate edge carries the set of terminals its
      alternative can actually start with at this state, so a predicate is
      only consulted for inputs on which its alternative is viable (hoisted
-     predicates are conjoined with lookahead-membership tests). *)
-let resolve_with_preds (b : builder) (d : wstate)
-    ?(participants : unit Config.Tbl.t = Config.Tbl.create 1)
+     predicates are conjoined with lookahead-membership tests).
+
+   [part], when given, marks the configurations of [d.configs] that
+   participate in a conflict ([conflict_info]).  The predicates of every
+   alternative are found in one pass over the configurations, and their
+   guards in one more. *)
+let resolve_with_preds (b : builder) (d : wstate) ?(part : bool array option)
     (alts : Bitset.t) : bool =
+  let alt_list = Bitset.elements alts in
+  let nalts = List.length alt_list in
   (* A predicate covers an alternative only when every configuration of that
      alternative that participates in a conflict carries it: a predicate
      hoisted from one derivation branch must not gate inputs that reach the
      alternative through unpredicated branches.  Without conflict pairs
      (recursion overflow), every configuration of the alternative counts. *)
-  let pred_for alt =
-    let relevant =
-      let parts =
-        List.filter
-          (fun (c : Config.t) -> c.alt = alt && Config.Tbl.mem participants c)
-          d.configs
-      in
-      if parts <> [] then parts
-      else List.filter (fun (c : Config.t) -> c.alt = alt) d.configs
-    in
-    match relevant with
-    | [] -> None
-    | first :: rest -> (
-        match first.sem with
-        | None -> None
-        | Some p ->
-            if List.for_all (fun (c : Config.t) -> c.sem = Some p) rest then
-              Some p
-            else None)
+  let in_part = Array.make nalts Unseen and in_all = Array.make nalts Unseen in
+  let slot = alt_slots b alt_list in
+  List.iteri
+    (fun x (c : Config.t) ->
+      let i = slot.(c.alt) in
+      if i >= 0 then begin
+        in_all.(i) <- agree in_all.(i) c.sem;
+        match part with
+        | Some part when participates part x ->
+            in_part.(i) <- agree in_part.(i) c.sem
+        | _ -> ()
+      end)
+    d.configs;
+  let preds =
+    Array.init nalts (fun i ->
+        match (match in_part.(i) with Unseen -> in_all.(i) | acc -> acc) with
+        | Agree p -> Some p
+        | Unseen | Disagree -> None)
   in
-  (* Terminals on which alternative [alt] is viable at this state.  On an
+  let indexed = List.mapi (fun i a -> (i, a)) alt_list in
+  let with_preds, without =
+    List.partition (fun (i, _) -> preds.(i) <> None) indexed
+  in
+  (* Terminals on which each alternative is viable at this state.  On an
      overflowed state the closure was truncated by the recursion bound, so
      the computed set under-approximates and the gate must be dropped
      (matching the paper's Figure 2, whose backtracking state carries
      unguarded predicate edges). *)
-  let guard_for alt =
-    if d.overflow then []
+  let guards () =
+    if d.overflow then Array.make nalts []
     else begin
-      let set = Bitset.create (Grammar.Sym.num_terms b.atn.sym) in
+      let num_terms = Grammar.Sym.num_terms b.atn.sym in
+      let sets = Array.init nalts (fun _ -> Bitset.create num_terms) in
       List.iter
         (fun (c : Config.t) ->
-          if c.alt = alt then
+          let i = slot.(c.alt) in
+          if i >= 0 then
             Array.iter
               (fun (edge, _) ->
-                match edge with Atn.Term t -> Bitset.add set t | _ -> ())
+                match edge with
+                | Atn.Term t -> Bitset.add sets.(i) t
+                | _ -> ())
               b.atn.trans.(c.state))
         d.configs;
-      Bitset.elements set
+      Array.map Bitset.elements sets
     end
   in
-  let alt_list = Bitset.elements alts in
-  let with_preds, without =
-    List.partition (fun a -> pred_for a <> None) alt_list
+  let edges guards l : Look_dfa.pred_edge list =
+    List.map
+      (fun (i, a) -> { Look_dfa.guard = guards.(i); pred = preds.(i); alt = a })
+      l
   in
-  let edge a : Look_dfa.pred_edge =
-    { guard = guard_for a; pred = pred_for a; alt = a }
+  let resolved =
+    match without with
+    | [] ->
+        d.pred_edges <- edges (guards ()) indexed;
+        true
+    | [ (_, dflt) ] when Some dflt = Bitset.max_elt_opt alts && with_preds <> []
+      ->
+        d.pred_edges <-
+          edges (guards ()) with_preds
+          @ [ { guard = []; pred = None; alt = dflt } ];
+        true
+    | _ -> false
   in
-  match without with
-  | [] ->
-      d.pred_edges <- List.map edge alt_list;
-      true
-  | [ dflt ] when Some dflt = Bitset.max_elt_opt alts && with_preds <> [] ->
-      d.pred_edges <-
-        List.map edge with_preds @ [ { guard = []; pred = None; alt = dflt } ];
-      true
-  | _ -> false
+  release_alt_slots b alt_list;
+  resolved
 
 (* Resolve ambiguities and overflow in a freshly discovered state
    (Algorithm 10).  Mutates the state: either installs predicate edges or
    prunes configurations of losing alternatives. *)
 let resolve (b : builder) (d : wstate) : unit =
-  let conflicts, participants = conflict_info b d.configs in
+  let conflicts, part = conflict_info b d.configs in
   let needs_resolution = (not (Bitset.is_empty conflicts)) || d.overflow in
   if needs_resolution then begin
     let target_alts =
       if Bitset.is_empty conflicts then viable_alts b d.configs else conflicts
     in
     if Bitset.cardinal target_alts <= 1 then ()
-    else if resolve_with_preds b d ~participants target_alts then
+    else if resolve_with_preds b d ~part target_alts then
       List.iter
         (fun (e : Look_dfa.pred_edge) ->
           match e.pred with
@@ -505,12 +811,12 @@ let resolve (b : builder) (d : wstate) : unit =
          recursion overflow there are no conflict pairs, so the losing
          alternatives are pruned wholesale as in the paper. *)
       let keep = Option.get (Bitset.min_elt_opt target_alts) in
-      let doomed (c : Config.t) =
+      let doomed x (c : Config.t) =
         c.alt <> keep
         && Bitset.mem target_alts c.alt
-        && (Config.Tbl.mem participants c || Bitset.is_empty conflicts)
+        && (Bitset.is_empty conflicts || participates part x)
       in
-      d.configs <- List.filter (fun c -> not (doomed c)) d.configs;
+      d.configs <- List.filteri (fun x c -> not (doomed x c)) d.configs;
       if d.overflow then
         warn b (Overflow { decision = b.decision.d_id; path = List.rev d.path })
       else
@@ -535,8 +841,7 @@ let fragment_end_alts (b : builder) (configs : Config.t list) : Bitset.t =
   let acc = Bitset.create (alt_universe b.decision) in
   List.iter
     (fun (c : Config.t) ->
-      if c.stack == Config.Stack.empty && Atn.is_stop_state atn c.state
-      then begin
+      if c.stack == Config.Stack.empty && b.flags.stop.(c.state) then begin
         let rule = atn.state_rule.(c.state) in
         if atn.callers.(rule) = [] then Bitset.add acc c.alt
       end)
@@ -615,6 +920,30 @@ let freeze (b : builder) ~fallback : Look_dfa.t =
   Look_dfa.with_start_row
     { t with cyclic = max_k = None; max_k }
     ~num_terms:(Grammar.Sym.num_terms b.atn.Atn.sym)
+
+(* The state that move set [mv] leads to, and whether it is fresh.  The
+   builder memoizes this per canonical move set: a move set met before
+   goes straight to its state, with no closure, canonicalization or dedup
+   lookup.  That skips no closure step -- every seed of a repeated move set
+   is in the closure memo already -- and the state is the one dedup would
+   have found, so every DFA stays as it was. *)
+let step (b : builder) ~depth ~path (mv : Config.t list) : wstate * bool =
+  let canonical = Config.canonicalize mv in
+  let key =
+    { seeds = Array.of_list canonical; seeds_hash = Config.hash_list canonical }
+  in
+  match Moves.find_opt b.move_memo key with
+  | Some d -> (d, false)
+  | None ->
+      let configs, overflow = closure b mv in
+      let ((d, _) as target) = new_wstate b ~depth ~path configs overflow in
+      (* the closure left every seed in the closure memo *)
+      Array.iteri
+        (fun i c ->
+          key.seeds.(i) <- (Config.Tbl.find b.closure_memo c).cm_seed)
+        key.seeds;
+      Moves.add b.move_memo key d;
+      target
 
 (* Settle a freshly discovered state: resolve its conflicts, accept when
    exactly one viable alternative survives without predicate edges, and
@@ -701,8 +1030,9 @@ let force_cap_resolution (b : builder) (d : wstate) : unit =
 
 (* Algorithm 8's work list: each state that is still open is expanded
    once.  Past the user's k-cap a resolution is forced; otherwise every
-   outgoing terminal is stepped (move + closure + dedup), and a target
-   met for the first time is settled and, if still open, queued. *)
+   outgoing terminal is stepped ([moves], then [step]: closure + dedup),
+   and a target met for the first time is settled and, if still open,
+   queued. *)
 let create_dfa_exn (b : builder) : Look_dfa.t =
   let d0 = build_d0 b in
   let work = Queue.create () in
@@ -713,21 +1043,16 @@ let create_dfa_exn (b : builder) : Look_dfa.t =
     | Some k when d.depth >= k -> force_cap_resolution b d
     | _ ->
         List.iter
-          (fun a ->
-            let mv = move b.atn d.configs a in
-            if mv <> [] then begin
-              let configs, overflow = closure b mv in
-              let d', fresh =
-                new_wstate b ~depth:(d.depth + 1) ~path:(a :: d.path)
-                  configs overflow
-              in
-              if fresh then settle b d';
-              let open_ = fresh && should_expand b d' in
-              if open_ && b.allow_multi_recursion then note_open b d';
-              d.term_edges <- (a, d'.id) :: d.term_edges;
-              if open_ then Queue.add d' work
-            end)
-          (outgoing_terminals b.atn d.configs)
+          (fun (a, mv) ->
+            let d', fresh =
+              step b ~depth:(d.depth + 1) ~path:(a :: d.path) mv
+            in
+            if fresh then settle b d';
+            let open_ = fresh && should_expand b d' in
+            if open_ && b.allow_multi_recursion then note_open b d';
+            d.term_edges <- (a, d'.id) :: d.term_edges;
+            if open_ then Queue.add d' work)
+          (moves b d.configs)
   done;
   freeze b ~fallback:false
 
@@ -741,58 +1066,73 @@ let create_fallback (b : builder) : Look_dfa.t =
   let d0 = build_d0 ~fragment_end:false b in
   if d0.accept = 0 && d0.pred_edges = [] then
     List.iter
-      (fun a ->
-        let mv = move b.atn d0.configs a in
-        if mv <> [] then begin
-          let configs, overflow = closure b mv in
-          let d', fresh =
-            new_wstate b ~depth:1 ~path:[ a ] configs overflow
-          in
-          if fresh then begin
-            let alts = viable_alts b d'.configs in
-            if Bitset.cardinal alts = 1 then
-              d'.accept <- Option.get (Bitset.min_elt_opt alts)
-            else if resolve_with_preds b d' alts then
-              List.iter
-                (fun (e : Look_dfa.pred_edge) ->
-                  match e.pred with
-                  | Some (Atn.Syn _) -> b.uses_synpred <- true
-                  | _ -> ())
-                d'.pred_edges
-            else begin
-              d'.accept <- Option.get (Bitset.min_elt_opt alts);
-              warn b
-                (Ambiguity
-                   {
-                     decision = b.decision.d_id;
-                     alts = Bitset.elements alts;
-                     path = [ a ];
-                   })
-            end
-          end;
-          d0.term_edges <- (a, d'.id) :: d0.term_edges
-        end)
-      (outgoing_terminals b.atn d0.configs);
+      (fun (a, mv) ->
+        let d', fresh = step b ~depth:1 ~path:[ a ] mv in
+        if fresh then begin
+          let alts = viable_alts b d'.configs in
+          if Bitset.cardinal alts = 1 then
+            d'.accept <- Option.get (Bitset.min_elt_opt alts)
+          else if resolve_with_preds b d' alts then
+            List.iter
+              (fun (e : Look_dfa.pred_edge) ->
+                match e.pred with
+                | Some (Atn.Syn _) -> b.uses_synpred <- true
+                | _ -> ())
+              d'.pred_edges
+          else begin
+            d'.accept <- Option.get (Bitset.min_elt_opt alts);
+            warn b
+              (Ambiguity
+                 {
+                   decision = b.decision.d_id;
+                   alts = Bitset.elements alts;
+                   path = [ a ];
+                 })
+          end
+        end;
+        d0.term_edges <- (a, d'.id) :: d0.term_edges)
+      (moves b d0.configs);
   freeze b ~fallback:true
 
 (* ------------------------------------------------------------------ *)
 
-let make_builder atn opts decision ~allow_multi_recursion =
+(* [flags] defaults to [Atn.state_flags atn]; callers building many
+   builders over one ATN compute it once and pass it. *)
+let make_builder ?flags atn opts decision ~allow_multi_recursion =
+  let flags =
+    match flags with Some f -> f | None -> Atn.state_flags atn
+  in
   {
     atn;
+    flags;
     opts;
     decision;
     states = [];
     nstates = 0;
     dedup = Dedup.create 64;
+    move_memo = Moves.create 64;
     recursive_alts = Bitset.create (alt_universe decision);
     stacks = Config.Stack.create_table ();
     closure_memo = Config.Tbl.create 256;
-    busy = Config.Tbl.create busy_initial;
+    busy = Config.Busy.create busy_initial;
+    move_buckets = [||];
+    runs =
+      {
+        slot = [||];
+        stacks = [||];
+        own = [||];
+        rel = [||];
+        trie = Hashtbl.create 64;
+        paths = [||];
+        node_bucket = [||];
+      };
+    alt_slot = [||];
     warnings = [];
     uses_synpred = false;
     allow_multi_recursion;
     open_at_depth = Array.make 16 0;
+    closure_steps = 0;
+    conflict_comparisons = 0;
   }
 
 (* Alternatives that no accept state or predicate edge ever predicts can
@@ -816,15 +1156,17 @@ let classify (dfa : Look_dfa.t) : decision_class =
   else if dfa.cyclic then Cyclic
   else Fixed (match dfa.max_k with Some k -> k | None -> 1)
 
-(* Analyze one decision; also returns the analysis effort of every
-   attempt. *)
-let analyze_decision_effort ?(opts = default_options) (atn : Atn.t)
+(* Analyze one decision, reading [flags] ([Atn.state_flags atn]); also
+   returns the analysis effort of every attempt. *)
+let analyze_decision_effort ?(opts = default_options) ~flags (atn : Atn.t)
     (decision : Atn.decision) : result * effort =
   let post dfa = if opts.minimize then Minimize.minimize dfa else dfa in
-  let b = make_builder atn opts decision ~allow_multi_recursion:false in
+  let b = make_builder ~flags atn opts decision ~allow_multi_recursion:false in
   let bounded = ref None and ll1 = ref None in
   let new_builder slot opts =
-    let fb = make_builder atn opts decision ~allow_multi_recursion:true in
+    let fb =
+      make_builder ~flags atn opts decision ~allow_multi_recursion:true
+    in
     slot := Some fb;
     fb
   in
@@ -881,8 +1223,16 @@ let analyze_decision_effort ?(opts = default_options) (atn : Atn.t)
         | Ll1 -> fall_back_ll1 reason)
     | exception Too_big -> too_big ()
   in
+  let sum f = List.fold_left (fun n fb -> n + f fb) 0 in
+  let attempts = b :: List.filter_map Fun.id [ !bounded; !ll1 ] in
   let built = function Some fb -> fb.nstates | None -> 0 in
-  (result, { primary = b.nstates; bounded = built !bounded; ll1 = built !ll1 })
+  ( result,
+    {
+      states =
+        { primary = b.nstates; bounded = built !bounded; ll1 = built !ll1 };
+      closure_steps = sum (fun fb -> fb.closure_steps) attempts;
+      conflict_comparisons = sum (fun fb -> fb.conflict_comparisons) attempts;
+    } )
 
 (* Analyze every decision of an ATN.
 
@@ -895,14 +1245,17 @@ let analyze_decision_effort ?(opts = default_options) (atn : Atn.t)
    in decision order -- the output array, and anything derived from it
    (the report, the compilation-cache payload digest), is byte-identical
    to the sequential build.  Callers must freeze the vocabulary
-   ([Grammar.Sym.freeze]) before fanning out; [Compiled.compile] does. *)
+   ([Grammar.Sym.freeze]) before fanning out; [Compiled.compile] does.  The
+   ATN's per-state flags are computed here, once, before the fan-out, and
+   the builders only read them. *)
 let analyze_all_effort ?opts ?pool (atn : Atn.t) : (result * effort) array =
   let opts =
     match opts with
     | Some o -> o
     | None -> options_of_grammar atn.grammar
   in
-  let decide d = analyze_decision_effort ~opts atn d in
+  let flags = Atn.state_flags atn in
+  let decide d = analyze_decision_effort ~opts ~flags atn d in
   match pool with
   | Some p when Exec.Pool.jobs p > 1 -> Exec.Pool.map_array p decide atn.decisions
   | _ -> Array.map decide atn.decisions

@@ -78,9 +78,12 @@ let compile ?analysis_opts ?grammar_source ?pool (surface : Grammar.Ast.t) :
                 | Some src -> Report.count_lines src
                 | None -> 0
               in
+              let states_built =
+                Array.map (fun (_, (e : Analysis.effort)) -> e.states) r
+              in
               let report =
-                Report.build ~grammar_lines ~analysis_time:dt
-                  ~states_built:(Array.map snd r) atn results
+                Report.build ~grammar_lines ~analysis_time:dt ~states_built atn
+                  results
               in
               Ok
                 {

@@ -7,16 +7,17 @@
    reached the state without static knowledge of the caller, so it stands
    for every possible context.
 
-   The subset construction keys its tables (DFA-state dedup, the closure
-   memo, the closure walk's busy set) on configurations and configuration
-   sets, so hashing and comparison here are on its hot path.  Stacks are
-   hash-consed per analysis builder ([Stack.table]): each node carries a
-   structural hash and an id, structurally equal stacks of one builder are
-   physically equal, and hashing, equality and ordering of a stack are all
-   O(1).  [hash] covers every field, so configuration sets that agree on
-   their first few members (or stacks that differ only in deep frames) do
-   not collide the way the polymorphic [Hashtbl.hash] -- which stops after
-   ten meaningful words -- made them. *)
+   The subset construction keys its tables (DFA-state dedup, the move-set
+   memo, the closure memo, the closure walk's busy set) on configurations
+   and configuration sets, so hashing and comparison here are on its hot
+   path.  Stacks are hash-consed per analysis builder ([Stack.table]):
+   each node carries a structural hash, an id and its depth, structurally
+   equal stacks of one builder are physically equal, and hashing, equality
+   and ordering of a stack are all O(1).  [hash] covers every field, so
+   configuration sets that agree on their first few members (or stacks
+   that differ only in deep frames) do not collide the way the polymorphic
+   [Hashtbl.hash] -- which stops after ten meaningful words -- made
+   them. *)
 
 type sem_ctx = Atn.pred option
 
@@ -33,11 +34,14 @@ let avalanche h =
 let combine h x = (h * 0x100000001b3) + x
 
 module Stack = struct
-  type t = Empty | Push of { top : int; rest : t; id : int; hash : int }
+  type t =
+    | Empty
+    | Push of { top : int; rest : t; id : int; hash : int; depth : int }
 
   let empty = Empty
   let hash = function Empty -> 0 | Push p -> p.hash
   let id = function Empty -> 0 | Push p -> p.id
+  let depth = function Empty -> 0 | Push p -> p.depth
 
   (* Within one table, equal stacks are the same node, so [==] is
      equality and ids order them. *)
@@ -64,7 +68,7 @@ module Stack = struct
   let push tbl top rest =
     let node =
       let hash = avalanche (combine (hash rest) top) in
-      Push { top; rest; id = tbl.next; hash }
+      Push { top; rest; id = tbl.next; hash; depth = depth rest + 1 }
     in
     match Nodes.find_opt tbl.nodes node with
     | Some shared -> shared
@@ -166,6 +170,59 @@ module Tbl = Hashtbl.Make (struct
   let hash = hash
 end)
 
+(* A set of configurations whose [add] hashes once and reports whether the
+   configuration was new: the closure walk's busy set, which tests and
+   inserts on every step.  Buckets are a power of two and double past two
+   members per bucket, as [Hashtbl] does. *)
+module Busy = struct
+  type set = { mutable buckets : t list array; mutable size : int }
+
+  let create n =
+    let rec pow2 k = if k >= n then k else pow2 (2 * k) in
+    { buckets = Array.make (pow2 16) []; size = 0 }
+
+  let length s = s.size
+
+  let rec mem_bucket c = function
+    | [] -> false
+    | c' :: rest -> equal c c' || mem_bucket c rest
+
+  let resize s =
+    let old = s.buckets in
+    let mask = (2 * Array.length old) - 1 in
+    let buckets = Array.make (mask + 1) [] in
+    Array.iter
+      (List.iter (fun c ->
+           let i = hash c land mask in
+           buckets.(i) <- c :: buckets.(i)))
+      old;
+    s.buckets <- buckets
+
+  (* Insert [c]; false when it was already present. *)
+  let add s c =
+    let i = hash c land (Array.length s.buckets - 1) in
+    let bucket = s.buckets.(i) in
+    if mem_bucket c bucket then false
+    else begin
+      s.buckets.(i) <- c :: bucket;
+      s.size <- s.size + 1;
+      if s.size > 2 * Array.length s.buckets then resize s;
+      true
+    end
+
+  (* Empty the set; [clear] keeps the buckets, [reset] shrinks them back to
+     [n] (both cost the bucket count). *)
+  let clear s =
+    if s.size > 0 then begin
+      Array.fill s.buckets 0 (Array.length s.buckets) [];
+      s.size <- 0
+    end
+
+  let reset s n =
+    s.buckets <- (create n).buckets;
+    s.size <- 0
+end
+
 (* Hash of a canonical configuration set: every member contributes. *)
 let hash_list (configs : t list) =
   avalanche (List.fold_left (fun h c -> combine h (hash c)) 0 configs)
@@ -179,7 +236,9 @@ let stacks_equivalent (g1 : Stack.t) (g2 : Stack.t) =
   | _ -> Stack.is_prefix g1 g2 || Stack.is_prefix g2 g1
 
 (* Definition 7: two configurations conflict when they share the ATN state,
-   have equivalent stacks, and predict different alternatives. *)
+   have equivalent stacks, and predict different alternatives.  The
+   reference that [Analysis.conflict_info], which never compares pairs of
+   configurations, is tested against. *)
 let conflicts (a : t) (b : t) =
   a.state = b.state && a.alt <> b.alt && stacks_equivalent a.stack b.stack
 
@@ -187,3 +246,27 @@ let conflicts (a : t) (b : t) =
    DFA-state identity for subset-construction dedup (Definition 6 state
    equivalence). *)
 let canonicalize (configs : t list) : t list = List.sort_uniq compare configs
+
+(* The canonical union of canonical sets, merged pairwise in rounds: n log k
+   comparisons for k sets of n configurations in all, where sorting their
+   concatenation takes n log n. *)
+let union (sets : t list list) : t list =
+  let rec merge a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | x :: a', y :: b' ->
+        let c = compare x y in
+        if c < 0 then x :: merge a' b
+        else if c > 0 then y :: merge a b'
+        else x :: merge a' b'
+  in
+  let rec pairs = function
+    | a :: b :: rest -> merge a b :: pairs rest
+    | rest -> rest
+  in
+  let rec rounds = function
+    | [] -> []
+    | [ set ] -> set
+    | sets -> rounds (pairs sets)
+  in
+  rounds sets

@@ -12,7 +12,7 @@ type decision_report = {
   label : string;
   klass : Analysis.decision_class;
   dfa_states : int;
-  states_built : Analysis.effort;
+  states_built : Analysis.states_built;
     (* analysis effort: DFA states built by each attempt (full
        construction, Bounded retry, LL(1) fallback); a count, not a time,
        so reports stay reproducible *)
@@ -132,7 +132,7 @@ let to_json (t : t) : Obs.Json.t =
                       ("class", Obs.Json.str (klass_str d.klass));
                       ("dfa_states", Obs.Json.int d.dfa_states);
                       ( "states_built",
-                        Obs.Json.int (Analysis.total_effort d.states_built) );
+                        Obs.Json.int (Analysis.total_states d.states_built) );
                       ( "states_built_by_attempt",
                         Obs.Json.obj
                           [
@@ -179,7 +179,7 @@ let pp_decisions ?(only_interesting = false) (atn : Atn.t) ppf t =
           Fmt.pf ppf
             "    effort: %d DFA states built across all attempts (primary \
              %d, Bounded %d, LL(1) %d)@."
-            (Analysis.total_effort e) e.primary e.bounded e.ll1
+            (Analysis.total_states e) e.primary e.bounded e.ll1
         end
       end)
     t.decisions

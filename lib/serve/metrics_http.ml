@@ -81,7 +81,8 @@ let handle_conn (h : Handler.t) (_ : Server.t) (fd : Unix.file_descr) : unit
    with Unix.Unix_error (_, _, _) -> ());
   let reply s = ignore (Server.write_all fd s) in
   match
-    Server.read_line_bounded fd (ref "") (Bytes.create 1024)
+    Server.read_line_bounded
+      (Server.reader ~chunk_bytes:1024 fd)
       ~max_bytes:max_request_line_bytes
   with
   | exception Unix.Unix_error (_, _, _) -> () (* receive timeout *)

@@ -110,63 +110,94 @@ let stop (t : t) : unit =
   with _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Bounded line reading.  [carry] holds bytes read past the previous
-   newline; a line longer than [max_bytes] is a protocol violation (the
-   handler would refuse it anyway) and poisons the framing, so the
-   connection is dropped after an error response. *)
+(* Bounded line reading.  A connection's [reader] holds the unread rest of
+   its last read, [chunk.(pos .. len - 1)], and the bytes of a line begun in
+   earlier reads, [pending]; every byte read is scanned for a newline once
+   ([scanned] counts them), so a line costs time linear in its length.  A
+   line longer than [max_bytes] -- not counting its "\n" or "\r\n" -- is a
+   protocol violation (the handler would refuse it anyway) and poisons the
+   framing, so the connection is dropped after an error response. *)
 
-let split_line (carry : string ref) : string option =
-  match String.index_opt !carry '\n' with
-  | None -> None
-  | Some i ->
-      let line = String.sub !carry 0 i in
-      carry :=
-        String.sub !carry (i + 1) (String.length !carry - i - 1);
-      let line =
-        (* tolerate CRLF clients *)
-        if line <> "" && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      Some line
+type reader = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  pending : Buffer.t;
+  mutable scanned : int;
+}
 
-let read_line_bounded (fd : Unix.file_descr) (carry : string ref)
-    (chunk : Bytes.t) ~(max_bytes : int) :
+let reader ?(chunk_bytes = 65536) (fd : Unix.file_descr) : reader =
+  {
+    fd;
+    chunk = Bytes.create chunk_bytes;
+    pos = 0;
+    len = 0;
+    pending = Buffer.create 256;
+    scanned = 0;
+  }
+
+let read_line_bounded (r : reader) ~(max_bytes : int) :
     [ `Line of string | `Eof | `Too_long ] =
+  let complete line =
+    let n = String.length line in
+    (* tolerate CRLF clients *)
+    let n = if n > 0 && line.[n - 1] = '\r' then n - 1 else n in
+    if n > max_bytes then `Too_long else `Line (String.sub line 0 n)
+  in
+  let take_pending () =
+    let line = Buffer.contents r.pending in
+    Buffer.clear r.pending;
+    line
+  in
+  let rec newline i =
+    if i >= r.len || Bytes.unsafe_get r.chunk i = '\n' then i
+    else newline (i + 1)
+  in
   let rec go () =
-    match split_line carry with
-    | Some line -> `Line line
-    | None ->
-        if String.length !carry > max_bytes then `Too_long
+    let i = newline r.pos in
+    if i < r.len then begin
+      r.scanned <- r.scanned + (i + 1 - r.pos);
+      let line =
+        if Buffer.length r.pending = 0 then
+          Bytes.sub_string r.chunk r.pos (i - r.pos)
         else begin
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 ->
-              (* EOF: a trailing unterminated line still gets served --
-                 printf-without-newline clients are too common to
-                 punish. *)
-              if !carry = "" then `Eof
-              else begin
-                let line = !carry in
-                carry := "";
-                `Line line
-              end
-          | n ->
-              carry := !carry ^ Bytes.sub_string chunk 0 n;
-              go ()
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _)
-            ->
-              `Eof
+          Buffer.add_subbytes r.pending r.chunk r.pos (i - r.pos);
+          take_pending ()
         end
+      in
+      r.pos <- i + 1;
+      complete line
+    end
+    else begin
+      r.scanned <- r.scanned + (r.len - r.pos);
+      Buffer.add_subbytes r.pending r.chunk r.pos (r.len - r.pos);
+      r.pos <- r.len;
+      (* one byte over the limit may still be a CR *)
+      if Buffer.length r.pending > max_bytes + 1 then `Too_long
+      else
+        match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+        | 0 ->
+            (* EOF: a trailing unterminated line still gets served --
+               printf-without-newline clients are too common to punish. *)
+            if Buffer.length r.pending = 0 then `Eof
+            else complete (take_pending ())
+        | n ->
+            r.pos <- 0;
+            r.len <- n;
+            go ()
+        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) ->
+            `Eof
+    end
   in
   go ()
 
 let write_all (fd : Unix.file_descr) (s : string) : bool =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
+  let len = String.length s in
   let rec go off =
     if off >= len then true
     else
-      match Unix.write fd b off (len - off) with
+      match Unix.write_substring fd s off (len - off) with
       | 0 -> false
       | n -> go (off + n)
       | exception Unix.Unix_error (_, _, _) -> false
@@ -178,11 +209,10 @@ let write_all (fd : Unix.file_descr) (s : string) : bool =
 
 let conn_loop (handler : Handler.t) t (fd : Unix.file_descr) : unit =
   let max_bytes = handler.Handler.limits.Handler.max_request_bytes in
-  let carry = ref "" in
-  let chunk = Bytes.create 65536 in
+  let r = reader fd in
   let continue_ = ref true in
   while !continue_ do
-    match read_line_bounded fd carry chunk ~max_bytes with
+    match read_line_bounded r ~max_bytes with
     | `Eof -> continue_ := false
     | `Too_long ->
         ignore

@@ -496,7 +496,7 @@ let fallback_effort_test =
                 if not ll1_fallback then found
                 else begin
                   let built =
-                    Llstar.Analysis.total_effort dr.Llstar.Report.states_built
+                    Llstar.Analysis.total_states dr.Llstar.Report.states_built
                   in
                   if built > 1000 then
                     Alcotest.failf "%s d%d built %d DFA states"
@@ -605,6 +605,138 @@ let frontier_tests =
           (Atn.rule_by_name c.Llstar.Compiled.atn "typeName" = Some e.E.rule));
   ]
 
+(* Analysis work counts of a grammar, summed over its decisions (every
+   attempt of each). *)
+let effort_totals src =
+  Array.fold_left
+    (fun (steps, comparisons) (_, (e : Llstar.Analysis.effort)) ->
+      (steps + e.closure_steps, comparisons + e.conflict_comparisons))
+    (0, 0)
+    (Llstar.Analysis.analyze_all_effort (atn_of src))
+
+(* Closure steps (calls of the closure walk) of the six bench grammars,
+   recorded before the subset construction's per-step costs were cut --
+   precomputed state flags, a one-hash busy set, one-pass moves and the
+   move-set memo.  Equal counts show those changes made each step cheaper
+   and left the number of steps alone. *)
+let closure_steps_golden =
+  [
+    ("MiniJava", 232753);
+    ("RatsC", 622994);
+    ("RatsJava", 243488);
+    ("MiniVB", 508239);
+    ("MiniSQL", 70160);
+    ("MiniCSharp", 1386235);
+  ]
+
+(* Adversarial decisions over the [e] of examples/grammars/diverging.g:
+   [wide_src n] is one decision of [n] alternatives [e 'xI'], and
+   [small_src n] is [n] two-alternative decisions [sI : e 'xI' | e 'yI']
+   under one rule [top : s0 | ... ]. *)
+let diverging_e =
+  "e : '(' e ')' | '[' e ']' | '{' e '}' | '<' e '>' | '|' e '|' | '!' e \
+   '!' | ID ;"
+
+let wide_src n =
+  "grammar W; top : "
+  ^ String.concat " | " (List.init n (Printf.sprintf "e 'x%d'"))
+  ^ " ;\n" ^ diverging_e
+
+let small_src n =
+  "grammar S; top : "
+  ^ String.concat " | " (List.init n (Printf.sprintf "s%d"))
+  ^ " ;\n"
+  ^ String.concat "\n"
+      (List.init n (fun i -> Printf.sprintf "s%d : e 'x%d' | e 'y%d' ;" i i i))
+  ^ "\n" ^ diverging_e
+
+(* Recorded before conflict detection stopped comparing every pair of
+   configurations at one ATN state. *)
+let wide400_digest = "f03a42b3630de007e20b22d40ec5599c"
+
+(* Fails when [big] comparisons at [n] exceed [per_doubling] times [small]
+   at [n / 2] for every doubling in between: a pairwise scan quadruples its
+   comparisons when the alternatives double, because every alternative
+   reaches the same ATN states. *)
+let check_linear label (n, small) (m, big) =
+  let doublings = Float.log2 (float_of_int m /. float_of_int n) in
+  let bound = float_of_int small *. (2.2 ** doublings) in
+  if small <= 0 then Alcotest.failf "%s at %d: no comparisons" label n;
+  if float_of_int big > bound then
+    Alcotest.failf "%s: %d conflict comparisons at %d, %d at %d" label small
+      n big m
+
+(* [Analysis.conflict_info] against Definition 7 taken literally: every
+   pair of configurations at one ATN state with equivalent stacks and
+   different alternatives conflicts.  Random configuration sets over two
+   ATN states, three alternatives and stacks of up to four frames put up
+   to ~30 distinct stacks in a run, past the pairwise cut-off. *)
+let conflict_info_matches_definition =
+  let atn = atn_of "grammar T; s : A | B | C ;" in
+  let config_gen =
+    QCheck.Gen.(
+      quad (int_bound 1) (int_range 1 3) (int_bound 4)
+        (list_size (return 4) (int_range 10 13)))
+  in
+  qtest ~count:300 "conflict_info agrees with the pairwise definition"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) config_gen))
+    (fun specs ->
+      let b =
+        Llstar.Analysis.make_builder atn Llstar.Analysis.default_options
+          atn.Atn.decisions.(0) ~allow_multi_recursion:false
+      in
+      let config (state, alt, depth, frames) =
+        let stack =
+          List.fold_left
+            (fun rest f -> Llstar.Config.Stack.push b.Llstar.Analysis.stacks f rest)
+            Llstar.Config.Stack.empty
+            (List.filteri (fun i _ -> i < depth) frames)
+        in
+        Llstar.Config.make ~stack state alt
+      in
+      let configs = Llstar.Config.canonicalize (List.map config specs) in
+      let alts, part = Llstar.Analysis.conflict_info b configs in
+      let expected =
+        List.map
+          (fun c -> List.exists (Llstar.Config.conflicts c) configs)
+          configs
+      in
+      let expected_alts =
+        List.sort_uniq compare
+          (List.concat
+             (List.map2
+                (fun (c : Llstar.Config.t) e -> if e then [ c.alt ] else [])
+                configs expected))
+      in
+      Bitset.elements alts = expected_alts
+      && List.for_all2 ( = ) expected
+           (List.mapi (fun i _ -> Llstar.Analysis.participates part i) configs))
+
+let effort_tests =
+  [
+    conflict_info_matches_definition;
+    test "bench grammars: closure steps are the recorded counts" (fun () ->
+        List.iter
+          (fun (s : Bench_grammars.Workload.spec) ->
+            let name = s.Bench_grammars.Workload.name in
+            check int (name ^ " closure steps")
+              (List.assoc name closure_steps_golden)
+              (fst (effort_totals s.Bench_grammars.Workload.grammar_text)))
+          Bench_grammars.Specs.all);
+    test "conflict comparisons grow linearly in the alternatives" (fun () ->
+        let comparisons src n = (n, snd (effort_totals (src n))) in
+        let w100 = comparisons wide_src 100 in
+        let w200 = comparisons wide_src 200 in
+        check_linear "wide decision" w100 w200;
+        check_linear "wide decision" w200 (comparisons wide_src 400);
+        check_linear "small decisions" (comparisons small_src 100)
+          (comparisons small_src 400));
+    test "golden analysis digest: a 400-alternative decision" (fun () ->
+        let dump = analysis_dump (compile (wide_src 400)) in
+        check string "digest" wide400_digest
+          (Digest.to_hex (Digest.string dump)));
+  ]
+
 let golden_tests =
   [
     hash_discrimination_test;
@@ -628,4 +760,5 @@ let suite =
     ("analysis-misc", misc_tests);
     ("analysis-golden", golden_tests);
     ("analysis-frontier", frontier_tests);
+    ("analysis-effort", effort_tests);
   ]

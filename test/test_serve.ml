@@ -895,7 +895,7 @@ let generated_reset_tests =
 (* Full server lifecycle: concurrent clients over a Unix socket, then a
    graceful shutdown that drains every in-flight request. *)
 
-let with_server (f : string -> unit) : unit =
+let with_server ?limits (f : string -> unit) : unit =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -911,7 +911,7 @@ let with_server (f : string -> unit) : unit =
        with
       | Ok _ -> ()
       | Error e -> Alcotest.fail e);
-      let handler = Serve.Handler.create ~registry ~pool () in
+      let handler = Serve.Handler.create ?limits ~registry ~pool () in
       let server =
         Serve.Server.create ~handler
           ~addr:(Serve.Protocol.Unix_sock sock) ()
@@ -1012,6 +1012,100 @@ let server_tests =
         check bool "server thread joined" true !drained);
   ]
 
+(* --- bounded line reading ------------------------------------------------ *)
+
+(* [f] reads from one end of a socket pair while a thread writes [pieces]
+   to the other, one write each, then closes it. *)
+let with_pieces (pieces : string list) (f : Unix.file_descr -> unit) : unit =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        List.iter (fun p -> ignore (Serve.Server.write_all w p)) pieces;
+        Unix.close w)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join writer;
+      Unix.close r)
+    (fun () -> f r)
+
+let next_line r ~max_bytes =
+  match Serve.Server.read_line_bounded r ~max_bytes with
+  | `Line l -> Printf.sprintf "line %S" l
+  | `Eof -> "eof"
+  | `Too_long -> "too long"
+
+(* A ping request line of exactly [n] bytes. *)
+let ping_of_bytes n =
+  let head = {|{"op":"ping","pad":"|} and tail = {|"}|} in
+  head ^ String.make (n - String.length head - String.length tail) 'x' ^ tail
+
+let line_reader_tests =
+  [
+    test "a newline split across reads ends the line" (fun () ->
+        with_pieces [ "hello wor"; "ld\r"; "\nnext"; "\n"; "tail" ]
+          (fun fd ->
+            let r = Serve.Server.reader ~chunk_bytes:4 fd in
+            let lines = List.init 4 (fun _ -> next_line r ~max_bytes:64) in
+            check (Alcotest.list string) "lines"
+              [
+                {|line "hello world"|}; {|line "next"|}; {|line "tail"|}; "eof";
+              ]
+              lines));
+    test "lines of max_bytes are read, one byte more is too long" (fun () ->
+        let at = String.make 10 'a' and over = String.make 11 'b' in
+        with_pieces [ at ^ "\r\n" ^ at ^ "\n" ^ over ^ "\n" ] (fun fd ->
+            let r = Serve.Server.reader ~chunk_bytes:3 fd in
+            check string "CRLF line" ("line " ^ Printf.sprintf "%S" at)
+              (next_line r ~max_bytes:10);
+            check string "LF line" ("line " ^ Printf.sprintf "%S" at)
+              (next_line r ~max_bytes:10);
+            check string "over" "too long" (next_line r ~max_bytes:10)));
+    test "each byte is scanned for a newline once" (fun () ->
+        (* The reader used to append each read to the line so far and
+           rescan all of it: a 1 MiB line in 64 KiB reads scanned ~8.5 MiB. *)
+        let n = 1 lsl 20 in
+        let piece = String.make 65536 'p' in
+        with_pieces (List.init (n / 65536) (fun _ -> piece) @ [ "\n" ])
+          (fun fd ->
+            let r = Serve.Server.reader fd in
+            (match Serve.Server.read_line_bounded r ~max_bytes:(2 * n) with
+            | `Line l -> check int "line length" n (String.length l)
+            | _ -> Alcotest.fail "expected the line");
+            check int "bytes scanned" (n + 1) r.Serve.Server.scanned));
+    test "server: a max_request_bytes line is answered, one more is too_large"
+      (fun () ->
+        let max_request_bytes = 256 in
+        let limits =
+          { Serve.Handler.default_limits with Serve.Handler.max_request_bytes }
+        in
+        with_server ~limits (fun sock ->
+            let round_trip line =
+              match
+                Serve.Client.connect_retry (Serve.Protocol.Unix_sock sock)
+              with
+              | Error e -> Alcotest.fail e
+              | Ok c ->
+                  Fun.protect
+                    ~finally:(fun () -> Serve.Client.close c)
+                    (fun () ->
+                      match Serve.Client.request_line c line with
+                      | Error e -> Alcotest.fail e
+                      | Ok resp -> (
+                          match Json.parse resp with
+                          | Ok j -> j
+                          | Error e -> Alcotest.failf "bad response: %s" e))
+            in
+            check bool "at the limit: pong" true
+              (get_ok (round_trip (ping_of_bytes max_request_bytes)));
+            check string "one byte over" "too_large"
+              (error_code (round_trip (ping_of_bytes (max_request_bytes + 1))));
+            check bool "still answers ping" true
+              (get_ok (round_trip {|{"op":"ping"}|}))));
+  ]
+
 (* --- the registry over the one grammar loader ---------------------------- *)
 
 let registry_load_tests =
@@ -1066,4 +1160,5 @@ let suite =
     ("serve_reuse", reuse_tests);
     ("serve_generated_reset", generated_reset_tests);
     ("serve_server", server_tests);
+    ("serve_line_reader", line_reader_tests);
   ]
