@@ -4,9 +4,11 @@
        -> syntactic-predicate lifting -> ATN construction
        -> lookahead-DFA analysis for every decision -> report
 
-   The result bundles everything the runtime interpreter needs.  Every
-   decision's lookahead DFA is fully materialized up front by the paper's
-   static analysis; [Compiled_cache] skips that work on later runs. *)
+   The result bundles everything the runtime interpreter needs, including
+   the flat, epsilon-free program it runs ([Atn.Program]), built from the
+   ATN in one pass after the analysis.  Every decision's lookahead DFA is
+   fully materialized up front by the paper's static analysis;
+   [Compiled_cache] skips that work on later runs. *)
 
 type error =
   | Validation of Grammar.Validate.issue list
@@ -25,6 +27,7 @@ type t = {
   surface : Grammar.Ast.t; (* grammar as written *)
   grammar : Grammar.Ast.t; (* prepared grammar the ATN was built from *)
   atn : Atn.t;
+  program : Atn.Program.t; (* the interpreter's flat view of [atn] *)
   opts : Analysis.options; (* resolved analysis options actually used *)
   results : Analysis.result array; (* per decision *)
   report : Report.t;
@@ -90,6 +93,7 @@ let compile ?analysis_opts ?grammar_source ?pool (surface : Grammar.Ast.t) :
                   surface;
                   grammar = prepared;
                   atn;
+                  program = Atn.Program.of_atn atn;
                   opts;
                   results;
                   report;

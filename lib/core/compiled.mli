@@ -20,6 +20,8 @@ type t = {
   surface : Grammar.Ast.t;  (** the grammar as written *)
   grammar : Grammar.Ast.t;  (** prepared grammar the ATN was built from *)
   atn : Atn.t;
+  program : Atn.Program.t;
+      (** the interpreter's flat, epsilon-free view of [atn] *)
   opts : Analysis.options;  (** resolved analysis options actually used *)
   results : Analysis.result array;  (** indexed by decision number *)
   report : Report.t;

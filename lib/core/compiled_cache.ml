@@ -37,8 +37,10 @@
    and the payload is the compiled value alone.
    v7: [Look_dfa.t] gained [start_row].
    v8: [start_row] marks accepting targets as [-(2 + state)]: same shape,
-   different meaning, so a v7 row would walk past an accept state. *)
-let format_version = 8
+   different meaning, so a v7 row would walk past an accept state.
+   v9: [Compiled.t] gained [program], the interpreter's flat,
+   epsilon-free view of the ATN ([Atn.Program]). *)
+let format_version = 9
 
 let magic = "ANTLRKIT-CACHE\n"
 
@@ -71,11 +73,14 @@ let cache_file ~dir k = Filename.concat dir (k ^ ".antlrkit-cache")
 (* Digest of the compilation result with the volatile parts normalized
    away: the provenance tag (a cache hit is re-tagged [From_cache]) and
    the report's measured wall-clock analysis time, neither of which is a
-   product of the analysis itself.  Because marshaling is deterministic
-   for identically constructed values, two compilations of the same
-   grammar agree on this digest iff they produced the same ATN, DFAs,
-   warnings and report: the determinism oracle the parallel-analysis
-   tests check against the sequential build.
+   product of the analysis itself.  The interpreter's program is left out
+   too: it is a function of the ATN, which the digest covers, and serve
+   digests every grammar a client loads, so it should not pay for
+   marshaling a second view of every state.  Because marshaling is
+   deterministic for identically constructed values, two compilations of
+   the same grammar agree on this digest iff they produced the same ATN,
+   DFAs, warnings and report: the determinism oracle the
+   parallel-analysis tests check against the sequential build.
 
    The digest marshals with [No_sharing]: default marshaling encodes
    *physical* sharing (two structurally equal values whose internal cons
@@ -92,7 +97,8 @@ let payload_digest (c : Compiled.t) : string =
   let c =
     {
       c with
-      Compiled.report =
+      Compiled.program = Atn.Program.empty;
+      report =
         { c.Compiled.report with Report.analysis_time = 0.0 };
     }
   in

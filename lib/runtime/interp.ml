@@ -1,7 +1,10 @@
 (* The adaptive LL-star parser interpreter (paper section 4).
 
-   The parser walks the ATN directly: one recursive invocation per rule
-   submachine.  At every decision state it consults the decision's lookahead
+   The parser simulates the ATN, one recursive invocation per rule
+   submachine, by running its flat, epsilon-free program ([Atn.Program],
+   built once per grammar by [Llstar.Compiled.compile]): each step is a
+   match, a rule call, a predicate, an action or a decision, never an
+   epsilon edge.  At every decision state it consults the decision's lookahead
    DFA, which gracefully throttles up per input sequence: an accept state
    after one token is plain LL(1); deeper or cyclic DFA paths are arbitrary
    regular lookahead; predicate edges evaluate semantic predicates against
@@ -413,8 +416,9 @@ type t = {
   mutable last_error_index : int;
   max_errors : int;
   (* lazily computed panic-mode sync sets: rule -> terminals that can
-     follow, as a bitset over the token-type universe *)
-  follow_cache : (int, Bitset.t) Hashtbl.t;
+     follow, as a bitset over the token-type universe; the table itself is
+     made on the first recovery, since most parses never recover *)
+  mutable follow_cache : (int, Bitset.t) Hashtbl.t option;
   (* FIRST/nullability over the prepared grammar's BNF skeleton, computed on
      the first recovery and reused for every sync set, paired with the
      ff-terminal-id -> token-type translation (-1: not a lexed token) *)
@@ -447,17 +451,19 @@ and body_runner t rule prec = ignore (run_rule t rule ~prec ~building:false)
 
 and run_rule t rule ~prec ~building : Tree.t list =
   let s = t.st in
-  let a = atn t in
-  let ri = a.Atn.rules.(rule) in
+  let p = t.c.Llstar.Compiled.program in
+  let ops = p.Atn.Program.ops and code = p.Atn.Program.code in
   (* a synpred fragment never contributes a tree node *)
-  let building = building && not ri.Atn.r_is_synpred in
+  let building = building && not (Atn.Program.is_synpred p rule) in
+  let entry = Atn.Program.entry p rule in
   let children = ref [] in
-  let state = ref ri.Atn.r_entry in
+  let state = ref (Atn.Program.first p rule) in
   let chosen_alt = ref 1 in
   (* Set right after a prediction: the chosen alternative's left-edge
      syntactic predicate is subsumed by the decision that selected it (the
      analysis strips predicates from decisions it can resolve, section
-     6.1), so the gate is not re-evaluated. *)
+     6.1), so the gate is not re-evaluated.  Every other step clears it;
+     the epsilon steps that kept it are not in the program. *)
   let fresh_prediction = ref false in
   (* Progress guard: a loop decision whose body matched no input would
      otherwise re-enter forever (e.g. a nullable body under ambiguity
@@ -466,74 +472,78 @@ and run_rule t rule ~prec ~building : Tree.t list =
      position is kept apart from the rest, so the common case allocates
      nothing. *)
   let last_pos = ref (-1) and first_here = ref (-1) and more_here = ref [] in
-  while !state <> ri.Atn.r_stop do
+  let running = ref true in
+  while !running do
     let cur = !state in
-    let d = Atn.decision_of a cur in
-    if d >= 0 then begin
-      let pos = Token_stream.index s.ts in
-      let stuck =
-        if pos <> !last_pos then begin
-          last_pos := pos;
-          first_here := d;
-          more_here := [];
-          false
+    let i = Atn.Program.stride * cur in
+    match ops.(cur) with
+    | Atn.Program.Match ->
+        fresh_prediction := false;
+        let term = code.(i) in
+        let tok = Token_stream.lt s.ts 1 in
+        let la1 = tok.Token.ttype in
+        if la1 = term || (term = Grammar.Sym.wildcard && la1 <> Grammar.Sym.eof)
+        then begin
+          Token_stream.advance s.ts tok;
+          if building then children := Tree.Leaf tok :: !children;
+          state := code.(i + 2)
         end
-        else if d = !first_here || mem_int d !more_here then true
-        else begin
-          more_here := d :: !more_here;
-          false
-        end
-      in
-      let alt =
-        if stuck then
-          match a.Atn.decisions.(d).Atn.d_exit_alt with
-          | Some e -> e
-          | None -> stuck_fail s ~decision:d ~rule
-        else
-          predict s (Llstar.Compiled.dfa t.c d) ~prec ~rule synpred_runner t
-      in
-      if cur = ri.Atn.r_entry then chosen_alt := alt;
-      fresh_prediction := true;
-      (* [cur] is the decision state: its edges are the alternatives *)
-      state := snd a.Atn.trans.(cur).(alt - 1)
-    end
-    else begin
-      let row = a.Atn.trans.(cur) in
-      if Array.length row = 0 then dead s ~rule;
-      let edge, tgt = row.(0) in
-      let was_fresh = !fresh_prediction in
-      fresh_prediction := false;
-      match edge with
-      | Atn.Eps ->
-          fresh_prediction := was_fresh;
-          state := tgt
-      | Atn.Term term ->
-          let la1 = Token_stream.la s.ts 1 in
-          if la1 = term || (term = Grammar.Sym.wildcard && la1 <> Grammar.Sym.eof)
-          then begin
-            let tok = Token_stream.consume s.ts in
-            if building then children := Tree.Leaf tok :: !children;
-            state := tgt
+        else mismatched s ~expected:term ~rule
+    | Atn.Program.Decide ->
+        let d = code.(i) in
+        let pos = Token_stream.index s.ts in
+        let stuck =
+          if pos <> !last_pos then begin
+            last_pos := pos;
+            first_here := d;
+            more_here := [];
+            false
           end
-          else mismatched s ~expected:term ~rule
-      | Atn.Rule { rule = callee; arg } ->
-          let callee_prec = Option.value ~default:0 arg in
-          let sub = parse_rule t callee ~prec:callee_prec ~building in
-          children := List.rev_append sub !children;
-          state := tgt
-      | Atn.Pred (Atn.Sem code) ->
-          if sem s code then state := tgt else failed_pred s ~text:code ~rule
-      | Atn.Pred (Atn.Prec n) ->
-          if prec <= n then state := tgt
-          else failed_pred s ~text:(Printf.sprintf "p <= %d" n) ~rule
-      | Atn.Pred (Atn.Syn synrule) ->
-          if was_fresh || speculate s synpred_runner t synrule then
-            state := tgt
-          else failed_pred s ~text:(Atn.rule_name a synrule) ~rule
-      | Atn.Act { id; always } ->
-          action s (fst a.Atn.actions.(id)) always;
-          state := tgt
-    end
+          else if d = !first_here || mem_int d !more_here then true
+          else begin
+            more_here := d :: !more_here;
+            false
+          end
+        in
+        let alt =
+          if stuck then
+            match (atn t).Atn.decisions.(d).Atn.d_exit_alt with
+            | Some e -> e
+            | None -> stuck_fail s ~decision:d ~rule
+          else
+            predict s (Llstar.Compiled.dfa t.c d) ~prec ~rule synpred_runner t
+        in
+        if cur = entry then chosen_alt := alt;
+        fresh_prediction := true;
+        state := p.Atn.Program.alts.(code.(i + 1) + alt - 1)
+    | Atn.Program.Call ->
+        fresh_prediction := false;
+        let sub = parse_rule t code.(i) ~prec:code.(i + 1) ~building in
+        children := List.rev_append sub !children;
+        state := code.(i + 2)
+    | Atn.Program.Stop -> running := false
+    | Atn.Program.Sem ->
+        fresh_prediction := false;
+        let text = p.Atn.Program.sem.(code.(i)) in
+        if sem s text then state := code.(i + 2)
+        else failed_pred s ~text ~rule
+    | Atn.Program.Prec ->
+        fresh_prediction := false;
+        let n = code.(i) in
+        if prec <= n then state := code.(i + 2)
+        else failed_pred s ~text:(Printf.sprintf "p <= %d" n) ~rule
+    | Atn.Program.Syn ->
+        let was_fresh = !fresh_prediction in
+        fresh_prediction := false;
+        let synrule = code.(i) in
+        if was_fresh || speculate s synpred_runner t synrule then
+          state := code.(i + 2)
+        else failed_pred s ~text:(Atn.rule_name (atn t) synrule) ~rule
+    | Atn.Program.Act ->
+        fresh_prediction := false;
+        action s (fst (atn t).Atn.actions.(code.(i))) (code.(i + 1) <> 0);
+        state := code.(i + 2)
+    | Atn.Program.Dead -> dead s ~rule
   done;
   if building then
     [ Tree.Node { rule; alt = !chosen_alt; children = List.rev !children } ]
@@ -569,7 +579,15 @@ let first_follow t : Grammar.First_follow.t * int array =
       (ff, map)
 
 let follow_set t (rule : int) : Bitset.t =
-  match Hashtbl.find_opt t.follow_cache rule with
+  let cache =
+    match t.follow_cache with
+    | Some cache -> cache
+    | None ->
+        let cache = Hashtbl.create 16 in
+        t.follow_cache <- Some cache;
+        cache
+  in
+  match Hashtbl.find_opt cache rule with
   | Some s -> s
   | None ->
       let a = atn t in
@@ -618,7 +636,7 @@ let follow_set t (rule : int) : Bitset.t =
         end
       in
       List.iter (fun (f, _) -> go f) a.Atn.callers.(rule);
-      Hashtbl.replace t.follow_cache rule set;
+      Hashtbl.replace cache rule set;
       set
 
 let recover_to_follow t rule =
@@ -677,7 +695,7 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     n_errors = 0;
     last_error_index = min_int;
     max_errors;
-    follow_cache = Hashtbl.create 16;
+    follow_cache = None;
     ff = None;
   }
 

@@ -183,6 +183,8 @@ let consume t =
   if not (Token.is_eof tok) then t.p <- t.p + 1;
   tok
 
+let advance t tok = if not (Token.is_eof tok) then t.p <- t.p + 1
+
 (* One rule for every stream: a negative target clamps to 0, a target
    behind the frontier raises {!Released}, and a forward target clamps to
    the filled prefix ([size] being the legal post-EOF cursor).  Marks

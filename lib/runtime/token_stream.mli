@@ -80,6 +80,11 @@ val la_far : t -> int -> int
 val consume : t -> Token.t
 (** Consume and return the next token; does not move past EOF. *)
 
+val advance : t -> Token.t -> unit
+(** [advance t tok] consumes [tok], which [lt t 1] has just returned, without
+    looking it up again: [consume] after [lt t 1], for a caller that already
+    holds the token. *)
+
 val prev : t -> Token.t option
 (** The most recently consumed token.  The window always retains at least
     one token behind the cursor. *)

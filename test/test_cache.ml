@@ -316,6 +316,18 @@ let suite =
                   (reason c1 d = reason c2 d);
                 check bool "eager effort survives" true
                   (built c1 d = built c2 d)));
+        test "format v9: the program round-trips; the digest leaves it out"
+          (fun () ->
+            with_dir (fun dir ->
+                let c1, _ = compile_cached ~dir src in
+                let c2, o = compile_cached ~dir src in
+                check bool "eager hit" true (o = Llstar.Compiled_cache.Hit);
+                check bool "program survives" true
+                  (c1.Llstar.Compiled.program = c2.Llstar.Compiled.program);
+                check string "digest without the program"
+                  (Llstar.Compiled_cache.payload_digest c1)
+                  (Llstar.Compiled_cache.payload_digest
+                     { c1 with Llstar.Compiled.program = Atn.Program.empty })));
         test "cache-hit states are credited to the profile" (fun () ->
             with_dir (fun dir ->
                 let _ = compile_cached ~dir src in

@@ -9,7 +9,7 @@ let () =
   Alcotest.run "antlrkit"
     (Test_grammar.suite @ Test_analysis.suite @ Test_runtime.suite
    @ Test_baselines.suite @ Test_minimize.suite @ Test_report.suite
-   @ Test_bench_grammars.suite @ Test_cache.suite
+   @ Test_bench_grammars.suite @ Test_cache.suite @ Test_program.suite
    @ Test_profile.suite
    @ Test_props.suite @ Test_lexer.suite @ Test_fuzz.suite @ Test_obs.suite
    @ Test_bitset.suite @ Test_exec.suite @ Test_codegen.suite

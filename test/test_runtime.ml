@@ -965,6 +965,35 @@ let create_alloc_test =
         (Printf.sprintf "%.0f major words < 256" words)
         true (words < 256.))
 
+(* Serve and e2ebench make one interpreter per text, so [Interp.create]
+   allocates only the parser's own records: recovery state (the
+   panic-mode sync-set table and FIRST/FOLLOW) is made on the first
+   recovery.  An eager [Hashtbl.create 16] for the sync sets cost every
+   create 22 more minor words (54 in all); the bound is what the lazy
+   table measures. *)
+let create_words_test =
+  test "MiniJava: Interp.create allocates no recovery state" (fun () ->
+      let spec = Option.get (Bench_grammars.Specs.find "MiniJava") in
+      let cw, _ = Test_cache.fresh_and_cached spec in
+      let c = cw.Bench_grammars.Workload.c in
+      let env = Bench_grammars.Workload.env_of_spec spec in
+      let ts =
+        Runtime.Token_stream.of_array
+          (Bench_grammars.Workload.lex_exn cw "class A { }")
+      in
+      let create () =
+        ignore (Sys.opaque_identity (Runtime.Interp.create ~env c ts))
+      in
+      create ();
+      let n = 1000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        create ()
+      done;
+      let w = (Gc.minor_words () -. before) /. float_of_int n in
+      check bool (Printf.sprintf "%.1f minor words per create <= 32" w) true
+        (w <= 32.))
+
 (* The PEG-mode StreamScale parse speculates in every statement.  Its
    memo entries die when the next statement's speculation starts; a
    table that kept them for the stream's lifetime grew with the input,
@@ -1018,7 +1047,7 @@ let alloc_tests =
           (Printf.sprintf "%.1f words/token <= %.1f" w bound)
           true (w <= bound))
   in
-  (create_alloc_test
+  (create_alloc_test :: create_words_test
   :: List.map (row "Interp.recognize" false)
        [ ("MiniJava", 12.5); ("RatsC", 34.) ])
   @ List.map (row "generated parser" true) [ ("MiniJava", 21.); ("RatsC", 43.) ]
