@@ -1,6 +1,7 @@
 (* Facade for the ATN library: [Atn.t] is the machine; [Atn.Build.build]
    constructs it from a prepared grammar; [Atn.Program.of_atn] flattens it
-   into the interpreter's epsilon-free program; [Atn.Dot.to_dot] exports
+   into the epsilon-free program that the interpreter runs and code
+   generation lowers; [Atn.Dot.to_dot] exports
    Graphviz. *)
 
 include Machine

@@ -75,8 +75,6 @@ let rule_by_name t name =
   Array.iter (fun ri -> if ri.r_name = name then found := Some ri.r_id) t.rules;
   !found
 
-let transitions t s = t.trans.(s)
-
 let decision_of t s = t.decision_of_state.(s)
 
 (* Alternative left-edge states of a decision, in alternative order. *)

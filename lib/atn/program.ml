@@ -16,8 +16,10 @@
 
    [of_atn] is one linear pass over the states with no hash tables;
    [Llstar.Compiled.compile] runs it once per grammar and keeps the result
-   in the compiled value, so it travels in the compilation cache.  Lookahead
-   analysis, code generation and error recovery keep reading [Atn.trans]. *)
+   in the compiled value, so it travels in the compilation cache.  Code
+   generation ([Codegen.Lower]) decodes this same program, so it is the one
+   place epsilon steps are resolved for both backends; lookahead analysis
+   keeps reading [Atn.trans]. *)
 
 type op =
   | Decide (* a: decision id; b: offset of its row in [alts] *)

@@ -52,9 +52,8 @@ let rule_decisions (r : Ir.rule_ir) : int list =
   |> List.filter_map (fun ((_ : int), n) ->
          match n with
          | Ir.Decide { decision; _ } -> Some decision
-         | Ir.Stop | Ir.Dead | Ir.Eps _ | Ir.Match_term _ | Ir.Call _
-         | Ir.Check_sem _ | Ir.Check_prec _ | Ir.Check_syn _ | Ir.Do_action _
-           ->
+         | Ir.Stop | Ir.Dead | Ir.Match_term _ | Ir.Call _ | Ir.Check_sem _
+         | Ir.Check_prec _ | Ir.Check_syn _ | Ir.Do_action _ ->
              None)
   |> List.sort_uniq compare
 
@@ -358,7 +357,6 @@ let emit_node t (r : Ir.rule_ir) (decision_by_id : Ir.decision_ir array)
   match n with
   | Ir.Stop -> line t ~indent:1 "()"
   | Ir.Dead -> line t ~indent:1 "Rt.dead st ~rule:%d" r.Ir.ru_id
-  | Ir.Eps { target } -> goto target "fresh"
   | Ir.Match_term { term; target } ->
       if term = Grammar.Sym.eof then begin
         (* matching EOF consumes nothing: the cursor never moves past it *)

@@ -35,7 +35,6 @@ let to_parser (ir : Ir.t) : (module G.PARSER) =
         match Hashtbl.find node_at s with
         | Ir.Stop -> ()
         | Ir.Dead -> Rt.dead st ~rule:r.Ir.ru_id
-        | Ir.Eps { target } -> step target ~fresh
         | Ir.Match_term { term; target } ->
             let la1 = Ts.la ts 1 in
             if la1 = term || (term = Grammar.Sym.wildcard && la1 <> 0) then begin

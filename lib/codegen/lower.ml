@@ -1,13 +1,13 @@
 (* Lowering: compiled grammar + lookahead DFAs -> codegen IR.
 
-   The IR is a direct specialization of the interpreter's ATN walk
-   ({!Runtime.Interp.parse_rule}): one node per reachable ATN state,
-   classified exactly the way the interpreter dispatches on states (stop
-   state first, then decision states, then the single outgoing edge).
-   Keeping the shapes aligned is the whole correctness argument -- the
-   generated code is the same state machine with the interpretive
-   dispatch compiled away -- so this module validates the invariants it
-   relies on and refuses to lower anything that violates them. *)
+   The IR is the interpreter's program ({!Atn.Program}, run by
+   {!Runtime.Interp.run_rule}) decoded into nodes: one node per program
+   slot reachable from a rule's first slot, with the slot's operands and
+   successors.  Epsilon steps are resolved once, by [Atn.Program.of_atn],
+   so no node forwards to another; the generated code is the interpreter's
+   state machine with the opcode dispatch compiled away, which is the whole
+   correctness argument.  This module validates the invariants it relies
+   on and refuses to lower anything that violates them. *)
 
 (* Decisions whose DFA has at most this many states are lowered to nested
    match chains ([Ir.Inline]); larger ones embed the DFA and walk it
@@ -18,54 +18,44 @@ let inline_threshold = 32
 
 type error = string
 
-(* A non-decision, non-stop state must have exactly one meaningful edge
-   (the interpreter only ever follows [row.(0)]); decision states fan out
-   by alternative.  Anything else is a malformed ATN. *)
-
 let lower ?lexer ?grammar_text
     (c : Llstar.Compiled.t) : (Ir.t, error) result =
   let atn = c.Llstar.Compiled.atn in
+  let p = c.Llstar.Compiled.program in
   let issues : string list ref = ref [] in
   let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  let node_of (ri : Atn.rule_info) (s : int) : Ir.node =
-    if s = ri.Atn.r_stop then Ir.Stop
-    else
-      let d = Atn.decision_of atn s in
-      if d >= 0 then begin
-        let dec = atn.Atn.decisions.(d) in
-        let targets = Atn.decision_alt_targets atn dec in
-        if Array.length targets <> dec.Atn.d_nalts then
-          issue
-            "decision %d: %d alternative targets but %d declared \
-             alternatives"
-            d (Array.length targets) dec.Atn.d_nalts;
-        Ir.Decide { decision = d; targets }
-      end
-      else
-        match atn.Atn.trans.(s) with
-        | [||] -> Ir.Dead
-        | row -> (
-            let edge, target = row.(0) in
-            match edge with
-            | Atn.Eps -> Ir.Eps { target }
-            | Atn.Term term -> Ir.Match_term { term; target }
-            | Atn.Rule { rule; arg } ->
-                Ir.Call
-                  { rule; prec = Option.value ~default:0 arg; target }
-            | Atn.Pred (Atn.Sem code) -> Ir.Check_sem { code; target }
-            | Atn.Pred (Atn.Prec bound) -> Ir.Check_prec { bound; target }
-            | Atn.Pred (Atn.Syn synrule) ->
-                Ir.Check_syn
-                  { synrule; text = Atn.rule_name atn synrule; target }
-            | Atn.Act { id; always } ->
-                Ir.Do_action
-                  { code = fst atn.Atn.actions.(id); always; target })
+  let node_of (s : int) : Ir.node =
+    let x = Atn.Program.arg p s and target = Atn.Program.next p s in
+    match Atn.Program.op p s with
+    | Atn.Program.Stop -> Ir.Stop
+    | Atn.Program.Dead -> Ir.Dead
+    | Atn.Program.Decide ->
+        let nalts = atn.Atn.decisions.(x).Atn.d_nalts in
+        Ir.Decide
+          {
+            decision = x;
+            targets =
+              Array.init nalts (fun i -> Atn.Program.alt_next p s (i + 1));
+          }
+    | Atn.Program.Match -> Ir.Match_term { term = x; target }
+    | Atn.Program.Call ->
+        Ir.Call { rule = x; prec = Atn.Program.arg2 p s; target }
+    | Atn.Program.Sem -> Ir.Check_sem { code = p.Atn.Program.sem.(x); target }
+    | Atn.Program.Prec -> Ir.Check_prec { bound = x; target }
+    | Atn.Program.Syn ->
+        Ir.Check_syn { synrule = x; text = Atn.rule_name atn x; target }
+    | Atn.Program.Act ->
+        Ir.Do_action
+          {
+            code = fst atn.Atn.actions.(x);
+            always = Atn.Program.arg2 p s <> 0;
+            target;
+          }
   in
   let successors (n : Ir.node) : int list =
     match n with
     | Ir.Stop -> []
     | Ir.Dead -> []
-    | Ir.Eps { target } -> [ target ]
     | Ir.Match_term { target; term = _ } -> [ target ]
     | Ir.Call { target; rule = _; prec = _ } -> [ target ]
     | Ir.Check_sem { target; code = _ } -> [ target ]
@@ -75,8 +65,9 @@ let lower ?lexer ?grammar_text
     | Ir.Decide { targets; decision = _ } -> Array.to_list targets
   in
   let lower_rule (ri : Atn.rule_info) : Ir.rule_ir =
-    (* collect the states reachable from the entry without leaving the
-       rule (calls continue at the follow state, not the callee) *)
+    (* collect the slots reachable from the rule's first slot without
+       leaving the rule (calls continue at the follow state, not the
+       callee) *)
     let seen = Hashtbl.create 64 in
     let acc = ref [] in
     let rec visit s =
@@ -85,19 +76,19 @@ let lower ?lexer ?grammar_text
         if atn.Atn.state_rule.(s) <> ri.Atn.r_id then
           issue "rule %s: reached state %d owned by another rule"
             ri.Atn.r_name s;
-        let n = node_of ri s in
+        let n = node_of s in
         acc := (s, n) :: !acc;
         List.iter visit (successors n)
       end
     in
-    visit ri.Atn.r_entry;
+    let first = Atn.Program.first p ri.Atn.r_id in
+    visit first;
     let states = Array.of_list !acc in
     Array.sort (fun (a, _) (b, _) -> compare a b) states;
     {
       Ir.ru_id = ri.Atn.r_id;
       ru_name = ri.Atn.r_name;
-      ru_entry = ri.Atn.r_entry;
-      ru_stop = ri.Atn.r_stop;
+      ru_entry = first;
       ru_is_synpred = ri.Atn.r_is_synpred;
       ru_states = states;
     }
@@ -170,8 +161,8 @@ let lower ?lexer ?grammar_text
                 (Printf.sprintf "rule %s" r.Ir.ru_name)
                 synrule
           | Ir.Stop | Ir.Dead -> ()
-          | Ir.Eps _ | Ir.Match_term _ | Ir.Call _ | Ir.Check_sem _
-          | Ir.Check_prec _ | Ir.Do_action _ | Ir.Decide _ ->
+          | Ir.Match_term _ | Ir.Call _ | Ir.Check_sem _ | Ir.Check_prec _
+          | Ir.Do_action _ | Ir.Decide _ ->
               ())
         r.Ir.ru_states)
     rules;

@@ -415,14 +415,10 @@ type t = {
   (* token index of the last recorded error; min_int before the first *)
   mutable last_error_index : int;
   max_errors : int;
-  (* lazily computed panic-mode sync sets: rule -> terminals that can
-     follow, as a bitset over the token-type universe; the table itself is
-     made on the first recovery, since most parses never recover *)
-  mutable follow_cache : (int, Bitset.t) Hashtbl.t option;
-  (* FIRST/nullability over the prepared grammar's BNF skeleton, computed on
-     the first recovery and reused for every sync set, paired with the
-     ff-terminal-id -> token-type translation (-1: not a lexed token) *)
-  mutable ff : (Grammar.First_follow.t * int array) option;
+  (* panic-mode sync sets by rule, FOLLOW(rule) u {EOF} as bitsets over the
+     token-type universe ([follow_set]); made on the first recovery, since
+     most parses never recover *)
+  mutable sync_sets : Bitset.t array option;
 }
 
 let atn t = t.c.Llstar.Compiled.atn
@@ -555,89 +551,47 @@ let eval_synpred t rule = speculate t.st synpred_runner t rule
 (* ------------------------------------------------------------------ *)
 (* Panic-mode recovery: sync to a token that can follow the current rule. *)
 
-let first_follow t : Grammar.First_follow.t * int array =
-  match t.ff with
-  | Some pair -> pair
-  | None ->
-      let a = atn t in
-      let ff =
-        Grammar.First_follow.compute (Grammar.Bnf.convert a.Atn.grammar)
-      in
-      (* Translate interned FIRST/FOLLOW terminal ids to the lexer's token
-         types once; sync-set construction then unions bitsets without any
-         name lookups.  The grammar-level "." maps to the wildcard token. *)
-      let map =
-        Array.init (Grammar.First_follow.num_terms ff) (fun i ->
-            let name = Grammar.First_follow.term_name ff i in
-            if name = "." then Grammar.Sym.wildcard
-            else
-              match Grammar.Sym.find_term a.Atn.sym name with
-              | Some id -> id
-              | None -> -1)
-      in
-      t.ff <- Some (ff, map);
-      (ff, map)
-
+(* The sync set of [rule] is FOLLOW(rule) u {EOF}, with FOLLOW (section 7)
+   computed over the prepared grammar's BNF skeleton: the terminals that
+   can come right after the rule in some calling context.  EOF is always
+   in, so a sync never skips past the end of the input.  Every rule's set
+   is made at once, translating FOLLOW's interned terminal ids to the
+   lexer's token types; the grammar-level "." maps to the wildcard token. *)
 let follow_set t (rule : int) : Bitset.t =
-  let cache =
-    match t.follow_cache with
-    | Some cache -> cache
+  let sets =
+    match t.sync_sets with
+    | Some sets -> sets
     | None ->
-        let cache = Hashtbl.create 16 in
-        t.follow_cache <- Some cache;
-        cache
+        let a = atn t in
+        let ff =
+          Grammar.First_follow.compute (Grammar.Bnf.convert a.Atn.grammar)
+        in
+        let token_type =
+          Array.init (Grammar.First_follow.num_terms ff) (fun i ->
+              let name = Grammar.First_follow.term_name ff i in
+              if name = "." then Grammar.Sym.wildcard
+              else
+                match Grammar.Sym.find_term a.Atn.sym name with
+                | Some id -> id
+                | None -> -1)
+        in
+        let sync (ri : Atn.rule_info) =
+          let set = Bitset.create (Grammar.Sym.num_terms a.Atn.sym) in
+          Bitset.add set Grammar.Sym.eof;
+          (match Grammar.First_follow.nonterm_id ff ri.Atn.r_name with
+          | None -> ()
+          | Some n ->
+              Bitset.iter
+                (fun fid ->
+                  if token_type.(fid) >= 0 then Bitset.add set token_type.(fid))
+                (Grammar.First_follow.follow_ids ff n));
+          set
+        in
+        let sets = Array.map sync a.Atn.rules in
+        t.sync_sets <- Some sets;
+        sets
   in
-  match Hashtbl.find_opt cache rule with
-  | Some s -> s
-  | None ->
-      let a = atn t in
-      let ff, term_map = first_follow t in
-      let set = Bitset.create (Grammar.Sym.num_terms a.Atn.sym) in
-      Bitset.add set Grammar.Sym.eof;
-      let add_first_of callee =
-        match Grammar.First_follow.nonterm_id ff (Atn.rule_name a callee) with
-        | None -> ()
-        | Some n ->
-            Bitset.iter
-              (fun fid ->
-                let sid = term_map.(fid) in
-                if sid >= 0 then Bitset.add set sid)
-              (Grammar.First_follow.first_ids ff n)
-      in
-      let callee_nullable callee =
-        match Grammar.First_follow.nonterm_id ff (Atn.rule_name a callee) with
-        | Some n -> Grammar.First_follow.nullable_id ff n
-        | None -> false
-      in
-      (* Terminals that can appear right after the rule in any calling
-         context: walk forward from every call site's follow state.  A
-         [Rule] edge contributes the callee's FIRST set and, when the
-         callee is nullable, continues past it to the state after the
-         call; a stop state continues into every caller of its rule
-         (transitive FOLLOW). *)
-      let seen = Hashtbl.create 32 in
-      let rec go s =
-        if not (Hashtbl.mem seen s) then begin
-          Hashtbl.add seen s ();
-          if Atn.is_stop_state a s then begin
-            let r = a.Atn.state_rule.(s) in
-            List.iter (fun (f, _) -> go f) a.Atn.callers.(r)
-          end
-          else
-            Array.iter
-              (fun (edge, tgt) ->
-                match edge with
-                | Atn.Term term -> Bitset.add set term
-                | Atn.Rule { rule = callee; _ } ->
-                    add_first_of callee;
-                    if callee_nullable callee then go tgt
-                | Atn.Eps | Atn.Pred _ | Atn.Act _ -> go tgt)
-              a.Atn.trans.(s)
-        end
-      in
-      List.iter (fun (f, _) -> go f) a.Atn.callers.(rule);
-      Hashtbl.replace cache rule set;
-      set
+  sets.(rule)
 
 let recover_to_follow t rule =
   let follow = follow_set t rule in
@@ -695,8 +649,7 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     n_errors = 0;
     last_error_index = min_int;
     max_errors;
-    follow_cache = None;
-    ff = None;
+    sync_sets = None;
   }
 
 let start_rule_id t = function

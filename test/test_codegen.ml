@@ -1,8 +1,11 @@
 (* Code-generation tests (lib/codegen): the compiled-away parsers must be
    indistinguishable from the {!Runtime.Interp} oracle.
 
-   Four layers:
+   Five layers:
 
+   - lowering decodes the interpreter's program ({!Atn.Program}): every IR
+     node of a bench grammar is its state's program slot, no IR state is
+     an epsilon step, and each grammar's IR state count is pinned;
    - the six generated parsers (lib/gen, emitted at build time by the
      dune rules there) agree with the interpreter -- accept/reject, error
      kind and position, consumed token count -- over a freshly built
@@ -121,6 +124,94 @@ let registry_matches_specs =
         Bench_grammars.Specs.all)
 
 (* ------------------------------------------------------------------ *)
+(* Lowering reads the program                                         *)
+
+module P = Atn.Program
+module Ir = Codegen.Ir
+
+(* One rendering for a program slot and for an IR node, so the two
+   compare as strings: op, operands, successors. *)
+let decode_slot (c : Llstar.Compiled.t) s =
+  let a = c.Llstar.Compiled.atn and p = c.Llstar.Compiled.program in
+  let x = P.arg p s and y = P.arg2 p s and n = P.next p s in
+  match P.op p s with
+  | P.Stop -> "stop"
+  | P.Dead -> "dead"
+  | P.Decide ->
+      let nalts = Array.length a.Atn.trans.(s) in
+      Printf.sprintf "decide %d -> [%s]" x
+        (String.concat " "
+           (List.init nalts (fun i -> string_of_int (P.alt_next p s (i + 1)))))
+  | P.Match -> Printf.sprintf "match %d -> %d" x n
+  | P.Call -> Printf.sprintf "call %d %d -> %d" x y n
+  | P.Sem -> Printf.sprintf "sem %S -> %d" p.P.sem.(x) n
+  | P.Prec -> Printf.sprintf "prec %d -> %d" x n
+  | P.Syn -> Printf.sprintf "syn %d -> %d" x n
+  | P.Act -> Printf.sprintf "act %S %b -> %d" (fst a.Atn.actions.(x)) (y <> 0) n
+
+let render_node (n : Ir.node) =
+  match n with
+  | Ir.Stop -> "stop"
+  | Ir.Dead -> "dead"
+  | Ir.Decide { decision; targets } ->
+      Printf.sprintf "decide %d -> [%s]" decision
+        (String.concat " " (Array.to_list (Array.map string_of_int targets)))
+  | Ir.Match_term { term; target } ->
+      Printf.sprintf "match %d -> %d" term target
+  | Ir.Call { rule; prec; target } ->
+      Printf.sprintf "call %d %d -> %d" rule prec target
+  | Ir.Check_sem { code; target } ->
+      Printf.sprintf "sem %S -> %d" code target
+  | Ir.Check_prec { bound; target } ->
+      Printf.sprintf "prec %d -> %d" bound target
+  | Ir.Check_syn { synrule; text = _; target } ->
+      Printf.sprintf "syn %d -> %d" synrule target
+  | Ir.Do_action { code; always; target } ->
+      Printf.sprintf "act %S %b -> %d" code always target
+
+(* IR states per bench grammar: one per program slot reachable from a
+   rule's first slot.  An epsilon state lowered as its own node, which
+   only forwards to the next, raises these counts. *)
+let ir_states =
+  [
+    ("MiniJava", 993);
+    ("RatsC", 934);
+    ("RatsJava", 747);
+    ("MiniVB", 402);
+    ("MiniSQL", 425);
+    ("MiniCSharp", 566);
+  ]
+
+let lowering_reads_program (spec : Workload.spec) =
+  let name = spec.Workload.name in
+  test (Printf.sprintf "%s: IR nodes are program slots" name) (fun () ->
+      let c = (Workload.compile spec).Workload.c in
+      let a = c.Llstar.Compiled.atn in
+      match Codegen.Lower.lower c with
+      | Error m -> Alcotest.failf "lower %s: %s" name m
+      | Ok ir ->
+          Array.iter
+            (fun (r : Ir.rule_ir) ->
+              check int
+                (Printf.sprintf "%s rule %d entry" name r.Ir.ru_id)
+                (P.first c.Llstar.Compiled.program r.Ir.ru_id)
+                r.Ir.ru_entry;
+              Array.iter
+                (fun (s, n) ->
+                  check string
+                    (Printf.sprintf "%s state %d" name s)
+                    (decode_slot c s) (render_node n);
+                  match a.Atn.trans.(s) with
+                  | [| (Atn.Eps, _) |] when Atn.decision_of a s < 0 ->
+                      Alcotest.failf "%s: IR state %d is an epsilon step" name
+                        s
+                  | _ -> ())
+                r.Ir.ru_states)
+            ir.Ir.rules;
+          check int (name ^ " IR states") (List.assoc name ir_states)
+            (Ir.stats ir).Ir.n_states)
+
+(* ------------------------------------------------------------------ *)
 (* Exec backend vs Interp on random grammars                           *)
 
 let exec_agrees_with_interp (g, word) =
@@ -229,6 +320,8 @@ let replay_tests =
 
 let suite =
   [
+    ( "codegen: lowering",
+      List.map lowering_reads_program Bench_grammars.Specs.all );
     ( "codegen: corpus agreement",
       List.map corpus_agreement Bench_grammars.Specs.all );
     ( "codegen: vocabulary",

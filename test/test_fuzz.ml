@@ -1,14 +1,12 @@
 (* Differential-fuzzer tests: the mutation engine and shrinker (determinism
    under a fixed seed), oracle smoke tests, replay of any committed
-   reproducers under fuzz-corpus/, and regression tests for the
-   recovery/profiling bugs the fuzzer flushed out:
+   reproducers under fuzz-corpus/, and tests of recovery and profiling:
 
-   - [Interp.follow_set] walked *into* nullable callees and out through
-     every caller of the callee's rule, so a shared nullable rule leaked
-     the FOLLOW of unrelated call sites into the sync set (recovery then
-     stopped skipping too early); the fix contributes the callee's FIRST
-     set and falls through to the state after the call iff the callee is
-     nullable;
+   - panic-mode recovery's sync set, [Interp.follow_set], is FOLLOW(rule)
+     u {EOF} by definition ({!Grammar.First_follow}, paper section 7).  A
+     shared nullable rule [b] after [x] puts FIRST(b) and what follows that
+     call site in FOLLOW(x), and nothing from [b]'s other call sites; the
+     tests pin both halves and that recovery skips to such a token;
    - [Interp.eval_synpred] pre-set the stream's high-water mark to the
      speculation start, so an empty synpred fragment reported a lookahead
      reach of 1 token despite examining nothing; likewise
@@ -21,9 +19,9 @@ module Workload = Bench_grammars.Workload
 (* ------------------------------------------------------------------ *)
 (* Satellite regressions: recovery sync sets                           *)
 
-(* x is followed by 'E'? 'C' at its only call site; rule b is *also*
-   called before 'D', so walking into b and out through all of b's
-   callers wrongly added 'D' to follow(x). *)
+(* x is followed by 'E'? 'C' at its only call site, so FOLLOW(x) is
+   {'E', 'C'}; rule b is *also* called before 'D', which is in FOLLOW(b)
+   but must not reach FOLLOW(x). *)
 let follow_src = "grammar P; s : x b 'C' b 'D' ; x : 'A' ; b : 'E' ? ;"
 
 let interp_for c text =
