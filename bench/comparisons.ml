@@ -200,54 +200,100 @@ let speed () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Interp's memo lookups (hits and misses) over one parse of [toks]. *)
+let memo_lookups (c : Llstar.Compiled.t) toks =
+  let n = ref 0 in
+  let sink _ = function
+    | Obs.Trace.Memo_hit _ | Obs.Trace.Memo_miss _ -> incr n
+    | _ -> ()
+  in
+  match Runtime.Interp.recognize ~tracer:(Obs.Trace.make sink) c toks with
+  | Ok () -> Some !n
+  | Error _ -> None
+
 let memo () =
   section
     "Memoization ablation (section 6.2): backtracking without memoization \
      goes exponential";
   (* Nested indexed assignments force the PEG expression rule to parse each
      [unary] twice per nesting level without memoization. *)
-  let depth_input d =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "class S { void f ( ) { ";
-    for _ = 1 to d do
-      Buffer.add_string buf "xs [ "
-    done;
-    Buffer.add_string buf "1 ";
-    for _ = 1 to d do
-      Buffer.add_string buf "] "
-    done;
-    Buffer.add_string buf "= 1.0 ; } }";
-    Buffer.contents buf
-  in
   let spec = Bench_grammars.Rats_java.spec in
   let cw = compiled spec in
   let sym = Llstar.Compiled.sym cw.c in
-  Fmt.pr "%5s %18s %18s %15s@." "depth" "packrat+memo" "packrat no-memo"
-    "LL(*) time";
-  List.iter
-    (fun d ->
-      let toks = Workload.lex_exn cw (depth_input d) in
-      let pm = Baselines.Packrat.create ~memoize:true cw.c.Llstar.Compiled.surface in
-      let ok1 = Baselines.Packrat.recognize pm sym toks () in
-      let s1 = (Baselines.Packrat.stats pm).Baselines.Packrat.steps in
-      let pn = Baselines.Packrat.create ~memoize:false cw.c.Llstar.Compiled.surface in
-      let s2 =
-        match
-          Baselines.Packrat.recognize ~budget:30_000_000 pn sym toks ()
-        with
-        | (_ : bool) -> string_of_int (Baselines.Packrat.stats pn).Baselines.Packrat.steps
-        | exception Baselines.Packrat.Give_up -> ">30000000 (gave up)"
-      in
-      let (_ : float * int), dt =
-        time (fun () -> run_llstar ~runs:1 spec [ toks ])
-      in
-      Fmt.pr "%5d %12d steps %18s %13.2fms %s@." d s1 s2 (dt *. 1000.)
-        (if ok1 then "" else "(reject?)"))
-    [ 2; 4; 8; 12; 16; 20 ];
+  let budget = 30_000_000 in
+  Fmt.pr "%5s %18s %18s %16s %13s@." "depth" "packrat+memo" "packrat no-memo"
+    "LL(*) lookups" "LL(*) time";
+  let rows =
+    List.map
+      (fun d ->
+        let toks =
+          Workload.lex_exn cw (Bench_grammars.Rats_java.nested_index_program d)
+        in
+        let pm =
+          Baselines.Packrat.create ~memoize:true cw.c.Llstar.Compiled.surface
+        in
+        let ok1 = Baselines.Packrat.recognize pm sym toks () in
+        let s1 = (Baselines.Packrat.stats pm).Baselines.Packrat.steps in
+        let pn =
+          Baselines.Packrat.create ~memoize:false cw.c.Llstar.Compiled.surface
+        in
+        (* [None]: gave up past the budget *)
+        let s2 =
+          match Baselines.Packrat.recognize ~budget pn sym toks () with
+          | (_ : bool) ->
+              Some (Baselines.Packrat.stats pn).Baselines.Packrat.steps
+          | exception Baselines.Packrat.Give_up -> None
+        in
+        let lookups = memo_lookups cw.c toks in
+        let (_ : (unit, _) result), dt =
+          time (fun () -> Runtime.Interp.recognize cw.c toks)
+        in
+        Fmt.pr "%5d %12d steps %18s %16s %11.2fms %s@." d s1
+          (match s2 with
+          | Some n -> string_of_int n
+          | None -> Printf.sprintf ">%d (gave up)" budget)
+          (match lookups with Some n -> string_of_int n | None -> "rejected")
+          (dt *. 1000.)
+          (if ok1 then "" else "(reject?)");
+        (d, s2, lookups))
+      [ 2; 4; 8; 12; 16; 20 ]
+  in
+  (* The claim, from the rows above.  Without memoization, steps per
+     nesting level at the deepest depth are at least 4x those at the
+     shallowest (a run past the budget counts as the budget).  With it,
+     the LL-star parser's memo lookups grow by the same count per level
+     at every depth. *)
+  let per_level (d, s2, _) =
+    float_of_int (Option.value s2 ~default:budget) /. float_of_int d
+  in
+  let first = List.hd rows and last = List.nth rows (List.length rows - 1) in
+  let (d_first, _, _), (d_last, _, _) = (first, last) in
+  let growth = per_level last /. per_level first in
+  let superlinear = growth >= 4. in
+  let lookups = List.map (fun (d, _, l) -> (d, l)) rows in
+  let linear, step =
+    match lookups with
+    | (d0, Some l0) :: (d1, Some l1) :: _ when (l1 - l0) mod (d1 - d0) = 0 ->
+        let step = (l1 - l0) / (d1 - d0) in
+        ( step > 0
+          && List.for_all
+               (fun (d, l) -> l = Some (l0 + ((d - d0) * step)))
+               lookups,
+          step )
+    | _ -> (false, 0)
+  in
+  let ok = superlinear && linear in
   Fmt.pr
-    "@.shape check: without memoization the step count explodes \
-     exponentially with nesting depth (the paper's RatsC \"appears not to \
-     terminate\"); with memoization it stays linear.@."
+    "@.shape check: %s -- without memoization packrat steps per nesting \
+     level grow %.0fx from depth %d to %d (superlinear: >= 4x); LL(*) memo \
+     lookups %s (the paper's RatsC \"appears not to terminate\" without \
+     memoization).@."
+    (if ok then "PASS" else "FAIL")
+    growth d_first d_last
+    (if linear then
+       Printf.sprintf "grow by %d per level at every depth (linear)" step
+     else "do not grow by a fixed count per level (not linear)");
+  if not ok then exit 1
 
 (* ------------------------------------------------------------------ *)
 

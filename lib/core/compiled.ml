@@ -8,7 +8,9 @@
    the flat, epsilon-free program it runs ([Atn.Program]), built from the
    ATN in one pass after the analysis.  Every decision's lookahead DFA is
    fully materialized up front by the paper's static analysis;
-   [Compiled_cache] skips that work on later runs. *)
+   [Compiled_cache] skips that work on later runs.  Error recovery's sync
+   sets are built on the first recovery instead ({!sync_sets}): most
+   parses never recover, and compile time should not pay for them. *)
 
 type error =
   | Validation of Grammar.Validate.issue list
@@ -28,6 +30,7 @@ type t = {
   grammar : Grammar.Ast.t; (* prepared grammar the ATN was built from *)
   atn : Atn.t;
   program : Atn.Program.t; (* the interpreter's flat view of [atn] *)
+  sync : Bitset.t array option Atomic.t; (* see [sync_sets] *)
   opts : Analysis.options; (* resolved analysis options actually used *)
   results : Analysis.result array; (* per decision *)
   report : Report.t;
@@ -94,6 +97,7 @@ let compile ?analysis_opts ?grammar_source ?pool (surface : Grammar.Ast.t) :
                   grammar = prepared;
                   atn;
                   program = Atn.Program.of_atn atn;
+                  sync = Atomic.make None;
                   opts;
                   results;
                   report;
@@ -116,6 +120,49 @@ let of_source_exn ?analysis_opts ?pool src =
   match of_source ?analysis_opts ?pool src with
   | Ok t -> t
   | Error e -> failwith (Fmt.str "%a" pp_error e)
+
+(* Panic-mode recovery's sync set of each rule, by rule id: FOLLOW(rule) u
+   {EOF}, with FOLLOW (section 7) computed over the prepared grammar's BNF
+   skeleton -- the terminals that can come right after the rule in some
+   calling context.  EOF is always in, so a sync never skips past the end
+   of the input.  FOLLOW's interned terminal ids are translated to the
+   lexer's token types; the grammar-level "." maps to the wildcard token.
+
+   Built on the first call and kept in the compiled value, so every later
+   parse of the grammar reuses them.  Domains may race to build them; the
+   sets are read-only once built, and the loser adopts the winner's. *)
+let build_sync_sets (a : Atn.t) : Bitset.t array =
+  let ff = Grammar.First_follow.compute (Grammar.Bnf.convert a.Atn.grammar) in
+  let token_type =
+    Array.init (Grammar.First_follow.num_terms ff) (fun i ->
+        let name = Grammar.First_follow.term_name ff i in
+        if name = "." then Grammar.Sym.wildcard
+        else
+          match Grammar.Sym.find_term a.Atn.sym name with
+          | Some id -> id
+          | None -> -1)
+  in
+  let sync (ri : Atn.rule_info) =
+    let set = Bitset.create (Grammar.Sym.num_terms a.Atn.sym) in
+    Bitset.add set Grammar.Sym.eof;
+    (match Grammar.First_follow.nonterm_id ff ri.Atn.r_name with
+    | None -> ()
+    | Some n ->
+        Bitset.iter
+          (fun fid ->
+            if token_type.(fid) >= 0 then Bitset.add set token_type.(fid))
+          (Grammar.First_follow.follow_ids ff n));
+    set
+  in
+  Array.map sync a.Atn.rules
+
+let sync_sets t : Bitset.t array =
+  match Atomic.get t.sync with
+  | Some sets -> sets
+  | None ->
+      let sets = build_sync_sets t.atn in
+      if Atomic.compare_and_set t.sync None (Some sets) then sets
+      else Option.get (Atomic.get t.sync)
 
 (* All analysis warnings across decisions, with their decision ids. *)
 let all_warnings t : Analysis.warning list =

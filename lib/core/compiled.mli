@@ -22,6 +22,8 @@ type t = {
   atn : Atn.t;
   program : Atn.Program.t;
       (** the interpreter's flat, epsilon-free view of [atn] *)
+  sync : Bitset.t array option Atomic.t;
+      (** error recovery's sync sets, built on first use by {!sync_sets} *)
   opts : Analysis.options;  (** resolved analysis options actually used *)
   results : Analysis.result array;  (** indexed by decision number *)
   report : Report.t;
@@ -76,5 +78,11 @@ val of_source_exn :
   ?pool:Exec.Pool.t ->
   string ->
   t
+
+val sync_sets : t -> Bitset.t array
+(** Panic-mode recovery's sync set of each rule, indexed by rule id:
+    FOLLOW(rule) u {EOF} as a set of token types.  Built on the first call
+    (not by {!compile}) and kept in [t], so later parses reuse it; safe to
+    call from several domains at once. *)
 
 val all_warnings : t -> Analysis.warning list

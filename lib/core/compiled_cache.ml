@@ -39,8 +39,10 @@
    v8: [start_row] marks accepting targets as [-(2 + state)]: same shape,
    different meaning, so a v7 row would walk past an accept state.
    v9: [Compiled.t] gained [program], the interpreter's flat,
-   epsilon-free view of the ATN ([Atn.Program]). *)
-let format_version = 9
+   epsilon-free view of the ATN ([Atn.Program]).
+   v10: [Compiled.t] gained [sync], recovery's sync sets, built on first
+   use; a blob stores the slot empty. *)
+let format_version = 10
 
 let magic = "ANTLRKIT-CACHE\n"
 
@@ -73,12 +75,14 @@ let cache_file ~dir k = Filename.concat dir (k ^ ".antlrkit-cache")
 (* Digest of the compilation result with the volatile parts normalized
    away: the provenance tag (a cache hit is re-tagged [From_cache]) and
    the report's measured wall-clock analysis time, neither of which is a
-   product of the analysis itself.  The interpreter's program is left out
-   too: it is a function of the ATN, which the digest covers, and serve
-   digests every grammar a client loads, so it should not pay for
-   marshaling a second view of every state.  Because marshaling is
-   deterministic for identically constructed values, two compilations of
-   the same grammar agree on this digest iff they produced the same ATN,
+   product of the analysis itself.  The interpreter's program and the
+   recovery sync sets are left out too: both are functions of the ATN,
+   which the digest covers (the sync sets exist only once a parse has
+   recovered), and serve digests every grammar a client loads, so it
+   should not pay for marshaling a second view of every state.  Because
+   marshaling is deterministic for identically constructed values, two
+   compilations of the same grammar agree on this digest iff they
+   produced the same ATN,
    DFAs, warnings and report: the determinism oracle the
    parallel-analysis tests check against the sequential build.
 
@@ -98,6 +102,7 @@ let payload_digest (c : Compiled.t) : string =
     {
       c with
       Compiled.program = Atn.Program.empty;
+      sync = Atomic.make None;
       report =
         { c.Compiled.report with Report.analysis_time = 0.0 };
     }
@@ -209,7 +214,9 @@ let save ~dir (c : Compiled.t) : (string, string) result =
   let path = cache_file ~dir k in
   try
     mkdir_p dir;
-    let payload = Marshal.to_string c [] in
+    let payload =
+      Marshal.to_string { c with Compiled.sync = Atomic.make None } []
+    in
     let tmp =
       Filename.concat dir
         (Printf.sprintf ".%s-%d.tmp.%d" k

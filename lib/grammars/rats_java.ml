@@ -260,3 +260,21 @@ let spec : Workload.spec =
     sem_preds = [];
     gen_start = None;
   }
+
+(* The memoization stress input (section 6.2): one assignment whose
+   target is indexed [depth] times, [xs [ xs [ ... 1 ... ] ] = 1.0 ;].
+   The PEG expression rules try each nesting level twice, so without
+   memoization the work doubles with every level; with it, it grows
+   linearly. *)
+let nested_index_program (depth : int) : string =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "class S { void f ( ) { ";
+  for _ = 1 to depth do
+    Buffer.add_string buf "xs [ "
+  done;
+  Buffer.add_string buf "1 ";
+  for _ = 1 to depth do
+    Buffer.add_string buf "] "
+  done;
+  Buffer.add_string buf "= 1.0 ; } }";
+  Buffer.contents buf

@@ -16,9 +16,13 @@
    always-executed [{{...}}] kind), the stream is rewound afterwards, and --
    per section 6.2 -- rule invocations are memoized *only while speculating*,
    which keeps the memoization cache far smaller than a packrat parser's
-   while still bounding backtracking to linear time.  Generated parsers
+   while still bounding backtracking to linear time.  The memo ({!Memo})
+   answers most lookups from a per-position filter, and an outermost
+   speculation's start kills the entries below it.  Generated parsers
    run the same speculation, memoization, predicate-edge and error code
-   (the [st] record below); only the rule walk is theirs. *)
+   (the [st] record below); only the rule walk is theirs.  Error
+   recovery's sync sets belong to the compiled grammar
+   ({!Llstar.Compiled.sync_sets}). *)
 
 type env = {
   sem_pred : string -> Token.t -> bool;
@@ -305,8 +309,7 @@ let memo_rule s (run : 'a runner) (ctx : 'a) (rule : int) (prec : int) : unit
         m
   in
   let pos = Token_stream.index s.ts in
-  let key = Memo.key ~rule ~prec ~pos in
-  let stop = Memo.find memo key in
+  let stop = Memo.find memo ~rule ~prec ~pos in
   if stop <> Memo.absent then begin
     if tr_on s then
       emit s (Obs.Trace.Memo_hit { rule = s.rule_name rule; pos });
@@ -318,9 +321,9 @@ let memo_rule s (run : 'a runner) (ctx : 'a) (rule : int) (prec : int) : unit
     if tr_on s then
       emit s (Obs.Trace.Memo_miss { rule = s.rule_name rule; pos });
     match run ctx rule prec with
-    | () -> Memo.add memo key (Token_stream.index s.ts)
+    | () -> Memo.add memo ~rule ~prec ~pos (Token_stream.index s.ts)
     | exception Spec_fail ->
-        Memo.add memo key Memo.failed;
+        Memo.add memo ~rule ~prec ~pos Memo.failed;
         raise Spec_fail
   end
 
@@ -415,10 +418,6 @@ type t = {
   (* token index of the last recorded error; min_int before the first *)
   mutable last_error_index : int;
   max_errors : int;
-  (* panic-mode sync sets by rule, FOLLOW(rule) u {EOF} as bitsets over the
-     token-type universe ([follow_set]); made on the first recovery, since
-     most parses never recover *)
-  mutable sync_sets : Bitset.t array option;
 }
 
 let atn t = t.c.Llstar.Compiled.atn
@@ -551,47 +550,9 @@ let eval_synpred t rule = speculate t.st synpred_runner t rule
 (* ------------------------------------------------------------------ *)
 (* Panic-mode recovery: sync to a token that can follow the current rule. *)
 
-(* The sync set of [rule] is FOLLOW(rule) u {EOF}, with FOLLOW (section 7)
-   computed over the prepared grammar's BNF skeleton: the terminals that
-   can come right after the rule in some calling context.  EOF is always
-   in, so a sync never skips past the end of the input.  Every rule's set
-   is made at once, translating FOLLOW's interned terminal ids to the
-   lexer's token types; the grammar-level "." maps to the wildcard token. *)
-let follow_set t (rule : int) : Bitset.t =
-  let sets =
-    match t.sync_sets with
-    | Some sets -> sets
-    | None ->
-        let a = atn t in
-        let ff =
-          Grammar.First_follow.compute (Grammar.Bnf.convert a.Atn.grammar)
-        in
-        let token_type =
-          Array.init (Grammar.First_follow.num_terms ff) (fun i ->
-              let name = Grammar.First_follow.term_name ff i in
-              if name = "." then Grammar.Sym.wildcard
-              else
-                match Grammar.Sym.find_term a.Atn.sym name with
-                | Some id -> id
-                | None -> -1)
-        in
-        let sync (ri : Atn.rule_info) =
-          let set = Bitset.create (Grammar.Sym.num_terms a.Atn.sym) in
-          Bitset.add set Grammar.Sym.eof;
-          (match Grammar.First_follow.nonterm_id ff ri.Atn.r_name with
-          | None -> ()
-          | Some n ->
-              Bitset.iter
-                (fun fid ->
-                  if token_type.(fid) >= 0 then Bitset.add set token_type.(fid))
-                (Grammar.First_follow.follow_ids ff n));
-          set
-        in
-        let sets = Array.map sync a.Atn.rules in
-        t.sync_sets <- Some sets;
-        sets
-  in
-  sets.(rule)
+(* The sync set of [rule], FOLLOW(rule) u {EOF}: built once per compiled
+   grammar, on its first recovery ({!Llstar.Compiled.sync_sets}). *)
+let follow_set t (rule : int) : Bitset.t = (Llstar.Compiled.sync_sets t.c).(rule)
 
 let recover_to_follow t rule =
   let follow = follow_set t rule in
@@ -649,7 +610,6 @@ let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     n_errors = 0;
     last_error_index = min_int;
     max_errors;
-    sync_sets = None;
   }
 
 let start_rule_id t = function
@@ -740,7 +700,8 @@ let recognize ?env ?profile ?tracer ?start (c : Llstar.Compiled.t)
   let t = create ?env ?profile ?tracer c (Token_stream.of_array toks) in
   recognize_run t ?start ()
 
-(* Number of (rule, position) results currently memoized; the paper's
-   section-6.2 point is that memoizing only while speculating keeps this far
-   below a packrat parser's table. *)
+(* Number of (rule, position) results the memo holds, dead ones included
+   until its log drops them; the paper's section-6.2 point is that
+   memoizing only while speculating keeps this far below a packrat
+   parser's table. *)
 let memo_entries t = match t.st.memo with Some m -> Memo.length m | None -> 0

@@ -91,6 +91,78 @@ let split_literals config (sym : Grammar.Sym.t) =
   in
   (keywords, ops)
 
+(* Every word with a token type of its own, in one open-addressing table
+   that a scanned word is looked up in where it lies in the input buffer:
+   the keywords, and the named token types a word can spell (an
+   uppercase initial, e.g. [A] in [s : A B | C ;]).  A keyword of a
+   case-insensitive config is stored lowercased and matches any case; a
+   named type matches only its exact spelling, and one a keyword already
+   matches is left out, so at most one entry matches a word.  [""] marks
+   a free slot; load stays at most 1/2. *)
+type words = {
+  keys : string array;
+  ids : int array;
+  fold : bool array; (* compare ASCII-case-folded *)
+  mask : int;
+}
+
+let[@inline] fold_byte c = if c >= 65 && c <= 90 then c + 32 else c
+
+(* Hash of the [len] bytes at [off] in [buf], case-folded if [fold]: the
+   same function hashes a stored key and a scanned word. *)
+let word_hash (buf : Bytes.t) off len fold =
+  let h = ref len in
+  for i = off to off + len - 1 do
+    let c = Char.code (Bytes.unsafe_get buf i) in
+    h := (!h * 31) + if fold then fold_byte c else c
+  done;
+  !h lxor (!h lsr 17)
+
+let build_words config sym keywords : words =
+  let ci = config.case_insensitive_keywords in
+  let named =
+    List.filter_map
+      (fun id ->
+        let name = Grammar.Sym.term_name sym id in
+        let key = if ci then String.lowercase_ascii name else name in
+        if
+          name <> ""
+          && name.[0] >= 'A'
+          && name.[0] <= 'Z'
+          && (not (Grammar.Sym.is_literal sym id))
+          && not (Hashtbl.mem keywords key)
+        then Some (name, id, false)
+        else None)
+      (List.init (Grammar.Sym.num_terms sym) Fun.id)
+  in
+  let entries =
+    Hashtbl.fold (fun k id acc -> (k, id, ci) :: acc) keywords [] @ named
+  in
+  let size = ref 16 in
+  while !size < 2 * List.length entries do
+    size := 2 * !size
+  done;
+  let w =
+    {
+      keys = Array.make !size "";
+      ids = Array.make !size (-1);
+      fold = Array.make !size false;
+      mask = !size - 1;
+    }
+  in
+  List.iter
+    (fun (k, id, fold) ->
+      let h = word_hash (Bytes.unsafe_of_string k) 0 (String.length k) ci in
+      let i = ref (h land w.mask) in
+      while w.keys.(!i) <> "" do
+        i := (!i + 1) land w.mask
+      done;
+      w.keys.(!i) <- k;
+      w.ids.(!i) <- id;
+      w.fold.(!i) <- fold)
+    entries;
+  w
+
 (* ------------------------------------------------------------------ *)
 (* Scanner tables: everything the token loop needs that depends only on
    the vocabulary and the config.  Read-only once built, so domains may
@@ -119,7 +191,7 @@ type tables = {
   sym : Grammar.Sym.t;
   config : config;
   classes : string; (* 256 class bytes, indexed by byte *)
-  keywords : (string, int) Hashtbl.t;
+  words : words; (* keywords and named token types *)
   ops : op array array; (* by first byte, longest first *)
   ident : term;
   int_ : term;
@@ -180,7 +252,7 @@ let build_tables config sym =
     sym;
     config;
     classes = Bytes.unsafe_to_string classes;
-    keywords;
+    words = build_words config sym keywords;
     ops = Array.map (fun b -> Array.of_list (List.rev b)) buckets;
     ident = resolve config.ident_token;
     int_ = resolve config.int_token;
@@ -568,31 +640,52 @@ let skip_comment (s : stream) : bool =
         if not closed then ignore (fail s "unterminated block comment");
         true
 
+(* The [words] slot of the [len] bytes at [off] in [buf], or -1. *)
+let find_word (t : tables) (buf : Bytes.t) (off : int) (len : int) : int =
+  let w = t.words and ci = t.config.case_insensitive_keywords in
+  (* a word is never empty, so a key of its length is not a free slot *)
+  let rec probe i =
+    let k = w.keys.(i) in
+    if
+      String.length k = len
+      &&
+      let fold = w.fold.(i) and j = ref 0 in
+      while
+        !j < len
+        &&
+        let c = Char.code (Bytes.unsafe_get buf (off + !j)) in
+        (if fold then fold_byte c else c) = Char.code (String.unsafe_get k !j)
+      do
+        incr j
+      done;
+      !j = len
+    then i
+    else if String.length k = 0 then -1
+    else probe ((i + 1) land w.mask)
+  in
+  probe (word_hash buf off len ci land w.mask)
+
 (* A word's token type: a keyword; else, for an uppercase initial, a named
    token type spelled the same (convenient for abstract vocabularies such
-   as [s : A B | C ;] in tests and examples); else the identifier type. *)
-let token_for_word (t : tables) (w : string) : int =
-  let key =
-    if t.config.case_insensitive_keywords then String.lowercase_ascii w else w
-  in
-  match Hashtbl.find_opt t.keywords key with
-  | Some id -> id
-  | None -> (
-      match
-        if w <> "" && w.[0] >= 'A' && w.[0] <= 'Z' then
-          Grammar.Sym.find_term t.sym w
-        else None
-      with
-      | Some id when not (Grammar.Sym.is_literal t.sym id) -> id
-      | _ -> ( match t.ident with Term id -> id | Absent | Missing _ -> -1))
-
+   as [s : A B | C ;] in tests and examples); else the identifier type.
+   One lookup, in place: the word's text is copied out only when it is an
+   identifier or a keyword of another case, and an exact match shares its
+   entry's string. *)
 let scan_word (s : stream) : Token.t =
   let l0 = s.line and c0 = s.col and start = s.pos in
   skip_class s c_ident_cont;
-  let w = extract s.cur start s.pos in
-  let id = token_for_word s.t w in
-  if id >= 0 then emit s id w l0 c0
-  else fail s (Printf.sprintf "unknown word %S" w)
+  let t = s.t and cur = s.cur in
+  let e = find_word t cur.buf (start - cur.off) (s.pos - start) in
+  if e >= 0 then
+    let w =
+      if t.words.fold.(e) then extract cur start s.pos else t.words.keys.(e)
+    in
+    emit s t.words.ids.(e) w l0 c0
+  else
+    let w = extract cur start s.pos in
+    match t.ident with
+    | Term id -> emit s id w l0 c0
+    | Absent | Missing _ -> fail s (Printf.sprintf "unknown word %S" w)
 
 let scan_at_ident (s : stream) : Token.t =
   let l0 = s.line and c0 = s.col and start = s.pos in

@@ -3,26 +3,39 @@
    (rule, precedence, position), and mapped to the stop index of a
    successful invocation or to [failed].
 
-   The table is an int -> int open-addressing table with linear probing.
-   Its slots live in fixed 64-slot chunks of 128 words (key, value), so no
-   block ever takes the large-allocation path and a growing table never
-   copies one big array.  Most parses never speculate, so the backends
-   make a table on their first speculative lookup, and most lookups miss
-   (0-19% hit on the bench grammars' corpora): a probe is a multiply, a
-   shift and a short scan within one chunk, and neither a lookup nor an
-   update allocates.
+   Most lookups miss (0-21% hit on the bench grammars' corpora, none on a
+   PEG-mode StreamScale parse), and every miss is followed by an add, so
+   the structure is built for that pair:
 
-   One lifetime rule bounds the table: the stream only rewinds to the
-   mark of a running speculation, so once an outermost speculation starts
-   at position q, no lookup below q can come again ({!forget_before}).
-   The dead entries go at once when every entry is dead, and otherwise in
-   place when the table would grow. *)
+   - a ring of position slots, indexed by the position's low bits.  A
+     slot is one word: a 32-bit filter with a bit per rule, and the log
+     index of the newest entry at its position, whose key says which
+     position that is.  A lookup whose rule bit is clear is absent after
+     one read;
+   - an append-only log of entries (the key, and the value packed with
+     the next older entry at the same position).  Only a lookup that
+     passes the filter reads the log, and walks its position's chain.
+
+   So a miss and its add are a few array reads and writes: no hashing, no
+   probe sequence, and a slot whose entry is gone or belongs elsewhere is
+   reused by overwriting it, never by clearing.  Ring and log live in
+   blocks of at most 256 words, which the minor heap takes: growth
+   allocates blocks rather than one large array, so a short parse's memo
+   dies young even after it grew.
+
+   One lifetime rule bounds the memo: the stream only rewinds to the mark
+   of a running speculation, so once an outermost speculation starts at
+   position q, no lookup below q can come again ({!forget_before}).  The
+   start becomes the floor; a slot tagged below it is free, and the log
+   drops the entries below it when it fills.  When every entry is dead
+   the log empties in O(1).  Every entry at or above the floor is kept,
+   so hits and misses are those of a table that never drops a live
+   entry, and backtracking stays linear (Ford's packrat bound). *)
 
 (* Position in bits 0..29, precedence bound in bits 30..44, rule id in
    bits 45..61.  The bounds are far beyond anything a real grammar
-   produces (2^30 tokens, prec < 2^15, 2^17 rules); with the position in
-   the low bits, eviction is a mask and a compare per entry.  Every key
-   is non-negative. *)
+   produces (2^30 tokens, prec < 2^15, 2^17 rules).  Every key is
+   non-negative. *)
 let key ~(rule : int) ~(prec : int) ~(pos : int) : int =
   (((rule lsl 15) lor prec) lsl 30) lor pos
 
@@ -32,145 +45,220 @@ let pos_of_key (key : int) : int = key land 0x3FFFFFFF
 let failed = -1
 let absent = -2
 
-let chunk_bits = 6 (* 64 slots per chunk *)
-let chunk_slots = 1 lsl chunk_bits
-let free = -1 (* the key of an unused slot *)
+(* The filter bit of (rule, prec) at a position whose ring lap (the
+   position over the ring size) is [lap].  Rules that share a bit only
+   cost a chain walk.  Mixing in the lap moves a rule's bit from one lap
+   to the next, so a slot last used a lap earlier, by the same rules at
+   the same offset in a repeated construct, mostly answers absent
+   without a look at the log. *)
+let[@inline] bit ~rule ~prec ~lap =
+  1 lsl ((rule + (prec lsl 2) + (7 * lap)) land 31)
+
+(* A slot word: the log index of the newest entry at the slot's position,
+   plus one, above the 32-bit filter.  The slot belongs to the position
+   of that entry; an index past the log, or an entry of a position with
+   another slot, means the slot is free.  An unused slot is 0. *)
+let[@inline] head w = (w lsr 32) - 1
+let[@inline] slot_word e filter = ((e + 1) lsl 32) lor filter
+
+(* An entry's second word: its value (a stop index or [failed]) in bits
+   0..30 and the log index of the next older entry at its position (or
+   -1) in bits 31..61, each plus one. *)
+let[@inline] pack v next = ((next + 1) lsl 31) lor (v + 1)
+let[@inline] value_of x = (x land 0x7FFFFFFF) - 1
+let[@inline] next_of x = (x lsr 31) - 1
+
+(* Ring and log are arrays of blocks of at most 256 words: 256 slots of
+   one word, or 128 entries of two; a ring or log smaller than a block is
+   one short block. *)
+let ring_bits = 8
+let log_bits = 7
+let[@inline] slot_off i = i land ((1 lsl ring_bits) - 1)
+let[@inline] entry_off e = (e land ((1 lsl log_bits) - 1)) lsl 1
+
+(* [n] zeroed slots or entries of [words] words each. *)
+let blocks ~bits ~words n =
+  let per = 1 lsl bits in
+  if n <= per then [| Array.make (words * n) 0 |]
+  else Array.init (n / per) (fun _ -> Array.make (words * per) 0)
+
+let ring_blocks n = blocks ~bits:ring_bits ~words:1 n
+let log_blocks n = blocks ~bits:log_bits ~words:2 n
+
+(* Initial sizes: 32 positions and 32 entries, 96 words in all, enough
+   for one StreamScale statement's speculation. *)
+let ring0_bits = 5
+let ring0 = 1 lsl ring0_bits
+let log0 = 32
 
 type t = {
-  mutable chunks : int array array; (* see [offset] *)
-  mutable mask : int; (* slots - 1; the slot count is a power of two *)
-  mutable shift : int; (* 63 - log2 slots: [home] keeps the top bits *)
-  mutable size : int;
-  mutable hi : int; (* largest position keyed since the table was empty *)
-  mutable lo : int; (* no entry is keyed below it *)
+  mutable ring : int array array; (* per slot: newest entry and filter *)
+  mutable rbits : int; (* log2 of the slot count *)
+  mutable rmask : int; (* slots - 1 *)
+  mutable log : int array array; (* per entry: key, value and next *)
+  mutable cap : int; (* entries the log holds *)
+  mutable n : int; (* entries in the log *)
+  mutable hi : int; (* largest position added since the log was empty *)
   mutable floor : int; (* entries keyed below it are dead *)
 }
 
-let new_chunks n = Array.init n (fun _ -> Array.make (2 * chunk_slots) free)
-
-(* Slot [i]'s key is at [offset i] in chunk [i lsr chunk_bits], its value
-   right after. *)
-let offset i = (i land (chunk_slots - 1)) lsl 1
-
 let create () : t =
   {
-    chunks = new_chunks 1;
-    mask = chunk_slots - 1;
-    shift = 63 - chunk_bits;
-    size = 0;
+    ring = ring_blocks ring0;
+    rbits = ring0_bits;
+    rmask = ring0 - 1;
+    log = log_blocks log0;
+    cap = log0;
+    n = 0;
     hi = -1;
-    lo = max_int;
     floor = 0;
   }
 
-let length t = t.size
+(* Entries held, dead ones included until the log drops them. *)
+let length t = t.n
 
-(* Fibonacci hashing: keys at one position differ only in their high
-   bits, and consecutive positions only in their low ones; the multiply
-   spreads both over the top bits of the product. *)
-let home t key = (key * 0x278DDE6E5FD29F05) lsr t.shift
+let[@inline] key_at log e = log.(e lsr log_bits).(entry_off e)
 
-(* The slot holding [key], or else the free slot that ends its probe run.
-   Load stays at most 7/8, so a free slot always exists. *)
-let rec probe chunks mask key i =
-  let k = chunks.(i lsr chunk_bits).(offset i) in
-  if k = key || k = free then i else probe chunks mask key ((i + 1) land mask)
+(* The position whose chain slot [i] holds, or -1 if it is free. *)
+let owner t i w =
+  let e = head w in
+  if e < 0 || e >= t.n then -1
+  else
+    let p = pos_of_key (key_at t.log e) in
+    if p land t.rmask = i then p else -1
 
-let slot t key = probe t.chunks t.mask key (home t key)
+(* The log index of [key] on the chain from entry [e], or -1. *)
+let rec entry log key e =
+  if e < 0 then -1
+  else
+    let b = log.(e lsr log_bits) and o = entry_off e in
+    if b.(o) = key then e else entry log key (next_of b.(o + 1))
 
-let find t key : int =
-  let i = slot t key in
-  let c = t.chunks.(i lsr chunk_bits) and o = offset i in
-  if c.(o) = key then c.(o + 1) else absent
+let find t ~(rule : int) ~(prec : int) ~(pos : int) : int =
+  let i = pos land t.rmask in
+  let w = t.ring.(i lsr ring_bits).(slot_off i) in
+  if w land bit ~rule ~prec ~lap:(pos lsr t.rbits) = 0 || owner t i w <> pos
+  then absent
+  else
+    let e = entry t.log (key ~rule ~prec ~pos) (head w) in
+    if e < 0 then absent
+    else value_of t.log.(e lsr log_bits).(entry_off e + 1)
 
-let set t i key v =
-  let c = t.chunks.(i lsr chunk_bits) and o = offset i in
-  c.(o) <- key;
-  c.(o + 1) <- v
+(* Write entry [e], keyed [k] with value [v] and filter bit [b], at the
+   head of its position's chain in slot [i], whose word is [w]; [owned]
+   says whether the slot holds that position's chain, else it is claimed. *)
+let write t e k v b i w ~owned =
+  let l = t.log.(e lsr log_bits) and eo = entry_off e in
+  l.(eo) <- k;
+  l.(eo + 1) <- pack v (if owned then head w else -1);
+  t.ring.(i lsr ring_bits).(slot_off i) <-
+    slot_word e ((if owned then w land 0xFFFFFFFF else 0) lor b)
 
-let grow t =
-  let old = t.chunks in
-  t.chunks <- new_chunks (2 * Array.length old);
-  t.mask <- (2 * t.mask) + 1;
-  t.shift <- t.shift - 1;
-  Array.iter
-    (fun c ->
-      for s = 0 to chunk_slots - 1 do
-        let k = c.(2 * s) in
-        if k <> free then set t (slot t k) k c.((2 * s) + 1)
-      done)
-    old
+(* [write] entry [e] into the slot of its key's position. *)
+let link t e k v =
+  let p = pos_of_key k in
+  let i = p land t.rmask in
+  let w = t.ring.(i lsr ring_bits).(slot_off i) in
+  let b =
+    bit ~rule:(k lsr 45) ~prec:((k lsr 30) land 0x7FFF) ~lap:(p lsr t.rbits)
+  in
+  write t e k v b i w ~owned:(owner t i w = p)
 
-(* Drop every entry keyed at a position before [frontier], in place.
-   The scan starts just after a free slot, so no probe run wraps past its
-   start: each run is met from its first slot.  An entry behind the
-   frontier is cleared; an entry kept after a cleared slot of its run is
-   taken out and put back at the first free slot from its home, which is
-   at or before where it was, so every entry stays reachable from its
-   home without crossing a free slot. *)
-let evict_before t (frontier : int) : unit =
-  if t.size > 0 then begin
-    let start = ref 0 in
-    while t.chunks.(!start lsr chunk_bits).(offset !start) <> free do
-      incr start
-    done;
-    let holes = ref false in
-    for n = 1 to t.mask + 1 do
-      let i = (!start + n) land t.mask in
-      let c = t.chunks.(i lsr chunk_bits) and o = offset i in
-      let k = c.(o) in
-      if k = free then holes := false
-      else if pos_of_key k < frontier then begin
-        c.(o) <- free;
-        t.size <- t.size - 1;
-        holes := true
-      end
-      else if !holes then begin
-        let v = c.(o + 1) in
-        c.(o) <- free;
-        set t (slot t k) k v
-      end
-    done
+(* Keep the live entries, in order, and chain each into its position's
+   slot.  No slot may hold a live position's chain yet. *)
+let relink t =
+  let j = ref 0 and n = t.n in
+  (* [owner] sees only the entries already kept *)
+  for e = 0 to n - 1 do
+    let b = t.log.(e lsr log_bits) and o = entry_off e in
+    let k = b.(o) and v = value_of b.(o + 1) in
+    if pos_of_key k >= t.floor then begin
+      t.n <- !j;
+      link t !j k v;
+      incr j
+    end
+  done;
+  t.n <- !j
+
+(* The log is full: drop its dead entries, and double it if more than
+   3/4 of it is live. *)
+let make_room t =
+  for e = 0 to t.n - 1 do
+    let i = pos_of_key (key_at t.log e) land t.rmask in
+    t.ring.(i lsr ring_bits).(slot_off i) <- 0
+  done;
+  relink t;
+  if 4 * t.n > 3 * t.cap then begin
+    if t.cap < 1 lsl log_bits then begin
+      let b = Array.make (4 * t.cap) 0 in
+      Array.blit t.log.(0) 0 b 0 (2 * t.n);
+      t.log <- [| b |]
+    end
+    else t.log <- Array.append t.log (log_blocks t.cap);
+    t.cap <- 2 * t.cap
   end
 
-(* Bind [key] to [v], a stop index or [failed], replacing any binding.
-   Past 7/8 load the dead entries go first, if there are any; the table
-   grows only if that freed less than half its slots. *)
-let add t key (v : int) : unit =
-  let i = slot t key in
-  let c = t.chunks.(i lsr chunk_bits) and o = offset i in
-  if c.(o) <> key then begin
-    c.(o) <- key;
-    t.size <- t.size + 1;
-    let pos = pos_of_key key in
-    if pos > t.hi then t.hi <- pos;
-    if pos < t.lo then t.lo <- pos
-  end;
-  c.(o + 1) <- v;
-  if 8 * t.size > 7 * (t.mask + 1) then begin
-    let before = t.size in
-    if t.lo < t.floor then begin
-      evict_before t t.floor;
-      t.lo <- t.floor
-    end;
-    if 2 * (before - t.size) < t.mask + 1 then grow t
+(* Two live positions share a slot: double the ring until the live span
+   [floor, hi] fits, and rebuild it from the log. *)
+let widen t =
+  let n = ref (2 * (t.rmask + 1)) in
+  while !n <= t.hi - t.floor do
+    n := 2 * !n
+  done;
+  t.ring <- ring_blocks !n;
+  t.rmask <- !n - 1;
+  while 1 lsl t.rbits < !n do
+    t.rbits <- t.rbits + 1
+  done;
+  relink t
+
+(* Bind (rule, prec, pos) to [v], a stop index or [failed], replacing any
+   binding.  [pos] is at or above the latest {!forget_before} start. *)
+let rec add t ~(rule : int) ~(prec : int) ~(pos : int) (v : int) : unit =
+  if pos > t.hi then t.hi <- pos;
+  let i = pos land t.rmask in
+  let w = t.ring.(i lsr ring_bits).(slot_off i) in
+  let p = owner t i w in
+  if p <> pos && p >= t.floor then begin
+    widen t;
+    add t ~rule ~prec ~pos v
+  end
+  else begin
+    let k = key ~rule ~prec ~pos
+    and b = bit ~rule ~prec ~lap:(pos lsr t.rbits) in
+    let e = if p = pos && w land b <> 0 then entry t.log k (head w) else -1 in
+    if e >= 0 then begin
+      let l = t.log.(e lsr log_bits) and o = entry_off e + 1 in
+      l.(o) <- pack v (next_of l.(o))
+    end
+    else if t.n = t.cap then begin
+      make_room t;
+      link t t.n k v;
+      t.n <- t.n + 1
+    end
+    else begin
+      write t t.n k v b i w ~owned:(p = pos);
+      t.n <- t.n + 1
+    end
   end
 
 (* An outermost speculation starts at [start]; starts never decrease.
    Every entry keyed below [start] is dead.  When that is every entry,
-   the table empties at the cost of at most one chunk's fill: a table
-   that grew is replaced by a one-chunk one.  Otherwise [start] becomes
-   the floor that {!add} evicts below. *)
+   the log empties; a ring or log that grew past 8 times its initial size
+   is replaced by an initial-size one, so a long parse holds no more than
+   its current speculation needs. *)
 let forget_before t (start : int) : unit =
   t.floor <- start;
   if t.hi < start then begin
-    if Array.length t.chunks > 1 then begin
-      t.chunks <- new_chunks 1;
-      t.mask <- chunk_slots - 1;
-      t.shift <- 63 - chunk_bits
-    end
-    else if t.size > 0 then Array.fill t.chunks.(0) 0 (2 * chunk_slots) free;
-    t.size <- 0;
+    t.n <- 0;
     t.hi <- -1;
-    t.lo <- max_int
+    if t.rmask + 1 > 8 * ring0 then begin
+      t.ring <- ring_blocks ring0;
+      t.rbits <- ring0_bits;
+      t.rmask <- ring0 - 1
+    end;
+    if t.cap > 8 * log0 then begin
+      t.log <- log_blocks log0;
+      t.cap <- log0
+    end
   end

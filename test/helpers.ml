@@ -171,3 +171,47 @@ let streamed_verdict ?env ?(config = Runtime.Lexer_engine.default_config)
       ( Parsed { Runtime.Generated.ok = p.D.ok; error; consumed },
         p.D.produced,
         p.D.peak_live )
+
+(* ------------------------------------------------------------------ *)
+(* StreamScale, the PEG-mode speculation workload *)
+
+(* Both [stmt] alternatives match an unbounded [ID ('[' expr ']')*]
+   prefix; only the token after it ('=' or ';') picks one, so in PEG mode
+   every statement speculates over its whole prefix.  That is the worst
+   case for a sliding window: the speculation's mark pins it for the
+   whole statement. *)
+let stream_scale_grammar =
+  {|
+grammar StreamScale;
+options { backtrack=true; memoize=true; }
+
+prog : stmt* ;
+
+stmt
+  : lvalue '=' expr ';'
+  | expr ';'
+  ;
+
+lvalue : ID ('[' expr ']')* ;
+
+expr : term (('+' | '-') term)* ;
+
+term : atom (('*' | '/') atom)* ;
+
+atom
+  : ID ('[' expr ']')*
+  | INT
+  | '(' expr ')'
+  ;
+|}
+
+(* [n] statements, alternating assignment and bare expression, both
+   opening with the same 11-token indexed-lvalue prefix (14 tokens per
+   statement on average). *)
+let stream_scale_text (n : int) : string =
+  let b = Buffer.create (n * 48) in
+  for i = 0 to n - 1 do
+    if i land 1 = 0 then Buffer.add_string b "x [ i + 1 ] [ j * 2 ] = y + 3 ;\n"
+    else Buffer.add_string b "x [ i + 1 ] [ j * 2 ] ;\n"
+  done;
+  Buffer.contents b

@@ -328,6 +328,23 @@ let suite =
                   (Llstar.Compiled_cache.payload_digest c1)
                   (Llstar.Compiled_cache.payload_digest
                      { c1 with Llstar.Compiled.program = Atn.Program.empty })));
+        test "format v10: sync sets are built once, left out of blob and digest"
+          (fun () ->
+            with_dir (fun dir ->
+                let c1, _ = compile_cached ~dir src in
+                let digest = Llstar.Compiled_cache.payload_digest c1 in
+                let sets = Llstar.Compiled.sync_sets c1 in
+                check bool "built once" true
+                  (Llstar.Compiled.sync_sets c1 == sets);
+                check string "digest without the sync sets" digest
+                  (Llstar.Compiled_cache.payload_digest c1);
+                ignore (Llstar.Compiled_cache.save ~dir c1);
+                let c2, o = compile_cached ~dir src in
+                check bool "eager hit" true (o = Llstar.Compiled_cache.Hit);
+                check bool "stored empty" true
+                  (Atomic.get c2.Llstar.Compiled.sync = None);
+                check bool "rebuilt equal" true
+                  (Llstar.Compiled.sync_sets c2 = sets)));
         test "cache-hit states are credited to the profile" (fun () ->
             with_dir (fun dir ->
                 let _ = compile_cached ~dir src in

@@ -111,6 +111,21 @@ let trace_walk_tests =
    miss where there was a hit.  Interp's [Memo_hit]/[Memo_miss] events
    over each bench grammar's seed-7 4k-token corpus (all six memoize) are
    pinned at what the table answered when it kept every entry. *)
+let memo_counts ?env (c : Llstar.Compiled.t) name programs =
+  let h = ref 0 and m = ref 0 in
+  let sink _ = function
+    | Obs.Trace.Memo_hit _ -> incr h
+    | Obs.Trace.Memo_miss _ -> incr m
+    | _ -> ()
+  in
+  let tracer = Obs.Trace.make sink in
+  List.iter
+    (fun toks ->
+      if Runtime.Interp.recognize ?env ~tracer c toks <> Ok () then
+        Alcotest.failf "%s: program rejected" name)
+    programs;
+  (!h, !m)
+
 let memo_golden_tests =
   List.map
     (fun (name, hits, misses) ->
@@ -118,22 +133,9 @@ let memo_golden_tests =
           let spec = Option.get (Bench_grammars.Specs.find name) in
           let cw, programs = corpus_programs spec in
           let env = Workload.env_of_spec spec in
-          let h = ref 0 and m = ref 0 in
-          let sink _ = function
-            | Obs.Trace.Memo_hit _ -> incr h
-            | Obs.Trace.Memo_miss _ -> incr m
-            | _ -> ()
-          in
-          let tracer = Obs.Trace.make sink in
-          List.iter
-            (fun toks ->
-              if
-                Runtime.Interp.recognize ~env ~tracer cw.Workload.c toks
-                <> Ok ()
-              then Alcotest.failf "%s: corpus program rejected" name)
-            programs;
-          check int "hits" hits !h;
-          check int "misses" misses !m))
+          let h, m = memo_counts ~env cw.Workload.c name programs in
+          check int "hits" hits h;
+          check int "misses" misses m))
     [
       ("MiniJava", 277, 3363);
       ("RatsC", 1558, 8515);
@@ -141,6 +143,17 @@ let memo_golden_tests =
       ("MiniVB", 0, 144);
       ("MiniSQL", 103, 5023);
       ("MiniCSharp", 344, 2893);
+    ]
+  @ [
+      (* 2000 statements, each one speculation whose entries die when the
+         next starts: every lookup misses *)
+      test "StreamScale: memo hits and misses" (fun () ->
+          let c = compile stream_scale_grammar in
+          let h, m =
+            memo_counts c "StreamScale" [ lex c (stream_scale_text 2000) ]
+          in
+          check int "hits" 0 h;
+          check int "misses" 27000 m);
     ]
 
 let suite =

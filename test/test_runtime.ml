@@ -66,47 +66,6 @@ let stream_tests =
 
 module Ts = Runtime.Token_stream
 
-(* Both [stmt] alternatives match an unbounded [ID ('[' expr ']')*]
-   prefix; only the token after it ('=' or ';') picks one, so in PEG mode
-   every statement speculates over its whole prefix.  That is the worst
-   case for a sliding window: the speculation's mark pins it for the
-   whole statement. *)
-let stream_scale_grammar =
-  {|
-grammar StreamScale;
-options { backtrack=true; memoize=true; }
-
-prog : stmt* ;
-
-stmt
-  : lvalue '=' expr ';'
-  | expr ';'
-  ;
-
-lvalue : ID ('[' expr ']')* ;
-
-expr : term (('+' | '-') term)* ;
-
-term : atom (('*' | '/') atom)* ;
-
-atom
-  : ID ('[' expr ']')*
-  | INT
-  | '(' expr ')'
-  ;
-|}
-
-(* [n] statements, alternating assignment and bare expression, both
-   opening with the same 11-token indexed-lvalue prefix (14 tokens per
-   statement on average). *)
-let stream_scale_text (n : int) : string =
-  let b = Buffer.create (n * 48) in
-  for i = 0 to n - 1 do
-    if i land 1 = 0 then Buffer.add_string b "x [ i + 1 ] [ j * 2 ] = y + 3 ;\n"
-    else Buffer.add_string b "x [ i + 1 ] [ j * 2 ] ;\n"
-  done;
-  Buffer.contents b
-
 (* [streamed_verdict] plus the largest live heap sampled during the parse,
    as words over a full-major floor taken before it.  The heap is sampled
    every 16 reads of the input (a read fills the lexer's byte window, 4 KiB
@@ -368,6 +327,36 @@ let lex_engine_tests =
         let toks = Runtime.Lexer_engine.tokenize_exn config sym "SeLeCt foo" in
         check string "keyword" "'select'"
           (Grammar.Sym.term_name sym toks.(0).Runtime.Token.ttype));
+    test "keywords, named token types and identifiers, either case mode"
+      (fun () ->
+        (* one table resolves every word: a keyword first, then a named
+           token type spelled exactly, then the identifier type; token text
+           is the input's spelling *)
+        let sym = sym_of "grammar T; s : 'select' SELECT A ID ;" in
+        let lex ci =
+          Runtime.Lexer_engine.tokenize_exn
+            {
+              Runtime.Lexer_engine.default_config with
+              case_insensitive_keywords = ci;
+            }
+            sym "select SELECT A a Select Aa EOF"
+          |> Array.to_list
+          |> List.map (fun (t : Runtime.Token.t) ->
+                 Grammar.Sym.term_name sym t.Runtime.Token.ttype
+                 ^ " " ^ t.Runtime.Token.text)
+        in
+        check (Alcotest.list string) "case-sensitive"
+          [
+            "'select' select"; "SELECT SELECT"; "A A"; "ID a"; "ID Select";
+            "ID Aa"; "EOF EOF";
+          ]
+          (lex false);
+        check (Alcotest.list string) "case-insensitive"
+          [
+            "'select' select"; "'select' SELECT"; "A A"; "ID a";
+            "'select' Select"; "ID Aa"; "EOF EOF";
+          ]
+          (lex true));
     test "lex errors carry positions" (fun () ->
         let sym = sym_of "grammar T; s : ID ;" in
         match
@@ -690,26 +679,64 @@ let memo_tests =
           ]);
   ]
 
+(* Memoization keeps backtracking linear (section 6.2; Ford's packrat
+   bound): Interp's memo lookups on the nested-index RatsJava program
+   grow by the same count with every nesting level.  A memo that drops
+   live entries re-parses the inner levels, and the growth compounds. *)
+let memo_lookups (cw : Bench_grammars.Workload.compiled) depth =
+  let n = ref 0 in
+  let sink _ = function
+    | Obs.Trace.Memo_hit _ | Obs.Trace.Memo_miss _ -> incr n
+    | _ -> ()
+  in
+  let toks =
+    Bench_grammars.Workload.lex_exn cw
+      (Bench_grammars.Rats_java.nested_index_program depth)
+  in
+  if
+    Runtime.Interp.recognize ~tracer:(Obs.Trace.make sink)
+      cw.Bench_grammars.Workload.c toks
+    <> Ok ()
+  then Alcotest.failf "depth %d rejected" depth;
+  !n
+
+let memo_linear_test =
+  test "RatsJava: memo lookups grow linearly with nesting depth" (fun () ->
+      let cw, _ = Test_cache.fresh_and_cached Bench_grammars.Rats_java.spec in
+      let counts = List.map (fun d -> (d, memo_lookups cw d)) [ 1; 2; 3; 4; 6; 8; 12 ]
+      in
+      let l1 = List.assoc 1 counts and l2 = List.assoc 2 counts in
+      let step = l2 - l1 in
+      check bool (Printf.sprintf "%d lookups per level > 0" step) true (step > 0);
+      List.iter
+        (fun (d, n) ->
+          check int
+            (Printf.sprintf "depth %d: %d + %d per level" d l1 step)
+            (l1 + ((d - 1) * step))
+            n)
+        counts)
+
 (* [Runtime.Memo] against a [Hashtbl] model: random adds, overwrites,
-   finds, evictions and speculation starts, enough adds to cross chunk
-   (64-slot) and growth boundaries, and keys that share a position but
+   finds and speculation starts, with keys that share a position but
    differ in rule or precedence (including the largest rule and precedence
-   the key packing holds).  As in the parser, starts never decrease and
-   adds and finds stay at or above the latest one: positions are offsets
-   from it. *)
+   the key packing holds, whose filter bits collide with small ones).  As
+   in the parser, starts never decrease and adds and finds stay at or
+   above the latest one: positions are offsets from it.  Most offsets stay
+   within 60; one add in 25 lands up to 400 past the start, so live spans
+   outgrow the initial 32-position ring and the log outgrows its 32
+   entries.  Every start is followed by a lookup of every live entry. *)
 type memo_op =
   | Add of int * int * int * int (* rule, prec, pos, value *)
   | Find of int * int * int
-  | Evict of int
   | Forget of int (* a speculation starts this far past the last one *)
 
 let memo_op_gen : memo_op QCheck.Gen.t =
   let open QCheck.Gen in
   let rule = oneof [ int_bound 5; return 131071 ]
   and prec = oneof [ int_bound 2; return 32767 ]
-  and pos = int_bound 60 in
-  (* small starts leave dead entries for a growing table to evict; a start
-     past 60 is past every live entry *)
+  and pos = frequency [ (24, int_bound 60); (1, int_bound 400) ] in
+  (* small starts leave dead entries for the log to drop; a start past
+     400 is past every live entry *)
   frequency
     [
       ( 240,
@@ -717,15 +744,13 @@ let memo_op_gen : memo_op QCheck.Gen.t =
           (fun (((r, p), x), v) -> Add (r, p, x, v))
           (pair (pair (pair rule prec) pos) (int_range (-1) 400)) );
       (120, map (fun ((r, p), x) -> Find (r, p, x)) (pair (pair rule prec) pos));
-      (10, map (fun f -> Evict f) pos);
       (20, map (fun d -> Forget d) (int_bound 40));
-      (2, map (fun d -> Forget d) (int_range 61 100));
+      (2, map (fun d -> Forget d) (int_range 401 500));
     ]
 
 let show_memo_op = function
   | Add (r, p, x, v) -> Printf.sprintf "add r%d p%d @%d = %d" r p x v
   | Find (r, p, x) -> Printf.sprintf "find r%d p%d @%d" r p x
-  | Evict f -> Printf.sprintf "evict < %d" f
   | Forget d -> Printf.sprintf "start +%d" d
 
 let memo_props =
@@ -737,56 +762,48 @@ let memo_props =
       (fun ops ->
         let m = Runtime.Memo.create () and model = Hashtbl.create 64 in
         let floor = ref 0 and top = ref (-1) in
-        let key r p x = Runtime.Memo.key ~rule:r ~prec:p ~pos:(!floor + x) in
+        let find (r, p, x) = Runtime.Memo.find m ~rule:r ~prec:p ~pos:x in
         let expect k =
           Option.value ~default:Runtime.Memo.absent (Hashtbl.find_opt model k)
         in
-        (* entries below the floor linger in the table until it evicts
-           them, so only an eviction at or above the floor leaves exactly
-           the model's entries *)
-        let check_all ~exact what =
+        (* dead entries stay in the log until it fills, so the memo holds
+           at least the model's entries *)
+        let check_all what =
           Hashtbl.iter
-            (fun k v ->
-              if Runtime.Memo.find m k <> v then
-                QCheck.Test.fail_reportf "%s: key %d lost" what k)
+            (fun ((r, p, x) as k) v ->
+              if find k <> v then
+                QCheck.Test.fail_reportf "%s: r%d p%d @%d lost" what r p x)
             model;
           let n = Runtime.Memo.length m and n' = Hashtbl.length model in
-          if n < n' || (exact && n <> n') then
+          if n < n' then
             QCheck.Test.fail_reportf "%s: %d entries, model %d" what n n'
-        in
-        let drop_below f =
-          Hashtbl.filter_map_inplace
-            (fun k v -> if Runtime.Memo.pos_of_key k < f then None else Some v)
-            model
         in
         List.iter
           (fun op ->
             match op with
             | Add (r, p, x, v) ->
-                Runtime.Memo.add m (key r p x) v;
-                Hashtbl.replace model (key r p x) v;
+                let k = (r, p, !floor + x) in
+                Runtime.Memo.add m ~rule:r ~prec:p ~pos:(!floor + x) v;
+                Hashtbl.replace model k v;
                 top := max !top (!floor + x)
             | Find (r, p, x) ->
-                let got = Runtime.Memo.find m (key r p x) in
-                if got <> expect (key r p x) then
+                let k = (r, p, !floor + x) in
+                if find k <> expect k then
                   QCheck.Test.fail_reportf "%s: got %d, model %d"
-                    (show_memo_op op) got (expect (key r p x))
-            | Evict f ->
-                Runtime.Memo.evict_before m (!floor + f);
-                drop_below (!floor + f);
-                check_all ~exact:true (show_memo_op op)
+                    (show_memo_op op) (find k) (expect k)
             | Forget d ->
                 floor := !floor + d;
                 Runtime.Memo.forget_before m !floor;
-                drop_below !floor;
-                check_all ~exact:false (show_memo_op op);
-                (* a start past every position ever added empties the table *)
+                Hashtbl.filter_map_inplace
+                  (fun (_, _, x) v -> if x < !floor then None else Some v)
+                  model;
+                check_all (show_memo_op op);
+                (* a start past every position ever added empties the log *)
                 if !floor > !top && Runtime.Memo.length m <> 0 then
                   QCheck.Test.fail_reportf "%s: %d dead entries kept"
                     (show_memo_op op) (Runtime.Memo.length m))
           ops;
-        Runtime.Memo.evict_before m !floor;
-        check_all ~exact:true "end";
+        check_all "end";
         true);
   ]
 
@@ -966,11 +983,10 @@ let create_alloc_test =
         true (words < 256.))
 
 (* Serve and e2ebench make one interpreter per text, so [Interp.create]
-   allocates only the parser's own records: recovery state (the
-   panic-mode sync-set table and FIRST/FOLLOW) is made on the first
-   recovery.  An eager [Hashtbl.create 16] for the sync sets cost every
-   create 22 more minor words (54 in all); the bound is what the lazy
-   table measures. *)
+   allocates only the parser's own records: recovery's sync sets belong
+   to the compiled grammar, built on its first recovery.  An eager
+   [Hashtbl.create 16] for the sync sets cost every create 22 more minor
+   words (54 in all); the bound is what the lazy table measures. *)
 let create_words_test =
   test "MiniJava: Interp.create allocates no recovery state" (fun () ->
       let spec = Option.get (Bench_grammars.Specs.find "MiniJava") in
@@ -994,6 +1010,36 @@ let create_words_test =
       check bool (Printf.sprintf "%.1f minor words per create <= 32" w) true
         (w <= 32.))
 
+(* Recovery syncs on FOLLOW sets computed over the whole grammar.  Built
+   per parse, they cost every recovering MiniJava parse ~156k minor words;
+   built once per compiled grammar, only the first parse pays.  A fresh
+   compilation, so no earlier test has built them. *)
+let recovery_alloc_test =
+  test "MiniJava: a second recovering parse reuses the sync sets" (fun () ->
+      let spec = Option.get (Bench_grammars.Specs.find "MiniJava") in
+      let cw = Bench_grammars.Workload.compile spec in
+      let env = Bench_grammars.Workload.env_of_spec spec in
+      let toks =
+        Bench_grammars.Workload.lex_exn cw
+          "class A { int x; void f() { x = ; y = 1; } }"
+      in
+      let words () =
+        let before = Gc.minor_words () in
+        (match
+           Runtime.Interp.parse ~env ~recover:true cw.Bench_grammars.Workload.c
+             toks
+         with
+        | Ok _ -> Alcotest.fail "the mutated program parsed"
+        | Error _ -> ());
+        Gc.minor_words () -. before
+      in
+      let first = words () in
+      let second = words () in
+      check bool
+        (Printf.sprintf "second %.0f words <= first %.0f / 10" second first)
+        true
+        (second *. 10. <= first))
+
 (* The PEG-mode StreamScale parse speculates in every statement.  Its
    memo entries die when the next statement's speculation starts; a
    table that kept them for the stream's lifetime grew with the input,
@@ -1016,6 +1062,25 @@ let peg_alloc_test =
       let _, _, after = Gc.counters () in
       let w = (after -. before) /. float_of_int (Array.length toks) in
       check bool (Printf.sprintf "%.3f words/token <= 0.05" w) true (w <= 0.05))
+
+(* Every StreamScale statement speculates, and every memo lookup in it
+   misses and adds an entry: 27,000 of each over 2000 statements.  The
+   parse allocates 1.54 minor words per token with a 64-slot hashed
+   table made once per parse; a memo that allocated per speculation or
+   per entry would add at least several words per statement. *)
+let peg_minor_test =
+  test "StreamScale PEG: Interp.recognize minor words per token" (fun () ->
+      let c = compile stream_scale_grammar in
+      let toks = lex c (stream_scale_text 2000) in
+      let run () =
+        if Runtime.Interp.recognize c toks <> Ok () then
+          Alcotest.fail "StreamScale rejected"
+      in
+      run ();
+      let before = Gc.minor_words () in
+      run ();
+      let w = (Gc.minor_words () -. before) /. float_of_int (Array.length toks) in
+      check bool (Printf.sprintf "%.3f words/token <= 2.0" w) true (w <= 2.0))
 
 (* A streamed parse starts with an empty token window and a 1 KiB byte
    buffer, both grown from what arrives, so a short one allocates nothing
@@ -1051,7 +1116,7 @@ let alloc_tests =
   :: List.map (row "Interp.recognize" false)
        [ ("MiniJava", 12.5); ("RatsC", 34.) ])
   @ List.map (row "generated parser" true) [ ("MiniJava", 21.); ("RatsC", 43.) ]
-  @ [ peg_alloc_test; drive_alloc_test ]
+  @ [ peg_alloc_test; peg_minor_test; drive_alloc_test; recovery_alloc_test ]
 
 let suite =
   [
@@ -1061,7 +1126,7 @@ let suite =
     ("trees-errors", tree_tests);
     ("actions-speculation", action_tests);
     ("left-recursion", leftrec_tests);
-    ("memoization", memo_tests);
+    ("memoization", memo_tests @ [ memo_linear_test ]);
     ("memo-table", memo_props);
     ("drive", drive_tests);
     ("interp-alloc", alloc_tests);
