@@ -3,11 +3,11 @@
    The emitted module is a recognizer with one function per rule and one
    top-level function per reachable ATN state, all in a single [let rec]
    chain.  State functions take their context (parser state, stream,
-   precedence bound, stuck-guard refs) as arguments instead of closing
-   over it, so walking a rule allocates nothing beyond the stuck-guard
-   refs of rules that actually contain decisions -- the nested-closure
-   formulation costs a closure block per rule invocation, which is
-   exactly the interpretive overhead this backend exists to remove.
+   precedence bound, stuck guard) as arguments instead of closing over
+   it, so walking a rule allocates nothing beyond the stuck-guard refs of
+   rules with more than 62 decisions -- the nested-closure formulation
+   costs a closure block per rule invocation, which is exactly the
+   interpretive overhead this backend exists to remove.
    Lookahead decisions become nested match/if chains over token ids
    ([Inline] plan) or an embedded frozen DFA predicted by
    {!Runtime.Interp.predict} ([Table] plan); syntactic predicates run
@@ -328,14 +328,13 @@ let emit_synpred_dispatch t (ir : Ir.t) =
 (* ------------------------------------------------------------------ *)
 (* Rule bodies: one top-level function per reachable ATN state, the
    context (st, prec, ts, and -- in rules containing decisions -- the
-   stuck-guard refs) passed positionally. *)
+   stuck guard) passed positionally. *)
 
 let rule_params ~mode =
   match mode with
   | No_decide -> "(st : Rt.st) ~(prec : int) (ts : Ts.t)"
   | Mask _ ->
-      "(st : Rt.st) ~(prec : int) (ts : Ts.t) (last_pos : int ref) (seen : \
-       int ref)"
+      "(st : Rt.st) ~(prec : int) (ts : Ts.t) (last_pos : int) (seen : int)"
   | List_guard ->
       "(st : Rt.st) ~(prec : int) (ts : Ts.t) (last_pos : int ref) (seen : \
        int list ref)"
@@ -410,32 +409,30 @@ let emit_node t (r : Ir.rule_ir) (decision_by_id : Ir.decision_ir array)
         | None ->
             spf "Rt.stuck_fail st ~decision:%d ~rule:%d" decision r.Ir.ru_id
       in
-      line t ~indent:1 "let alt =";
       (match mode with
       | No_decide ->
           (* unreachable: a Decide node implies the rule has decisions *)
-          line t ~indent:2 "%s st ~prec" (decide_fn decision)
+          line t ~indent:1 "let alt = %s st ~prec in" (decide_fn decision)
       | Mask bits ->
+          (* every state-to-state call is a tail call, so the guard is
+             threaded through as two ints, the values the successor
+             sees; absolute position: a sliding window shifts [p] under
+             the guard's feet, and two distinct positions must never
+             compare equal across a slide *)
           let bit = List.assoc decision bits in
-          (* absolute position: a sliding window shifts [p] under the
-             guard's feet, and two distinct positions must never compare
-             equal across a slide *)
-          line t ~indent:2 "let pos = ts.Ts.base + ts.Ts.p in";
-          line t ~indent:2 "if pos <> !last_pos then begin";
-          line t ~indent:3 "last_pos := pos;";
-          line t ~indent:3 "seen := %d;" bit;
-          line t ~indent:3 "%s st ~prec" (decide_fn decision);
-          line t ~indent:2 "end";
-          line t ~indent:2 "else if !seen land %d <> 0 then %s" bit stuck_expr;
-          line t ~indent:2 "else begin";
-          line t ~indent:3 "seen := !seen lor %d;" bit;
-          line t ~indent:3 "%s st ~prec" (decide_fn decision);
-          line t ~indent:2 "end"
+          line t ~indent:1 "let pos = ts.Ts.base + ts.Ts.p in";
+          line t ~indent:1 "let seen = if pos = last_pos then seen else 0 in";
+          line t ~indent:1 "let alt =";
+          line t ~indent:2 "if seen land %d <> 0 then %s" bit stuck_expr;
+          line t ~indent:2 "else %s st ~prec" (decide_fn decision);
+          line t ~indent:1 "in";
+          line t ~indent:1 "let last_pos = pos and seen = seen lor %d in" bit
       | List_guard ->
+          line t ~indent:1 "let alt =";
           line t ~indent:2 "if G.stuck st last_pos seen ~d:%d then %s"
             decision stuck_expr;
-          line t ~indent:2 "else %s st ~prec" (decide_fn decision));
-      line t ~indent:1 "in";
+          line t ~indent:2 "else %s st ~prec" (decide_fn decision);
+          line t ~indent:1 "in");
       line t ~indent:1 "(match alt with";
       Array.iteri
         (fun i tgt ->
@@ -467,7 +464,7 @@ let emit_rule t (ir : Ir.t) (decision_by_id : Ir.decision_ir array)
       line t ~indent:1 "%s st ~prec st.Rt.ts ~fresh:false"
         (atn_state_fn ~rule:r.Ir.ru_id r.Ir.ru_entry)
   | Mask _ ->
-      line t ~indent:1 "%s st ~prec st.Rt.ts (ref (-1)) (ref 0) ~fresh:false"
+      line t ~indent:1 "%s st ~prec st.Rt.ts (-1) 0 ~fresh:false"
         (atn_state_fn ~rule:r.Ir.ru_id r.Ir.ru_entry)
   | List_guard ->
       line t ~indent:1

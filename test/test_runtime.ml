@@ -1112,10 +1112,13 @@ let alloc_tests =
           (Printf.sprintf "%.1f words/token <= %.1f" w bound)
           true (w <= bound))
   in
+  (* Generated parsers measure 4.7 (MiniJava) and 10.7 (RatsC) words per
+     token; 12.7 and 25.5 when every emitted rule invocation with a
+     decision allocated its two stuck-guard refs. *)
   (create_alloc_test :: create_words_test
   :: List.map (row "Interp.recognize" false)
        [ ("MiniJava", 12.5); ("RatsC", 34.) ])
-  @ List.map (row "generated parser" true) [ ("MiniJava", 21.); ("RatsC", 43.) ]
+  @ List.map (row "generated parser" true) [ ("MiniJava", 7.); ("RatsC", 16.) ]
   @ [ peg_alloc_test; peg_minor_test; drive_alloc_test; recovery_alloc_test ]
 
 let suite =
